@@ -12,7 +12,7 @@ import time
 
 from rbsvie import mc
 from rbsvie.instances import CATALOG_NAMES, catalog_instance
-from rbsvie.volterra import PicardConfig, solve_global
+from rbsvie.volterra import PicardConfig, solve
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
     for name in CATALOG_NAMES:
         spec = catalog_instance(name)
         lat = spec.lattice(args.n_steps)
-        y0 = float(solve_global(lat, spec, PicardConfig()).y_diag[0][0])
+        y0 = float(solve(lat, spec, PicardConfig()).y_diag[0][0])
         t0 = time.time()
         bundle = mc.simulate(lat.grid, spec, args.n_paths, seed=args.seed)
         est = mc.solve_mc(bundle, spec, basis)

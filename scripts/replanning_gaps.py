@@ -13,13 +13,13 @@ import argparse
 
 from rbsvie.instances import catalog_instance
 from rbsvie.stopping import inconsistency_report
-from rbsvie.volterra import PicardConfig, solve_global
+from rbsvie.volterra import PicardConfig, solve
 
 
 def report(name, n_steps, every):
     spec = catalog_instance(name)
     lat = spec.lattice(n_steps)
-    sol = solve_global(lat, spec, PicardConfig())
+    sol = solve(lat, spec, PicardConfig())
     rep = inconsistency_report(lat, spec, sol)
     print(f"\n{name}: frontiers identical = {rep.frontiers_identical}, "
           f"max gap = {rep.max_gap:.3e}")

@@ -1,6 +1,6 @@
 """Solve every catalog instance on a lattice and print a summary table.
 
-Usage: python3 scripts/run_catalog.py [--n-steps 50] [--mode windowed]
+Usage: python3 scripts/run_catalog.py [--n-steps 50]
 """
 
 import argparse
@@ -13,14 +13,13 @@ from rbsvie.volterra import PicardConfig, solve
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n-steps", type=int, default=50)
-    ap.add_argument("--mode", choices=("global", "windowed"), default="global")
     args = ap.parse_args()
 
     print(f"{'instance':24s} {'y0':>14s} {'iters':>6s} {'last residual':>14s} {'stop rows':>10s}")
     for name in CATALOG_NAMES:
         spec = catalog_instance(name)
         lat = spec.lattice(args.n_steps)
-        sol = solve(lat, spec, PicardConfig(mode=args.mode))
+        sol = solve(lat, spec, PicardConfig())
         rows = frontier_rows(extract_frontier(sol, lat, spec), lat)
         print(f"{name:24s} {sol.y_diag[0][0]:14.8f} {sol.iterations:6d} "
               f"{sol.residual_history[-1]:14.3e} {len(rows):10d}")

@@ -12,7 +12,7 @@ Modules
 grid       time grid and recombining binomial lattice
 instances  problem data catalog (driver, terminal, obstacle, dynamics)
 snell      per-anchor reflected backward inductions (Snell envelopes)
-volterra   Picard fixed point in the diagonal, global and windowed
+volterra   backward sweep over anchors for the diagonal; Picard reference
 oracle     brute-force stopping-rule enumeration on small lattices
 compare    comparison checks and the monotone approximation scheme
 stopping   optimal stopping rules, frontiers and time-inconsistency gaps

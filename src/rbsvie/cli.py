@@ -27,14 +27,14 @@ import numpy as np
 
 from rbsvie import mc
 from rbsvie.compare import CompareError, OrderedPair, check_comparison
-from rbsvie.grid import TimeGrid, build_lattice
+from rbsvie.grid import GridError, TimeGrid, build_lattice
 from rbsvie.instances import (CATALOG_NAMES, InstanceError, catalog_instance,
                               verify_assumptions)
 from rbsvie.oracle import MAX_RULE_NODES, best_rule, interior_node_count
 from rbsvie.snell import flatness_defect
 from rbsvie.stopping import (extract_frontier, frontier_rows,
                              inconsistency_report, premature_increment_mass)
-from rbsvie.volterra import NoConvergence, PicardConfig, solve
+from rbsvie.volterra import NoConvergence, PicardConfig, VolterraError, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,8 +68,6 @@ class RunConfig:
     n_steps: int = 50
     tolerance: float | None = None
     max_iters: int = 200
-    mode: str = "global"
-    delta: float | None = None
     n_paths: int = 100_000
     seed: int = 20260825
     basis_degree: int = 8
@@ -153,11 +151,15 @@ def load_config(path: str) -> RunConfig:
     cfg.max_iters = _get_int(cp, "picard", "max_iters", cfg.max_iters)
     if cfg.max_iters < 1:
         raise ConfigError("picard.max_iters must be >= 1")
+    # mode and delta configured the retired Picard drive modes; old files
+    # still validate, and the backward sweep reads neither
     if cp.has_option("picard", "mode"):
-        cfg.mode = cp.get("picard", "mode")
-        if cfg.mode not in ("global", "windowed"):
-            raise ConfigError(f"picard.mode must be global or windowed, got '{cfg.mode}'")
-    cfg.delta = _get_float(cp, "picard", "delta", cfg.delta)
+        mode = cp.get("picard", "mode")
+        if mode not in ("global", "windowed"):
+            raise ConfigError(f"picard.mode must be global or windowed, got '{mode}'")
+    delta = _get_float(cp, "picard", "delta")
+    if delta is not None and not delta > 0:
+        raise ConfigError(f"picard.delta must be positive, got {delta}")
 
     cfg.n_paths = _get_int(cp, "mc", "n_paths", cfg.n_paths)
     if cfg.n_paths < 2:
@@ -178,6 +180,8 @@ def load_config(path: str) -> RunConfig:
 
 
 def _build(cfg: RunConfig, max_n=None):
+    if max_n is not None and max_n < 1:
+        raise ConfigError(f"--max-n must be >= 1, got {max_n}")
     spec = catalog_instance(cfg.instance_name, dict(cfg.instance_params))
     n = cfg.n_steps if max_n is None else min(cfg.n_steps, max_n)
     grid = TimeGrid(spec.horizon, n)
@@ -189,8 +193,7 @@ def _picard_config(cfg: RunConfig, engine: str) -> PicardConfig:
     tol = cfg.tolerance
     if tol is None:
         tol = 1e-10 if engine == "lattice" else 1e-6
-    return PicardConfig(tolerance=tol, max_iters=cfg.max_iters,
-                        mode=cfg.mode, delta=cfg.delta)
+    return PicardConfig(tolerance=tol, max_iters=cfg.max_iters)
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -369,8 +372,7 @@ def cmd_stop(args) -> int:
 
     sol = solve(lat, spec, _picard_config(cfg, "lattice"))
     rep = inconsistency_report(lat, spec, sol)
-    frontier = extract_frontier(sol, lat, spec)
-    mass = max(premature_increment_mass(sol, frontier, i)
+    mass = max(premature_increment_mass(sol, rep.frontier, i)
                for i in range(grid.n_steps + 1))
     _write_json(out / "inconsistency.json", {
         "command": "stop",
@@ -477,13 +479,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InstanceError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except mc.MCError as exc:
+    except (ConfigError, InstanceError, mc.MCError, VolterraError, GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoConvergence as exc:

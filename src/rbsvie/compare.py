@@ -24,7 +24,7 @@ import numpy as np
 from rbsvie.grid import Lattice
 from rbsvie.instances import InstanceSpec, shift_driver
 from rbsvie.snell import path_sum_moments
-from rbsvie.volterra import PicardConfig, Solution, phi_step, solve_global
+from rbsvie.volterra import PicardConfig, Solution, phi_step, solve
 
 
 class CompareError(ValueError):
@@ -170,8 +170,8 @@ def check_comparison(lat: Lattice, pair: OrderedPair,
     exercises.
     """
     cfg = cfg or PicardConfig()
-    sol_lo = solve_global(lat, pair.lo, cfg)
-    sol_hi = solve_global(lat, pair.hi, cfg)
+    sol_lo = solve(lat, pair.lo, cfg)
+    sol_hi = solve(lat, pair.hi, cfg)
 
     max_diff = -np.inf
     witness = None
@@ -303,7 +303,7 @@ def monotone_scheme(lat: Lattice, spec: InstanceSpec, n_max: int,
         raise CompareError("dom_shift must be positive")
     cfg = cfg or PicardConfig()
 
-    sol0 = solve_global(lat, shift_driver(spec, dom_shift), cfg)
+    sol0 = solve(lat, shift_driver(spec, dom_shift), cfg)
     N = lat.n_steps
     diags = [sol0.y_diag]
     z_rows = [{i: [sol0.z.at(i, j) for j in range(i, N)] for i in range(N + 1)}]

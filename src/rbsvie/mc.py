@@ -4,8 +4,9 @@ Same backward recursion as the lattice solver, with the one-step
 conditional expectation replaced by a cross-sectional least-squares
 projection on basis functions of the state, and the martingale
 coefficient estimated by regressing ytilde_next * dW / dt on the same
-basis.  The outer fixed-point loop over the frozen diagonal matches the
-lattice solver's global mode.
+basis.  An outer fixed-point loop iterates over the frozen diagonal, as
+the lattice engine's reference Picard iteration (volterra.solve_global)
+does; the lattice engine's production path is the backward sweep.
 
 Paths are simulated in fixed-size blocks whose generators are seeded
 from (seed, block index), so results do not depend on how blocks are

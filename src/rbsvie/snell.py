@@ -11,12 +11,15 @@ xi(t_i, .) and the obstacle L, running s over grid layers j = i..N:
     kinc[j][k]   = max(L(t_j, x[j][k]) - c, 0)
 
 The y-argument of the driver is the frozen diagonal U supplied by the
-caller (the Volterra fixed point iterates over it); the z-argument is
-the martingale coefficient of the slice being built, which makes the
-scheme explicit in z.  kinc holds the per-step increments of the
-reflection term, so K(t_i, t_j) = sum of kinc over i <= j' < j along a
-path.  Where kinc > 0 the value sits exactly on the obstacle, giving the
-discrete Skorohod flatness identity by construction.
+caller; the z-argument is the martingale coefficient of the slice being
+built, which makes the scheme explicit in z.  The reference Picard
+iteration in volterra iterates this solver over U; the production
+backward sweep runs the same scheme for all anchors of a layer at once,
+with U the diagonal already solved on that layer.  kinc holds the
+per-step increments of the reflection term, so K(t_i, t_j) = sum of
+kinc over i <= j' < j along a path.  Where kinc > 0 the value sits
+exactly on the obstacle, giving the discrete Skorohod flatness identity
+by construction.
 """
 
 from __future__ import annotations
@@ -41,21 +44,32 @@ _ROLES = ("ytilde", "z", "kinc")
 
 
 class BiField:
-    """Triangular two-time node field: rows[i][j - i] is the layer-j array.
+    """Triangular two-time node field, stored layer by layer.
 
-    Row i spans running layers j = i..N for role "ytilde" and j = i..N-1
-    for "z" and "kinc" (no increment or martingale coefficient is
-    attached to the terminal layer).
+    layers[j] is a (j + 1) x (j + 1) array whose row i holds anchor i's
+    values on the layer-j nodes; at(i, j) is a view into it.  Anchor i
+    spans running layers j = i..N for role "ytilde" and j = i..N-1 for
+    "z" and "kinc" (no increment or martingale coefficient is attached
+    to the terminal layer).  Pass the layers to take them over as they
+    are, with every anchor populated; otherwise fill anchors by set_row.
     """
 
-    __slots__ = ("n_steps", "role", "rows")
+    __slots__ = ("n_steps", "role", "layers", "_filled")
 
-    def __init__(self, n_steps: int, role: str):
+    def __init__(self, n_steps: int, role: str, layers: list | None = None):
         if role not in _ROLES:
             raise SnellError(f"unknown BiField role '{role}'")
         self.n_steps = n_steps
         self.role = role
-        self.rows = [None] * (n_steps + 1)
+        n_layers = self.row_top(0) + 1
+        if layers is None:
+            self.layers = [np.zeros((j + 1, j + 1)) for j in range(n_layers)]
+            self._filled = [False] * (n_steps + 1)
+        else:
+            if len(layers) != n_layers:
+                raise SnellError(f"role {role} needs {n_layers} layers, got {len(layers)}")
+            self.layers = layers
+            self._filled = [True] * (n_steps + 1)
 
     def row_top(self, i: int) -> int:
         return self.n_steps if self.role == "ytilde" else self.n_steps - 1
@@ -67,105 +81,65 @@ class BiField:
         for off, a in enumerate(arrays):
             if a.shape != (i + off + 1,):
                 raise SnellError(f"layer {i + off} array has shape {a.shape}")
-        self.rows[i] = list(arrays)
+            self.layers[i + off][i] = a
+        self._filled[i] = True
 
     def at(self, i: int, j: int) -> np.ndarray:
         if not 0 <= i <= j <= self.row_top(i):
             raise SnellError(f"index ({i}, {j}) outside role-{self.role} triangle")
-        row = self.rows[i]
-        if row is None:
+        if not self._filled[i]:
             raise SnellError(f"row {i} not populated")
-        return row[j - i]
-
-    def has_row(self, i: int) -> bool:
-        return self.rows[i] is not None
+        return self.layers[j][i]
 
 
 @dataclass
 class SnellSlice:
-    """Backward induction output for a single anchor.
-
-    floor is the lowest layer covered; it equals the anchor except for
-    partial extensions produced by the windowed solver.
-    """
+    """Backward induction output for a single anchor, layers anchor..N."""
 
     anchor: int
-    ytilde: list = field(repr=False)  # layer arrays for j = floor..top
-    z: list = field(repr=False)       # j = floor..top-1
-    kinc: list = field(repr=False)    # j = floor..top-1
-    floor: int = -1
-
-    def __post_init__(self):
-        if self.floor < 0:
-            self.floor = self.anchor
+    ytilde: list = field(repr=False)  # layer arrays for j = anchor..N
+    z: list = field(repr=False)       # j = anchor..N-1
+    kinc: list = field(repr=False)    # j = anchor..N-1
 
     @property
     def diag(self) -> np.ndarray:
-        if self.floor != self.anchor:
-            raise SnellError("partial slice does not reach its anchor layer")
         return self.ytilde[0]
 
     def ytilde_at(self, j: int) -> np.ndarray:
-        return self.ytilde[j - self.floor]
+        return self.ytilde[j - self.anchor]
 
     def z_at(self, j: int) -> np.ndarray:
-        return self.z[j - self.floor]
+        return self.z[j - self.anchor]
 
     def kinc_at(self, j: int) -> np.ndarray:
-        return self.kinc[j - self.floor]
+        return self.kinc[j - self.anchor]
 
 
-def solve_slice(lat: Lattice, spec: InstanceSpec, i: int, U: list,
-                V: BiField | None = None, stop_layer: int | None = None,
-                terminal_values: np.ndarray | None = None,
-                floor_layer: int | None = None) -> SnellSlice:
+def solve_slice(lat: Lattice, spec: InstanceSpec, i: int, U: list) -> SnellSlice:
     """Reflected backward induction for anchor i under frozen diagonal U.
 
-    Parameters
-    ----------
-    lat, spec : lattice and problem data
-    i : anchor layer index
-    U : per-layer arrays; U[j] is read for floor <= j < top layer.  Pass
-        zero arrays on a first fixed-point pass.
-    V : accepted for interface symmetry with the continuous fixed-point
-        map; the explicit-in-z scheme computes the driver's z-argument
-        from the slice itself and never reads V.
-    stop_layer : last layer of the induction (defaults to N); used by
-        the windowed solver to stop at a window boundary.
-    terminal_values : data at stop_layer (defaults to xi(t_i, x[N])).
-    floor_layer : first layer of the induction (defaults to the anchor);
-        the windowed solver extends earlier anchors one window at a time.
-
-    Returns a SnellSlice covering layers floor..stop_layer.
+    U holds per-layer arrays; U[j] is read for i <= j < N.  Pass zero
+    arrays on a first fixed-point pass.  Returns a SnellSlice covering
+    layers i..N.
     """
-    del V  # explicit-in-z scheme, see module docstring
     grid = lat.grid
     N = lat.n_steps
-    top = N if stop_layer is None else stop_layer
-    floor = i if floor_layer is None else floor_layer
-    if not 0 <= i <= floor <= top <= N:
-        raise SnellError(
-            f"anchor {i}, floor {floor} and stop layer {top} must satisfy "
-            f"0 <= anchor <= floor <= stop <= {N}")
+    if not 0 <= i <= N:
+        raise SnellError(f"anchor {i} outside [0, {N}]")
     t_i = grid.t(i)
     dt = grid.dt
     sq = grid.sqrt_dt
 
-    if terminal_values is None:
-        if top != N:
-            raise SnellError("terminal_values required when stopping before the last layer")
-        cur = np.asarray(spec.terminal(t_i, lat.x[N]), dtype=float)
-    else:
-        cur = np.asarray(terminal_values, dtype=float)
-    if cur.shape != (top + 1,):
-        raise SnellError(f"terminal data must have {top + 1} entries, got {cur.shape}")
+    cur = np.asarray(spec.terminal(t_i, lat.x[N]), dtype=float)
+    if cur.shape != (N + 1,):
+        raise SnellError(f"terminal data must have {N + 1} entries, got {cur.shape}")
     if not np.all(np.isfinite(cur)):
         raise NonFiniteValue(f"non-finite terminal data for anchor {i}")
 
     ytilde = [cur]
     zs = []
     kincs = []
-    for j in range(top - 1, floor - 1, -1):
+    for j in range(N - 1, i - 1, -1):
         xj = lat.x[j]
         uj = np.asarray(U[j], dtype=float)
         if uj.shape != (j + 1,):
@@ -183,7 +157,7 @@ def solve_slice(lat: Lattice, spec: InstanceSpec, i: int, U: list,
     ytilde.reverse()
     zs.reverse()
     kincs.reverse()
-    return SnellSlice(anchor=i, ytilde=ytilde, z=zs, kinc=kincs, floor=floor)
+    return SnellSlice(anchor=i, ytilde=ytilde, z=zs, kinc=kincs)
 
 
 def flatness_defect(lat: Lattice, spec: InstanceSpec, sl: SnellSlice) -> float:

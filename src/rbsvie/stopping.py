@@ -148,6 +148,7 @@ class ConsistencyReport:
     own rule is optimal for anchor i, so gaps are nonnegative up to
     numerical tolerance; a strictly positive gap at an interior anchor
     certifies that the anchor-0 plan is no longer optimal later.
+    frontier holds the stop regions the rules were read from.
     """
 
     anchor_times: tuple
@@ -156,6 +157,7 @@ class ConsistencyReport:
     j_restarted: tuple
     gap: tuple
     frontiers_identical: bool
+    frontier: StoppingFrontier
 
     @property
     def max_gap(self) -> float:
@@ -186,7 +188,7 @@ def inconsistency_report(lat: Lattice, spec: InstanceSpec, sol: Solution,
     return ConsistencyReport(
         anchor_times=tuple(times), e_y=tuple(e_ys), j_own=tuple(j_owns),
         j_restarted=tuple(j_rests), gap=tuple(gaps),
-        frontiers_identical=identical,
+        frontiers_identical=identical, frontier=frontier,
     )
 
 

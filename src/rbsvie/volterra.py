@@ -1,27 +1,30 @@
-"""Picard fixed point in the diagonal for the reflected Volterra system.
+"""Diagonal of the reflected Volterra system on the lattice.
 
-One fixed-point pass solves every anchor's reflected backward induction
-with the driver's y-argument frozen at the previous diagonal U (the
-z-argument is produced inside each slice; see the slice solver).  The
-fixed point makes the diagonal self-consistent:
+Anchor i's slice (see the slice solver) reads the diagonal Y only on
+layers j >= i, so the discrete system is triangular in the anchor index
+and one backward pass over the layers solves it exactly.  At layer j,
+from the layer-(j+1) rows of anchors 0..j:
 
-    Y(t_i) at node k  =  ytilde[i][i][k]  with  U = Y on every layer.
+    E, z     one-step expectations and martingale coefficients, all rows
+    Y(t_j)   per node, the solution of v = max(E + f(t_j, t_j, x, v, z) dt, L)
+             on anchor j's row, found by fixed-point iteration
+    rows     max(E + f(t_i, t_j, x, Y(t_j), z) dt, L) for every anchor
+             i <= j at once, the driver broadcast over an anchor axis
 
-Two drive modes are provided.  The global mode iterates over all anchors
-at once.  The windowed mode works backwards from the horizon in windows
-of width delta, exploiting that on a short window one pass is a
-contraction (coupling mass of order c_f (delta^2 + delta)); each solved
-window fixes its diagonal values, every earlier anchor is then extended
-across the window by a single backward induction, and the extension
-values become that anchor's terminal data at the next window boundary.
-Both modes approximate the same fixed point, so their outputs agree to
-within a small multiple of the tolerance.
+This is the paper's construction that pastes short windows together,
+with window dt and an exact inner solve.  solve runs it and stores each
+layer's (anchors x nodes) arrays once.
+
+The global Picard iteration (solve_global, built on phi_step) stays as
+the independent reference: it freezes the diagonal U, solves every
+anchor's slice under it and iterates until the diagonal and z-field stop
+moving.  It is the map whose contraction the paper's existence argument
+rests on; contraction_ratios measures that contraction.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,36 +32,39 @@ from rbsvie.grid import Lattice
 from rbsvie.instances import InstanceSpec
 from rbsvie.snell import BiField, SnellSlice, solve_slice
 
+# relative size of a last-bit cycle the per-node equation may end on
+SETTLE_RTOL = 1e-14
+
 
 class VolterraError(ValueError):
     pass
 
 
 class NoConvergence(RuntimeError):
-    def __init__(self, iterations: int, last_residual: float, where: str = "global"):
+    def __init__(self, iterations: int, last_residual: float, where: str = "global Picard"):
         self.iterations = iterations
         self.last_residual = last_residual
         self.where = where
         super().__init__(
-            f"fixed point did not reach tolerance in {iterations} iterations "
-            f"({where} mode, last residual {last_residual:.3e})"
+            f"{where}: fixed point did not settle within {iterations} iterations "
+            f"(last change {last_residual:.3e})"
         )
 
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Fixed point iteration controls.
+    """Solver controls.
 
-    tolerance applies to the largest entrywise change of the diagonal
-    and z-field between successive passes; the recorded residual history
-    uses the expectation norm (see e_norm), which must also fall below
-    tolerance before the iteration stops.
+    max_iters bounds the iterations of each per-node equation in solve
+    and the passes of solve_global.  tolerance is solve_global's bound on
+    the largest entrywise change of the diagonal and z-field between
+    passes, and on the expectation norm of that change (see e_norm); the
+    sweep is exact and does not read it.  store_fields=False keeps only
+    the diagonal.
     """
 
     tolerance: float = 1e-10
     max_iters: int = 200
-    mode: str = "global"
-    delta: float | None = None
     store_fields: bool = True
 
     def __post_init__(self):
@@ -66,24 +72,21 @@ class PicardConfig:
             raise VolterraError("tolerance must be positive")
         if self.max_iters < 1:
             raise VolterraError("max_iters must be >= 1")
-        if self.mode not in ("global", "windowed"):
-            raise VolterraError(f"mode must be 'global' or 'windowed', got '{self.mode}'")
-        if self.delta is not None and not self.delta > 0:
-            raise VolterraError("delta must be positive when given")
 
 
 @dataclass
 class Solution:
-    """Converged output of the fixed point iteration.
+    """Solved diagonal and, unless diagonal-only, the per-anchor fields.
 
     y_diag[i] is the layer-i array of diagonal values Y(t_i).  The
     triangular fields hold per-anchor envelopes, martingale coefficients
     and reflection increments (None in diagonal-only mode); the
     reflection term is stored as per-step increments, so the cumulative
     K(t_i, t_j) along a path is the sum of kinc over the visited nodes.
-    residual_history records the expectation-norm change per pass (per
-    window, concatenated, for the windowed mode); window_plan lists
-    (first_anchor, last_anchor, boundary_layer) per window.
+    For mode "sweep", residual_history holds one entry, the largest last
+    update of the per-node equations (0.0 when every one settled
+    exactly); for mode "global" it holds the expectation-norm change per
+    pass.
     """
 
     y_diag: list
@@ -92,8 +95,7 @@ class Solution:
     kinc: BiField | None
     iterations: int
     residual_history: list
-    window_plan: list = field(default_factory=list)
-    mode: str = "global"
+    mode: str = "sweep"
 
     def slice_view(self, i: int) -> SnellSlice:
         if self.ytilde is None:
@@ -107,6 +109,101 @@ class Solution:
         )
 
 
+def _driver_rows(spec: InstanceSpec, t, s: float, x, y, z, shape: tuple,
+                 j: int) -> np.ndarray:
+    """Driver values broadcast to shape; a mismatch names the layer."""
+    f = np.asarray(spec.driver(t, s, x, y, z), dtype=float)
+    try:
+        return np.broadcast_to(f, shape)
+    except ValueError:
+        raise VolterraError(
+            f"driver result of shape {f.shape} at layer {j} does not broadcast "
+            f"to (anchors, nodes) = {shape}") from None
+
+
+def _non_finite(i: int, j: int) -> VolterraError:
+    return VolterraError(f"non-finite value at anchor {i}, layer {j}; "
+                         f"check instance parameters")
+
+
+def _check_finite(rows: np.ndarray, j: int) -> None:
+    """Rows are anchors 0.. on layer j; the first non-finite one is named."""
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise _non_finite(int(np.argmax(bad)), j)
+
+
+def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
+                     j: int, max_iters: int) -> tuple:
+    """Anchor j on its own layer: v = max(e + f(t_j, t_j, x, v, z) dt, L) per node.
+
+    Iterates from max(e, L) until an update changes nothing, or until
+    the updates stop shrinking within SETTLE_RTOL (1 + |v|): a last-bit
+    cycle.  Returns (v, last update).
+    """
+    v = np.maximum(e, barrier)
+    last = np.inf
+    for _ in range(max_iters):
+        nxt = np.maximum(e + _driver_rows(spec, s, s, x, v, z, v.shape, j) * dt, barrier)
+        if not np.isfinite(nxt).all():
+            raise _non_finite(j, j)
+        step = float(np.max(np.abs(nxt - v)))
+        v = nxt
+        if step == 0.0 or (step >= last
+                           and step <= SETTLE_RTOL * (1.0 + float(np.max(np.abs(v))))):
+            return v, step
+        last = step
+    raise NoConvergence(max_iters, last, where=f"anchor {j}, layer {j}")
+
+
+def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> Solution:
+    """One backward sweep over the layers (see the module docstring)."""
+    cfg = cfg or PicardConfig()
+    grid = lat.grid
+    N = lat.n_steps
+    dt = grid.dt
+    anchor_t = (np.arange(N + 1) * dt)[:, None]  # bitwise equal to grid.t(i)
+
+    rows = np.empty((N + 1, N + 1))
+    for i in range(N + 1):
+        rows[i] = spec.terminal(grid.t(i), lat.x[N])
+    _check_finite(rows, N)
+    y_diag = [None] * (N + 1)
+    y_diag[N] = rows[N].copy()
+    ytilde_layers = [None] * (N + 1)
+    z_layers = [None] * N
+    kinc_layers = [None] * N
+    ytilde_layers[N] = rows
+    largest_update = 0.0
+
+    for j in range(N - 1, -1, -1):
+        nxt = rows[: j + 1]  # anchors 0..j on layer j + 1
+        e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
+        z = (nxt[:, 1:] - nxt[:, :-1]) / (2.0 * grid.sqrt_dt)
+        s = grid.t(j)
+        x_j = lat.x[j]
+        barrier = np.asarray(spec.obstacle(s, x_j), dtype=float)
+        v, update = _settle_diagonal(spec, s, x_j, e[j], z[j], barrier, dt, j,
+                                     cfg.max_iters)
+        largest_update = max(largest_update, update)
+        c = e + _driver_rows(spec, anchor_t[: j + 1], s, x_j, v, z, z.shape, j) * dt
+        rows = np.maximum(c, barrier)
+        rows[j] = v
+        _check_finite(rows, j)
+        y_diag[j] = v
+        if cfg.store_fields:
+            ytilde_layers[j] = rows
+            z_layers[j] = z
+            kinc_layers[j] = np.maximum(barrier - c, 0.0)
+
+    fields = [None, None, None]
+    if cfg.store_fields:
+        fields = [BiField(N, "ytilde", ytilde_layers), BiField(N, "z", z_layers),
+                  BiField(N, "kinc", kinc_layers)]
+    return Solution(y_diag, *fields, iterations=1, residual_history=[largest_update],
+                    mode="sweep")
+
+
 def zero_diagonal(lat: Lattice) -> list:
     return [np.zeros(j + 1) for j in range(lat.n_steps + 1)]
 
@@ -115,14 +212,12 @@ def constant_diagonal(lat: Lattice, c: float) -> list:
     return [np.full(j + 1, float(c)) for j in range(lat.n_steps + 1)]
 
 
-def phi_step(lat: Lattice, spec: InstanceSpec, U: list, V: BiField | None = None,
-             anchors=None) -> tuple:
+def phi_step(lat: Lattice, spec: InstanceSpec, U: list, anchors=None) -> tuple:
     """One fixed-point pass: solve every requested anchor's slice under U.
 
     Returns (diag, slices): diag[i] is the new diagonal layer array and
     slices[i] the full slice, for i in anchors (all anchors by default).
-    Pure function of its inputs.  V is accepted for interface symmetry
-    and ignored by the explicit-in-z slice scheme.
+    Pure function of its inputs.
     """
     N = lat.n_steps
     anchors = range(N + 1) if anchors is None else anchors
@@ -133,7 +228,7 @@ def phi_step(lat: Lattice, spec: InstanceSpec, U: list, V: BiField | None = None
             term = np.asarray(spec.terminal(lat.grid.t(N), lat.x[N]), dtype=float)
             sl = SnellSlice(anchor=N, ytilde=[term], z=[], kinc=[])
         else:
-            sl = solve_slice(lat, spec, i, U, V)
+            sl = solve_slice(lat, spec, i, U)
         diag[i] = sl.diag
         slices[i] = sl
     return diag, slices
@@ -158,14 +253,13 @@ def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _package(lat, diag, slices, iterations, residuals, store_fields, mode,
-             window_plan=None) -> Solution:
+def _package(lat, diag, slices, iterations, residuals, store_fields) -> Solution:
     N = lat.n_steps
     y_diag = [diag[i] for i in range(N + 1)]
     if not store_fields:
         return Solution(y_diag=y_diag, ytilde=None, z=None, kinc=None,
                         iterations=iterations, residual_history=residuals,
-                        window_plan=window_plan or [], mode=mode)
+                        mode="global")
     yt = BiField(N, "ytilde")
     zf = BiField(N, "z")
     kf = BiField(N, "kinc")
@@ -176,7 +270,7 @@ def _package(lat, diag, slices, iterations, residuals, store_fields, mode,
         kf.set_row(i, sl.kinc)
     return Solution(y_diag=y_diag, ytilde=yt, z=zf, kinc=kf,
                     iterations=iterations, residual_history=residuals,
-                    window_plan=window_plan or [], mode=mode)
+                    mode="global")
 
 
 def solve_global(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None,
@@ -196,7 +290,7 @@ def solve_global(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = No
     if not (spec.driver.depends_on_y or spec.driver.depends_on_z):
         diag, slices = phi_step(lat, spec, U)
         return _package(lat, diag, slices, iterations=1, residuals=[0.0],
-                        store_fields=cfg.store_fields, mode="global")
+                        store_fields=cfg.store_fields)
 
     prev_z = None
     residuals = []
@@ -221,7 +315,7 @@ def solve_global(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = No
                 prev_z[(i, i + off)] = zj
         if sup_change < cfg.tolerance and res < cfg.tolerance:
             return _package(lat, diag, slices, iterations=it, residuals=residuals,
-                            store_fields=cfg.store_fields, mode="global")
+                            store_fields=cfg.store_fields)
     raise NoConvergence(cfg.max_iters, residuals[-1] if residuals else float("inf"))
 
 
@@ -229,8 +323,8 @@ def max_contraction_delta(c_f: float, dt: float, horizon: float) -> float:
     """Largest grid multiple of dt with c_f (delta^2 + delta) < 1/8.
 
     Returns the full horizon when c_f = 0.  Raises when even a single
-    step is too wide, which signals that the windowed mode cannot be
-    configured within the contraction bound on this grid.
+    step is too wide: no window on this grid is covered by the
+    contraction bound.
     """
     if c_f <= 0:
         return horizon
@@ -246,139 +340,9 @@ def max_contraction_delta(c_f: float, dt: float, horizon: float) -> float:
     if best == 0:
         raise VolterraError(
             f"contraction bound delta^2 + delta < {bound:.4g} admits no positive "
-            f"multiple of dt = {dt:.4g}; refine the grid or use global mode"
+            f"multiple of dt = {dt:.4g}; refine the grid"
         )
     return best * dt
-
-
-def window_plan(N: int, h: int) -> list:
-    """Anchor partition per window, latest window first.
-
-    Window 0 owns anchors [N-h, N] and stops at layer N; window m >= 1
-    owns [max(N-(m+1)h, 0), N-mh-1] and stops at layer N-mh.
-    """
-    if h < 1:
-        raise VolterraError("window must span at least one step")
-    plan = []
-    m = 0
-    while True:
-        b_m = N - m * h
-        first = max(N - (m + 1) * h, 0)
-        last = N if m == 0 else b_m - 1
-        plan.append((first, last, b_m))
-        if first == 0:
-            break
-        m += 1
-    return plan
-
-
-def solve_windowed(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig) -> Solution:
-    """Backward-in-time windowed fixed point with pasting.
-
-    delta must be a positive multiple of dt (within rounding); when not
-    given it defaults to the largest width satisfying the contraction
-    bound.  A delta violating the bound is allowed with a warning: the
-    iteration may still converge, only the a priori argument is void.
-    """
-    N = lat.n_steps
-    grid = lat.grid
-    dt = grid.dt
-    delta = cfg.delta if cfg.delta is not None else max_contraction_delta(
-        spec.driver.lipschitz, dt, spec.horizon)
-    h = int(round(delta / dt))
-    if h < 1 or abs(h * dt - delta) > 1e-9 * max(dt, 1.0):
-        raise VolterraError(f"delta = {delta} is not a positive multiple of dt = {dt}")
-    cf = spec.driver.lipschitz
-    if cf > 0 and 8.0 * cf * (delta * delta + delta) >= 1.0:
-        warnings.warn(
-            f"window width delta = {delta} violates the contraction bound "
-            f"8 c_f (delta^2 + delta) < 1 (c_f = {cf}); proceeding anyway",
-            RuntimeWarning,
-        )
-
-    plan = window_plan(N, h)
-    trivial = not (spec.driver.depends_on_y or spec.driver.depends_on_z)
-    U = zero_diagonal(lat)
-    # terminal data per anchor at its current boundary layer (starts at N)
-    term = [np.asarray(spec.terminal(grid.t(i), lat.x[N]), dtype=float)
-            for i in range(N + 1)]
-    rows_y = [[term[i]] for i in range(N + 1)]  # layer arrays, accumulated backwards
-    rows_z = [[] for _ in range(N + 1)]
-    rows_k = [[] for _ in range(N + 1)]
-
-    residuals = []
-    total_iters = 0
-
-    for first, last, b_m in plan:
-        anchors = range(first, last + 1)
-        max_w_iters = 1 if trivial else cfg.max_iters
-        new_slices = {}
-        prev_z = None
-        converged = False
-        for _ in range(max_w_iters):
-            total_iters += 1
-            d_diag = {}
-            d_z = {}
-            sup_change = 0.0
-            for i in anchors:
-                if i == b_m:
-                    sl = SnellSlice(anchor=i, ytilde=[term[i]], z=[], kinc=[])
-                else:
-                    sl = solve_slice(lat, spec, i, U, stop_layer=b_m,
-                                     terminal_values=term[i])
-                new_slices[i] = sl
-                d_diag[i] = sl.diag - U[i]
-                sup_change = max(sup_change, _sup(d_diag[i]))
-                for off, zj in enumerate(sl.z):
-                    j = i + off
-                    old = prev_z[(i, j)] if prev_z is not None else np.zeros(j + 1)
-                    d_z[(i, j)] = zj - old
-                    sup_change = max(sup_change, _sup(d_z[(i, j)]))
-            res = 0.0 if trivial else e_norm(lat, d_diag, d_z)
-            residuals.append(res)
-            for i in anchors:
-                U[i] = new_slices[i].diag
-            prev_z = {(i, i + off): zj
-                      for i in anchors for off, zj in enumerate(new_slices[i].z)}
-            if trivial or (sup_change < cfg.tolerance and res < cfg.tolerance):
-                converged = True
-                break
-        if not converged:
-            raise NoConvergence(cfg.max_iters, residuals[-1],
-                                where=f"window anchors [{first}, {last}]")
-
-        for i in anchors:
-            sl = new_slices[i]
-            if i < b_m:
-                rows_y[i] = list(sl.ytilde[:-1]) + rows_y[i]
-                rows_z[i] = list(sl.z) + rows_z[i]
-                rows_k[i] = list(sl.kinc) + rows_k[i]
-
-        if first > 0:
-            b_next = first  # the next window stops at this window's first anchor
-            for i in range(first):
-                ext = solve_slice(lat, spec, i, U, stop_layer=b_m,
-                                  terminal_values=term[i], floor_layer=b_next)
-                term[i] = ext.ytilde[0]
-                rows_y[i] = list(ext.ytilde[:-1]) + rows_y[i]
-                rows_z[i] = list(ext.z) + rows_z[i]
-                rows_k[i] = list(ext.kinc) + rows_k[i]
-
-    slices = {
-        i: SnellSlice(anchor=i, ytilde=rows_y[i], z=rows_z[i], kinc=rows_k[i])
-        for i in range(N + 1)
-    }
-    diag = {i: slices[i].diag for i in range(N + 1)}
-    return _package(lat, diag, slices, iterations=total_iters, residuals=residuals,
-                    store_fields=cfg.store_fields, mode="windowed",
-                    window_plan=plan)
-
-
-def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> Solution:
-    cfg = cfg or PicardConfig()
-    if cfg.mode == "windowed":
-        return solve_windowed(lat, spec, cfg)
-    return solve_global(lat, spec, cfg)
 
 
 def contraction_ratios(lat: Lattice, spec: InstanceSpec, pairs: int = 50,

@@ -23,7 +23,7 @@ from rbsvie.snell import flatness_defect
 from rbsvie.stopping import (extract_frontier, inconsistency_report,
                              premature_increment_mass)
 from rbsvie.volterra import (PicardConfig, constant_diagonal,
-                             contraction_ratios, solve_global, solve_windowed,
+                             contraction_ratios, solve, solve_global,
                              zero_diagonal)
 
 T_INDEPENDENT = ("american_put", "linear_z", "zero_driver_flat")
@@ -149,20 +149,19 @@ def test_criterion_03_contraction_and_residual_decay(specs, solved50):
           f"(150 pairs), iterations {iters}, all terminal residuals < 1e-10")
 
 
-def test_criterion_04_windowed_matches_global(specs, solved100):
-    # pasted windowed sweep agrees with the global fixed point within
-    # twice the solver tolerance at N=100 for every instance
+def test_criterion_04_sweep_matches_global(specs, solved100):
+    # the backward sweep over anchors agrees with the global Picard fixed
+    # point within twice the solver tolerance at N=100 for every instance
     tol = 1e-10
     gaps = {}
     for name, (lat, sol_g) in solved100.items():
-        cfg = PicardConfig(tolerance=tol, mode="windowed")
-        sol_w = solve_windowed(lat, specs[name], cfg)
+        sol_s = solve(lat, specs[name], PicardConfig(tolerance=tol))
         gap = max(float(np.max(np.abs(a - b)))
-                  for a, b in zip(sol_w.y_diag, sol_g.y_diag))
+                  for a, b in zip(sol_s.y_diag, sol_g.y_diag))
         gaps[name] = gap
-        assert gap <= 2 * tol, f"{name}: windowed vs global gap {gap:.3e}"
+        assert gap <= 2 * tol, f"{name}: sweep vs global gap {gap:.3e}"
     worst = max(gaps.values())
-    print(f"\ncriterion 04 PASS: windowed matches global at N=100, "
+    print(f"\ncriterion 04 PASS: sweep matches global at N=100, "
           f"max gap {worst:.2e} <= {2 * tol:.0e}")
 
 

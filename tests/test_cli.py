@@ -363,20 +363,69 @@ dir = {out}
 
 
 def test_windowed_mode_through_config(tmp_path):
-    out = tmp_path / "out"
-    cfg = _cfg(tmp_path, f"""[instance]
+    # old configs that chose the retired windowed driver still run, and
+    # give the same diagonal as global ones: the sweep reads neither key
+    body = """[instance]
 name = american_put
 
 [grid]
 N = 24
 
 [picard]
-mode = windowed
-delta = 0.25
+mode = {mode}
+{extra}"""
+    outs = {}
+    for mode, extra in (("windowed", "delta = 0.25\n"), ("global", "")):
+        outs[mode] = tmp_path / mode
+        cfg = _cfg(tmp_path, body.format(mode=mode, extra=extra), name=f"{mode}.ini")
+        assert _run("solve", "--config", cfg, "--out", str(outs[mode])) == cli.EXIT_OK
+    assert (outs["windowed"] / "y_diag.csv").read_bytes() == \
+        (outs["global"] / "y_diag.csv").read_bytes()
+    sol = json.loads((outs["windowed"] / "solution.json").read_text())
+    assert sol["mode"] == "sweep"
+    assert sol["iterations"] == 1
+    assert len(sol["residual_history"]) == 1 and sol["residual_history"][0] <= 1e-14
 
-[output]
-dir = {out}
+
+@pytest.mark.parametrize("body, flags", [
+    ("[picard]\ndelta = -1\n", ()),
+    ("[picard]\ndelta = 0\n", ()),
+    ("", ("--max-n", "0")),
+])
+def test_infeasible_request_exits_one_without_artifacts(tmp_path, body, flags, capsys):
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 8\n\n" + body)
+    assert _run("solve", "--config", cfg, "--out", str(out), *flags) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, message", [
+    # the lattice state overflows: a grid error
+    ("x0 = 1e308\nsigma = 1e308\n", "non-finite state"),
+    # an infinite terminal value reaches the sweep, which says where
+    ("x0 = 1e308\nterminal_scale = 10\n", "anchor 0, layer 4"),
+])
+def test_grid_and_solver_errors_are_config_errors(tmp_path, params, message, capsys):
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, "[instance]\nname = hyperbolic_discount\n" + params
+               + "\n[grid]\nN = 4\n")
+    assert _run("solve", "--config", cfg, "--out", str(out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
+
+
+def test_inner_equation_failure_exits_two_naming_anchor_and_layer(tmp_path, capsys):
+    # b dt = 2: anchor N-1's per-node map expands and cannot settle
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, """[instance]
+name = linear_z
+b = 20
+
+[grid]
+N = 10
 """)
-    assert _run("solve", "--config", cfg) == cli.EXIT_OK
-    sol = json.loads((out / "solution.json").read_text())
-    assert sol["mode"] == "windowed"
+    assert _run("solve", "--config", cfg, "--out", str(out)) == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert "no convergence" in err and "anchor 9, layer 9" in err
+    assert not (out / "solution.json").exists()

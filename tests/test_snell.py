@@ -199,18 +199,6 @@ def test_nonfinite_instance_detected():
         solve_slice(lat, bad, 0, zero_diag(4))
 
 
-def test_windowed_terminal_override():
-    spec = catalog_instance("american_put")
-    lat = spec.lattice(6)
-    full = solve_slice(lat, spec, 0, zero_diag(6))
-    # solving only up to layer 3 with the full slice's layer-3 values as
-    # terminal reproduces the lower part of the induction exactly
-    part = solve_slice(lat, spec, 0, zero_diag(6), stop_layer=3,
-                       terminal_values=full.ytilde_at(3))
-    for j in range(4):
-        assert np.array_equal(part.ytilde_at(j), full.ytilde_at(j))
-
-
 @settings(max_examples=30, deadline=None)
 @given(floor=st.floats(-0.5, 0.5), seed=st.integers(0, 10_000))
 def test_dominance_and_flatness_random_obstacles(floor, seed):

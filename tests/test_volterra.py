@@ -1,16 +1,21 @@
-"""Fixed point iteration tests: convergence, references, windowed pasting."""
+"""Solver tests: the backward sweep against the Picard reference,
+convergence and contraction of the reference, and solver failures."""
 
-import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rbsvie.instances import catalog_instance
-from rbsvie.snell import solve_slice
+from rbsvie.instances import (
+    CATALOG_NAMES,
+    DriverSpec,
+    ObstacleSpec,
+    catalog_instance,
+)
+from rbsvie.snell import snell_by_policy_envelope, solve_slice
 from rbsvie.volterra import (
     NoConvergence,
     PicardConfig,
-    Solution,
     VolterraError,
     constant_diagonal,
     contraction_ratios,
@@ -19,8 +24,6 @@ from rbsvie.volterra import (
     phi_step,
     solve,
     solve_global,
-    solve_windowed,
-    window_plan,
     zero_diagonal,
 )
 
@@ -30,10 +33,6 @@ def test_config_validation():
         PicardConfig(tolerance=0.0)
     with pytest.raises(VolterraError):
         PicardConfig(max_iters=0)
-    with pytest.raises(VolterraError):
-        PicardConfig(mode="sideways")
-    with pytest.raises(VolterraError):
-        PicardConfig(delta=-0.1)
 
 
 def test_zero_driver_solved_in_one_pass():
@@ -105,89 +104,17 @@ def test_no_convergence_raises_with_context():
     assert exc.value.last_residual > 0
 
 
-def test_window_plan_partitions_anchors():
-    for N, h in ((24, 6), (10, 4), (7, 7), (5, 9)):
-        plan = window_plan(N, h)
-        seen = []
-        for first, last, b_m in plan:
-            assert 0 <= first <= last <= N
-            assert b_m == last + 1 or (b_m == N and last == N)
-            seen.extend(range(first, last + 1))
-        assert sorted(seen) == list(range(N + 1))
-        assert plan[0][2] == N
-        assert plan[-1][0] == 0
-
-
-def test_windowed_bitwise_equal_without_coupling():
-    # driver free of (y, z): pasting reproduces the single sweep exactly,
-    # the same arithmetic is performed in the same order per step
-    spec = catalog_instance("zero_driver_flat")
-    lat = spec.lattice(24)
-    g = solve_global(lat, spec)
-    w = solve_windowed(lat, spec, PicardConfig(mode="windowed", delta=lat.grid.dt * 6))
-    for i in range(25):
-        assert np.array_equal(g.y_diag[i], w.y_diag[i])
-        for j in range(i, 25):
-            assert np.array_equal(g.ytilde.at(i, j), w.ytilde.at(i, j))
-        for j in range(i, 24):
-            assert np.array_equal(g.z.at(i, j), w.z.at(i, j))
-            assert np.array_equal(g.kinc.at(i, j), w.kinc.at(i, j))
-    assert w.mode == "windowed"
-    assert len(w.window_plan) == 4
-
-
-def test_windowed_matches_global_with_coupling():
-    spec = catalog_instance("american_put")
-    lat = spec.lattice(48)
-    tol = 1e-11
-    g = solve_global(lat, spec, PicardConfig(tolerance=tol, max_iters=200))
-    w = solve_windowed(lat, spec, PicardConfig(tolerance=tol, max_iters=200,
-                                               mode="windowed", delta=0.25))
-    gap = max(float(np.max(np.abs(g.y_diag[i] - w.y_diag[i]))) for i in range(49))
-    assert gap < 2 * tol
-    zgap = max(float(np.max(np.abs(g.z.at(i, j) - w.z.at(i, j))))
-               for i in range(48) for j in range(i, 48))
-    assert zgap < 10 * tol
-
-
-def test_windowed_default_delta_respects_bound():
-    spec = catalog_instance("hyperbolic_discount")
-    lat = spec.lattice(50)
-    cf = spec.driver.lipschitz
-    d = max_contraction_delta(cf, lat.grid.dt, spec.horizon)
-    assert 8.0 * cf * (d * d + d) < 1.0
-    # one more step would break the bound
-    d2 = d + lat.grid.dt
-    assert 8.0 * cf * (d2 * d2 + d2) >= 1.0
-    w = solve_windowed(lat, spec, PicardConfig(tolerance=1e-11, mode="windowed"))
-    g = solve_global(lat, spec, PicardConfig(tolerance=1e-11))
-    gap = max(float(np.max(np.abs(g.y_diag[i] - w.y_diag[i]))) for i in range(51))
-    assert gap < 2e-11
-
-
 def test_max_contraction_delta_edge_cases():
     assert max_contraction_delta(0.0, 0.1, 3.0) == 3.0
+    # the widest grid window within the bound
+    cf, dt = 0.5, 1.0 / 50
+    d = max_contraction_delta(cf, dt, 1.0)
+    assert 8.0 * cf * (d * d + d) < 1.0
+    d2 = d + dt
+    assert 8.0 * cf * (d2 * d2 + d2) >= 1.0
     # enormous coupling: even one step violates the bound
     with pytest.raises(VolterraError):
         max_contraction_delta(50.0, 0.5, 1.0)
-
-
-def test_delta_not_a_step_multiple_rejected():
-    spec = catalog_instance("american_put")
-    lat = spec.lattice(10)  # dt = 0.1
-    with pytest.raises(VolterraError):
-        solve_windowed(lat, spec, PicardConfig(mode="windowed", delta=0.25))
-
-
-def test_oversized_delta_warns_but_solves():
-    spec = catalog_instance("linear_z")  # coupling constant 0.5, bound 0.25
-    lat = spec.lattice(40)
-    cfg = PicardConfig(tolerance=1e-11, mode="windowed", delta=0.5)
-    with pytest.warns(RuntimeWarning):
-        w = solve_windowed(lat, spec, cfg)
-    g = solve_global(lat, spec, PicardConfig(tolerance=1e-11))
-    gap = max(float(np.max(np.abs(g.y_diag[i] - w.y_diag[i]))) for i in range(41))
-    assert gap < 2e-11
 
 
 def test_contraction_ratios_below_one():
@@ -221,16 +148,6 @@ def test_diagonal_only_mode_drops_fields():
         sol.slice_view(0)
 
 
-def test_solve_dispatches_on_mode():
-    spec = catalog_instance("zero_driver_flat")
-    lat = spec.lattice(12)
-    g = solve(lat, spec, PicardConfig(mode="global"))
-    w = solve(lat, spec, PicardConfig(mode="windowed", delta=lat.grid.dt * 4))
-    assert g.mode == "global" and w.mode == "windowed"
-    for i in range(13):
-        assert np.array_equal(g.y_diag[i], w.y_diag[i])
-
-
 def test_e_norm_scales_with_dt():
     # a constant unit diagonal perturbation has squared norm sum_i dt = T + dt
     spec = catalog_instance("zero_driver_flat")
@@ -238,3 +155,81 @@ def test_e_norm_scales_with_dt():
     d = {i: np.ones(i + 1) for i in range(21)}
     got = e_norm(lat, d, {})
     assert abs(got - np.sqrt(1.0 + lat.grid.dt)) < 1e-12
+
+
+def test_sweep_matches_global_with_coupling():
+    # the sweep is exact; the Picard reference stops within its tolerance
+    tol = 1e-11
+    for name in ("american_put", "linear_z", "hyperbolic_discount"):
+        spec = catalog_instance(name)
+        lat = spec.lattice(48)
+        g = solve_global(lat, spec, PicardConfig(tolerance=tol, max_iters=200))
+        s = solve(lat, spec)
+        gap = max(float(np.max(np.abs(g.y_diag[i] - s.y_diag[i]))) for i in range(49))
+        assert gap < 2 * tol, name
+        for field in ("z", "kinc"):
+            a, b = getattr(g, field), getattr(s, field)
+            fgap = max(float(np.max(np.abs(a.at(i, j) - b.at(i, j))))
+                       for i in range(48) for j in range(i, 48))
+            assert fgap < 10 * tol, (name, field, fgap)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_sweep_rows_equal_policy_envelope(n):
+    # every anchor's stored envelope is the stop-or-continue value under
+    # the swept diagonal: bitwise off the diagonal, and on it up to the
+    # last-bit cycle the per-node equation may end on
+    for name in CATALOG_NAMES:
+        spec = catalog_instance(name)
+        lat = spec.lattice(n)
+        sol = solve(lat, spec)
+        for i in range(n + 1):
+            env = snell_by_policy_envelope(lat, spec, i, sol.y_diag)
+            assert np.array_equal(sol.ytilde.at(i, i), sol.y_diag[i])
+            assert np.max(np.abs(env[0] - sol.y_diag[i])) <= 1e-14, (name, i)
+            for j in range(i + 1, n + 1):
+                assert np.array_equal(env[j - i], sol.ytilde.at(i, j)), (name, i, j)
+
+
+def test_sweep_record_and_diagonal_only_mode():
+    spec = catalog_instance("hyperbolic_discount")
+    lat = spec.lattice(30)
+    full = solve(lat, spec)
+    assert full.mode == "sweep" and full.iterations == 1
+    assert len(full.residual_history) == 1 and full.residual_history[0] <= 1e-14
+    lean = solve(lat, spec, PicardConfig(store_fields=False))
+    assert lean.ytilde is None and lean.z is None and lean.kinc is None
+    for a, b in zip(full.y_diag, lean.y_diag):
+        assert np.array_equal(a, b)
+
+
+def test_sweep_fields_are_views_of_layer_arrays():
+    spec = catalog_instance("custom_affine")
+    lat = spec.lattice(10)
+    sol = solve(lat, spec)
+    for f, top in ((sol.ytilde, 10), (sol.z, 9), (sol.kinc, 9)):
+        assert len(f.layers) == top + 1
+        for j in range(top + 1):
+            assert f.layers[j].shape == (j + 1, j + 1)
+            for i in range(j + 1):
+                assert np.shares_memory(f.at(i, j), f.layers[j])
+
+
+def test_sweep_rejects_driver_that_does_not_broadcast_over_anchors():
+    base = catalog_instance("linear_z")
+    flat = DriverSpec(name="flattening", fn=lambda t, s, x, y, z: 0.1 * np.ravel(z),
+                      lipschitz=0.1, depends_on_y=False)
+    spec = replace(base, driver=flat)
+    lat = spec.lattice(6)
+    with pytest.raises(VolterraError, match="layer 5"):
+        solve(lat, spec)
+
+
+def test_sweep_non_finite_value_names_anchor_and_layer():
+    base = catalog_instance("zero_driver_flat")
+    wall = ObstacleSpec(name="wall", fn=lambda u, x: np.where(
+        (abs(u - 0.5) < 1e-9) & (np.asarray(x) > 0), np.inf, -1.0))
+    spec = replace(base, obstacle=wall)
+    lat = spec.lattice(10)
+    with pytest.raises(VolterraError, match="anchor 5, layer 5"):
+        solve(lat, spec)
