@@ -104,14 +104,25 @@ def test_no_convergence_raises_with_context():
     assert exc.value.last_residual > 0
 
 
+def test_windowed_default_delta_respects_bound():
+    # the paper's window length is the widest grid multiple within the
+    # contraction bound; the sweep (window = dt) agrees with global Picard
+    spec = catalog_instance("hyperbolic_discount")
+    lat = spec.lattice(50)
+    cf = spec.driver.lipschitz
+    d = max_contraction_delta(cf, lat.grid.dt, spec.horizon)
+    assert 8.0 * cf * (d * d + d) < 1.0
+    # one more step would break the bound
+    d2 = d + lat.grid.dt
+    assert 8.0 * cf * (d2 * d2 + d2) >= 1.0
+    w = solve(lat, spec, PicardConfig(tolerance=1e-11))
+    g = solve_global(lat, spec, PicardConfig(tolerance=1e-11))
+    gap = max(float(np.max(np.abs(g.y_diag[i] - w.y_diag[i]))) for i in range(51))
+    assert gap < 2e-11
+
+
 def test_max_contraction_delta_edge_cases():
     assert max_contraction_delta(0.0, 0.1, 3.0) == 3.0
-    # the widest grid window within the bound
-    cf, dt = 0.5, 1.0 / 50
-    d = max_contraction_delta(cf, dt, 1.0)
-    assert 8.0 * cf * (d * d + d) < 1.0
-    d2 = d + dt
-    assert 8.0 * cf * (d2 * d2 + d2) >= 1.0
     # enormous coupling: even one step violates the bound
     with pytest.raises(VolterraError):
         max_contraction_delta(50.0, 0.5, 1.0)
