@@ -66,7 +66,7 @@ class RunConfig:
     instance_name: str
     instance_params: dict = field(default_factory=dict)
     n_steps: int = 50
-    tolerance: float | None = None
+    tolerance: float = 1e-10
     max_iters: int = 200
     n_paths: int = 100_000
     seed: int = 20260825
@@ -146,7 +146,7 @@ def load_config(path: str) -> RunConfig:
         cfg.n_steps = n
 
     cfg.tolerance = _get_float(cp, "picard", "tolerance", cfg.tolerance)
-    if cfg.tolerance is not None and cfg.tolerance <= 0:
+    if not cfg.tolerance > 0:
         raise ConfigError("picard.tolerance must be positive")
     cfg.max_iters = _get_int(cp, "picard", "max_iters", cfg.max_iters)
     if cfg.max_iters < 1:
@@ -162,12 +162,19 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"picard.delta must be positive, got {delta}")
 
     cfg.n_paths = _get_int(cp, "mc", "n_paths", cfg.n_paths)
-    if cfg.n_paths < 2:
-        raise ConfigError("mc.n_paths must be >= 2")
     cfg.seed = _get_int(cp, "mc", "seed", cfg.seed)
+    if cfg.seed < 0:
+        raise ConfigError(f"mc.seed must be >= 0, got {cfg.seed}")
     cfg.basis_degree = _get_int(cp, "mc", "basis_degree", cfg.basis_degree)
     if cp.has_option("mc", "basis_family"):
         cfg.basis_family = cp.get("mc", "basis_family")
+    try:
+        dim = mc.RegressionBasis(cfg.basis_family, cfg.basis_degree).dim
+    except mc.MCError as exc:
+        raise ConfigError(f"mc basis: {exc}")
+    if cfg.n_paths < 2 * dim:
+        raise ConfigError(f"mc.n_paths must be >= {2 * dim} for a {dim}-column "
+                          f"basis, got {cfg.n_paths}")
 
     if cp.has_option("output", "dir"):
         cfg.out_dir = cp.get("output", "dir")
@@ -189,11 +196,8 @@ def _build(cfg: RunConfig, max_n=None):
     return spec, grid, lat
 
 
-def _picard_config(cfg: RunConfig, engine: str) -> PicardConfig:
-    tol = cfg.tolerance
-    if tol is None:
-        tol = 1e-10 if engine == "lattice" else 1e-6
-    return PicardConfig(tolerance=tol, max_iters=cfg.max_iters)
+def _picard_config(cfg: RunConfig) -> PicardConfig:
+    return PicardConfig(tolerance=cfg.tolerance, max_iters=cfg.max_iters)
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -230,7 +234,7 @@ def cmd_solve(args) -> int:
     out = _out_dir(args, cfg)
 
     if args.engine == "lattice":
-        sol = solve(lat, spec, _picard_config(cfg, "lattice"))
+        sol = solve(lat, spec, _picard_config(cfg))
         frontier = extract_frontier(sol, lat, spec)
         f_rows = frontier_rows(frontier, lat)
         payload = {
@@ -253,7 +257,7 @@ def cmd_solve(args) -> int:
     else:
         bundle = mc.simulate(grid, spec, cfg.n_paths, cfg.seed)
         basis = mc.RegressionBasis(cfg.basis_family, cfg.basis_degree)
-        sol = mc.solve_mc(bundle, spec, basis, _picard_config(cfg, "mc"))
+        sol = mc.solve_mc(bundle, spec, basis, _picard_config(cfg))
         f_rows = [(0.0, t_j, lo, hi) for t_j, lo, hi in sol.frontier_rows]
         payload = {
             "engine": "mc",
@@ -294,7 +298,7 @@ def cmd_oracle_check(args) -> int:
             f"N={n} has {worst} (use N <= 5 or --max-n)")
     out = _out_dir(args, cfg)
 
-    sol = solve(lat, spec, _picard_config(cfg, "lattice"))
+    sol = solve(lat, spec, _picard_config(cfg))
     deviations = []
     for i in range(n + 1):
         zrow = [sol.z.at(i, j) for j in range(i, n)]
@@ -341,7 +345,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"pair rejected: {exc}")
     out = _out_dir(args, cfg_lo)
 
-    report = check_comparison(lat, pair, _picard_config(cfg_lo, "lattice"))
+    report = check_comparison(lat, pair, _picard_config(cfg_lo))
     _write_json(out / "report.json", {
         "command": "compare",
         "low": spec_lo.label,
@@ -370,7 +374,7 @@ def cmd_stop(args) -> int:
     spec, grid, lat = _build(cfg, args.max_n)
     out = _out_dir(args, cfg)
 
-    sol = solve(lat, spec, _picard_config(cfg, "lattice"))
+    sol = solve(lat, spec, _picard_config(cfg))
     rep = inconsistency_report(lat, spec, sol)
     mass = max(premature_increment_mass(sol, rep.frontier, i)
                for i in range(grid.n_steps + 1))

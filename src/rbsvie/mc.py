@@ -1,12 +1,14 @@
 """Regression Monte Carlo solver on simulated paths.
 
-Same backward recursion as the lattice solver, with the one-step
-conditional expectation replaced by a cross-sectional least-squares
-projection on basis functions of the state, and the martingale
-coefficient estimated by regressing ytilde_next * dW / dt on the same
-basis.  An outer fixed-point loop iterates over the frozen diagonal, as
-the lattice engine's reference Picard iteration (volterra.solve_global)
-does; the lattice engine's production path is the backward sweep.
+The same backward sweep as the lattice solver (volterra.step_layer),
+with the one-step conditional expectation replaced by a cross-sectional
+least-squares projection on basis functions of the state, and the
+martingale coefficient estimated by regressing ytilde_next * dW / dt on
+the same basis.  One pass over the layers j = N-1..0 does all the work:
+it builds layer j's projector once, projects every anchor row 0..j in
+one multi-RHS solve, settles anchor j's per-path equation
+v = max(E + f(t_j, t_j, x, v, z) dt, L), steps anchors 0..j, and steps
+the bootstrap replicates of anchor 0 with the diagonal frozen at v.
 
 Paths are simulated in fixed-size blocks whose generators are seeded
 from (seed, block index), so results do not depend on how blocks are
@@ -22,9 +24,12 @@ import numpy as np
 
 from rbsvie.grid import TimeGrid
 from rbsvie.instances import InstanceSpec
-from rbsvie.volterra import NoConvergence, PicardConfig
+from rbsvie.volterra import (NoConvergence, PicardConfig, VolterraError,
+                             check_finite, step_layer, step_rows)
 
 BLOCK_SIZE = 65536
+# paths per block of the bootstrap's weighted sums; a block stays in cache
+KR_BLOCK = 1024
 GENERATOR_NAME = "numpy-pcg64"
 
 
@@ -113,13 +118,24 @@ class RegressionBasis:
 
 
 class _LayerProjector:
-    """Per-layer least squares against a fixed design matrix."""
+    """Least squares against one layer's design matrix.
 
-    def __init__(self, basis: RegressionBasis, x_layer: np.ndarray):
-        self.b = basis.design(x_layer)
-        gram = self.b.T @ self.b
+    Regression targets are rows: project(vals, z) replaces each row of
+    vals by its fitted values and writes to the same row of z the fit of
+    the martingale target vals * dw / dt, with one solve for all rows.
+    Layer 0's design is the constant column, since every path starts at
+    x0; there the projection is the cross-path mean.
+    """
+
+    def __init__(self, design: np.ndarray, dw: np.ndarray, dt: float):
+        d = design.shape[1]
+        # rows 0..d-1: the design's columns; rows d..2d-1: the same times dw/dt
+        self.bbt = np.empty((2 * d, len(dw)))
+        self.bt = self.bbt[:d]
+        self.bt[:] = design.T
+        np.multiply(self.bt, dw / dt, out=self.bbt[d:])
         try:
-            self.chol = np.linalg.cholesky(gram)
+            self.chol = np.linalg.cholesky(design.T @ design)
         except np.linalg.LinAlgError:
             raise MCError(
                 "rank-deficient regression: basis too rich for the path cloud")
@@ -128,35 +144,61 @@ class _LayerProjector:
             raise MCError(
                 "rank-deficient regression: basis too rich for the path cloud")
 
-    def _solve(self, rhs):
-        z = np.linalg.solve(self.chol, rhs)
-        return np.linalg.solve(self.chol.T, z)
+    def _fit(self, coef: np.ndarray, vals: np.ndarray, z: np.ndarray) -> None:
+        # coef[r] holds row r's value and martingale coefficients, (2, d)
+        np.matmul(coef[:, 0], self.bt, out=vals)
+        np.matmul(coef[:, 1], self.bt, out=z)
 
-    def project_pair(self, y1: np.ndarray, y2: np.ndarray) -> tuple:
-        rhs = self.b.T @ np.column_stack([y1, y2])
-        out = self.b @ self._solve(rhs)
-        return out[:, 0], out[:, 1]
+    def project(self, vals: np.ndarray, z: np.ndarray) -> None:
+        m, d = len(vals), len(self.bt)
+        rhs = (vals @ self.bbt.T).reshape(2 * m, d).T
+        coef = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, rhs))
+        self._fit(coef.T.reshape(m, 2, d), vals, z)
 
-    def project_weighted_pair(self, y1: np.ndarray, y2: np.ndarray,
-                              wts: np.ndarray) -> tuple:
-        bw = self.b * wts[:, None]
-        gram = bw.T @ self.b
-        rhs = bw.T @ np.column_stack([y1, y2])
-        coef = np.linalg.solve(gram, rhs)
-        out = self.b @ coef
-        return out[:, 0], out[:, 1]
+    def weighted_grams(self, wts: np.ndarray) -> np.ndarray:
+        """B^T diag(w) B for every weight row.
+
+        The symmetric half of each path's outer product b b^T (the
+        Khatri-Rao product of the design with itself) times the weights
+        gives every replicate's gram in one GEMM per block of KR_BLOCK
+        paths; a block stays in cache.
+        """
+        bt = self.bt
+        d = len(bt)
+        up, lo = np.triu_indices(d)
+        half = np.zeros((len(up), len(wts)))
+        for c in range(0, bt.shape[1], KR_BLOCK):
+            blk = bt[:, c:c + KR_BLOCK]
+            half += (blk[up] * blk[lo]) @ wts[:, c:c + KR_BLOCK].T
+        grams = np.empty((len(wts), d, d))
+        grams[:, up, lo] = half.T
+        grams[:, lo, up] = half.T
+        return grams
+
+    def project_weighted(self, grams: np.ndarray, wts: np.ndarray,
+                         vals: np.ndarray, z: np.ndarray) -> None:
+        """project, with row r of vals regressed under weights wts[r]."""
+        m, d = len(vals), len(self.bt)
+        rhs = np.zeros((m, 2 * d))
+        for c in range(0, vals.shape[1], KR_BLOCK):
+            cols = slice(c, c + KR_BLOCK)
+            rhs += (wts[:, cols] * vals[:, cols]) @ self.bbt[:, cols].T
+        rhs = rhs.reshape(m, 2, d).transpose(0, 2, 1)
+        self._fit(np.linalg.solve(grams, rhs).transpose(0, 2, 1), vals, z)
 
 
 @dataclass
 class MCSolution:
-    """Converged regression estimates and their sampling error.
+    """Regression estimates and their sampling error.
 
     y0 is the time-0 value (layer-0 projection is a plain average: all
-    paths share the starting state, so the conditional expectation given
-    time 0 is the mean and a feature matrix there would be rank
-    deficient).  e_y_diag[i] estimates the mean diagonal value at anchor
-    i.  floor_margin is the smallest ytilde - obstacle over every
-    retained path point of the final pass (nonnegative by construction).
+    paths share the starting state).  e_y_diag[i] estimates the mean
+    diagonal value at anchor i.  floor_margin is the smallest ytilde -
+    obstacle over every path point of anchor 0's rows (nonnegative by
+    construction).  y0_replicates are the bootstrap refits of y0, whose
+    standard deviation is y0_se.  As for the lattice sweep, iterations
+    is 1 and residual_history holds the largest last update of the
+    per-path equations.
     """
 
     y0: float
@@ -166,117 +208,102 @@ class MCSolution:
     iterations: int
     residual_history: list
     floor_margin: float
+    y0_replicates: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
 
-def _anchor_sweep(bundle, spec, basis, projs, U, i, record=None):
-    """Backward recursion for anchor i on the path cloud.
-
-    Returns the layer-i value vector; record, when given, collects the
-    per-layer value vectors for the single-sweep shortcut.
-    """
-    grid = bundle.grid
-    N = grid.n_steps
-    dt = grid.dt
-    t_i = grid.t(i)
-    vals = np.asarray(spec.terminal(t_i, bundle.x[:, N]), dtype=float)
-    if record is not None:
-        record[N] = vals
-    for j in range(N - 1, i - 1, -1):
-        x_j = bundle.x[:, j]
-        target_z = vals * bundle.dw[:, j] / dt
-        if j == 0:
-            proj = np.full(bundle.n_paths, float(vals.mean()))
-            z = np.full(bundle.n_paths, float(target_z.mean()))
-        else:
-            proj, z = projs[j].project_pair(vals, target_z)
-        f_j = np.asarray(spec.driver(t_i, grid.t(j), x_j, U[j], z), dtype=float)
-        barrier = np.asarray(spec.obstacle(grid.t(j), x_j), dtype=float)
-        vals = np.maximum(proj + f_j * dt, barrier)
-        if record is not None:
-            record[j] = vals
-    return vals
+def _bootstrap_weights(bundle: PathBundle, n_bootstrap: int) -> np.ndarray:
+    """Multinomial path weights, one row per replicate, from (seed, 999983)."""
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((bundle.seed, 999983))))
+    n = bundle.n_paths
+    pvals = np.full(n, 1.0 / n)
+    wts = np.empty((n_bootstrap, n))
+    for b in range(n_bootstrap):
+        wts[b] = rng.multinomial(n, pvals)
+    return wts
 
 
 def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
              cfg: PicardConfig | None = None, n_bootstrap: int = 48) -> MCSolution:
-    """Fixed point of the regression backward recursion.
+    """One backward pass over the layers (see the module docstring).
 
-    Anchor-independent data (driver and terminal free of the anchor
-    argument) collapse the per-anchor sweeps to one recursion whose
-    layer values are the diagonal.  The reported standard error is a
-    multinomial bootstrap over paths: the anchor-0 recursion is refit
-    per replicate with weighted projections, the diagonal frozen at the
-    converged estimate.
+    cfg.max_iters bounds each per-path equation; the tolerance is not
+    read.  A non-finite row raises MCError, an equation that does not
+    settle NoConvergence; both name the anchor and layer.
     """
-    cfg = cfg or PicardConfig(tolerance=1e-6)
+    cfg = cfg or PicardConfig()
     grid = bundle.grid
     N = grid.n_steps
-    if bundle.n_paths < 2 * basis.dim:
+    n = bundle.n_paths
+    dt = grid.dt
+    if n < 2 * basis.dim:
         raise MCError(f"need n_paths >= {2 * basis.dim} for a {basis.dim}-column basis")
+    anchor_t = (np.arange(N + 1) * dt)[:, None]  # bitwise equal to grid.t(i)
 
-    projs = {j: _LayerProjector(basis, bundle.x[:, j]) for j in range(1, N)}
-    one_sweep = not spec.t_dependent
-    trivial = not (spec.driver.depends_on_y or spec.driver.depends_on_z)
-
-    U = np.zeros((N + 1, bundle.n_paths))
-    residuals = []
-    iterations = 0
-    max_iters = 1 if trivial else cfg.max_iters
-    converged = trivial
-    for it in range(1, max_iters + 1):
-        iterations = it
-        U_new = np.empty_like(U)
-        if one_sweep:
-            record = {}
-            _anchor_sweep(bundle, spec, basis, projs, U, 0, record=record)
-            for j in range(N + 1):
-                U_new[j] = record[j]
-        else:
-            for i in range(N + 1):
-                U_new[i] = _anchor_sweep(bundle, spec, basis, projs, U, i)
-        d = U_new - U
-        sup_change = float(np.max(np.abs(d)))
-        res = float(np.sqrt(grid.dt * np.sum(np.mean(d * d, axis=1))))
-        residuals.append(0.0 if trivial else res)
-        U = U_new
-        if trivial or (sup_change < cfg.tolerance and res < cfg.tolerance):
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(iterations, residuals[-1], where="mc")
-
-    # final anchor-0 pass: frontier rows, floor margin, and the y0 estimate
-    record = {}
-    _anchor_sweep(bundle, spec, basis, projs, U, 0, record=record)
+    # vals[i] is anchor i's value row on the current layer and zrows[i] its
+    # martingale coefficient; projection and step overwrite them in place
+    x_N = np.ascontiguousarray(bundle.x[:, N])
+    vals = np.empty((N + 1, n))
+    for i in range(N + 1):
+        vals[i] = spec.terminal(grid.t(i), x_N)
+    zrows = np.empty_like(vals)
+    wts = _bootstrap_weights(bundle, n_bootstrap)
+    reps = np.empty((n_bootstrap, n))
+    reps[:] = vals[0]
+    zrep = np.empty((basis.dim, n))
+    e_y_diag = [0.0] * (N + 1)
+    e_y_diag[N] = float(vals[N].mean())
     frontier, margin = [], np.inf
-    for j in range(N + 1):
-        barrier = np.asarray(spec.obstacle(grid.t(j), bundle.x[:, j]), dtype=float)
-        slack = record[j] - barrier
+    largest_update = 0.0
+
+    def record(j, x, row, barrier):
+        nonlocal margin
+        slack = row - barrier
         margin = min(margin, float(slack.min()))
         exercised = slack <= 1e-9
         if np.any(exercised):
-            xs = bundle.x[:, j][exercised]
+            xs = x[exercised]
             frontier.append((grid.t(j), float(xs.min()), float(xs.max())))
-    y0 = float(record[0][0])
 
-    boot_rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((bundle.seed, 999983))))
-    reps = np.empty(n_bootstrap)
-    for b in range(n_bootstrap):
-        wts = boot_rng.multinomial(bundle.n_paths,
-                                   np.full(bundle.n_paths, 1.0 / bundle.n_paths))
-        wts = wts.astype(float)
-        reps[b] = _bootstrap_anchor0(bundle, spec, basis, projs, U, wts)
-    y0_se = float(reps.std(ddof=1))
+    try:
+        check_finite(vals, N)
+        record(N, x_N, vals[0], np.asarray(spec.obstacle(grid.t(N), x_N), dtype=float))
+        for j in range(N - 1, -1, -1):
+            s = grid.t(j)
+            x_j = np.ascontiguousarray(bundle.x[:, j])
+            proj = _LayerProjector(basis.design(x_j) if j else np.ones((n, 1)),
+                                   bundle.dw[:, j], dt)
+            e, z = vals[: j + 1], zrows[: j + 1]
+            proj.project(e, z)
+            rows, v, barrier, update, _ = step_layer(spec, anchor_t, s, x_j, e, z, dt, j,
+                                                     cfg.max_iters)
+            largest_update = max(largest_update, update)
+            e_y_diag[j] = float(v.mean())
+            record(j, x_j, rows[0], barrier)
+            # anchor-0 bootstrap refits, diagonal frozen at v, basis.dim at a time
+            grams = proj.weighted_grams(wts)
+            for lo in range(0, n_bootstrap, basis.dim):
+                blk = slice(lo, lo + basis.dim)
+                rb = reps[blk]
+                zb = zrep[: len(rb)]
+                proj.project_weighted(grams[blk], wts[blk], rb, zb)
+                step_rows(spec, 0.0, s, x_j, v, rb, zb, barrier, dt, j)
+    except NoConvergence as exc:
+        raise NoConvergence(exc.iterations, exc.last_residual,
+                            where=f"mc {exc.where}") from None
+    except VolterraError as exc:
+        raise MCError(f"mc {exc}") from None
 
     return MCSolution(
-        y0=y0, y0_se=y0_se,
-        e_y_diag=[float(U[i].mean()) for i in range(N + 1)],
-        frontier_rows=frontier,
-        iterations=iterations,
-        residual_history=residuals,
+        y0=float(vals[0, 0]),
+        y0_se=float(reps[:, 0].std(ddof=1)),
+        e_y_diag=e_y_diag,
+        frontier_rows=frontier[::-1],
+        iterations=1,
+        residual_history=[largest_update],
         floor_margin=margin,
+        y0_replicates=[float(r) for r in reps[:, 0]],
         metadata={
             "generator": GENERATOR_NAME,
             "seed": bundle.seed,
@@ -287,24 +314,3 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
             "n_bootstrap": n_bootstrap,
         },
     )
-
-
-def _bootstrap_anchor0(bundle, spec, basis, projs, U, wts):
-    """Anchor-0 recursion with multinomially reweighted projections."""
-    grid = bundle.grid
-    N = grid.n_steps
-    dt = grid.dt
-    n = bundle.n_paths
-    vals = np.asarray(spec.terminal(0.0, bundle.x[:, N]), dtype=float)
-    for j in range(N - 1, 0, -1):
-        x_j = bundle.x[:, j]
-        target_z = vals * bundle.dw[:, j] / dt
-        proj, z = projs[j].project_weighted_pair(vals, target_z, wts)
-        f_j = np.asarray(spec.driver(0.0, grid.t(j), x_j, U[j], z), dtype=float)
-        barrier = np.asarray(spec.obstacle(grid.t(j), x_j), dtype=float)
-        vals = np.maximum(proj + f_j * dt, barrier)
-    wmean = float(np.sum(wts * vals) / n)
-    z0 = float(np.sum(wts * vals * bundle.dw[:, 0]) / n) / dt
-    f_0 = float(np.asarray(spec.driver(0.0, 0.0, bundle.x[0, 0], U[0][0], z0)))
-    barrier0 = float(np.asarray(spec.obstacle(0.0, bundle.x[0, 0])))
-    return max(wmean + f_0 * dt, barrier0)

@@ -13,7 +13,10 @@ from the layer-(j+1) rows of anchors 0..j:
 
 This is the paper's construction that pastes short windows together,
 with window dt and an exact inner solve.  solve runs it and stores each
-layer's (anchors x nodes) arrays once.
+layer's (anchors x nodes) arrays once.  step_layer is everything after
+the one-step operator; the regression Monte Carlo engine (mc.solve_mc)
+calls it on its projections, so the two engines differ only in how E
+and z are made.
 
 The global Picard iteration (solve_global, built on phi_step) stays as
 the independent reference: it freezes the diagonal U, solves every
@@ -111,14 +114,16 @@ class Solution:
 
 def _driver_rows(spec: InstanceSpec, t, s: float, x, y, z, shape: tuple,
                  j: int) -> np.ndarray:
-    """Driver values broadcast to shape; a mismatch names the layer."""
+    """Driver values that broadcast to shape; a mismatch names the layer."""
     f = np.asarray(spec.driver(t, s, x, y, z), dtype=float)
     try:
-        return np.broadcast_to(f, shape)
+        if np.broadcast_shapes(f.shape, shape) == shape:
+            return f
     except ValueError:
-        raise VolterraError(
-            f"driver result of shape {f.shape} at layer {j} does not broadcast "
-            f"to (anchors, nodes) = {shape}") from None
+        pass
+    raise VolterraError(
+        f"driver result of shape {f.shape} at layer {j} does not broadcast "
+        f"to (anchors, nodes) = {shape}")
 
 
 def _non_finite(i: int, j: int) -> VolterraError:
@@ -126,7 +131,7 @@ def _non_finite(i: int, j: int) -> VolterraError:
                          f"check instance parameters")
 
 
-def _check_finite(rows: np.ndarray, j: int) -> None:
+def check_finite(rows: np.ndarray, j: int) -> None:
     """Rows are anchors 0.. on layer j; the first non-finite one is named."""
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
@@ -156,6 +161,38 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
     raise NoConvergence(max_iters, last, where=f"anchor {j}, layer {j}")
 
 
+def step_rows(spec: InstanceSpec, t, s: float, x, v, e: np.ndarray, z: np.ndarray,
+              barrier, dt: float, j: int, kinc: bool = False) -> tuple:
+    """max(e + f(t, s, x, v, z) dt, L) row by row, written over e.
+
+    Returns (rows, reflection increments max(L - e - f dt, 0) or None).
+    """
+    c = np.add(e, _driver_rows(spec, t, s, x, v, z, z.shape, j) * dt, out=e)
+    k = np.maximum(barrier - c, 0.0) if kinc else None
+    return np.maximum(c, barrier, out=c), k
+
+
+def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndarray,
+               z: np.ndarray, dt: float, j: int, max_iters: int,
+               kinc: bool = False) -> tuple:
+    """Layer j of the backward sweep, from the one-step operator's output.
+
+    e and z are the conditional expectations and martingale coefficients
+    of anchors 0..j's layer-(j+1) values, one row per anchor; the engines
+    differ only in the operator that makes them (lattice midpoint or
+    regression projection).  anchor_t is the column of anchor times.
+    Anchor j's row settles its per-state equation, then every row steps
+    with the diagonal frozen at the settled v.  The rows overwrite e.
+    Returns (rows, v, barrier, last update, reflection increments or None).
+    """
+    barrier = np.asarray(spec.obstacle(s, x), dtype=float)
+    v, update = _settle_diagonal(spec, s, x, e[j], z[j], barrier, dt, j, max_iters)
+    rows, k = step_rows(spec, anchor_t[: j + 1], s, x, v, e, z, barrier, dt, j, kinc)
+    rows[j] = v
+    check_finite(rows, j)
+    return rows, v, barrier, update, k
+
+
 def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> Solution:
     """One backward sweep over the layers (see the module docstring)."""
     cfg = cfg or PicardConfig()
@@ -167,7 +204,7 @@ def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> 
     rows = np.empty((N + 1, N + 1))
     for i in range(N + 1):
         rows[i] = spec.terminal(grid.t(i), lat.x[N])
-    _check_finite(rows, N)
+    check_finite(rows, N)
     y_diag = [None] * (N + 1)
     y_diag[N] = rows[N].copy()
     ytilde_layers = [None] * (N + 1)
@@ -180,21 +217,14 @@ def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> 
         nxt = rows[: j + 1]  # anchors 0..j on layer j + 1
         e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
         z = (nxt[:, 1:] - nxt[:, :-1]) / (2.0 * grid.sqrt_dt)
-        s = grid.t(j)
-        x_j = lat.x[j]
-        barrier = np.asarray(spec.obstacle(s, x_j), dtype=float)
-        v, update = _settle_diagonal(spec, s, x_j, e[j], z[j], barrier, dt, j,
-                                     cfg.max_iters)
+        rows, v, _, update, kinc = step_layer(spec, anchor_t, grid.t(j), lat.x[j], e, z,
+                                              dt, j, cfg.max_iters, cfg.store_fields)
         largest_update = max(largest_update, update)
-        c = e + _driver_rows(spec, anchor_t[: j + 1], s, x_j, v, z, z.shape, j) * dt
-        rows = np.maximum(c, barrier)
-        rows[j] = v
-        _check_finite(rows, j)
         y_diag[j] = v
         if cfg.store_fields:
             ytilde_layers[j] = rows
             z_layers[j] = z
-            kinc_layers[j] = np.maximum(barrier - c, 0.0)
+            kinc_layers[j] = kinc
 
     fields = [None, None, None]
     if cfg.store_fields:

@@ -162,6 +162,10 @@ seed = 11
     "[instance]\nname = american_put\n\n[picard]\nmode = sideways\n",
     "[instance]\nname = american_put\nhorizon = 2\n\n[grid]\nT = 1\n",
     "[grid]\nN = 5\n",
+    "[instance]\nname = american_put\n\n[mc]\nseed = -1\n",
+    "[instance]\nname = american_put\n\n[mc]\nbasis_family = spline\n",
+    "[instance]\nname = american_put\n\n[mc]\nbasis_degree = 0\n",
+    "[instance]\nname = american_put\n\n[mc]\nn_paths = 10\n",
 ])
 def test_malformed_config_exits_one_without_artifacts(tmp_path, body, capsys):
     out = tmp_path / "out"
@@ -428,4 +432,43 @@ N = 10
     assert _run("solve", "--config", cfg, "--out", str(out)) == cli.EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err
     assert "no convergence" in err and "anchor 9, layer 9" in err
+    assert not (out / "solution.json").exists()
+
+
+def test_mc_inner_equation_failure_exits_two_naming_anchor_and_layer(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, """[instance]
+name = linear_z
+b = 20
+
+[grid]
+N = 10
+
+[mc]
+n_paths = 500
+""")
+    assert _run("solve", "--config", cfg, "--engine", "mc",
+                "--out", str(out)) == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert "no convergence: mc" in err and "anchor 9, layer 9" in err
+    assert not (out / "solution.json").exists()
+
+
+def test_mc_non_finite_row_exits_one_naming_anchor_and_layer(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, """[instance]
+name = hyperbolic_discount
+x0 = 1e308
+terminal_scale = 10
+
+[grid]
+N = 4
+
+[mc]
+n_paths = 500
+""")
+    assert _run("solve", "--config", cfg, "--engine", "mc",
+                "--out", str(out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: mc" in err and "anchor 0, layer 4" in err
     assert not (out / "solution.json").exists()

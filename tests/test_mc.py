@@ -207,3 +207,86 @@ def test_terminal_layer_mean_matches_paths():
     sol = mc.solve_mc(bundle, spec, mc.RegressionBasis(), n_bootstrap=4)
     expected = float(np.mean(spec.terminal(grid.t(6), bundle.x[:, 6])))
     assert sol.e_y_diag[6] == pytest.approx(expected, abs=1e-12)
+
+
+def _fitted(design, y, wts=None):
+    """Least-squares fitted values (np.linalg.lstsq, weights via sqrt(w) rows)."""
+    if wts is None:
+        return design @ np.linalg.lstsq(design, y, rcond=None)[0]
+    sw = np.sqrt(wts)
+    return design @ np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)[0]
+
+
+def _picard_reference(bundle, spec, basis, tol=1e-12, max_passes=500):
+    """Global Picard over paths: every anchor's recursion under a frozen
+    diagonal U, repeated until U stops moving.  Returns U, one row per layer."""
+    grid = bundle.grid
+    N, dt, n = grid.n_steps, grid.dt, bundle.n_paths
+    designs = {j: basis.design(bundle.x[:, j]) for j in range(1, N)}
+
+    def expect(j, y):
+        return np.full(n, y.mean()) if j == 0 else _fitted(designs[j], y)
+
+    def anchor(i, U):
+        vals = spec.terminal(grid.t(i), bundle.x[:, N])
+        for j in range(N - 1, i - 1, -1):
+            x_j = bundle.x[:, j]
+            z = expect(j, vals * bundle.dw[:, j] / dt)
+            f = spec.driver(grid.t(i), grid.t(j), x_j, U[j], z)
+            vals = np.maximum(expect(j, vals) + f * dt, spec.obstacle(grid.t(j), x_j))
+        return vals
+
+    U = np.zeros((N + 1, n))
+    for _ in range(max_passes):
+        nxt = np.array([anchor(i, U) for i in range(N + 1)])
+        change = float(np.max(np.abs(nxt - U)))
+        U = nxt
+        if change < tol:
+            return U
+    raise AssertionError(f"reference Picard did not reach {tol} (last change {change})")
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_discount", "custom_affine", "linear_z"])
+def test_sweep_matches_picard_reference_over_paths(name):
+    spec = catalog_instance(name)
+    bundle = mc.simulate(TimeGrid(spec.horizon, 6), spec, 2_000, seed=8)
+    basis = mc.RegressionBasis()
+    sol = mc.solve_mc(bundle, spec, basis, n_bootstrap=4)
+    U = _picard_reference(bundle, spec, basis)
+    assert sol.y0 == pytest.approx(U[0, 0], rel=0, abs=1e-10)
+    assert np.max(np.abs(np.array(sol.e_y_diag) - U.mean(axis=1))) <= 1e-10
+    assert sol.iterations == 1
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_discount", "custom_affine"])
+def test_bootstrap_replicates_match_weighted_lstsq_refits(name):
+    # each replicate refit on its own, the diagonal frozen at the reference
+    spec = catalog_instance(name)
+    grid = TimeGrid(spec.horizon, 6)
+    N, dt = grid.n_steps, grid.dt
+    bundle = mc.simulate(grid, spec, 2_000, seed=8)
+    n = bundle.n_paths
+    basis = mc.RegressionBasis()
+    n_boot = 12  # more than one block of basis.dim replicates
+    sol = mc.solve_mc(bundle, spec, basis, n_bootstrap=n_boot)
+    U = _picard_reference(bundle, spec, basis)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((8, 999983))))
+    reps = []
+    for _ in range(n_boot):
+        w = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
+        vals = spec.terminal(0.0, bundle.x[:, N])
+        for j in range(N - 1, 0, -1):
+            x_j = bundle.x[:, j]
+            design = basis.design(x_j)
+            z = _fitted(design, vals * bundle.dw[:, j] / dt, w)
+            f = spec.driver(0.0, grid.t(j), x_j, U[j], z)
+            vals = np.maximum(_fitted(design, vals, w) + f * dt,
+                              spec.obstacle(grid.t(j), x_j))
+        e0 = np.sum(w * vals) / n
+        z0 = np.sum(w * vals * bundle.dw[:, 0]) / n / dt
+        f0 = spec.driver(0.0, 0.0, spec.x0, U[0, 0], z0)
+        reps.append(max(e0 + f0 * dt, float(spec.obstacle(0.0, spec.x0))))
+    assert len(sol.y0_replicates) == n_boot
+    np.testing.assert_allclose(sol.y0_replicates, reps, rtol=1e-10, atol=0)
+    assert sol.y0_se == np.std(sol.y0_replicates, ddof=1)
+
