@@ -66,7 +66,6 @@ class RunConfig:
     instance_name: str
     instance_params: dict = field(default_factory=dict)
     n_steps: int = 50
-    tolerance: float = 1e-10
     max_iters: int = 200
     n_paths: int = 100_000
     seed: int = 20260825
@@ -145,14 +144,14 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"grid.N must be >= 1, got {n}")
         cfg.n_steps = n
 
-    cfg.tolerance = _get_float(cp, "picard", "tolerance", cfg.tolerance)
-    if not cfg.tolerance > 0:
-        raise ConfigError("picard.tolerance must be positive")
     cfg.max_iters = _get_int(cp, "picard", "max_iters", cfg.max_iters)
     if cfg.max_iters < 1:
         raise ConfigError("picard.max_iters must be >= 1")
-    # mode and delta configured the retired Picard drive modes; old files
-    # still validate, and the backward sweep reads neither
+    # tolerance, mode and delta configured the retired Picard loops; old
+    # files still validate, and neither backward sweep reads them
+    tolerance = _get_float(cp, "picard", "tolerance")
+    if tolerance is not None and not tolerance > 0:
+        raise ConfigError(f"picard.tolerance must be positive, got {tolerance}")
     if cp.has_option("picard", "mode"):
         mode = cp.get("picard", "mode")
         if mode not in ("global", "windowed"):
@@ -196,10 +195,6 @@ def _build(cfg: RunConfig, max_n=None):
     return spec, grid, lat
 
 
-def _picard_config(cfg: RunConfig) -> PicardConfig:
-    return PicardConfig(tolerance=cfg.tolerance, max_iters=cfg.max_iters)
-
-
 def _out_dir(args, cfg: RunConfig) -> Path:
     out = Path(args.out or cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -234,7 +229,7 @@ def cmd_solve(args) -> int:
     out = _out_dir(args, cfg)
 
     if args.engine == "lattice":
-        sol = solve(lat, spec, _picard_config(cfg))
+        sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
         frontier = extract_frontier(sol, lat, spec)
         f_rows = frontier_rows(frontier, lat)
         payload = {
@@ -257,7 +252,7 @@ def cmd_solve(args) -> int:
     else:
         bundle = mc.simulate(grid, spec, cfg.n_paths, cfg.seed)
         basis = mc.RegressionBasis(cfg.basis_family, cfg.basis_degree)
-        sol = mc.solve_mc(bundle, spec, basis, _picard_config(cfg))
+        sol = mc.solve_mc(bundle, spec, basis, PicardConfig(max_iters=cfg.max_iters))
         f_rows = [(0.0, t_j, lo, hi) for t_j, lo, hi in sol.frontier_rows]
         payload = {
             "engine": "mc",
@@ -298,7 +293,7 @@ def cmd_oracle_check(args) -> int:
             f"N={n} has {worst} (use N <= 5 or --max-n)")
     out = _out_dir(args, cfg)
 
-    sol = solve(lat, spec, _picard_config(cfg))
+    sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
     deviations = []
     for i in range(n + 1):
         zrow = [sol.z.at(i, j) for j in range(i, n)]
@@ -345,7 +340,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"pair rejected: {exc}")
     out = _out_dir(args, cfg_lo)
 
-    report = check_comparison(lat, pair, _picard_config(cfg_lo))
+    report = check_comparison(lat, pair, PicardConfig(max_iters=cfg_lo.max_iters))
     _write_json(out / "report.json", {
         "command": "compare",
         "low": spec_lo.label,
@@ -374,7 +369,7 @@ def cmd_stop(args) -> int:
     spec, grid, lat = _build(cfg, args.max_n)
     out = _out_dir(args, cfg)
 
-    sol = solve(lat, spec, _picard_config(cfg))
+    sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
     rep = inconsistency_report(lat, spec, sol)
     mass = max(premature_increment_mass(sol, rep.frontier, i)
                for i in range(grid.n_steps + 1))

@@ -47,7 +47,6 @@ class DriverSpec:
     depends_on_y: bool = True
     depends_on_z: bool = True
     monotone_in_y: bool = False
-    t_dependent: bool = False
 
     def __post_init__(self):
         if self.lipschitz < 0 or not np.isfinite(self.lipschitz):
@@ -65,7 +64,6 @@ class DriverSpec:
 class TerminalSpec:
     name: str
     fn: Callable  # (t, x_T) -> value
-    t_dependent: bool = False
 
     def __call__(self, t, x):
         return self.fn(t, x)
@@ -106,10 +104,6 @@ class InstanceSpec:
             raise InstanceError(f"x0 must be finite, got {self.x0}")
         if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise InstanceError(f"horizon must be positive, got {self.horizon}")
-
-    @property
-    def t_dependent(self) -> bool:
-        return self.driver.t_dependent or self.terminal.t_dependent
 
     def lattice(self, n_steps: int) -> Lattice:
         return build_lattice(TimeGrid(self.horizon, n_steps), self.x0, self.dynamics)
@@ -178,7 +172,6 @@ def _american_put(p: dict) -> InstanceSpec:
         depends_on_y=rate > 0,
         depends_on_z=False,
         monotone_in_y=rate == 0,
-        t_dependent=False,
     )
     payoff = lambda u, x: np.maximum(strike - x, 0.0)
     return InstanceSpec(
@@ -218,7 +211,6 @@ def _hyperbolic_discount(p: dict) -> InstanceSpec:
         depends_on_y=rho0 > 0,
         depends_on_z=False,
         monotone_in_y=rho0 == 0,
-        t_dependent=rho0 > 0 and kappa > 0,
     )
     return InstanceSpec(
         label="hyperbolic_discount",
@@ -242,7 +234,6 @@ def _zero_driver_flat(p: dict) -> InstanceSpec:
         depends_on_y=False,
         depends_on_z=False,
         monotone_in_y=True,
-        t_dependent=False,
     )
     return InstanceSpec(
         label="zero_driver_flat",
@@ -270,7 +261,6 @@ def _linear_z(p: dict) -> InstanceSpec:
         depends_on_y=b != 0,
         depends_on_z=a != 0,
         monotone_in_y=b >= 0,
-        t_dependent=False,
     )
     return InstanceSpec(
         label="linear_z",
@@ -305,7 +295,6 @@ def _custom_affine(p: dict) -> InstanceSpec:
         depends_on_y=y_coef != 0,
         depends_on_z=z_coef != 0,
         monotone_in_y=y_coef >= 0,
-        t_dependent=t_coef != 0,
     )
     return InstanceSpec(
         label="custom_affine",
@@ -369,7 +358,7 @@ def shift_terminal(spec: InstanceSpec, c: float) -> InstanceSpec:
         return _f(t, x) + _c
 
     return replace(spec, label=f"{spec.label}[xi+{c}]",
-                   terminal=TerminalSpec(name=f"{base.name}+{c}", fn=fn, t_dependent=base.t_dependent))
+                   terminal=TerminalSpec(name=f"{base.name}+{c}", fn=fn))
 
 
 def shift_obstacle(spec: InstanceSpec, c: float) -> InstanceSpec:

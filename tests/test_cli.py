@@ -160,6 +160,7 @@ seed = 11
     "[instance]\nname = american_put\n\n[grid]\nN = 0\n",
     "[instance]\nname = american_put\n\n[grid]\nradius = 3\n",
     "[instance]\nname = american_put\n\n[picard]\nmode = sideways\n",
+    "[instance]\nname = american_put\n\n[picard]\ntolerance = 0\n",
     "[instance]\nname = american_put\nhorizon = 2\n\n[grid]\nT = 1\n",
     "[grid]\nN = 5\n",
     "[instance]\nname = american_put\n\n[mc]\nseed = -1\n",
@@ -389,6 +390,20 @@ mode = {mode}
     assert sol["mode"] == "sweep"
     assert sol["iterations"] == 1
     assert len(sol["residual_history"]) == 1 and sol["residual_history"][0] <= 1e-14
+
+
+@pytest.mark.parametrize("engine", ["lattice", "mc"])
+def test_picard_tolerance_is_accepted_and_ignored(tmp_path, engine):
+    # both sweeps are exact, so a loose tolerance changes no output byte
+    body = "[instance]\nname = linear_z\n\n[grid]\nN = 8\n\n[mc]\nn_paths = 2000\n{extra}"
+    outs = []
+    for k, extra in enumerate(("", "\n[picard]\ntolerance = 0.1\n")):
+        outs.append(tmp_path / f"run{k}")
+        cfg = _cfg(tmp_path, body.format(extra=extra), name=f"run{k}.ini")
+        assert _run("solve", "--config", cfg, "--engine", engine,
+                    "--out", str(outs[k])) == cli.EXIT_OK
+    for name in ("solution.json", "y_diag.csv", "frontier.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("body, flags", [

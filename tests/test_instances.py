@@ -38,7 +38,10 @@ def test_american_put_structure():
     assert spec.obstacle(0.3, np.array([0.8, 1.2]))[1] == 0.0
     assert spec.driver.lipschitz == 0.05
     assert not spec.driver.depends_on_z
-    assert not spec.t_dependent
+    # no datum reads the anchor t
+    assert spec.driver(0.0, 0.5, 1.0, 2.0, 7.0) == spec.driver(0.4, 0.5, 1.0, 2.0, 7.0)
+    assert np.array_equal(spec.terminal(0.0, np.array([0.8, 1.2])),
+                          spec.terminal(0.7, np.array([0.8, 1.2])))
 
 
 def test_american_put_dynamics_risk_neutral_drift():
@@ -52,7 +55,6 @@ def test_hyperbolic_discount_declared_constants():
     assert spec.driver.lipschitz == 0.5
     assert spec.driver.holder_const == pytest.approx(0.5)
     assert spec.driver.holder_alpha == 0.5
-    assert spec.driver.t_dependent
     # discount weight decays in s - t
     f_near = spec.driver(0.0, 0.0, 0.0, 1.0, 0.0)
     f_far = spec.driver(0.0, 1.0, 0.0, 1.0, 0.0)
@@ -77,8 +79,8 @@ def test_linear_z_driver():
 
 def test_custom_affine_t_dependence():
     spec = catalog_instance("custom_affine", {"t_coef": 0.3, "y_coef": 0.1, "z_coef": 0.0, "const": 0.0})
-    assert spec.driver.t_dependent
     assert float(spec.driver(0.2, 0.7, 1.0, 0.0, 0.0)) == pytest.approx(0.15)
+    assert float(spec.driver(0.0, 0.7, 1.0, 0.0, 0.0)) == pytest.approx(0.21)
 
 
 def test_unknown_instance_name():
@@ -150,7 +152,6 @@ def test_understated_lipschitz_constant_reported():
             fn=spec.driver.fn,
             lipschitz=0.25,  # true slope is 0.5 at s = t
             holder_const=spec.driver.holder_const,
-            t_dependent=True,
         ),
         terminal=spec.terminal,
         obstacle=spec.obstacle,

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -157,20 +155,29 @@ def test_floor_margin_nonnegative_and_frontier_sane():
         assert lo <= hi
 
 
-def test_anchor_sweeps_match_single_sweep_when_data_ignore_anchor():
-    base = catalog_instance("linear_z")
-    forced = dataclasses.replace(
-        base, driver=dataclasses.replace(base.driver, t_dependent=True))
-    assert not base.t_dependent and forced.t_dependent
-    grid = TimeGrid(base.horizon, 6)
-    bundle = mc.simulate(grid, base, 2_000, seed=8)
-    cfg = PicardConfig(tolerance=1e-8)
-    fast = mc.solve_mc(bundle, base, mc.RegressionBasis("polynomial", 3),
-                       cfg=cfg, n_bootstrap=4)
-    slow = mc.solve_mc(bundle, forced, mc.RegressionBasis("polynomial", 3),
-                       cfg=cfg, n_bootstrap=4)
-    assert fast.e_y_diag == slow.e_y_diag
-    assert fast.y0 == slow.y0
+@pytest.mark.parametrize("name", ["american_put", "linear_z"])
+def test_anchor_sweeps_match_single_sweep_when_data_ignore_anchor(name):
+    # no datum reads the anchor, so every anchor's row equals the diagonal
+    # and the RBSVIE is the RBSDE v_j = max(E v_{j+1} + f(x, v_j, z_j) dt, L)
+    spec = catalog_instance(name)
+    grid = TimeGrid(spec.horizon, 6)
+    N, dt = grid.n_steps, grid.dt
+    bundle = mc.simulate(grid, spec, 2_000, seed=8)
+    basis = mc.RegressionBasis("polynomial", 3)
+    sol = mc.solve_mc(bundle, spec, basis, n_bootstrap=4)
+    v = spec.terminal(0.0, bundle.x[:, N])
+    means = [float(v.mean())]
+    for j in range(N - 1, -1, -1):
+        x_j = bundle.x[:, j]
+        design = basis.design(x_j) if j else np.ones((bundle.n_paths, 1))
+        e = _fitted(design, v)
+        z = _fitted(design, v * bundle.dw[:, j] / dt)
+        barrier = spec.obstacle(grid.t(j), x_j)
+        for _ in range(200):
+            v = np.maximum(e + spec.driver(0.0, grid.t(j), x_j, v, z) * dt, barrier)
+        means.append(float(v.mean()))
+    assert sol.y0 == pytest.approx(float(v[0]), rel=0, abs=1e-10)
+    assert np.max(np.abs(np.array(sol.e_y_diag) - means[::-1])) <= 1e-10
 
 
 def test_no_convergence_raises():
