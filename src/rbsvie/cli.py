@@ -371,8 +371,7 @@ def cmd_stop(args) -> int:
 
     sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
     rep = inconsistency_report(lat, spec, sol)
-    mass = max(premature_increment_mass(sol, rep.frontier, i)
-               for i in range(grid.n_steps + 1))
+    mass = float(premature_increment_mass(sol, rep.frontier).max())
     _write_json(out / "inconsistency.json", {
         "command": "stop",
         "instance": spec.label,

@@ -144,12 +144,9 @@ def _field_ranges(sol: Solution) -> tuple:
     y_hi = max(float(a.max()) for a in sol.y_diag)
     z_lo, z_hi = 0.0, 0.0
     if sol.z is not None:
-        n = sol.z.n_steps
-        for i in range(n):
-            for j in range(i, n):
-                a = sol.z.at(i, j)
-                z_lo = min(z_lo, float(a.min()))
-                z_hi = max(z_hi, float(a.max()))
+        for a in sol.z.layers:
+            z_lo = min(z_lo, float(a.min()))
+            z_hi = max(z_hi, float(a.max()))
     return (y_lo, y_hi), (z_lo, z_hi)
 
 

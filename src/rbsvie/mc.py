@@ -40,12 +40,11 @@ class MCError(ValueError):
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated (W, X) paths on a time grid, reproducible from the seed."""
+    """Simulated increments dW and states X on a time grid, reproducible from the seed."""
 
     grid: TimeGrid
     n_paths: int
     seed: int
-    w: np.ndarray
     x: np.ndarray
     dw: np.ndarray
 
@@ -64,18 +63,15 @@ def simulate(grid: TimeGrid, spec: InstanceSpec, n_paths: int, seed: int) -> Pat
         hi = min(lo + BLOCK_SIZE, n_paths)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
         dw[lo:hi] = rng.normal(0.0, grid.sqrt_dt, size=(hi - lo, N))
-    w = np.empty((n_paths, N + 1))
-    w[:, 0] = 0.0
-    np.cumsum(dw, axis=1, out=w[:, 1:])
-    x = np.empty_like(w)
+    x = np.zeros((n_paths, N + 1))
+    np.cumsum(dw, axis=1, out=x[:, 1:])  # the walk W, mapped to the state column by column
     for j in range(N + 1):
-        x[:, j] = spec.dynamics(grid.t(j), w[:, j])
+        x[:, j] = spec.dynamics(grid.t(j), x[:, j])
     if not np.all(np.isfinite(x)):
         raise MCError("state dynamics produced non-finite values")
-    w.setflags(write=False)
     x.setflags(write=False)
     dw.setflags(write=False)
-    return PathBundle(grid=grid, n_paths=n_paths, seed=seed, w=w, x=x, dw=dw)
+    return PathBundle(grid=grid, n_paths=n_paths, seed=seed, x=x, dw=dw)
 
 
 @dataclass(frozen=True)

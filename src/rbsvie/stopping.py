@@ -7,6 +7,11 @@ the gap between the two expected payoffs measures how inconsistent the
 family of problems is.  The envelope rows are the right object to
 threshold; the diagonal satisfies no single backward recursion and
 yields a different (wrong) rule on anchor-dependent instances.
+
+Stop regions use the solver's field layout (BiField.layers): layer j
+holds one boolean row per anchor 0..j over the layer-j nodes.  Rule
+values come from one backward induction that steps every anchor's row
+on a layer at once, as the solver's sweep does.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from rbsvie.grid import Lattice
 from rbsvie.instances import InstanceSpec
 from rbsvie.oracle import StoppingRule
-from rbsvie.volterra import Solution, VolterraError
+from rbsvie.volterra import Solution, VolterraError, _driver_rows
 
 
 class StoppingError(ValueError):
@@ -29,7 +34,7 @@ class StoppingError(ValueError):
 class StoppingFrontier:
     """Per-anchor stop regions over the lattice nodes.
 
-    flags[i][j - i][k] marks node (j, k) as a stop node for anchor i,
+    layers[j][i, k] marks node (j, k) as a stop node for anchor i <= j,
     meaning the anchor's envelope sits within atol of the obstacle
     there; layer N is always marked (terminal domination).  The first
     marked layer along a path, at or after the anchor, realizes that
@@ -38,44 +43,32 @@ class StoppingFrontier:
 
     n_steps: int
     atol: float
-    flags: tuple
+    layers: tuple
 
     def stops(self, i: int, j: int, k: int) -> bool:
-        return bool(self.flags[i][j - i][k])
-
-    def stop_layer_arrays(self, i: int) -> list:
-        return [np.asarray(a) for a in self.flags[i]]
+        return bool(self.layers[j][i, k])
 
     def rule(self, i: int) -> StoppingRule:
-        return StoppingRule(start=i, flags=self.flags[i])
+        return StoppingRule(start=i, flags=tuple(f[i] for f in self.layers[i:]))
 
     def restarted_rule(self, from_anchor: int, i: int) -> StoppingRule:
         """The from_anchor rule applied from layer i onward."""
         if i < from_anchor:
             raise StoppingError("restart layer precedes the rule's anchor")
-        off = i - from_anchor
-        return StoppingRule(start=i, flags=self.flags[from_anchor][off:])
+        return StoppingRule(start=i, flags=tuple(f[from_anchor] for f in self.layers[i:]))
 
     def same_rows(self, a: int, b: int) -> bool:
-        """Whether anchors a <= b prescribe identical flags on shared layers."""
-        lo, hi = sorted((a, b))
-        off = hi - lo
-        return self.flags[lo][off:] == self.flags[hi]
+        """Whether anchors a and b prescribe identical flags on shared layers."""
+        return all(np.array_equal(f[a], f[b]) for f in self.layers[max(a, b):])
 
 
-def _threshold_rows(row_values, lat: Lattice, spec: InstanceSpec, i: int,
-                    atol: float) -> tuple:
+def _threshold(lat: Lattice, spec: InstanceSpec, rows, atol: float) -> StoppingFrontier:
+    """Stop where rows[j], one row per anchor 0..j, is within atol of L_j."""
     N = lat.n_steps
-    grid = lat.grid
-    rows = []
-    for j in range(i, N + 1):
-        if j == N:
-            rows.append(tuple(True for _ in range(N + 1)))
-            continue
-        vals = np.asarray(row_values[j - i], dtype=float)
-        barrier = np.asarray(spec.obstacle(grid.t(j), lat.x[j]), dtype=float)
-        rows.append(tuple(bool(b) for b in (vals - barrier) <= atol))
-    return tuple(rows)
+    layers = [(rows[j] - np.asarray(spec.obstacle(lat.grid.t(j), lat.x[j]), dtype=float))
+              <= atol for j in range(N)]
+    layers.append(np.ones((N + 1, N + 1), dtype=bool))
+    return StoppingFrontier(n_steps=N, atol=atol, layers=tuple(layers))
 
 
 def extract_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec,
@@ -83,12 +76,7 @@ def extract_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec,
     """Stop regions from the per-anchor envelope rows of a solution."""
     if sol.ytilde is None:
         raise VolterraError("frontier extraction needs stored fields")
-    N = lat.n_steps
-    flags = []
-    for i in range(N + 1):
-        row = [sol.ytilde.at(i, j) for j in range(i, N + 1)]
-        flags.append(_threshold_rows(row, lat, spec, i, atol))
-    return StoppingFrontier(n_steps=N, atol=atol, flags=tuple(flags))
+    return _threshold(lat, spec, sol.ytilde.layers, atol)
 
 
 def diagonal_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec,
@@ -99,41 +87,56 @@ def diagonal_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec,
     provided so tests can demonstrate that it disagrees with the
     envelope frontier there.
     """
+    rows = [np.broadcast_to(y, (y.size, y.size)) for y in sol.y_diag]
+    return _threshold(lat, spec, rows, atol)
+
+
+def _rule_values(lat: Lattice, spec: InstanceSpec, sol: Solution, lo: int, hi: int,
+                 stop) -> np.ndarray:
+    """Expected payoffs of anchors lo..hi's rules, one backward induction for all.
+
+    Exact induction with the driver frozen at the solved diagonal and each
+    anchor's coefficient row: stopped nodes collect the obstacle (the
+    terminal value at the last layer), continuation nodes collect the
+    one-step conditional expectation plus the running term.  stop[j - lo]
+    holds the layer-j flags of anchors lo..min(j, hi), one row each or one
+    row for all.  Anchor i's value is the expectation over its layer-i nodes.
+    """
+    if sol.z is None:
+        raise VolterraError("rule evaluation needs stored fields")
     N = lat.n_steps
-    flags = []
-    for i in range(N + 1):
-        row = [sol.y_diag[j] for j in range(i, N + 1)]
-        flags.append(_threshold_rows(row, lat, spec, i, atol))
-    return StoppingFrontier(n_steps=N, atol=atol, flags=tuple(flags))
+    grid = lat.grid
+    dt = grid.dt
+    anchor_t = (np.arange(N + 1) * dt)[:, None]  # bitwise equal to grid.t(i)
+    vals = np.empty((hi - lo + 1, N + 1))
+    for i in range(lo, hi + 1):
+        vals[i - lo] = spec.terminal(grid.t(i), lat.x[N])
+    out = np.empty(hi - lo + 1)
+    if hi == N:
+        out[-1] = lat.layer_expect(N, vals[-1])
+    for j in range(N - 1, lo - 1, -1):
+        top = min(j, hi)
+        nxt = vals[: top - lo + 1]
+        cont = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
+        z = sol.z.layers[j][lo: top + 1]
+        f = _driver_rows(spec, anchor_t[lo: top + 1], grid.t(j), lat.x[j], sol.y_diag[j],
+                         z, z.shape, j)
+        barrier = np.asarray(spec.obstacle(grid.t(j), lat.x[j]), dtype=float)
+        vals = np.where(stop[j - lo], barrier, cont + f * dt)
+        if top == j:
+            out[j - lo] = lat.layer_expect(j, vals[-1])
+    return out
 
 
 def evaluate_J(lat: Lattice, spec: InstanceSpec, sol: Solution, i: int,
                rule: StoppingRule) -> float:
     """Expected payoff of following a stopping rule from anchor i.
 
-    Exact backward induction with the driver frozen at the converged
-    diagonal and the anchor's coefficient row: stopped nodes collect the
-    obstacle (terminal value at the last layer), continuation nodes
-    collect the one-step conditional expectation plus the running term.
-    The result is the unconditional expectation over layer-i nodes.
+    The single-anchor case of the induction behind inconsistency_report.
     """
-    N = lat.n_steps
     if rule.start != i:
         raise StoppingError(f"rule starts at {rule.start}, expected {i}")
-    grid = lat.grid
-    dt = grid.dt
-    t_i = grid.t(i)
-    vals = np.asarray(spec.terminal(t_i, lat.x[N]), dtype=float)
-    for j in range(N - 1, i - 1, -1):
-        cont = 0.5 * (vals[1:] + vals[:-1])
-        x_j = lat.x[j]
-        z_j = sol.z.at(i, j) if sol.z is not None else np.zeros(j + 1)
-        f_j = np.asarray(spec.driver(t_i, grid.t(j), x_j, sol.y_diag[j], z_j),
-                         dtype=float)
-        barrier = np.asarray(spec.obstacle(grid.t(j), x_j), dtype=float)
-        stop_mask = np.array([rule.stops(j, k) for k in range(j + 1)])
-        vals = np.where(stop_mask, barrier, cont + f_j * dt)
-    return float(lat.layer_expect(i, vals))
+    return float(_rule_values(lat, spec, sol, i, i, rule.flags)[0])
 
 
 def expected_y(lat: Lattice, sol: Solution, i: int) -> float:
@@ -175,56 +178,50 @@ def inconsistency_report(lat: Lattice, spec: InstanceSpec, sol: Solution,
                          atol: float = 1e-9) -> ConsistencyReport:
     frontier = extract_frontier(sol, lat, spec, atol)
     N = lat.n_steps
-    times, e_ys, j_owns, j_rests, gaps = [], [], [], [], []
-    for i in range(N + 1):
-        times.append(lat.grid.t(i))
-        e_ys.append(expected_y(lat, sol, i))
-        j_own = evaluate_J(lat, spec, sol, i, frontier.rule(i))
-        j_rest = evaluate_J(lat, spec, sol, i, frontier.restarted_rule(0, i))
-        j_owns.append(j_own)
-        j_rests.append(j_rest)
-        gaps.append(j_own - j_rest)
-    identical = all(frontier.same_rows(0, i) for i in range(1, N + 1))
+    j_own = _rule_values(lat, spec, sol, 0, N, frontier.layers)
+    j_rest = _rule_values(lat, spec, sol, 0, N, [f[0] for f in frontier.layers])
     return ConsistencyReport(
-        anchor_times=tuple(times), e_y=tuple(e_ys), j_own=tuple(j_owns),
-        j_restarted=tuple(j_rests), gap=tuple(gaps),
-        frontiers_identical=identical, frontier=frontier,
+        anchor_times=tuple(lat.grid.t(i) for i in range(N + 1)),
+        e_y=tuple(expected_y(lat, sol, i) for i in range(N + 1)),
+        j_own=tuple(j_own.tolist()), j_restarted=tuple(j_rest.tolist()),
+        gap=tuple((j_own - j_rest).tolist()),
+        frontiers_identical=all(bool((f == f[0]).all()) for f in frontier.layers),
+        frontier=frontier,
     )
 
 
-def premature_increment_mass(sol: Solution, frontier: StoppingFrontier,
-                             i: int) -> float:
-    """Largest reflection increment on a non-stop node of anchor i's row.
+def premature_increment_mass(sol: Solution, frontier: StoppingFrontier) -> np.ndarray:
+    """Largest reflection increment on a non-stop node, one entry per anchor.
 
-    Zero certifies that the reflection term cannot accrue along any path
-    before that anchor's rule stops: increments live only where the
-    envelope is pinned to the obstacle, and those nodes are stop nodes.
+    Zero at anchor i certifies that the reflection term cannot accrue
+    along any path before that anchor's rule stops: increments live only
+    where the envelope is pinned to the obstacle, and those nodes are
+    stop nodes.
     """
     if sol.kinc is None:
         raise VolterraError("needs stored fields")
-    worst = 0.0
-    N = frontier.n_steps
-    for j in range(i, N):
-        kj = np.asarray(sol.kinc.at(i, j))
-        for k in range(j + 1):
-            if not frontier.stops(i, j, k):
-                worst = max(worst, abs(float(kj[k])))
+    worst = np.zeros(frontier.n_steps + 1)
+    for kinc, stops in zip(sol.kinc.layers, frontier.layers):
+        rows = worst[: len(kinc)]
+        np.maximum(rows, np.where(stops, 0.0, np.abs(kinc)).max(axis=1), out=rows)
     return worst
 
 
 def frontier_rows(frontier: StoppingFrontier, lat: Lattice) -> list:
     """Flatten a frontier to (anchor_time, time, low_state, high_state) rows.
 
-    One row per (anchor, layer) with a nonempty stop region; low and
-    high are the smallest and largest stopped node states.
+    One row per (anchor, layer) with a nonempty stop region, anchor-major;
+    low and high are the smallest and largest stopped node states.
     """
-    N = frontier.n_steps
-    rows = []
-    for i in range(N + 1):
-        for j in range(i, N + 1):
-            states = [float(lat.x[j][k]) for k in range(j + 1)
-                      if frontier.stops(i, j, k)]
-            if states:
-                rows.append((lat.grid.t(i), lat.grid.t(j),
-                             min(states), max(states)))
-    return rows
+    parts = []
+    for j, stops in enumerate(frontier.layers):
+        hit = stops.any(axis=1)
+        x = lat.x[j]
+        parts.append((np.flatnonzero(hit), np.full(int(hit.sum()), j),
+                      np.where(stops, x, np.inf).min(axis=1)[hit],
+                      np.where(stops, x, -np.inf).max(axis=1)[hit]))
+    i, j, low, high = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((j, i))
+    dt = lat.grid.dt
+    return list(zip((i[order] * dt).tolist(), (j[order] * dt).tolist(),
+                    low[order].tolist(), high[order].tolist()))

@@ -17,13 +17,14 @@ def test_simulate_shapes_and_consistency():
     spec = catalog_instance("american_put")
     grid = TimeGrid(spec.horizon, 8)
     b = mc.simulate(grid, spec, 500, seed=11)
-    assert b.w.shape == (500, 9)
+    w = np.concatenate([np.zeros((500, 1)), np.cumsum(b.dw, axis=1)], axis=1)
+    assert w.shape == (500, 9)
     assert b.x.shape == (500, 9)
     assert b.dw.shape == (500, 8)
-    assert np.all(b.w[:, 0] == 0.0)
-    assert np.allclose(np.diff(b.w, axis=1), b.dw)
+    assert np.all(w[:, 0] == 0.0)
+    assert np.allclose(np.diff(w, axis=1), b.dw)
     for j in range(9):
-        assert np.allclose(b.x[:, j], spec.dynamics(grid.t(j), b.w[:, j]))
+        assert np.allclose(b.x[:, j], spec.dynamics(grid.t(j), w[:, j]))
 
 
 def test_increment_moments():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rbsvie.instances import (
+    CATALOG_NAMES,
     DriverSpec,
     InstanceSpec,
     ObstacleSpec,
@@ -23,7 +24,7 @@ from rbsvie.stopping import (
     inconsistency_report,
     premature_increment_mass,
 )
-from rbsvie.volterra import PicardConfig, solve_global
+from rbsvie.volterra import PicardConfig, VolterraError, solve, solve_global
 
 
 def _solved(name, N, tol=1e-12, overrides=None):
@@ -146,9 +147,9 @@ def test_single_step_lattice_has_zero_gaps():
 def test_no_reflection_before_stopping_nodewise():
     for name in ("american_put", "hyperbolic_discount", "linear_z"):
         spec, lat, sol = _solved(name, 30)
-        fr = extract_frontier(sol, lat, spec)
+        mass = premature_increment_mass(sol, extract_frontier(sol, lat, spec))
         for i in range(0, 31, 5):
-            assert premature_increment_mass(sol, fr, i) == 0.0, (name, i)
+            assert mass[i] == 0.0, (name, i)
 
 
 def test_no_reflection_before_stopping_pathwise():
@@ -170,10 +171,10 @@ def test_diagonal_rule_differs_when_anchors_disagree():
     spec, lat, sol = _solved("hyperbolic_discount", 30)
     env = extract_frontier(sol, lat, spec)
     dia = diagonal_frontier(sol, lat, spec)
-    assert env.flags != dia.flags
+    assert not all(map(np.array_equal, env.layers, dia.layers))
     spec, lat, sol = _solved("american_put", 30)
-    assert extract_frontier(sol, lat, spec).flags == \
-        diagonal_frontier(sol, lat, spec).flags
+    assert all(map(np.array_equal, extract_frontier(sol, lat, spec).layers,
+                   diagonal_frontier(sol, lat, spec).layers))
 
 
 def test_stop_at_horizon_rule_pays_expected_terminal():
@@ -193,3 +194,109 @@ def test_rule_start_mismatch_rejected():
         evaluate_J(lat, spec, sol, 2, fr.rule(3))
     with pytest.raises(StoppingError):
         fr.restarted_rule(3, 1)
+
+
+def test_rule_value_needs_stored_fields():
+    # a diagonal-only solution has no z rows to freeze the driver at
+    spec = catalog_instance("linear_z")
+    lat = spec.lattice(20)
+    full = solve(lat, spec, PicardConfig())
+    rule = extract_frontier(full, lat, spec).rule(0)
+    assert abs(evaluate_J(lat, spec, full, 0, rule) - expected_y(lat, full, 0)) < 1e-12
+    diag_only = solve(lat, spec, PicardConfig(store_fields=False))
+    with pytest.raises(VolterraError, match="stored fields"):
+        evaluate_J(lat, spec, diag_only, 0, rule)
+
+
+# Per-anchor reference for the stopping layer: anchor-major flag tuples,
+# one backward induction per (anchor, rule), per-node loops for the mass
+# and the frontier rows.
+
+def _reference_flags(sol, lat, spec, atol=1e-9):
+    """flags[i][j - i][k]: node (j, k) stops anchor i."""
+    N = lat.n_steps
+    flags = []
+    for i in range(N + 1):
+        rows = []
+        for j in range(i, N):
+            vals = np.asarray(sol.ytilde.at(i, j), dtype=float)
+            barrier = np.asarray(spec.obstacle(lat.grid.t(j), lat.x[j]), dtype=float)
+            rows.append(tuple(bool(b) for b in (vals - barrier) <= atol))
+        rows.append(tuple(True for _ in range(N + 1)))
+        flags.append(tuple(rows))
+    return tuple(flags)
+
+
+def _reference_J(lat, spec, sol, i, rule_flags):
+    """Rule value from anchor i; rule_flags[j - i][k] for layers j = i..N."""
+    N = lat.n_steps
+    grid = lat.grid
+    t_i = grid.t(i)
+    vals = np.asarray(spec.terminal(t_i, lat.x[N]), dtype=float)
+    for j in range(N - 1, i - 1, -1):
+        cont = 0.5 * (vals[1:] + vals[:-1])
+        x_j = lat.x[j]
+        f_j = np.asarray(spec.driver(t_i, grid.t(j), x_j, sol.y_diag[j], sol.z.at(i, j)),
+                         dtype=float)
+        barrier = np.asarray(spec.obstacle(grid.t(j), x_j), dtype=float)
+        stop_mask = np.array([rule_flags[j - i][k] for k in range(j + 1)])
+        vals = np.where(stop_mask, barrier, cont + f_j * grid.dt)
+    return float(lat.layer_expect(i, vals))
+
+
+def _reference_mass(sol, flags, i):
+    worst = 0.0
+    for j in range(i, len(flags) - 1):
+        kj = sol.kinc.at(i, j)
+        for k in range(j + 1):
+            if not flags[i][j - i][k]:
+                worst = max(worst, abs(float(kj[k])))
+    return worst
+
+
+def _reference_rows(flags, lat):
+    rows = []
+    for i in range(len(flags)):
+        for j in range(i, len(flags)):
+            states = [float(lat.x[j][k]) for k in range(j + 1) if flags[i][j - i][k]]
+            if states:
+                rows.append((lat.grid.t(i), lat.grid.t(j), min(states), max(states)))
+    return rows
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("n_steps", [12, 50])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_stopping_layer_matches_per_anchor_reference(name, n_steps):
+    spec = catalog_instance(name)
+    lat = spec.lattice(n_steps)
+    sol = solve(lat, spec, PicardConfig())
+    N = n_steps
+    flags = _reference_flags(sol, lat, spec)
+    rep = inconsistency_report(lat, spec, sol)
+    fr = rep.frontier
+
+    for j, layer in enumerate(fr.layers):
+        assert layer.dtype == bool and layer.shape == (j + 1, j + 1)
+        for i in range(j + 1):
+            assert tuple(layer[i].tolist()) == flags[i][j - i], (name, i, j)
+
+    j_own = [_reference_J(lat, spec, sol, i, flags[i]) for i in range(N + 1)]
+    j_rest = [_reference_J(lat, spec, sol, i, flags[0][i:]) for i in range(N + 1)]
+    assert _bits(rep.j_own) == _bits(j_own)
+    assert _bits(rep.j_restarted) == _bits(j_rest)
+    assert _bits(rep.gap) == _bits(a - b for a, b in zip(j_own, j_rest))
+    assert _bits(rep.e_y) == _bits(expected_y(lat, sol, i) for i in range(N + 1))
+    assert rep.frontiers_identical == all(flags[0][i:] == flags[i] for i in range(1, N + 1))
+    assert _bits(evaluate_J(lat, spec, sol, i, fr.rule(i)) for i in range(N + 1)) == \
+        _bits(j_own)
+
+    assert _bits(premature_increment_mass(sol, fr)) == \
+        _bits(_reference_mass(sol, flags, i) for i in range(N + 1))
+    rows = frontier_rows(fr, lat)
+    ref_rows = _reference_rows(flags, lat)
+    assert len(rows) == len(ref_rows)
+    assert [_bits(r) for r in rows] == [_bits(r) for r in ref_rows]
