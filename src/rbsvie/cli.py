@@ -23,15 +23,12 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from rbsvie import mc
 from rbsvie.compare import CompareError, OrderedPair, check_comparison
 from rbsvie.grid import GridError, TimeGrid, build_lattice
 from rbsvie.instances import (CATALOG_NAMES, InstanceError, catalog_instance,
                               verify_assumptions)
 from rbsvie.oracle import MAX_RULE_NODES, best_rule, interior_node_count
-from rbsvie.snell import flatness_defect
 from rbsvie.stopping import (extract_frontier, frontier_rows,
                              inconsistency_report, premature_increment_mass)
 from rbsvie.volterra import NoConvergence, PicardConfig, VolterraError, solve
@@ -232,6 +229,7 @@ def cmd_solve(args) -> int:
         sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
         frontier = extract_frontier(sol, lat, spec)
         f_rows = frontier_rows(frontier, lat)
+        y_diag = [row.tolist() for row in sol.y_diag]
         payload = {
             "engine": "lattice",
             "instance": spec.label,
@@ -240,15 +238,12 @@ def cmd_solve(args) -> int:
             "mode": sol.mode,
             "iterations": sol.iterations,
             "residual_history": [float(r) for r in sol.residual_history],
-            "y_diag": [[float(v) for v in row] for row in sol.y_diag],
-            "y0": float(sol.y_diag[0][0]),
+            "y_diag": y_diag,
+            "y0": y_diag[0][0],
             "frontier": _frontier_summary(f_rows),
         }
-        y_rows = []
-        for i in range(grid.n_steps + 1):
-            for k in range(i + 1):
-                y_rows.append((grid.t(i), k, float(lat.x[i][k]),
-                               float(sol.y_diag[i][k])))
+        y_rows = [(grid.t(i), k, x, y) for i, ys in enumerate(y_diag)
+                  for k, (x, y) in enumerate(zip(lat.x[i].tolist(), ys))]
     else:
         bundle = mc.simulate(grid, spec, cfg.n_paths, cfg.seed)
         basis = mc.RegressionBasis(cfg.basis_family, cfg.basis_degree)

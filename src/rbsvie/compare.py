@@ -236,23 +236,24 @@ def theta_threshold(c_f: float, horizon: float) -> float:
     return 1.01 * 2.0 * c_f * c_f * (1.0 + 2.0 * horizon)
 
 
-def theta_norm(lat: Lattice, d_diag: list, d_z: dict, d_kinc: dict,
+def theta_norm(lat: Lattice, d_diag: list, d_z: list, d_kinc: list,
                theta: float) -> float:
     """Exponentially weighted norm of a solution-triple difference.
 
     Squared: sum_i dt e^(theta t_i) ( E[dY_i^2] + sum_j dt E[dZ_ij^2]
     + E[dK(t_i, T)^2] ), where dK(t_i, T) sums the per-step increment
     differences along each path (exact second moment, no sampling).
-    d_z and d_kinc map anchor i to the list of its layer arrays.
+    d_z and d_kinc are differences of z.layers and kinc.layers: row i of
+    layer j is anchor i's change on the layer-j nodes.
     """
     dt = lat.grid.dt
     N = lat.n_steps
     total = 0.0
     for i in range(N + 1):
         layer = float(lat.layer_expect(i, np.asarray(d_diag[i]) ** 2))
-        for off, dz in enumerate(d_z.get(i, [])):
-            layer += dt * float(lat.layer_expect(i + off, np.asarray(dz) ** 2))
-        _, k2 = path_sum_moments(lat, i, d_kinc.get(i, []))
+        for j in range(i, len(d_z)):
+            layer += dt * float(lat.layer_expect(j, d_z[j][i] ** 2))
+        _, k2 = path_sum_moments(lat, i, [dk[i] for dk in d_kinc[i:]])
         layer += k2
         total += dt * np.exp(theta * lat.grid.t(i)) * layer
     return float(np.sqrt(total))
@@ -300,31 +301,20 @@ def monotone_scheme(lat: Lattice, spec: InstanceSpec, n_max: int,
         raise CompareError("dom_shift must be positive")
     cfg = cfg or PicardConfig()
 
-    sol0 = solve(lat, shift_driver(spec, dom_shift), cfg)
-    N = lat.n_steps
-    diags = [sol0.y_diag]
-    z_rows = [{i: [sol0.z.at(i, j) for j in range(i, N)] for i in range(N + 1)}]
-    k_rows = [{i: [sol0.kinc.at(i, j) for j in range(i, N)] for i in range(N + 1)}]
-
+    prev = solve(lat, shift_driver(spec, dom_shift), cfg)
+    diags = [prev.y_diag]
     theta = theta_threshold(spec.driver.lipschitz, spec.horizon)
     increments = []
     worst = 0.0
     for _ in range(1, n_max):
-        diag, slices = phi_step(lat, spec, diags[-1])
-        y_next = [diag[i] for i in range(N + 1)]
-        z_next = {i: list(slices[i].z) for i in range(N + 1)}
-        k_next = {i: list(slices[i].kinc) for i in range(N + 1)}
-        worst = max(worst, max(float(np.max(y_next[i] - diags[-1][i]))
-                               for i in range(N + 1)))
-        d_diag = [y_next[i] - diags[-1][i] for i in range(N + 1)]
-        d_z = {i: [a - b for a, b in zip(z_next[i], z_rows[-1][i])]
-               for i in range(N + 1)}
-        d_k = {i: [a - b for a, b in zip(k_next[i], k_rows[-1][i])]
-               for i in range(N + 1)}
+        nxt = phi_step(lat, spec, prev.y_diag)
+        d_diag = [a - b for a, b in zip(nxt.y_diag, prev.y_diag)]
+        worst = max(worst, max(float(np.max(d)) for d in d_diag))
+        d_z = [a - b for a, b in zip(nxt.z.layers, prev.z.layers)]
+        d_k = [a - b for a, b in zip(nxt.kinc.layers, prev.kinc.layers)]
         increments.append(theta_norm(lat, d_diag, d_z, d_k, theta))
-        diags.append(y_next)
-        z_rows.append(z_next)
-        k_rows.append(k_next)
+        diags.append(nxt.y_diag)
+        prev = nxt
 
     return MonotoneSchemeReport(diagonals=diags, increments=increments,
                                 theta=theta, max_monotonicity_violation=worst)

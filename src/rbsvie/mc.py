@@ -40,7 +40,11 @@ class MCError(ValueError):
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated increments dW and states X on a time grid, reproducible from the seed."""
+    """Simulated increments dW and states X on a time grid, reproducible from the seed.
+
+    Layer-major: x[j] holds every path's state on layer j, (N + 1, n_paths),
+    and dw[j] the increments from layer j to j + 1, (N, n_paths).
+    """
 
     grid: TimeGrid
     n_paths: int
@@ -58,15 +62,15 @@ def simulate(grid: TimeGrid, spec: InstanceSpec, n_paths: int, seed: int) -> Pat
     if n_paths < 2:
         raise MCError("need at least 2 paths")
     N = grid.n_steps
-    dw = np.empty((n_paths, N))
+    dw = np.empty((N, n_paths))
     for block, lo in enumerate(range(0, n_paths, BLOCK_SIZE)):
         hi = min(lo + BLOCK_SIZE, n_paths)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
-        dw[lo:hi] = rng.normal(0.0, grid.sqrt_dt, size=(hi - lo, N))
-    x = np.zeros((n_paths, N + 1))
-    np.cumsum(dw, axis=1, out=x[:, 1:])  # the walk W, mapped to the state column by column
+        dw[:, lo:hi] = rng.normal(0.0, grid.sqrt_dt, size=(hi - lo, N)).T
+    x = np.zeros((N + 1, n_paths))
+    np.cumsum(dw, axis=0, out=x[1:])  # the walk W, mapped to the state layer by layer
     for j in range(N + 1):
-        x[:, j] = spec.dynamics(grid.t(j), x[:, j])
+        x[j] = spec.dynamics(grid.t(j), x[j])
     if not np.all(np.isfinite(x)):
         raise MCError("state dynamics produced non-finite values")
     x.setflags(write=False)
@@ -240,7 +244,7 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
 
     # vals[i] is anchor i's value row on the current layer and zrows[i] its
     # martingale coefficient; projection and step overwrite them in place
-    x_N = np.ascontiguousarray(bundle.x[:, N])
+    x_N = bundle.x[N]
     vals = np.empty((N + 1, n))
     for i in range(N + 1):
         vals[i] = spec.terminal(grid.t(i), x_N)
@@ -268,9 +272,9 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
         record(N, x_N, vals[0], np.asarray(spec.obstacle(grid.t(N), x_N), dtype=float))
         for j in range(N - 1, -1, -1):
             s = grid.t(j)
-            x_j = np.ascontiguousarray(bundle.x[:, j])
+            x_j = bundle.x[j]
             proj = _LayerProjector(basis.design(x_j) if j else np.ones((n, 1)),
-                                   bundle.dw[:, j], dt)
+                                   bundle.dw[j], dt)
             e, z = vals[: j + 1], zrows[: j + 1]
             proj.project(e, z)
             rows, v, barrier, update, _ = step_layer(spec, anchor_t, s, x_j, e, z, dt, j,

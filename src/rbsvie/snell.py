@@ -47,48 +47,27 @@ class BiField:
     """Triangular two-time node field, stored layer by layer.
 
     layers[j] is a (j + 1) x (j + 1) array whose row i holds anchor i's
-    values on the layer-j nodes; at(i, j) is a view into it.  Anchor i
-    spans running layers j = i..N for role "ytilde" and j = i..N-1 for
-    "z" and "kinc" (no increment or martingale coefficient is attached
-    to the terminal layer).  Pass the layers to take them over as they
-    are, with every anchor populated; otherwise fill anchors by set_row.
+    values on the layer-j nodes; at(i, j) is a view into it.  Role
+    "ytilde" has layers 0..N, "z" and "kinc" layers 0..N-1 (no increment
+    or martingale coefficient is attached to the terminal layer).  The
+    layers are taken over as they are.
     """
 
-    __slots__ = ("n_steps", "role", "layers", "_filled")
+    __slots__ = ("n_steps", "role", "layers")
 
-    def __init__(self, n_steps: int, role: str, layers: list | None = None):
+    def __init__(self, n_steps: int, role: str, layers: list):
         if role not in _ROLES:
             raise SnellError(f"unknown BiField role '{role}'")
+        n_layers = n_steps + 1 if role == "ytilde" else n_steps
+        if len(layers) != n_layers:
+            raise SnellError(f"role {role} needs {n_layers} layers, got {len(layers)}")
         self.n_steps = n_steps
         self.role = role
-        n_layers = self.row_top(0) + 1
-        if layers is None:
-            self.layers = [np.zeros((j + 1, j + 1)) for j in range(n_layers)]
-            self._filled = [False] * (n_steps + 1)
-        else:
-            if len(layers) != n_layers:
-                raise SnellError(f"role {role} needs {n_layers} layers, got {len(layers)}")
-            self.layers = layers
-            self._filled = [True] * (n_steps + 1)
-
-    def row_top(self, i: int) -> int:
-        return self.n_steps if self.role == "ytilde" else self.n_steps - 1
-
-    def set_row(self, i: int, arrays: list):
-        expected = self.row_top(i) - i + 1
-        if len(arrays) != max(expected, 0):
-            raise SnellError(f"row {i} of role {self.role} expects {expected} layers, got {len(arrays)}")
-        for off, a in enumerate(arrays):
-            if a.shape != (i + off + 1,):
-                raise SnellError(f"layer {i + off} array has shape {a.shape}")
-            self.layers[i + off][i] = a
-        self._filled[i] = True
+        self.layers = layers
 
     def at(self, i: int, j: int) -> np.ndarray:
-        if not 0 <= i <= j <= self.row_top(i):
+        if not 0 <= i <= j < len(self.layers):
             raise SnellError(f"index ({i}, {j}) outside role-{self.role} triangle")
-        if not self._filled[i]:
-            raise SnellError(f"row {i} not populated")
         return self.layers[j][i]
 
 

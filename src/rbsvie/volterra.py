@@ -22,12 +22,14 @@ The global Picard iteration (solve_global, built on phi_step) stays as
 the independent reference: it freezes the diagonal U, solves every
 anchor's slice under it and iterates until the diagonal and z-field stop
 moving.  It is the map whose contraction the paper's existence argument
-rests on; contraction_ratios measures that contraction.
+rests on; contraction_ratios measures that contraction.  phi_step lays
+each anchor's slice onto the same layers solve stores, so the reference
+and the sweep are compared layer by layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,7 +91,7 @@ class Solution:
     For mode "sweep", residual_history holds one entry, the largest last
     update of the per-node equations (0.0 when every one settled
     exactly); for mode "global" it holds the expectation-norm change per
-    pass.
+    pass (empty for a single phi_step pass).
     """
 
     y_diag: list
@@ -242,40 +244,46 @@ def constant_diagonal(lat: Lattice, c: float) -> list:
     return [np.full(j + 1, float(c)) for j in range(lat.n_steps + 1)]
 
 
-def phi_step(lat: Lattice, spec: InstanceSpec, U: list, anchors=None) -> tuple:
+def phi_step(lat: Lattice, spec: InstanceSpec, U: list, anchors=None) -> Solution:
     """One fixed-point pass: solve every requested anchor's slice under U.
 
-    Returns (diag, slices): diag[i] is the new diagonal layer array and
-    slices[i] the full slice, for i in anchors (all anchors by default).
-    Pure function of its inputs.
+    Returns a Solution in the sweep's layout: anchor i's slice fills row
+    i of the ytilde, z and kinc layers j >= i, and y_diag[i] is its
+    diagonal.  Rows and diagonal entries of anchors outside anchors (all
+    anchors by default) stay zero.  Pure function of its inputs.
     """
     N = lat.n_steps
-    anchors = range(N + 1) if anchors is None else anchors
-    diag = {}
-    slices = {}
-    for i in anchors:
-        if i == N:
-            term = np.asarray(spec.terminal(lat.grid.t(N), lat.x[N]), dtype=float)
-            sl = SnellSlice(anchor=N, ytilde=[term], z=[], kinc=[])
-        else:
-            sl = solve_slice(lat, spec, i, U)
-        diag[i] = sl.diag
-        slices[i] = sl
-    return diag, slices
+    y_diag = zero_diagonal(lat)
+    ytilde = [np.zeros((j + 1, j + 1)) for j in range(N + 1)]
+    z = [np.zeros_like(a) for a in ytilde[:N]]
+    kinc = [np.zeros_like(a) for a in ytilde[:N]]
+    for i in range(N + 1) if anchors is None else anchors:
+        sl = solve_slice(lat, spec, i, U)
+        y_diag[i] = sl.diag
+        for j in range(i, N + 1):
+            ytilde[j][i] = sl.ytilde_at(j)
+        for j in range(i, N):
+            z[j][i] = sl.z_at(j)
+            kinc[j][i] = sl.kinc_at(j)
+    return Solution(y_diag, BiField(N, "ytilde", ytilde), BiField(N, "z", z),
+                    BiField(N, "kinc", kinc), iterations=1, residual_history=[],
+                    mode="global")
 
 
-def e_norm(lat: Lattice, d_diag: dict, d_z: dict) -> float:
+def e_norm(lat: Lattice, d_diag: list, d_z: list) -> float:
     """Expectation norm of a (diagonal, z-field) perturbation.
 
     Squared: sum_i dt E|dY(t_i)|^2 + sum_{i<=j} dt^2 E|dZ(t_i,t_j)|^2,
     expectations under the node distribution of the relevant layer.
+    d_diag[j] is the change on layer j's nodes and d_z[j] the change of
+    z.layers[j], one row per anchor.
     """
     dt = lat.grid.dt
     total = 0.0
-    for i, dy in d_diag.items():
-        total += dt * lat.layer_expect(i, np.asarray(dy) ** 2)
-    for (_, j), dz in d_z.items():
-        total += dt * dt * lat.layer_expect(j, np.asarray(dz) ** 2)
+    for j, dy in enumerate(d_diag):
+        total += dt * lat.layer_expect(j, np.asarray(dy) ** 2)
+    for j, dz in enumerate(d_z):
+        total += dt * dt * float(np.sum(dz ** 2 @ lat.probs[j]))
     return float(np.sqrt(total))
 
 
@@ -283,69 +291,39 @@ def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _package(lat, diag, slices, iterations, residuals, store_fields) -> Solution:
-    N = lat.n_steps
-    y_diag = [diag[i] for i in range(N + 1)]
-    if not store_fields:
-        return Solution(y_diag=y_diag, ytilde=None, z=None, kinc=None,
-                        iterations=iterations, residual_history=residuals,
-                        mode="global")
-    yt = BiField(N, "ytilde")
-    zf = BiField(N, "z")
-    kf = BiField(N, "kinc")
-    for i in range(N + 1):
-        sl = slices[i]
-        yt.set_row(i, sl.ytilde)
-        zf.set_row(i, sl.z)
-        kf.set_row(i, sl.kinc)
-    return Solution(y_diag=y_diag, ytilde=yt, z=zf, kinc=kf,
-                    iterations=iterations, residual_history=residuals,
-                    mode="global")
-
-
 def solve_global(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None,
                  init_diag: list | None = None) -> Solution:
     """Iterate full passes until the diagonal and z-field stop moving.
 
-    Drivers with no (y, z) dependence are solved in a single pass: the
-    pass does not read its input, so its output is already the fixed
-    point, and the recorded residual is zero.
+    Returns the last pass with its pass count and residuals.  Drivers
+    with no (y, z) dependence are solved in a single pass: the pass does
+    not read its input, so its output is already the fixed point, and
+    the recorded residual is zero.
     """
     cfg = cfg or PicardConfig()
     N = lat.n_steps
     U = [np.asarray(u, dtype=float) for u in (init_diag or zero_diagonal(lat))]
     if len(U) != N + 1:
         raise VolterraError(f"init_diag needs {N + 1} layers")
+    fields = {} if cfg.store_fields else dict(ytilde=None, z=None, kinc=None)
 
     if not (spec.driver.depends_on_y or spec.driver.depends_on_z):
-        diag, slices = phi_step(lat, spec, U)
-        return _package(lat, diag, slices, iterations=1, residuals=[0.0],
-                        store_fields=cfg.store_fields)
+        return replace(phi_step(lat, spec, U), residual_history=[0.0], **fields)
 
     prev_z = None
     residuals = []
     for it in range(1, cfg.max_iters + 1):
-        diag, slices = phi_step(lat, spec, U)
-        d_diag = {i: diag[i] - U[i] for i in range(N + 1)}
-        d_z = {}
-        for i in range(N):
-            for off, zj in enumerate(slices[i].z):
-                j = i + off
-                old = prev_z[(i, j)] if prev_z is not None else np.zeros(j + 1)
-                d_z[(i, j)] = zj - old
-        sup_change = max(_sup(d) for d in d_diag.values())
-        if d_z:
-            sup_change = max(sup_change, max(_sup(d) for d in d_z.values()))
+        sol = phi_step(lat, spec, U)
+        d_diag = [a - b for a, b in zip(sol.y_diag, U)]
+        d_z = (sol.z.layers if prev_z is None
+               else [a - b for a, b in zip(sol.z.layers, prev_z)])
+        sup_change = max(_sup(d) for d in d_diag + d_z)
         res = e_norm(lat, d_diag, d_z)
         residuals.append(res)
-        U = [diag[i] for i in range(N + 1)]
-        prev_z = {}
-        for i in range(N):
-            for off, zj in enumerate(slices[i].z):
-                prev_z[(i, i + off)] = zj
+        U = sol.y_diag
+        prev_z = sol.z.layers
         if sup_change < cfg.tolerance and res < cfg.tolerance:
-            return _package(lat, diag, slices, iterations=it, residuals=residuals,
-                            store_fields=cfg.store_fields)
+            return replace(sol, iterations=it, residual_history=residuals, **fields)
     raise NoConvergence(cfg.max_iters, residuals[-1] if residuals else float("inf"))
 
 
@@ -403,15 +381,12 @@ def contraction_ratios(lat: Lattice, spec: InstanceSpec, pairs: int = 50,
         for j in range(first, N + 1):
             U1[j] = rng.normal(size=j + 1) * scale
             U2[j] = rng.normal(size=j + 1) * scale
-        d1, s1 = phi_step(lat, spec, U1, anchors=anchors)
-        d2, s2 = phi_step(lat, spec, U2, anchors=anchors)
-        num_d = {i: d1[i] - d2[i] for i in anchors}
-        num_z = {}
-        for i in anchors:
-            for off in range(len(s1[i].z)):
-                num_z[(i, i + off)] = s1[i].z[off] - s2[i].z[off]
-        den = e_norm(lat, {i: U1[i] - U2[i] for i in anchors}, {})
+        den = e_norm(lat, [a - b for a, b in zip(U1, U2)], [])
         if den == 0.0:
             continue
-        ratios.append(e_norm(lat, num_d, num_z) / den)
+        s1 = phi_step(lat, spec, U1, anchors=anchors)
+        s2 = phi_step(lat, spec, U2, anchors=anchors)
+        num = e_norm(lat, [a - b for a, b in zip(s1.y_diag, s2.y_diag)],
+                     [a - b for a, b in zip(s1.z.layers, s2.z.layers)])
+        ratios.append(num / den)
     return ratios

@@ -191,7 +191,7 @@ def test_theta_norm_zero_for_identical_fields():
     spec = catalog_instance("linear_z")
     lat = spec.lattice(10)
     d = [np.zeros(i + 1) for i in range(11)]
-    dz = {i: [np.zeros(j + 1) for j in range(i, 10)] for i in range(11)}
+    dz = [np.zeros((j + 1, j + 1)) for j in range(10)]
     assert theta_norm(lat, d, dz, dz, theta=1.5) == 0.0
 
 
@@ -202,4 +202,4 @@ def test_theta_norm_weights_grow_with_time():
     early = [np.ones(i + 1) if i == 1 else np.zeros(i + 1) for i in range(11)]
     late = [np.ones(i + 1) if i == 9 else np.zeros(i + 1) for i in range(11)]
     th = 2.0
-    assert theta_norm(lat, late, {}, {}, th) > theta_norm(lat, early, {}, {}, th)
+    assert theta_norm(lat, late, [], [], th) > theta_norm(lat, early, [], [], th)

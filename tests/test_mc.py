@@ -17,14 +17,14 @@ def test_simulate_shapes_and_consistency():
     spec = catalog_instance("american_put")
     grid = TimeGrid(spec.horizon, 8)
     b = mc.simulate(grid, spec, 500, seed=11)
-    w = np.concatenate([np.zeros((500, 1)), np.cumsum(b.dw, axis=1)], axis=1)
-    assert w.shape == (500, 9)
-    assert b.x.shape == (500, 9)
-    assert b.dw.shape == (500, 8)
-    assert np.all(w[:, 0] == 0.0)
-    assert np.allclose(np.diff(w, axis=1), b.dw)
+    w = np.concatenate([np.zeros((1, 500)), np.cumsum(b.dw, axis=0)], axis=0)
+    assert w.shape == (9, 500)
+    assert b.x.shape == (9, 500)
+    assert b.dw.shape == (8, 500)
+    assert np.all(w[0] == 0.0)
+    assert np.allclose(np.diff(w, axis=0), b.dw)
     for j in range(9):
-        assert np.allclose(b.x[:, j], spec.dynamics(grid.t(j), w[:, j]))
+        assert np.allclose(b.x[j], spec.dynamics(grid.t(j), w[j]))
 
 
 def test_increment_moments():
@@ -42,8 +42,8 @@ def test_block_seeding_gives_prefix_stability():
     grid = TimeGrid(1.0, 3)
     small = mc.simulate(grid, spec, 500, seed=21)
     big = mc.simulate(grid, spec, mc.BLOCK_SIZE + 1000, seed=21)
-    assert np.array_equal(small.dw, big.dw[:500])
-    tail = big.dw[mc.BLOCK_SIZE:]
+    assert np.array_equal(small.dw, big.dw[:, :500])
+    tail = big.dw[:, mc.BLOCK_SIZE:]
     lone = mc.simulate(grid, spec, 1000, seed=21)
     assert not np.array_equal(tail, lone.dw)
 
@@ -166,13 +166,13 @@ def test_anchor_sweeps_match_single_sweep_when_data_ignore_anchor(name):
     bundle = mc.simulate(grid, spec, 2_000, seed=8)
     basis = mc.RegressionBasis("polynomial", 3)
     sol = mc.solve_mc(bundle, spec, basis, n_bootstrap=4)
-    v = spec.terminal(0.0, bundle.x[:, N])
+    v = spec.terminal(0.0, bundle.x[N])
     means = [float(v.mean())]
     for j in range(N - 1, -1, -1):
-        x_j = bundle.x[:, j]
+        x_j = bundle.x[j]
         design = basis.design(x_j) if j else np.ones((bundle.n_paths, 1))
         e = _fitted(design, v)
-        z = _fitted(design, v * bundle.dw[:, j] / dt)
+        z = _fitted(design, v * bundle.dw[j] / dt)
         barrier = spec.obstacle(grid.t(j), x_j)
         for _ in range(200):
             v = np.maximum(e + spec.driver(0.0, grid.t(j), x_j, v, z) * dt, barrier)
@@ -213,7 +213,7 @@ def test_terminal_layer_mean_matches_paths():
     grid = TimeGrid(spec.horizon, 6)
     bundle = mc.simulate(grid, spec, 3_000, seed=19)
     sol = mc.solve_mc(bundle, spec, mc.RegressionBasis(), n_bootstrap=4)
-    expected = float(np.mean(spec.terminal(grid.t(6), bundle.x[:, 6])))
+    expected = float(np.mean(spec.terminal(grid.t(6), bundle.x[6])))
     assert sol.e_y_diag[6] == pytest.approx(expected, abs=1e-12)
 
 
@@ -230,16 +230,16 @@ def _picard_reference(bundle, spec, basis, tol=1e-12, max_passes=500):
     diagonal U, repeated until U stops moving.  Returns U, one row per layer."""
     grid = bundle.grid
     N, dt, n = grid.n_steps, grid.dt, bundle.n_paths
-    designs = {j: basis.design(bundle.x[:, j]) for j in range(1, N)}
+    designs = {j: basis.design(bundle.x[j]) for j in range(1, N)}
 
     def expect(j, y):
         return np.full(n, y.mean()) if j == 0 else _fitted(designs[j], y)
 
     def anchor(i, U):
-        vals = spec.terminal(grid.t(i), bundle.x[:, N])
+        vals = spec.terminal(grid.t(i), bundle.x[N])
         for j in range(N - 1, i - 1, -1):
-            x_j = bundle.x[:, j]
-            z = expect(j, vals * bundle.dw[:, j] / dt)
+            x_j = bundle.x[j]
+            z = expect(j, vals * bundle.dw[j] / dt)
             f = spec.driver(grid.t(i), grid.t(j), x_j, U[j], z)
             vals = np.maximum(expect(j, vals) + f * dt, spec.obstacle(grid.t(j), x_j))
         return vals
@@ -282,16 +282,16 @@ def test_bootstrap_replicates_match_weighted_lstsq_refits(name):
     reps = []
     for _ in range(n_boot):
         w = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
-        vals = spec.terminal(0.0, bundle.x[:, N])
+        vals = spec.terminal(0.0, bundle.x[N])
         for j in range(N - 1, 0, -1):
-            x_j = bundle.x[:, j]
+            x_j = bundle.x[j]
             design = basis.design(x_j)
-            z = _fitted(design, vals * bundle.dw[:, j] / dt, w)
+            z = _fitted(design, vals * bundle.dw[j] / dt, w)
             f = spec.driver(0.0, grid.t(j), x_j, U[j], z)
             vals = np.maximum(_fitted(design, vals, w) + f * dt,
                               spec.obstacle(grid.t(j), x_j))
         e0 = np.sum(w * vals) / n
-        z0 = np.sum(w * vals * bundle.dw[:, 0]) / n / dt
+        z0 = np.sum(w * vals * bundle.dw[0]) / n / dt
         f0 = spec.driver(0.0, 0.0, spec.x0, U[0, 0], z0)
         reps.append(max(e0 + f0 * dt, float(spec.obstacle(0.0, spec.x0))))
     assert len(sol.y0_replicates) == n_boot

@@ -26,19 +26,25 @@ def zero_diag(n):
     return [np.zeros(j + 1) for j in range(n + 1)]
 
 
+def _layers(n_layers):
+    return [np.zeros((j + 1, j + 1)) for j in range(n_layers)]
+
+
 def test_bifield_shapes_and_roles():
-    f = BiField(3, "ytilde")
-    f.set_row(1, [np.zeros(2), np.zeros(3), np.zeros(4)])
+    f = BiField(3, "ytilde", _layers(4))
     assert f.at(1, 2).shape == (3,)
     with pytest.raises(SnellError):
         f.at(1, 0)
     with pytest.raises(SnellError):
-        f.at(2, 3)  # row not populated
-    z = BiField(3, "z")
-    z.set_row(2, [np.zeros(3)])  # j = 2 only
+        f.at(2, 4)  # past the terminal layer
+    z = BiField(3, "z", _layers(3))
     assert z.at(2, 2).shape == (3,)
     with pytest.raises(SnellError):
-        BiField(3, "other")
+        z.at(2, 3)  # no martingale coefficient on the terminal layer
+    with pytest.raises(SnellError):
+        BiField(3, "z", _layers(4))
+    with pytest.raises(SnellError):
+        BiField(3, "other", _layers(3))
 
 
 def test_unconstrained_martingale_slice():

@@ -80,7 +80,7 @@ def test_fixed_point_is_stationary():
     spec = catalog_instance("linear_z")
     lat = spec.lattice(30)
     sol = solve_global(lat, spec, PicardConfig(tolerance=1e-12))
-    diag, _ = phi_step(lat, spec, sol.y_diag)
+    diag = phi_step(lat, spec, sol.y_diag).y_diag
     move = max(float(np.max(np.abs(diag[i] - sol.y_diag[i]))) for i in range(31))
     assert move < 1e-11
 
@@ -150,6 +150,38 @@ def test_slice_view_matches_direct_solve():
             assert np.allclose(a, b, atol=1e-11)
 
 
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_phi_step_layers_equal_slices(n):
+    # phi_step lays every anchor's slice onto row i of the layers j >= i,
+    # the terminal layer included; a window leaves earlier anchors at zero
+    for name in CATALOG_NAMES:
+        spec = catalog_instance(name)
+        lat = spec.lattice(n)
+        rng = np.random.default_rng(n)
+        U = [rng.normal(size=j + 1) for j in range(n + 1)]
+        sol = phi_step(lat, spec, U)
+        assert len(sol.ytilde.layers) == n + 1 and len(sol.z.layers) == n
+        for i in range(n + 1):
+            sl = solve_slice(lat, spec, i, U)
+            assert np.array_equal(sol.y_diag[i], sl.diag), (name, i)
+            for j in range(i, n + 1):
+                assert np.array_equal(sol.ytilde.layers[j][i], sl.ytilde_at(j)), (name, i, j)
+            for j in range(i, n):
+                assert np.array_equal(sol.z.layers[j][i], sl.z_at(j)), (name, i, j)
+                assert np.array_equal(sol.kinc.layers[j][i], sl.kinc_at(j)), (name, i, j)
+        k = n // 2 + 1
+        part = phi_step(lat, spec, U, anchors=range(k, n + 1))
+        for i in range(n + 1):
+            inside = i >= k
+            assert np.array_equal(part.y_diag[i], sol.y_diag[i] if inside
+                                  else np.zeros(i + 1)), (name, i)
+            for f in ("ytilde", "z", "kinc"):
+                ref, got = getattr(sol, f).layers, getattr(part, f).layers
+                for j in range(i, len(got)):
+                    want = ref[j][i] if inside else np.zeros(j + 1)
+                    assert np.array_equal(got[j][i], want), (name, f, i, j)
+
+
 def test_diagonal_only_mode_drops_fields():
     spec = catalog_instance("american_put")
     lat = spec.lattice(20)
@@ -163,8 +195,8 @@ def test_e_norm_scales_with_dt():
     # a constant unit diagonal perturbation has squared norm sum_i dt = T + dt
     spec = catalog_instance("zero_driver_flat")
     lat = spec.lattice(20)
-    d = {i: np.ones(i + 1) for i in range(21)}
-    got = e_norm(lat, d, {})
+    d = [np.ones(i + 1) for i in range(21)]
+    got = e_norm(lat, d, [])
     assert abs(got - np.sqrt(1.0 + lat.grid.dt)) < 1e-12
 
 
