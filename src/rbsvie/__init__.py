@@ -11,13 +11,15 @@ Modules
 -------
 grid       time grid and recombining binomial lattice
 instances  problem data catalog (driver, terminal, obstacle, dynamics)
-snell      per-anchor reflected backward inductions (Snell envelopes)
-volterra   backward sweep over anchors for the diagonal; Picard reference
+volterra   backward sweep over anchors for the diagonal; field storage
 oracle     brute-force stopping-rule enumeration on small lattices
-compare    comparison checks and the monotone approximation scheme
+compare    ordered-pair gate and comparison checks
 stopping   optimal stopping rules, frontiers and time-inconsistency gaps
 mc         regression Monte Carlo cross-validator
 cli        command line front end
+snell      reference layer, never imported by the modules above:
+           per-anchor slices (Snell envelopes), the global Picard map,
+           the monotone approximation scheme
 """
 
 from rbsvie.grid import TimeGrid, Lattice, build_lattice

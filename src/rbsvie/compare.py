@@ -1,18 +1,15 @@
-"""Ordered-instance checks and the monotone approximation scheme.
+"""Ordered-instance checks.
 
 Two instances sharing the same state dynamics are ordered when their
 terminal map, driver and obstacle are ordered pointwise; the solved
 values then inherit the order.  Construction of an OrderedPair gates
-the hypothesis: when drivers read y, at least one must be nondecreasing
-in y, or the two drivers must coincide up to an additive constant (the
-shift families used throughout the tests).  The solved-value check is
-empirical either way: solve both, compare every node.
-
-The monotone scheme approximates a y-coupled solution from above by
-freezing the previous iterate in the y-slot, starting from the solution
-of a driver-dominating instance.  Successive iterates decrease nodewise
-and are Cauchy in an exponentially weighted norm whose weight grows
-with the driver's slope.
+the hypothesis: when drivers read y and neither is nondecreasing in y,
+the pair must differ only in the driver, by an additive constant (the
+shift families used throughout the tests), or both instances must
+ignore the anchor, so that the system is a reflected BSDE, for which
+comparison needs no monotonicity.  The solved-value check is empirical
+either way: solve both, compare every node.  The monotone approximation
+scheme of the comparison theorem is a reference, in snell.
 """
 
 from __future__ import annotations
@@ -22,9 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from rbsvie.grid import Lattice
-from rbsvie.instances import InstanceSpec, shift_driver
-from rbsvie.snell import path_sum_moments
-from rbsvie.volterra import PicardConfig, Solution, phi_step, solve
+from rbsvie.instances import InstanceSpec
+from rbsvie.volterra import PicardConfig, Solution, solve
+
+PAIR_ATOL = 1e-12       # slack of the data order in OrderedPair.build
+ORDER_TOLERANCE = 1e-9  # largest max(Y_lo - Y_hi) check_comparison calls ordered
+RANGE_PAD = 0.2         # check_comparison widens the solved (y, z) ranges by this
+MAX_SHIFT = 0.5         # random_ordered_pairs draws shifts from [0, MAX_SHIFT)
 
 
 class CompareError(ValueError):
@@ -35,25 +36,39 @@ _PROBE_YZ = [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 0.0),
              (0.3, -0.7), (-0.6, 0.2)]
 
 
+def _probe_anchors(lat: Lattice) -> range:
+    return range(0, lat.n_steps + 1, max(1, lat.n_steps // 8))
+
+
+def _probes(lat: Lattice, box_yz):
+    """(t, s, x, y, z): probed anchors, their layers' nodes and each (y, z)."""
+    for i in _probe_anchors(lat):
+        for j in range(i, lat.n_steps):
+            for y, z in box_yz:
+                yield lat.grid.t(i), lat.grid.t(j), lat.x[j], y, z
+
+
 def _driver_gap_stats(lo: InstanceSpec, hi: InstanceSpec, lat: Lattice,
                       box_yz) -> tuple:
     """(min, max) of f_hi - f_lo over lattice nodes and probed (y, z)."""
-    lo_f, hi_f = lo.driver, hi.driver
     gmin, gmax = np.inf, -np.inf
-    N = lat.n_steps
-    for i in range(0, N + 1, max(1, N // 8)):
-        t = lat.grid.t(i)
-        for j in range(i, N):
-            s = lat.grid.t(j)
-            x = lat.x[j]
-            for y, z in box_yz:
-                g = np.asarray(hi_f(t, s, x, y, z), dtype=float) \
-                    - np.asarray(lo_f(t, s, x, y, z), dtype=float)
-                gmin = min(gmin, float(g.min()))
-                gmax = max(gmax, float(g.max()))
+    for t, s, x, y, z in _probes(lat, box_yz):
+        g = np.asarray(hi.driver(t, s, x, y, z), dtype=float) \
+            - np.asarray(lo.driver(t, s, x, y, z), dtype=float)
+        gmin = min(gmin, float(g.min()))
+        gmax = max(gmax, float(g.max()))
     if gmin is np.inf:  # single-layer grid, no interior (t, s)
         gmin = gmax = 0.0
     return gmin, gmax
+
+
+def _ignores_anchor(spec: InstanceSpec, lat: Lattice) -> bool:
+    """Whether driver and terminal read at every probed anchor as at anchor 0."""
+    xN = lat.x[lat.n_steps]
+    return (all(np.array_equal(spec.terminal(lat.grid.t(i), xN), spec.terminal(0.0, xN))
+                for i in _probe_anchors(lat))
+            and all(np.array_equal(spec.driver(t, s, x, y, z), spec.driver(0.0, s, x, y, z))
+                    for t, s, x, y, z in _probes(lat, _PROBE_YZ)))
 
 
 @dataclass(frozen=True)
@@ -69,8 +84,7 @@ class OrderedPair:
     witnesses: tuple
 
     @classmethod
-    def build(cls, lo: InstanceSpec, hi: InstanceSpec, lat: Lattice,
-              atol: float = 1e-12) -> "OrderedPair":
+    def build(cls, lo: InstanceSpec, hi: InstanceSpec, lat: Lattice) -> "OrderedPair":
         if (lo.x0, lo.horizon, lo.dynamics.name) != (hi.x0, hi.horizon, hi.dynamics.name):
             raise CompareError("ordered pairs must share dynamics, start and horizon")
         N = lat.n_steps
@@ -83,12 +97,12 @@ class OrderedPair:
             a = np.asarray(lo.terminal(t, xN), dtype=float)
             b = np.asarray(hi.terminal(t, xN), dtype=float)
             bad = a - b
-            if float(bad.max()) > atol:
+            if float(bad.max()) > PAIR_ATOL:
                 k = int(np.argmax(bad))
                 raise CompareError(
                     f"terminal order violated at anchor {i}, terminal node {k}: "
                     f"lo={a[k]:.6g} > hi={b[k]:.6g}")
-            if float(np.max(np.abs(bad))) > atol:
+            if float(np.max(np.abs(bad))) > PAIR_ATOL:
                 witnesses.add("terminal")
 
         for j in range(N + 1):
@@ -96,30 +110,31 @@ class OrderedPair:
             a = np.asarray(lo.obstacle(u, lat.x[j]), dtype=float)
             b = np.asarray(hi.obstacle(u, lat.x[j]), dtype=float)
             bad = a - b
-            if float(bad.max()) > atol:
+            if float(bad.max()) > PAIR_ATOL:
                 k = int(np.argmax(bad))
                 raise CompareError(
                     f"obstacle order violated at layer {j}, node {k}: "
                     f"lo={a[k]:.6g} > hi={b[k]:.6g}")
-            if float(np.max(np.abs(bad))) > atol:
+            if float(np.max(np.abs(bad))) > PAIR_ATOL:
                 witnesses.add("obstacle")
 
         gmin, gmax = _driver_gap_stats(lo, hi, lat, _PROBE_YZ)
-        if gmin < -atol:
+        if gmin < -PAIR_ATOL:
             raise CompareError(f"driver order violated: min(f_hi - f_lo) = {gmin:.3e}")
-        if max(abs(gmin), abs(gmax)) > atol:
+        if max(abs(gmin), abs(gmax)) > PAIR_ATOL:
             witnesses.add("driver")
 
         reads_y = lo.driver.depends_on_y or hi.driver.depends_on_y
-        if reads_y:
-            monotone = lo.driver.monotone_in_y or hi.driver.monotone_in_y
-            # an additive-constant gap keeps both drivers' y-coupling
-            # identical, which is as good as monotonicity for comparison
-            additive = (gmax - gmin) <= max(atol, 1e-10)
-            if not (monotone or additive):
+        if reads_y and not (lo.driver.monotone_in_y or hi.driver.monotone_in_y):
+            # a constant driver shift keeps both y-couplings identical; any
+            # other datum moved on an anchor-coupled instance can reverse
+            # the order through the diagonal
+            shift = witnesses <= {"driver"} and gmax - gmin <= 1e-10
+            if not (shift or (_ignores_anchor(lo, lat) and _ignores_anchor(hi, lat))):
                 raise CompareError(
                     "comparison hypothesis not met: drivers read y, neither is "
-                    "nondecreasing in y, and they differ by more than a constant")
+                    "nondecreasing in y, the pair differs by more than a constant "
+                    "driver shift, and an instance reads the anchor")
         return cls(lo=lo, hi=hi, witnesses=tuple(sorted(witnesses)))
 
 
@@ -131,12 +146,6 @@ class ComparisonReport:
     driver_ordering_ok: bool
     y_range: tuple
     z_range: tuple
-
-    def __str__(self):
-        state = "ordered" if self.ordered else f"VIOLATED at {self.witness}"
-        return (f"comparison: max(Y_lo - Y_hi) = {self.max_diff:.3e} ({state}); "
-                f"driver ordering on realized ranges: "
-                f"{'ok' if self.driver_ordering_ok else 'violated'}")
 
 
 def _field_ranges(sol: Solution) -> tuple:
@@ -157,16 +166,13 @@ def _pad(lohi: tuple, frac: float) -> tuple:
 
 
 def check_comparison(lat: Lattice, pair: OrderedPair,
-                     cfg: PicardConfig | None = None,
-                     tolerance_order: float = 1e-9,
-                     pad: float = 0.2) -> ComparisonReport:
+                     cfg: PicardConfig | None = None) -> ComparisonReport:
     """Solve both instances and compare every diagonal node.
 
     Also recheck the driver ordering on the solved (y, z) ranges padded
-    by the given fraction, the region the discrete comparison actually
-    exercises.
+    by RANGE_PAD of their width, the region the discrete comparison
+    actually exercises.
     """
-    cfg = cfg or PicardConfig()
     sol_lo = solve(lat, pair.lo, cfg)
     sol_hi = solve(lat, pair.hi, cfg)
 
@@ -180,22 +186,21 @@ def check_comparison(lat: Lattice, pair: OrderedPair,
             witness = (i, k, max_diff)
 
     (ya, za), (yb, zb) = _field_ranges(sol_lo), _field_ranges(sol_hi)
-    yl, yh = _pad((min(ya[0], yb[0]), max(ya[1], yb[1])), pad)
-    zl, zh = _pad((min(za[0], zb[0]), max(za[1], zb[1])), pad)
+    yl, yh = _pad((min(ya[0], yb[0]), max(ya[1], yb[1])), RANGE_PAD)
+    zl, zh = _pad((min(za[0], zb[0]), max(za[1], zb[1])), RANGE_PAD)
     corners = [(yl, zl), (yl, zh), (yh, zl), (yh, zh),
                (0.5 * (yl + yh), 0.5 * (zl + zh))]
     gmin, _ = _driver_gap_stats(pair.lo, pair.hi, lat, corners)
     driver_ok = gmin >= -1e-12
 
-    ordered = max_diff <= tolerance_order
+    ordered = max_diff <= ORDER_TOLERANCE
     return ComparisonReport(max_diff=max_diff, ordered=ordered,
                             witness=None if ordered else witness,
                             driver_ordering_ok=driver_ok,
                             y_range=(yl, yh), z_range=(zl, zh))
 
 
-def random_ordered_pairs(names, lat_by_name, n_pairs: int, seed: int = 4242,
-                         max_shift: float = 0.5):
+def random_ordered_pairs(names, lat_by_name, n_pairs: int, seed: int = 4242):
     """Randomized ordered pairs, one datum perturbed per pair.
 
     Terminal and driver move up on the hi side; the obstacle moves down
@@ -207,7 +212,8 @@ def random_ordered_pairs(names, lat_by_name, n_pairs: int, seed: int = 4242,
     anchors), so those pairs fall outside what ordering guarantees.
     Returns (catalog name, OrderedPair) tuples.
     """
-    from rbsvie.instances import catalog_instance, shift_obstacle, shift_terminal
+    from rbsvie.instances import (catalog_instance, shift_driver, shift_obstacle,
+                                  shift_terminal)
 
     rng = np.random.default_rng(seed)
     names = list(names)
@@ -215,7 +221,7 @@ def random_ordered_pairs(names, lat_by_name, n_pairs: int, seed: int = 4242,
     for _ in range(n_pairs):
         name = names[int(rng.integers(len(names)))]
         base = catalog_instance(name)
-        c = float(rng.uniform(0.0, max_shift))
+        c = float(rng.uniform(0.0, MAX_SHIFT))
         if base.driver.depends_on_y and not base.driver.monotone_in_y:
             data = ("driver",)
         else:
@@ -229,92 +235,3 @@ def random_ordered_pairs(names, lat_by_name, n_pairs: int, seed: int = 4242,
             lo, hi = shift_obstacle(base, -c), base
         out.append((name, OrderedPair.build(lo, hi, lat_by_name[name])))
     return out
-
-
-def theta_threshold(c_f: float, horizon: float) -> float:
-    """Smallest admissible exponential weight, with a 1% margin."""
-    return 1.01 * 2.0 * c_f * c_f * (1.0 + 2.0 * horizon)
-
-
-def theta_norm(lat: Lattice, d_diag: list, d_z: list, d_kinc: list,
-               theta: float) -> float:
-    """Exponentially weighted norm of a solution-triple difference.
-
-    Squared: sum_i dt e^(theta t_i) ( E[dY_i^2] + sum_j dt E[dZ_ij^2]
-    + E[dK(t_i, T)^2] ), where dK(t_i, T) sums the per-step increment
-    differences along each path (exact second moment, no sampling).
-    d_z and d_kinc are differences of z.layers and kinc.layers: row i of
-    layer j is anchor i's change on the layer-j nodes.
-    """
-    dt = lat.grid.dt
-    N = lat.n_steps
-    total = 0.0
-    for i in range(N + 1):
-        layer = float(lat.layer_expect(i, np.asarray(d_diag[i]) ** 2))
-        for j in range(i, len(d_z)):
-            layer += dt * float(lat.layer_expect(j, d_z[j][i] ** 2))
-        _, k2 = path_sum_moments(lat, i, [dk[i] for dk in d_kinc[i:]])
-        layer += k2
-        total += dt * np.exp(theta * lat.grid.t(i)) * layer
-    return float(np.sqrt(total))
-
-
-@dataclass(frozen=True)
-class MonotoneSchemeReport:
-    diagonals: list
-    increments: list
-    theta: float
-    max_monotonicity_violation: float
-
-    @property
-    def monotone_ok(self) -> bool:
-        return self.max_monotonicity_violation <= 1e-9
-
-    @property
-    def increment_ratios(self) -> list:
-        out = []
-        for a, b in zip(self.increments, self.increments[1:]):
-            if a > 1e-300:
-                out.append(b / a)
-        return out
-
-
-def monotone_scheme(lat: Lattice, spec: InstanceSpec, n_max: int,
-                    cfg: PicardConfig | None = None,
-                    dom_shift: float = 1.0) -> MonotoneSchemeReport:
-    """Nonincreasing approximation from a driver-dominated start.
-
-    Iterate n freezes iterate n-1 in the driver's y-slot and solves the
-    resulting y-free reflected system (one pass of the fixed-point map,
-    which resolves z internally).  The start is the full solution of the
-    same instance with driver f + dom_shift, which dominates every
-    iterate.  Requires a driver nondecreasing in y and a step fine
-    enough that the one-step map is monotone (|f_z| sqrt(dt) <= 1).
-    """
-    if n_max < 1:
-        raise CompareError("n_max must be >= 1")
-    if spec.driver.depends_on_y and not spec.driver.monotone_in_y:
-        raise CompareError("monotone scheme needs a driver nondecreasing in y")
-    if spec.driver.lipschitz * lat.grid.sqrt_dt > 1.0:
-        raise CompareError("grid too coarse for a monotone one-step map")
-    if dom_shift <= 0:
-        raise CompareError("dom_shift must be positive")
-    cfg = cfg or PicardConfig()
-
-    prev = solve(lat, shift_driver(spec, dom_shift), cfg)
-    diags = [prev.y_diag]
-    theta = theta_threshold(spec.driver.lipschitz, spec.horizon)
-    increments = []
-    worst = 0.0
-    for _ in range(1, n_max):
-        nxt = phi_step(lat, spec, prev.y_diag)
-        d_diag = [a - b for a, b in zip(nxt.y_diag, prev.y_diag)]
-        worst = max(worst, max(float(np.max(d)) for d in d_diag))
-        d_z = [a - b for a, b in zip(nxt.z.layers, prev.z.layers)]
-        d_k = [a - b for a, b in zip(nxt.kinc.layers, prev.kinc.layers)]
-        increments.append(theta_norm(lat, d_diag, d_z, d_k, theta))
-        diags.append(nxt.y_diag)
-        prev = nxt
-
-    return MonotoneSchemeReport(diagonals=diags, increments=increments,
-                                theta=theta, max_monotonicity_violation=worst)

@@ -24,6 +24,7 @@ import numpy as np
 
 from rbsvie.grid import TimeGrid
 from rbsvie.instances import InstanceSpec
+from rbsvie.stopping import STOP_TOLERANCE
 from rbsvie.volterra import (NoConvergence, PicardConfig, VolterraError,
                              check_finite, step_layer, step_rows)
 
@@ -262,7 +263,7 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
         nonlocal margin
         slack = row - barrier
         margin = min(margin, float(slack.min()))
-        exercised = slack <= 1e-9
+        exercised = slack <= STOP_TOLERANCE
         if np.any(exercised):
             xs = x[exercised]
             frontier.append((grid.t(j), float(xs.min()), float(xs.max())))

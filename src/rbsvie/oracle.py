@@ -139,7 +139,3 @@ def best_rule(lat: Lattice, spec: InstanceSpec, i: int, k: int,
             best_val = v
     return best, best_val
 
-
-def reachable(i: int, k: int, j: int, kk: int) -> bool:
-    """Whether node (j, kk) lies in the subtree rooted at (i, k)."""
-    return j >= i and k <= kk <= k + (j - i)

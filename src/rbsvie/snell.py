@@ -1,4 +1,4 @@
-"""Per-anchor reflected backward inductions on the lattice.
+"""Reference layer, never imported by production code: slices and Picard.
 
 For a fixed anchor index i the slice solver computes the discrete
 reflected BSDE driven by f(t_i, s, . ) with the anchor's terminal payoff
@@ -12,24 +12,36 @@ xi(t_i, .) and the obstacle L, running s over grid layers j = i..N:
 
 The y-argument of the driver is the frozen diagonal U supplied by the
 caller; the z-argument is the martingale coefficient of the slice being
-built, which makes the scheme explicit in z.  The reference Picard
-iteration in volterra iterates this solver over U; the production
-backward sweep runs the same scheme for all anchors of a layer at once,
-with U the diagonal already solved on that layer.  kinc holds the
-per-step increments of the reflection term, so K(t_i, t_j) = sum of
+built, which makes the scheme explicit in z.  The production backward
+sweep (volterra.solve) runs the same scheme for all anchors of a layer
+at once, with U the diagonal already solved on that layer.  kinc holds
+the per-step increments of the reflection term, so K(t_i, t_j) = sum of
 kinc over i <= j' < j along a path.  Where kinc > 0 the value sits
 exactly on the obstacle, giving the discrete Skorohod flatness identity
 by construction.
+
+The global Picard iteration (solve_global, built on phi_step) is the
+independent reference for the sweep: it freezes the diagonal U, solves
+every anchor's slice under it and iterates until the diagonal and
+z-field stop moving.  It is the map whose contraction the paper's
+existence argument rests on; contraction_ratios measures that
+contraction.  phi_step lays each anchor's slice onto the same layers
+solve stores, so the reference and the sweep are compared layer by
+layer.  The monotone scheme is the comparison theorem's reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from rbsvie.compare import CompareError
 from rbsvie.grid import Lattice, cond_expect, martingale_coeff
-from rbsvie.instances import InstanceSpec
+from rbsvie.instances import InstanceSpec, shift_driver
+from rbsvie.stopping import StoppingFrontier, _threshold
+from rbsvie.volterra import (BiField, NoConvergence, PicardConfig, Solution,
+                             VolterraError, solve)
 
 
 class SnellError(ValueError):
@@ -38,37 +50,6 @@ class SnellError(ValueError):
 
 class NonFiniteValue(SnellError):
     pass
-
-
-_ROLES = ("ytilde", "z", "kinc")
-
-
-class BiField:
-    """Triangular two-time node field, stored layer by layer.
-
-    layers[j] is a (j + 1) x (j + 1) array whose row i holds anchor i's
-    values on the layer-j nodes; at(i, j) is a view into it.  Role
-    "ytilde" has layers 0..N, "z" and "kinc" layers 0..N-1 (no increment
-    or martingale coefficient is attached to the terminal layer).  The
-    layers are taken over as they are.
-    """
-
-    __slots__ = ("n_steps", "role", "layers")
-
-    def __init__(self, n_steps: int, role: str, layers: list):
-        if role not in _ROLES:
-            raise SnellError(f"unknown BiField role '{role}'")
-        n_layers = n_steps + 1 if role == "ytilde" else n_steps
-        if len(layers) != n_layers:
-            raise SnellError(f"role {role} needs {n_layers} layers, got {len(layers)}")
-        self.n_steps = n_steps
-        self.role = role
-        self.layers = layers
-
-    def at(self, i: int, j: int) -> np.ndarray:
-        if not 0 <= i <= j < len(self.layers):
-            raise SnellError(f"index ({i}, {j}) outside role-{self.role} triangle")
-        return self.layers[j][i]
 
 
 @dataclass
@@ -137,6 +118,17 @@ def solve_slice(lat: Lattice, spec: InstanceSpec, i: int, U: list) -> SnellSlice
     zs.reverse()
     kincs.reverse()
     return SnellSlice(anchor=i, ytilde=ytilde, z=zs, kinc=kincs)
+
+
+def slice_view(sol: Solution, i: int) -> SnellSlice:
+    """Anchor i's slice read back from a solution's stored fields."""
+    n = sol.ytilde.n_steps
+    return SnellSlice(
+        anchor=i,
+        ytilde=[sol.ytilde.at(i, j) for j in range(i, n + 1)],
+        z=[sol.z.at(i, j) for j in range(i, n)],
+        kinc=[sol.kinc.at(i, j) for j in range(i, n)],
+    )
 
 
 def flatness_defect(lat: Lattice, spec: InstanceSpec, sl: SnellSlice) -> float:
@@ -234,3 +226,255 @@ def path_sum_moments(lat: Lattice, i: int, incs: list) -> tuple:
         new_m2[pos] /= new_w[pos]
         wts, m1, m2 = new_w, new_m1, new_m2
     return float(np.dot(wts, m1)), float(np.dot(wts, m2))
+
+
+def zero_diagonal(lat: Lattice) -> list:
+    return [np.zeros(j + 1) for j in range(lat.n_steps + 1)]
+
+
+def constant_diagonal(lat: Lattice, c: float) -> list:
+    return [np.full(j + 1, float(c)) for j in range(lat.n_steps + 1)]
+
+
+def phi_step(lat: Lattice, spec: InstanceSpec, U: list, anchors=None) -> Solution:
+    """One fixed-point pass: solve every requested anchor's slice under U.
+
+    Returns a Solution in the sweep's layout: anchor i's slice fills row
+    i of the ytilde, z and kinc layers j >= i, and y_diag[i] is its
+    diagonal.  Rows and diagonal entries of anchors outside anchors (all
+    anchors by default) stay zero.  Pure function of its inputs.
+    """
+    N = lat.n_steps
+    y_diag = zero_diagonal(lat)
+    ytilde = [np.zeros((j + 1, j + 1)) for j in range(N + 1)]
+    z = [np.zeros_like(a) for a in ytilde[:N]]
+    kinc = [np.zeros_like(a) for a in ytilde[:N]]
+    for i in range(N + 1) if anchors is None else anchors:
+        sl = solve_slice(lat, spec, i, U)
+        y_diag[i] = sl.diag
+        for j in range(i, N + 1):
+            ytilde[j][i] = sl.ytilde_at(j)
+        for j in range(i, N):
+            z[j][i] = sl.z_at(j)
+            kinc[j][i] = sl.kinc_at(j)
+    return Solution(y_diag, BiField(N, "ytilde", ytilde), BiField(N, "z", z),
+                    BiField(N, "kinc", kinc), iterations=1, residual_history=[],
+                    mode="global")
+
+
+def e_norm(lat: Lattice, d_diag: list, d_z: list) -> float:
+    """Expectation norm of a (diagonal, z-field) perturbation.
+
+    Squared: sum_i dt E|dY(t_i)|^2 + sum_{i<=j} dt^2 E|dZ(t_i,t_j)|^2,
+    expectations under the node distribution of the relevant layer.
+    d_diag[j] is the change on layer j's nodes and d_z[j] the change of
+    z.layers[j], one row per anchor.
+    """
+    dt = lat.grid.dt
+    total = 0.0
+    for j, dy in enumerate(d_diag):
+        total += dt * lat.layer_expect(j, np.asarray(dy) ** 2)
+    for j, dz in enumerate(d_z):
+        total += dt * dt * float(np.sum(dz ** 2 @ lat.probs[j]))
+    return float(np.sqrt(total))
+
+
+def _sup(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def solve_global(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None,
+                 init_diag: list | None = None, *, tolerance: float = 1e-10) -> Solution:
+    """Iterate full passes until the diagonal and z-field stop moving.
+
+    A pass is final when the largest entrywise change of the diagonal
+    and z-field, and the expectation norm of that change (see e_norm),
+    are both below tolerance; cfg.max_iters bounds the passes.  Returns
+    the last pass with its pass count and residuals.  Drivers with no
+    (y, z) dependence are solved in a single pass: the pass does not
+    read its input, so its output is already the fixed point, and the
+    recorded residual is zero.
+    """
+    if not tolerance > 0:
+        raise VolterraError("tolerance must be positive")
+    cfg = cfg or PicardConfig()
+    N = lat.n_steps
+    U = [np.asarray(u, dtype=float) for u in (init_diag or zero_diagonal(lat))]
+    if len(U) != N + 1:
+        raise VolterraError(f"init_diag needs {N + 1} layers")
+
+    if not (spec.driver.depends_on_y or spec.driver.depends_on_z):
+        return replace(phi_step(lat, spec, U), residual_history=[0.0])
+
+    prev_z = None
+    residuals = []
+    for it in range(1, cfg.max_iters + 1):
+        sol = phi_step(lat, spec, U)
+        d_diag = [a - b for a, b in zip(sol.y_diag, U)]
+        d_z = (sol.z.layers if prev_z is None
+               else [a - b for a, b in zip(sol.z.layers, prev_z)])
+        sup_change = max(_sup(d) for d in d_diag + d_z)
+        res = e_norm(lat, d_diag, d_z)
+        residuals.append(res)
+        U = sol.y_diag
+        prev_z = sol.z.layers
+        if sup_change < tolerance and res < tolerance:
+            return replace(sol, iterations=it, residual_history=residuals)
+    raise NoConvergence(cfg.max_iters, residuals[-1] if residuals else float("inf"))
+
+
+def max_contraction_delta(c_f: float, dt: float, horizon: float) -> float:
+    """Largest grid multiple of dt with c_f (delta^2 + delta) < 1/8.
+
+    Returns the full horizon when c_f = 0.  Raises when even a single
+    step is too wide: no window on this grid is covered by the
+    contraction bound.
+    """
+    if c_f <= 0:
+        return horizon
+    bound = 1.0 / (8.0 * c_f)
+    steps = int(round(horizon / dt))
+    best = 0
+    for m in range(1, steps + 1):
+        d = m * dt
+        if d * d + d < bound:
+            best = m
+        else:
+            break
+    if best == 0:
+        raise VolterraError(
+            f"contraction bound delta^2 + delta < {bound:.4g} admits no positive "
+            f"multiple of dt = {dt:.4g}; refine the grid"
+        )
+    return best * dt
+
+
+def contraction_ratios(lat: Lattice, spec: InstanceSpec, pairs: int = 50,
+                       seed: int = 909) -> list:
+    """Empirical one-pass contraction ratios on the last window.
+
+    Draws random diagonal pairs (U, U') supported on the window
+    [T - delta, T], delta the widest window the contraction bound admits
+    (max_contraction_delta), applies one fixed-point pass to each and returns
+    the expectation-norm ratios |pass(U) - pass(U')| / |U - U'|.  The
+    pass does not read the z-field input, so the pairs differ in the
+    diagonal only; this makes the measured ratio the sharpest one.
+    """
+    N = lat.n_steps
+    dt = lat.grid.dt
+    delta = max_contraction_delta(spec.driver.lipschitz, dt, spec.horizon)
+    first = N - int(round(delta / dt))
+    anchors = range(first, N + 1)
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(pairs):
+        U1 = zero_diagonal(lat)
+        U2 = zero_diagonal(lat)
+        for j in range(first, N + 1):
+            U1[j] = rng.normal(size=j + 1)
+            U2[j] = rng.normal(size=j + 1)
+        den = e_norm(lat, [a - b for a, b in zip(U1, U2)], [])
+        if den == 0.0:
+            continue
+        s1 = phi_step(lat, spec, U1, anchors=anchors)
+        s2 = phi_step(lat, spec, U2, anchors=anchors)
+        num = e_norm(lat, [a - b for a, b in zip(s1.y_diag, s2.y_diag)],
+                     [a - b for a, b in zip(s1.z.layers, s2.z.layers)])
+        ratios.append(num / den)
+    return ratios
+
+
+def theta_threshold(c_f: float, horizon: float) -> float:
+    """Smallest admissible exponential weight, with a 1% margin."""
+    return 1.01 * 2.0 * c_f * c_f * (1.0 + 2.0 * horizon)
+
+
+def theta_norm(lat: Lattice, d_diag: list, d_z: list, d_kinc: list,
+               theta: float) -> float:
+    """Exponentially weighted norm of a solution-triple difference.
+
+    Squared: sum_i dt e^(theta t_i) ( E[dY_i^2] + sum_j dt E[dZ_ij^2]
+    + E[dK(t_i, T)^2] ), where dK(t_i, T) sums the per-step increment
+    differences along each path (exact second moment, no sampling).
+    d_z and d_kinc are differences of z.layers and kinc.layers: row i of
+    layer j is anchor i's change on the layer-j nodes.
+    """
+    dt = lat.grid.dt
+    N = lat.n_steps
+    total = 0.0
+    for i in range(N + 1):
+        layer = float(lat.layer_expect(i, np.asarray(d_diag[i]) ** 2))
+        for j in range(i, len(d_z)):
+            layer += dt * float(lat.layer_expect(j, d_z[j][i] ** 2))
+        _, k2 = path_sum_moments(lat, i, [dk[i] for dk in d_kinc[i:]])
+        layer += k2
+        total += dt * np.exp(theta * lat.grid.t(i)) * layer
+    return float(np.sqrt(total))
+
+
+@dataclass(frozen=True)
+class MonotoneSchemeReport:
+    diagonals: list
+    increments: list
+    theta: float
+    max_monotonicity_violation: float
+
+    @property
+    def monotone_ok(self) -> bool:
+        return self.max_monotonicity_violation <= 1e-9
+
+    @property
+    def increment_ratios(self) -> list:
+        out = []
+        for a, b in zip(self.increments, self.increments[1:]):
+            if a > 1e-300:
+                out.append(b / a)
+        return out
+
+
+def monotone_scheme(lat: Lattice, spec: InstanceSpec, n_max: int,
+                    cfg: PicardConfig | None = None) -> MonotoneSchemeReport:
+    """Nonincreasing approximation from a driver-dominated start.
+
+    Iterate n freezes iterate n-1 in the driver's y-slot and solves the
+    resulting y-free reflected system (one pass of the fixed-point map,
+    which resolves z internally).  The start is the full solution of the
+    same instance with driver f + 1, which dominates every
+    iterate.  Requires a driver nondecreasing in y and a step fine
+    enough that the one-step map is monotone (|f_z| sqrt(dt) <= 1).
+    """
+    if n_max < 1:
+        raise CompareError("n_max must be >= 1")
+    if spec.driver.depends_on_y and not spec.driver.monotone_in_y:
+        raise CompareError("monotone scheme needs a driver nondecreasing in y")
+    if spec.driver.lipschitz * lat.grid.sqrt_dt > 1.0:
+        raise CompareError("grid too coarse for a monotone one-step map")
+
+    prev = solve(lat, shift_driver(spec, 1.0), cfg)
+    diags = [prev.y_diag]
+    theta = theta_threshold(spec.driver.lipschitz, spec.horizon)
+    increments = []
+    worst = 0.0
+    for _ in range(1, n_max):
+        nxt = phi_step(lat, spec, prev.y_diag)
+        d_diag = [a - b for a, b in zip(nxt.y_diag, prev.y_diag)]
+        worst = max(worst, max(float(np.max(d)) for d in d_diag))
+        d_z = [a - b for a, b in zip(nxt.z.layers, prev.z.layers)]
+        d_k = [a - b for a, b in zip(nxt.kinc.layers, prev.kinc.layers)]
+        increments.append(theta_norm(lat, d_diag, d_z, d_k, theta))
+        diags.append(nxt.y_diag)
+        prev = nxt
+
+    return MonotoneSchemeReport(diagonals=diags, increments=increments,
+                                theta=theta, max_monotonicity_violation=worst)
+
+
+def diagonal_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec) -> StoppingFrontier:
+    """Stop regions thresholded from the diagonal instead of the envelopes.
+
+    This is the wrong construction on anchor-dependent instances; it is
+    provided so tests can demonstrate that it disagrees with the
+    envelope frontier there.
+    """
+    rows = [np.broadcast_to(y, (y.size, y.size)) for y in sol.y_diag]
+    return _threshold(lat, spec, rows)

@@ -26,6 +26,10 @@ from rbsvie.oracle import StoppingRule
 from rbsvie.volterra import Solution, VolterraError, _driver_rows
 
 
+STOP_TOLERANCE = 1e-9  # a node stops where the envelope is this close to L
+GAP_THRESHOLD = 1e-9   # a larger replanning gap makes a report inconsistent
+
+
 class StoppingError(ValueError):
     pass
 
@@ -35,14 +39,13 @@ class StoppingFrontier:
     """Per-anchor stop regions over the lattice nodes.
 
     layers[j][i, k] marks node (j, k) as a stop node for anchor i <= j,
-    meaning the anchor's envelope sits within atol of the obstacle
-    there; layer N is always marked (terminal domination).  The first
-    marked layer along a path, at or after the anchor, realizes that
-    anchor's optimal time.
+    meaning the anchor's envelope sits within STOP_TOLERANCE of the
+    obstacle there; layer N is always marked (terminal domination).  The
+    first marked layer along a path, at or after the anchor, realizes
+    that anchor's optimal time.
     """
 
     n_steps: int
-    atol: float
     layers: tuple
 
     def stops(self, i: int, j: int, k: int) -> bool:
@@ -51,44 +54,25 @@ class StoppingFrontier:
     def rule(self, i: int) -> StoppingRule:
         return StoppingRule(start=i, flags=tuple(f[i] for f in self.layers[i:]))
 
-    def restarted_rule(self, from_anchor: int, i: int) -> StoppingRule:
-        """The from_anchor rule applied from layer i onward."""
-        if i < from_anchor:
-            raise StoppingError("restart layer precedes the rule's anchor")
-        return StoppingRule(start=i, flags=tuple(f[from_anchor] for f in self.layers[i:]))
-
     def same_rows(self, a: int, b: int) -> bool:
         """Whether anchors a and b prescribe identical flags on shared layers."""
         return all(np.array_equal(f[a], f[b]) for f in self.layers[max(a, b):])
 
 
-def _threshold(lat: Lattice, spec: InstanceSpec, rows, atol: float) -> StoppingFrontier:
-    """Stop where rows[j], one row per anchor 0..j, is within atol of L_j."""
+def _threshold(lat: Lattice, spec: InstanceSpec, rows) -> StoppingFrontier:
+    """Stop where rows[j], one row per anchor 0..j, is within STOP_TOLERANCE of L_j."""
     N = lat.n_steps
     layers = [(rows[j] - np.asarray(spec.obstacle(lat.grid.t(j), lat.x[j]), dtype=float))
-              <= atol for j in range(N)]
+              <= STOP_TOLERANCE for j in range(N)]
     layers.append(np.ones((N + 1, N + 1), dtype=bool))
-    return StoppingFrontier(n_steps=N, atol=atol, layers=tuple(layers))
+    return StoppingFrontier(n_steps=N, layers=tuple(layers))
 
 
-def extract_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec,
-                     atol: float = 1e-9) -> StoppingFrontier:
+def extract_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec) -> StoppingFrontier:
     """Stop regions from the per-anchor envelope rows of a solution."""
     if sol.ytilde is None:
         raise VolterraError("frontier extraction needs stored fields")
-    return _threshold(lat, spec, sol.ytilde.layers, atol)
-
-
-def diagonal_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec,
-                      atol: float = 1e-9) -> StoppingFrontier:
-    """Stop regions thresholded from the diagonal instead of the envelopes.
-
-    This is the wrong construction on anchor-dependent instances; it is
-    provided so tests can demonstrate that it disagrees with the
-    envelope frontier there.
-    """
-    rows = [np.broadcast_to(y, (y.size, y.size)) for y in sol.y_diag]
-    return _threshold(lat, spec, rows, atol)
+    return _threshold(lat, spec, sol.ytilde.layers)
 
 
 def _rule_values(lat: Lattice, spec: InstanceSpec, sol: Solution, lo: int, hi: int,
@@ -170,13 +154,12 @@ class ConsistencyReport:
     def max_identity_error(self) -> float:
         return max(abs(a - b) for a, b in zip(self.j_own, self.e_y))
 
-    def inconsistent(self, threshold: float = 1e-9) -> bool:
-        return self.max_gap > threshold
+    def inconsistent(self) -> bool:
+        return self.max_gap > GAP_THRESHOLD
 
 
-def inconsistency_report(lat: Lattice, spec: InstanceSpec, sol: Solution,
-                         atol: float = 1e-9) -> ConsistencyReport:
-    frontier = extract_frontier(sol, lat, spec, atol)
+def inconsistency_report(lat: Lattice, spec: InstanceSpec, sol: Solution) -> ConsistencyReport:
+    frontier = extract_frontier(sol, lat, spec)
     N = lat.n_steps
     j_own = _rule_values(lat, spec, sol, 0, N, frontier.layers)
     j_rest = _rule_values(lat, spec, sol, 0, N, [f[0] for f in frontier.layers])

@@ -13,29 +13,21 @@ from the layer-(j+1) rows of anchors 0..j:
 
 This is the paper's construction that pastes short windows together,
 with window dt and an exact inner solve.  solve runs it and stores each
-layer's (anchors x nodes) arrays once.  step_layer is everything after
-the one-step operator; the regression Monte Carlo engine (mc.solve_mc)
-calls it on its projections, so the two engines differ only in how E
-and z are made.
-
-The global Picard iteration (solve_global, built on phi_step) stays as
-the independent reference: it freezes the diagonal U, solves every
-anchor's slice under it and iterates until the diagonal and z-field stop
-moving.  It is the map whose contraction the paper's existence argument
-rests on; contraction_ratios measures that contraction.  phi_step lays
-each anchor's slice onto the same layers solve stores, so the reference
-and the sweep are compared layer by layer.
+layer's (anchors x nodes) arrays once, in BiFields.  step_layer is
+everything after the one-step operator; the regression Monte Carlo
+engine (mc.solve_mc) calls it on its projections, so the two engines
+differ only in how E and z are made.  The global Picard iteration the
+sweep is checked against lives in the reference module, snell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from rbsvie.grid import Lattice
 from rbsvie.instances import InstanceSpec
-from rbsvie.snell import BiField, SnellSlice, solve_slice
 
 # relative size of a last-bit cycle the per-node equation may end on
 SETTLE_RTOL = 1e-14
@@ -61,22 +53,44 @@ class PicardConfig:
     """Solver controls.
 
     max_iters bounds the iterations of each per-node equation in solve
-    and the passes of solve_global.  tolerance is solve_global's bound on
-    the largest entrywise change of the diagonal and z-field between
-    passes, and on the expectation norm of that change (see e_norm); the
-    sweep is exact and does not read it.  store_fields=False keeps only
-    the diagonal.
+    and the passes of the Picard reference (snell.solve_global).
+    store_fields=False makes solve keep only the diagonal.
     """
 
-    tolerance: float = 1e-10
     max_iters: int = 200
     store_fields: bool = True
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise VolterraError("tolerance must be positive")
         if self.max_iters < 1:
             raise VolterraError("max_iters must be >= 1")
+
+
+class BiField:
+    """Triangular two-time node field, stored layer by layer.
+
+    layers[j] is a (j + 1) x (j + 1) array whose row i holds anchor i's
+    values on the layer-j nodes; at(i, j) is a view into it.  Role
+    "ytilde" has layers 0..N, "z" and "kinc" layers 0..N-1 (no increment
+    or martingale coefficient is attached to the terminal layer).  The
+    layers are taken over as they are.
+    """
+
+    __slots__ = ("n_steps", "role", "layers")
+
+    def __init__(self, n_steps: int, role: str, layers: list):
+        if role not in ("ytilde", "z", "kinc"):
+            raise VolterraError(f"unknown BiField role '{role}'")
+        n_layers = n_steps + 1 if role == "ytilde" else n_steps
+        if len(layers) != n_layers:
+            raise VolterraError(f"role {role} needs {n_layers} layers, got {len(layers)}")
+        self.n_steps = n_steps
+        self.role = role
+        self.layers = layers
+
+    def at(self, i: int, j: int) -> np.ndarray:
+        if not 0 <= i <= j < len(self.layers):
+            raise VolterraError(f"index ({i}, {j}) outside role-{self.role} triangle")
+        return self.layers[j][i]
 
 
 @dataclass
@@ -91,7 +105,7 @@ class Solution:
     For mode "sweep", residual_history holds one entry, the largest last
     update of the per-node equations (0.0 when every one settled
     exactly); for mode "global" it holds the expectation-norm change per
-    pass (empty for a single phi_step pass).
+    pass (empty for a single snell.phi_step pass).
     """
 
     y_diag: list
@@ -101,17 +115,6 @@ class Solution:
     iterations: int
     residual_history: list
     mode: str = "sweep"
-
-    def slice_view(self, i: int) -> SnellSlice:
-        if self.ytilde is None:
-            raise VolterraError("fields were not stored (diagonal-only mode)")
-        n = self.ytilde.n_steps
-        return SnellSlice(
-            anchor=i,
-            ytilde=[self.ytilde.at(i, j) for j in range(i, n + 1)],
-            z=[self.z.at(i, j) for j in range(i, n)],
-            kinc=[self.kinc.at(i, j) for j in range(i, n)],
-        )
 
 
 def _driver_rows(spec: InstanceSpec, t, s: float, x, y, z, shape: tuple,
@@ -234,159 +237,3 @@ def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> 
                   BiField(N, "kinc", kinc_layers)]
     return Solution(y_diag, *fields, iterations=1, residual_history=[largest_update],
                     mode="sweep")
-
-
-def zero_diagonal(lat: Lattice) -> list:
-    return [np.zeros(j + 1) for j in range(lat.n_steps + 1)]
-
-
-def constant_diagonal(lat: Lattice, c: float) -> list:
-    return [np.full(j + 1, float(c)) for j in range(lat.n_steps + 1)]
-
-
-def phi_step(lat: Lattice, spec: InstanceSpec, U: list, anchors=None) -> Solution:
-    """One fixed-point pass: solve every requested anchor's slice under U.
-
-    Returns a Solution in the sweep's layout: anchor i's slice fills row
-    i of the ytilde, z and kinc layers j >= i, and y_diag[i] is its
-    diagonal.  Rows and diagonal entries of anchors outside anchors (all
-    anchors by default) stay zero.  Pure function of its inputs.
-    """
-    N = lat.n_steps
-    y_diag = zero_diagonal(lat)
-    ytilde = [np.zeros((j + 1, j + 1)) for j in range(N + 1)]
-    z = [np.zeros_like(a) for a in ytilde[:N]]
-    kinc = [np.zeros_like(a) for a in ytilde[:N]]
-    for i in range(N + 1) if anchors is None else anchors:
-        sl = solve_slice(lat, spec, i, U)
-        y_diag[i] = sl.diag
-        for j in range(i, N + 1):
-            ytilde[j][i] = sl.ytilde_at(j)
-        for j in range(i, N):
-            z[j][i] = sl.z_at(j)
-            kinc[j][i] = sl.kinc_at(j)
-    return Solution(y_diag, BiField(N, "ytilde", ytilde), BiField(N, "z", z),
-                    BiField(N, "kinc", kinc), iterations=1, residual_history=[],
-                    mode="global")
-
-
-def e_norm(lat: Lattice, d_diag: list, d_z: list) -> float:
-    """Expectation norm of a (diagonal, z-field) perturbation.
-
-    Squared: sum_i dt E|dY(t_i)|^2 + sum_{i<=j} dt^2 E|dZ(t_i,t_j)|^2,
-    expectations under the node distribution of the relevant layer.
-    d_diag[j] is the change on layer j's nodes and d_z[j] the change of
-    z.layers[j], one row per anchor.
-    """
-    dt = lat.grid.dt
-    total = 0.0
-    for j, dy in enumerate(d_diag):
-        total += dt * lat.layer_expect(j, np.asarray(dy) ** 2)
-    for j, dz in enumerate(d_z):
-        total += dt * dt * float(np.sum(dz ** 2 @ lat.probs[j]))
-    return float(np.sqrt(total))
-
-
-def _sup(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def solve_global(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None,
-                 init_diag: list | None = None) -> Solution:
-    """Iterate full passes until the diagonal and z-field stop moving.
-
-    Returns the last pass with its pass count and residuals.  Drivers
-    with no (y, z) dependence are solved in a single pass: the pass does
-    not read its input, so its output is already the fixed point, and
-    the recorded residual is zero.
-    """
-    cfg = cfg or PicardConfig()
-    N = lat.n_steps
-    U = [np.asarray(u, dtype=float) for u in (init_diag or zero_diagonal(lat))]
-    if len(U) != N + 1:
-        raise VolterraError(f"init_diag needs {N + 1} layers")
-    fields = {} if cfg.store_fields else dict(ytilde=None, z=None, kinc=None)
-
-    if not (spec.driver.depends_on_y or spec.driver.depends_on_z):
-        return replace(phi_step(lat, spec, U), residual_history=[0.0], **fields)
-
-    prev_z = None
-    residuals = []
-    for it in range(1, cfg.max_iters + 1):
-        sol = phi_step(lat, spec, U)
-        d_diag = [a - b for a, b in zip(sol.y_diag, U)]
-        d_z = (sol.z.layers if prev_z is None
-               else [a - b for a, b in zip(sol.z.layers, prev_z)])
-        sup_change = max(_sup(d) for d in d_diag + d_z)
-        res = e_norm(lat, d_diag, d_z)
-        residuals.append(res)
-        U = sol.y_diag
-        prev_z = sol.z.layers
-        if sup_change < cfg.tolerance and res < cfg.tolerance:
-            return replace(sol, iterations=it, residual_history=residuals, **fields)
-    raise NoConvergence(cfg.max_iters, residuals[-1] if residuals else float("inf"))
-
-
-def max_contraction_delta(c_f: float, dt: float, horizon: float) -> float:
-    """Largest grid multiple of dt with c_f (delta^2 + delta) < 1/8.
-
-    Returns the full horizon when c_f = 0.  Raises when even a single
-    step is too wide: no window on this grid is covered by the
-    contraction bound.
-    """
-    if c_f <= 0:
-        return horizon
-    bound = 1.0 / (8.0 * c_f)
-    steps = int(round(horizon / dt))
-    best = 0
-    for m in range(1, steps + 1):
-        d = m * dt
-        if d * d + d < bound:
-            best = m
-        else:
-            break
-    if best == 0:
-        raise VolterraError(
-            f"contraction bound delta^2 + delta < {bound:.4g} admits no positive "
-            f"multiple of dt = {dt:.4g}; refine the grid"
-        )
-    return best * dt
-
-
-def contraction_ratios(lat: Lattice, spec: InstanceSpec, pairs: int = 50,
-                       delta: float | None = None, seed: int = 909,
-                       scale: float = 1.0) -> list:
-    """Empirical one-pass contraction ratios on the last window.
-
-    Draws random diagonal pairs (U, U') supported on the window
-    [T - delta, T], applies one fixed-point pass to each and returns
-    the expectation-norm ratios |pass(U) - pass(U')| / |U - U'|.  The
-    pass does not read the z-field input, so the pairs differ in the
-    diagonal only; this makes the measured ratio the sharpest one.
-    """
-    N = lat.n_steps
-    dt = lat.grid.dt
-    delta = delta if delta is not None else max_contraction_delta(
-        spec.driver.lipschitz, dt, spec.horizon)
-    h = int(round(delta / dt))
-    if h < 1 or h > N:
-        raise VolterraError(f"delta = {delta} does not fit the grid")
-    first = N - h
-    anchors = range(first, N + 1)
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(pairs):
-        U1 = zero_diagonal(lat)
-        U2 = zero_diagonal(lat)
-        for j in range(first, N + 1):
-            U1[j] = rng.normal(size=j + 1) * scale
-            U2[j] = rng.normal(size=j + 1) * scale
-        den = e_norm(lat, [a - b for a, b in zip(U1, U2)], [])
-        if den == 0.0:
-            continue
-        s1 = phi_step(lat, spec, U1, anchors=anchors)
-        s2 = phi_step(lat, spec, U2, anchors=anchors)
-        num = e_norm(lat, [a - b for a, b in zip(s1.y_diag, s2.y_diag)],
-                     [a - b for a, b in zip(s1.z.layers, s2.z.layers)])
-        ratios.append(num / den)
-    return ratios

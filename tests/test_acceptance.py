@@ -15,16 +15,15 @@ import numpy as np
 import pytest
 
 from rbsvie import mc
-from rbsvie.compare import check_comparison, monotone_scheme, random_ordered_pairs
+from rbsvie.compare import check_comparison, random_ordered_pairs
 from rbsvie.grid import TimeGrid, cond_expect, martingale_coeff
 from rbsvie.instances import CATALOG_NAMES, catalog_instance
 from rbsvie.oracle import best_rule
-from rbsvie.snell import flatness_defect
+from rbsvie.snell import (constant_diagonal, contraction_ratios, flatness_defect,
+                          monotone_scheme, slice_view, solve_global, zero_diagonal)
 from rbsvie.stopping import (extract_frontier, inconsistency_report,
                              premature_increment_mass)
-from rbsvie.volterra import (PicardConfig, constant_diagonal,
-                             contraction_ratios, solve, solve_global,
-                             zero_diagonal)
+from rbsvie.volterra import PicardConfig, solve
 
 T_INDEPENDENT = ("american_put", "linear_z", "zero_driver_flat")
 
@@ -155,7 +154,7 @@ def test_criterion_04_sweep_matches_global(specs, solved100):
     tol = 1e-10
     gaps = {}
     for name, (lat, sol_g) in solved100.items():
-        sol_s = solve(lat, specs[name], PicardConfig(tolerance=tol))
+        sol_s = solve(lat, specs[name])
         gap = max(float(np.max(np.abs(a - b)))
                   for a, b in zip(sol_s.y_diag, sol_g.y_diag))
         gaps[name] = gap
@@ -175,7 +174,7 @@ def test_criterion_05_flatness_and_no_premature_reflection(specs, solved50,
             spec = specs[name]
             masses = premature_increment_mass(sol, extract_frontier(sol, lat, spec))
             for i in range(lat.grid.n_steps + 1):
-                d = flatness_defect(lat, spec, sol.slice_view(i))
+                d = flatness_defect(lat, spec, slice_view(sol, i))
                 worst_defect = max(worst_defect, abs(d))
                 assert abs(d) <= 1e-14, f"{name} anchor {i}: defect {d:.3e}"
                 mass = masses[i]
@@ -310,10 +309,9 @@ def test_criterion_10_fixed_point_independent_of_start(specs):
     worst = 0.0
     for name, spec in specs.items():
         lat = spec.lattice(50)
-        a = solve_global(lat, spec, PicardConfig(tolerance=tol),
-                         init_diag=zero_diagonal(lat))
-        b = solve_global(lat, spec, PicardConfig(tolerance=tol),
-                         init_diag=constant_diagonal(lat, 5.0))
+        a = solve_global(lat, spec, init_diag=zero_diagonal(lat), tolerance=tol)
+        b = solve_global(lat, spec, init_diag=constant_diagonal(lat, 5.0),
+                         tolerance=tol)
         gap = max(float(np.max(np.abs(x - y)))
                   for x, y in zip(a.y_diag, b.y_diag))
         worst = max(worst, gap)

@@ -287,6 +287,19 @@ def test_compare_rejects_reversed_pair(tmp_path, capsys):
     assert "pair rejected" in capsys.readouterr().err
 
 
+def test_compare_rejects_obstacle_only_pair_on_anchor_coupled_driver(tmp_path, capsys):
+    # this pair would solve to max(Y_lo - Y_hi) > 0: the gate refuses it
+    # before anything is written
+    out = tmp_path / "out"
+    lo = _cfg(tmp_path, "[instance]\nname = hyperbolic_discount\nobstacle_gap = 0.2\n\n"
+                        "[grid]\nN = 50\n", name="lo.ini")
+    hi = _cfg(tmp_path, "[instance]\nname = hyperbolic_discount\nobstacle_gap = 0.1\n\n"
+                        "[grid]\nN = 50\n", name="hi.ini")
+    assert _run("compare", "--config", lo, "--config", hi, "--out", str(out)) == cli.EXIT_CONFIG
+    assert "pair rejected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_needs_two_configs(tmp_path, capsys):
     cfg = _cfg(tmp_path, "[instance]\nname = american_put\n")
     assert _run("compare", "--config", cfg) == cli.EXIT_CONFIG

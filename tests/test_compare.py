@@ -8,10 +8,7 @@ from rbsvie.compare import (
     ComparisonReport,
     OrderedPair,
     check_comparison,
-    monotone_scheme,
     random_ordered_pairs,
-    theta_norm,
-    theta_threshold,
 )
 from rbsvie.instances import (
     catalog_instance,
@@ -19,7 +16,7 @@ from rbsvie.instances import (
     shift_obstacle,
     shift_terminal,
 )
-from rbsvie.volterra import PicardConfig
+from rbsvie.snell import monotone_scheme, solve_global, theta_norm, theta_threshold
 
 NAMES = ("american_put", "hyperbolic_discount", "linear_z",
          "custom_affine", "zero_driver_flat")
@@ -41,7 +38,7 @@ def test_strike_ordered_puts():
     lat = lo.lattice(40)
     pair = OrderedPair.build(lo, hi, lat)
     assert set(pair.witnesses) == {"terminal", "obstacle"}
-    rep = check_comparison(lat, pair, PicardConfig(tolerance=1e-11))
+    rep = check_comparison(lat, pair)
     assert rep.ordered
     assert rep.max_diff <= 1e-9
 
@@ -53,7 +50,7 @@ def test_driver_shift_family_ordered():
     lat = base.lattice(40)
     pair = OrderedPair.build(base, shift_driver(base, 0.1), lat)
     assert pair.witnesses == ("driver",)
-    rep = check_comparison(lat, pair, PicardConfig(tolerance=1e-11))
+    rep = check_comparison(lat, pair)
     assert rep.ordered
 
 
@@ -62,7 +59,7 @@ def test_z_only_driver_needs_no_hypothesis():
     assert not base.driver.depends_on_y
     lat = base.lattice(30)
     pair = OrderedPair.build(base, shift_driver(base, 0.2), lat)
-    rep = check_comparison(lat, pair, PicardConfig(tolerance=1e-11))
+    rep = check_comparison(lat, pair)
     assert rep.ordered
 
 
@@ -107,21 +104,30 @@ def test_hypothesis_gate_blocks_unrelated_decreasing_drivers():
 def test_obstacle_shift_alone_can_reverse_order():
     # the monotonicity hypothesis is not decorative: with a y-decreasing
     # driver, lowering only the obstacle lowers the diagonal, raises the
-    # driver term at other anchors, and pushes the lo solution above hi
+    # driver term at other anchors, and pushes the lo solution above hi;
+    # the pair is built past the gate, which rejects it
     base = catalog_instance("hyperbolic_discount")
     lat = base.lattice(20)
-    pair = OrderedPair.build(shift_obstacle(base, -0.3), base, lat)
-    rep = check_comparison(lat, pair, PicardConfig(tolerance=1e-11))
+    pair = OrderedPair(lo=shift_obstacle(base, -0.3), hi=base, witnesses=("obstacle",))
+    rep = check_comparison(lat, pair)
     assert not rep.ordered
     assert rep.max_diff > 1e-6
     assert rep.witness is not None
     assert rep.driver_ordering_ok  # the data are ordered; the solutions are not
 
 
+def test_hypothesis_gate_blocks_obstacle_only_pair_on_anchor_coupled_driver():
+    # the pair the reversal test builds past the gate; the anchor-free
+    # strike pairs of test_strike_ordered_puts still pass it
+    base = catalog_instance("hyperbolic_discount")
+    with pytest.raises(CompareError, match="hypothesis"):
+        OrderedPair.build(shift_obstacle(base, -0.3), base, base.lattice(20))
+
+
 def test_randomized_pairs_all_ordered():
     lat_by = {n: catalog_instance(n).lattice(20) for n in NAMES}
     for name, pair in random_ordered_pairs(NAMES, lat_by, 25, seed=11):
-        rep = check_comparison(lat_by[name], pair, PicardConfig(tolerance=1e-11))
+        rep = check_comparison(lat_by[name], pair)
         assert rep.max_diff <= 1e-9, (name, pair.witnesses, rep.max_diff)
 
 
@@ -130,7 +136,7 @@ def test_obstacle_downshift_keeps_lo_below():
     lat = base.lattice(30)
     pair = OrderedPair.build(shift_obstacle(base, -0.25), base, lat)
     assert pair.witnesses == ("obstacle",)
-    rep = check_comparison(lat, pair, PicardConfig(tolerance=1e-11))
+    rep = check_comparison(lat, pair)
     assert rep.ordered
 
 
@@ -138,19 +144,18 @@ def test_terminal_upshift_raises_hi():
     base = catalog_instance("linear_z")
     lat = base.lattice(30)
     pair = OrderedPair.build(base, shift_terminal(base, 0.3), lat)
-    rep = check_comparison(lat, pair, PicardConfig(tolerance=1e-11))
+    rep = check_comparison(lat, pair)
     assert rep.ordered
     # the raised terminal must strictly raise the solution somewhere
-    from rbsvie.volterra import solve_global
-    a = solve_global(lat, base, PicardConfig(tolerance=1e-11))
-    b = solve_global(lat, shift_terminal(base, 0.3), PicardConfig(tolerance=1e-11))
+    a = solve_global(lat, base, tolerance=1e-11)
+    b = solve_global(lat, shift_terminal(base, 0.3), tolerance=1e-11)
     assert max(float(np.max(b.y_diag[i] - a.y_diag[i])) for i in range(31)) > 0.1
 
 
 def test_monotone_scheme_decreases_and_contracts():
     spec = catalog_instance("linear_z")
     lat = spec.lattice(40)
-    rep = monotone_scheme(lat, spec, 8, PicardConfig(tolerance=1e-12))
+    rep = monotone_scheme(lat, spec, 8)
     assert rep.monotone_ok
     assert rep.max_monotonicity_violation <= 1e-9
     assert len(rep.increments) == 7
@@ -183,8 +188,6 @@ def test_monotone_scheme_preconditions():
     spec = catalog_instance("linear_z")
     with pytest.raises(CompareError, match="n_max"):
         monotone_scheme(spec.lattice(10), spec, 0)
-    with pytest.raises(CompareError, match="dom_shift"):
-        monotone_scheme(spec.lattice(10), spec, 3, dom_shift=0.0)
 
 
 def test_theta_norm_zero_for_identical_fields():

@@ -12,15 +12,15 @@ from rbsvie.oracle import (
     enumerate_rules,
     interior_node_count,
     payoff_of_rule,
-    reachable,
 )
-from rbsvie.volterra import PicardConfig, solve_global
+from rbsvie.snell import solve_global
+from rbsvie.volterra import PicardConfig
 
 
 def _solved(name, N, tol=1e-13):
     spec = catalog_instance(name)
     lat = spec.lattice(N)
-    sol = solve_global(lat, spec, PicardConfig(tolerance=tol, max_iters=200))
+    sol = solve_global(lat, spec, PicardConfig(max_iters=200), tolerance=tol)
     return spec, lat, sol
 
 
@@ -108,7 +108,7 @@ def test_dominant_obstacle_stops_immediately():
     # obstacle far above any continuation: the winning rule stops at the root
     spec = catalog_instance("american_put", {"strike": 5.0})
     lat = spec.lattice(2)
-    sol = solve_global(lat, spec, PicardConfig(tolerance=1e-13))
+    sol = solve_global(lat, spec, tolerance=1e-13)
     rule, v = best_rule(lat, spec, 0, 0, sol.y_diag, _zrow(sol, 0, 2))
     assert rule.stops(0, 0)
     assert abs(v - float(spec.obstacle(0.0, lat.x[0][0]))) < 1e-12
@@ -117,10 +117,10 @@ def test_dominant_obstacle_stops_immediately():
 def test_floor_never_binds_keeps_reachable_nodes_unstopped():
     spec, lat, sol = _solved("zero_driver_flat", 3)
     rule, v = best_rule(lat, spec, 0, 0, sol.y_diag, _zrow(sol, 0, 3))
+    # every node of the lattice lies in the root's subtree
     for j in range(3):
         for k in range(j + 1):
-            if reachable(0, 0, j, k):
-                assert not rule.stops(j, k)
+            assert not rule.stops(j, k)
     assert abs(v - sol.y_diag[0][0]) < 1e-12
 
 
@@ -139,6 +139,6 @@ def test_start_layer_validated():
 def test_equivalence_random_put_parameters(strike, rate):
     spec = catalog_instance("american_put", {"strike": strike, "rate": rate})
     lat = spec.lattice(2)
-    sol = solve_global(lat, spec, PicardConfig(tolerance=1e-13, max_iters=300))
+    sol = solve_global(lat, spec, PicardConfig(max_iters=300), tolerance=1e-13)
     _, v = best_rule(lat, spec, 0, 0, sol.y_diag, _zrow(sol, 0, 2))
     assert abs(v - sol.y_diag[0][0]) < 1e-10

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,6 @@ from rbsvie.instances import (
     shift_obstacle,
 )
 from rbsvie.snell import (
-    BiField,
     NonFiniteValue,
     SnellError,
     flatness_defect,
@@ -20,6 +23,7 @@ from rbsvie.snell import (
     snell_by_policy_envelope,
     solve_slice,
 )
+from rbsvie.volterra import BiField, VolterraError
 
 
 def zero_diag(n):
@@ -33,17 +37,17 @@ def _layers(n_layers):
 def test_bifield_shapes_and_roles():
     f = BiField(3, "ytilde", _layers(4))
     assert f.at(1, 2).shape == (3,)
-    with pytest.raises(SnellError):
+    with pytest.raises(VolterraError):
         f.at(1, 0)
-    with pytest.raises(SnellError):
+    with pytest.raises(VolterraError):
         f.at(2, 4)  # past the terminal layer
     z = BiField(3, "z", _layers(3))
     assert z.at(2, 2).shape == (3,)
-    with pytest.raises(SnellError):
+    with pytest.raises(VolterraError):
         z.at(2, 3)  # no martingale coefficient on the terminal layer
-    with pytest.raises(SnellError):
+    with pytest.raises(VolterraError):
         BiField(3, "z", _layers(4))
-    with pytest.raises(SnellError):
+    with pytest.raises(VolterraError):
         BiField(3, "other", _layers(3))
 
 
@@ -255,3 +259,18 @@ def test_path_sum_moments_against_brute_force():
         tot2 += s * s / 16.0
     assert m1 == pytest.approx(tot1, abs=1e-12)
     assert m2 == pytest.approx(tot2, abs=1e-12)
+
+
+def test_production_modules_never_import_the_reference():
+    # snell holds the reference solvers only; a fresh interpreter that
+    # loads the command line, the MC engine and the comparison checks
+    # must not load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, rbsvie.cli, rbsvie.mc, rbsvie.compare; "
+            "assert 'rbsvie.snell' not in sys.modules, sorted(sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr

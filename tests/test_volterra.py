@@ -12,25 +12,25 @@ from rbsvie.instances import (
     ObstacleSpec,
     catalog_instance,
 )
-from rbsvie.snell import snell_by_policy_envelope, solve_slice
-from rbsvie.volterra import (
-    NoConvergence,
-    PicardConfig,
-    VolterraError,
+from rbsvie.snell import (
     constant_diagonal,
     contraction_ratios,
     e_norm,
     max_contraction_delta,
     phi_step,
-    solve,
+    slice_view,
+    snell_by_policy_envelope,
     solve_global,
+    solve_slice,
     zero_diagonal,
 )
+from rbsvie.volterra import NoConvergence, PicardConfig, VolterraError, solve
 
 
 def test_config_validation():
+    spec = catalog_instance("american_put")
     with pytest.raises(VolterraError):
-        PicardConfig(tolerance=0.0)
+        solve_global(spec.lattice(2), spec, tolerance=0.0)
     with pytest.raises(VolterraError):
         PicardConfig(max_iters=0)
 
@@ -52,7 +52,7 @@ def test_put_diagonal_matches_discounted_tree():
     # discounting, written independently of the solver internals
     spec = catalog_instance("american_put")
     lat = spec.lattice(50)
-    sol = solve_global(lat, spec, PicardConfig(tolerance=1e-12, max_iters=100))
+    sol = solve_global(lat, spec, PicardConfig(max_iters=100), tolerance=1e-12)
 
     r, strike = 0.05, 1.0
     dt = lat.grid.dt
@@ -69,7 +69,7 @@ def test_put_diagonal_matches_discounted_tree():
 def test_residuals_decay_geometrically():
     spec = catalog_instance("hyperbolic_discount")
     lat = spec.lattice(50)
-    sol = solve_global(lat, spec, PicardConfig(tolerance=1e-12, max_iters=100))
+    sol = solve_global(lat, spec, PicardConfig(max_iters=100), tolerance=1e-12)
     res = sol.residual_history
     assert len(res) == sol.iterations
     for a, b in zip(res[1:-1], res[2:]):
@@ -79,7 +79,7 @@ def test_residuals_decay_geometrically():
 def test_fixed_point_is_stationary():
     spec = catalog_instance("linear_z")
     lat = spec.lattice(30)
-    sol = solve_global(lat, spec, PicardConfig(tolerance=1e-12))
+    sol = solve_global(lat, spec, tolerance=1e-12)
     diag = phi_step(lat, spec, sol.y_diag).y_diag
     move = max(float(np.max(np.abs(diag[i] - sol.y_diag[i]))) for i in range(31))
     assert move < 1e-11
@@ -88,9 +88,8 @@ def test_fixed_point_is_stationary():
 def test_fixed_point_unique_across_inits():
     spec = catalog_instance("custom_affine")
     lat = spec.lattice(30)
-    cfg = PicardConfig(tolerance=1e-12)
-    a = solve_global(lat, spec, cfg, init_diag=zero_diagonal(lat))
-    b = solve_global(lat, spec, cfg, init_diag=constant_diagonal(lat, 5.0))
+    a = solve_global(lat, spec, init_diag=zero_diagonal(lat), tolerance=1e-12)
+    b = solve_global(lat, spec, init_diag=constant_diagonal(lat, 5.0), tolerance=1e-12)
     gap = max(float(np.max(np.abs(a.y_diag[i] - b.y_diag[i]))) for i in range(31))
     assert gap < 1e-10
 
@@ -99,7 +98,7 @@ def test_no_convergence_raises_with_context():
     spec = catalog_instance("american_put")
     lat = spec.lattice(20)
     with pytest.raises(NoConvergence) as exc:
-        solve_global(lat, spec, PicardConfig(tolerance=1e-14, max_iters=2))
+        solve_global(lat, spec, PicardConfig(max_iters=2), tolerance=1e-14)
     assert exc.value.iterations == 2
     assert exc.value.last_residual > 0
 
@@ -115,8 +114,8 @@ def test_windowed_default_delta_respects_bound():
     # one more step would break the bound
     d2 = d + lat.grid.dt
     assert 8.0 * cf * (d2 * d2 + d2) >= 1.0
-    w = solve(lat, spec, PicardConfig(tolerance=1e-11))
-    g = solve_global(lat, spec, PicardConfig(tolerance=1e-11))
+    w = solve(lat, spec)
+    g = solve_global(lat, spec, tolerance=1e-11)
     gap = max(float(np.max(np.abs(g.y_diag[i] - w.y_diag[i]))) for i in range(51))
     assert gap < 2e-11
 
@@ -140,10 +139,10 @@ def test_contraction_ratios_below_one():
 def test_slice_view_matches_direct_solve():
     spec = catalog_instance("american_put")
     lat = spec.lattice(25)
-    sol = solve_global(lat, spec, PicardConfig(tolerance=1e-12))
+    sol = solve_global(lat, spec, tolerance=1e-12)
     for i in (0, 7, 24):
         direct = solve_slice(lat, spec, i, sol.y_diag)
-        view = sol.slice_view(i)
+        view = slice_view(sol, i)
         for a, b in zip(direct.ytilde, view.ytilde):
             assert np.allclose(a, b, atol=1e-11)
         for a, b in zip(direct.z, view.z):
@@ -182,15 +181,6 @@ def test_phi_step_layers_equal_slices(n):
                     assert np.array_equal(got[j][i], want), (name, f, i, j)
 
 
-def test_diagonal_only_mode_drops_fields():
-    spec = catalog_instance("american_put")
-    lat = spec.lattice(20)
-    sol = solve_global(lat, spec, PicardConfig(tolerance=1e-10, store_fields=False))
-    assert sol.ytilde is None and sol.z is None and sol.kinc is None
-    with pytest.raises(VolterraError):
-        sol.slice_view(0)
-
-
 def test_e_norm_scales_with_dt():
     # a constant unit diagonal perturbation has squared norm sum_i dt = T + dt
     spec = catalog_instance("zero_driver_flat")
@@ -206,7 +196,7 @@ def test_sweep_matches_global_with_coupling():
     for name in ("american_put", "linear_z", "hyperbolic_discount"):
         spec = catalog_instance(name)
         lat = spec.lattice(48)
-        g = solve_global(lat, spec, PicardConfig(tolerance=tol, max_iters=200))
+        g = solve_global(lat, spec, PicardConfig(max_iters=200), tolerance=tol)
         s = solve(lat, spec)
         gap = max(float(np.max(np.abs(g.y_diag[i] - s.y_diag[i]))) for i in range(49))
         assert gap < 2 * tol, name
