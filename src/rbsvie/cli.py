@@ -19,6 +19,7 @@ import argparse
 import configparser
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -187,9 +188,19 @@ def _build(cfg: RunConfig, max_n=None):
         raise ConfigError(f"--max-n must be >= 1, got {max_n}")
     spec = catalog_instance(cfg.instance_name, dict(cfg.instance_params))
     n = cfg.n_steps if max_n is None else min(cfg.n_steps, max_n)
-    grid = TimeGrid(spec.horizon, n)
-    lat = build_lattice(grid, spec.x0, spec.dynamics)
-    return spec, grid, lat
+    return spec, TimeGrid(spec.horizon, n)
+
+
+def _lattice(spec, grid: TimeGrid, solutions: int):
+    """The lattice, once the stored fields of that many solutions fit in memory:
+    ytilde on layers 0..N, z and kinc on 0..N-1, layer j (j + 1)^2 floats."""
+    n = grid.n_steps
+    need = solutions * 8 * ((n + 1) ** 2 + 3 * sum(m * m for m in range(1, n + 1)))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"the stored fields at N={n} need {need} bytes, more than "
+                          f"the {have} bytes of physical memory")
+    return build_lattice(grid, spec.x0, spec.dynamics)
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -205,24 +216,17 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    # repr keeps full float precision so files round-trip exactly
+    # the csv module writes floats with repr: full precision, exact round trip
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def _frontier_summary(rows) -> dict:
-    return {
-        "n_rows": len(rows),
-        "rows": [[float(v) for v in row] for row in rows],
-    }
+        writer.writerows(rows)
 
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config[0])
-    spec, grid, lat = _build(cfg, args.max_n)
+    spec, grid = _build(cfg, args.max_n)
+    lat = _lattice(spec, grid, 1) if args.engine == "lattice" else None
     out = _out_dir(args, cfg)
 
     if args.engine == "lattice":
@@ -230,18 +234,7 @@ def cmd_solve(args) -> int:
         frontier = extract_frontier(sol, lat, spec)
         f_rows = frontier_rows(frontier, lat)
         y_diag = [row.tolist() for row in sol.y_diag]
-        payload = {
-            "engine": "lattice",
-            "instance": spec.label,
-            "n_steps": grid.n_steps,
-            "horizon": grid.horizon,
-            "mode": sol.mode,
-            "iterations": sol.iterations,
-            "residual_history": [float(r) for r in sol.residual_history],
-            "y_diag": y_diag,
-            "y0": y_diag[0][0],
-            "frontier": _frontier_summary(f_rows),
-        }
+        payload = {"y_diag": y_diag, "y0": y_diag[0][0]}
         y_rows = [(grid.t(i), k, x, y) for i, ys in enumerate(y_diag)
                   for k, (x, y) in enumerate(zip(lat.x[i].tolist(), ys))]
     else:
@@ -250,42 +243,43 @@ def cmd_solve(args) -> int:
         sol = mc.solve_mc(bundle, spec, basis, PicardConfig(max_iters=cfg.max_iters))
         f_rows = [(0.0, t_j, lo, hi) for t_j, lo, hi in sol.frontier_rows]
         payload = {
-            "engine": "mc",
-            "instance": spec.label,
-            "n_steps": grid.n_steps,
-            "horizon": grid.horizon,
-            "iterations": sol.iterations,
-            "residual_history": [float(r) for r in sol.residual_history],
             "y_diag": [float(v) for v in sol.e_y_diag],
             "y0": sol.y0,
             "y0_se": sol.y0_se,
             "floor_margin": sol.floor_margin,
             "metadata": sol.metadata,
-            "frontier": _frontier_summary(f_rows),
         }
         # mc rows estimate the mean diagonal: no lattice node applies
-        y_rows = [(grid.t(i), "", "", float(sol.e_y_diag[i]))
-                  for i in range(grid.n_steps + 1)]
+        y_rows = [(grid.t(i), "", "", y) for i, y in enumerate(sol.e_y_diag)]
 
+    payload.update({
+        "engine": args.engine,
+        "instance": spec.label,
+        "n_steps": grid.n_steps,
+        "horizon": grid.horizon,
+        "residual_history": [float(r) for r in sol.residual_history],
+        "frontier": {"n_rows": len(f_rows)},
+    })
     _write_json(out / "solution.json", payload)
     _write_csv(out / "y_diag.csv", ("anchor_time", "node_index", "state", "y"), y_rows)
     _write_csv(out / "frontier.csv",
                ("anchor_time", "time", "critical_state_low", "critical_state_high"),
                f_rows)
     print(f"solved {spec.label} (engine={args.engine}, N={grid.n_steps}): "
-          f"y0={payload['y0']:.10g}, {sol.iterations} iteration(s); wrote {out}")
+          f"y0={payload['y0']:.10g}; wrote {out}")
     return EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
     cfg = load_config(args.config[0])
-    spec, grid, lat = _build(cfg, args.max_n)
+    spec, grid = _build(cfg, args.max_n)
     n = grid.n_steps
     worst = interior_node_count(n, 0)
     if worst > MAX_RULE_NODES:
         raise ConfigError(
             f"oracle-check needs at most {MAX_RULE_NODES} interior nodes; "
             f"N={n} has {worst} (use N <= 5 or --max-n)")
+    lat = _lattice(spec, grid, 1)
     out = _out_dir(args, cfg)
 
     sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
@@ -327,8 +321,9 @@ def cmd_compare(args) -> int:
     cfg_hi = load_config(args.config[1])
     if cfg_lo.n_steps != cfg_hi.n_steps:
         raise ConfigError("compare needs both configs on the same grid.N")
-    spec_lo, grid, lat = _build(cfg_lo, args.max_n)
-    spec_hi, _, _ = _build(cfg_hi, args.max_n)
+    spec_lo, grid = _build(cfg_lo, args.max_n)
+    spec_hi, _ = _build(cfg_hi, args.max_n)
+    lat = _lattice(spec_lo, grid, 2)
     try:
         pair = OrderedPair.build(spec_lo, spec_hi, lat)
     except CompareError as exc:
@@ -361,7 +356,8 @@ def cmd_compare(args) -> int:
 
 def cmd_stop(args) -> int:
     cfg = load_config(args.config[0])
-    spec, grid, lat = _build(cfg, args.max_n)
+    spec, grid = _build(cfg, args.max_n)
+    lat = _lattice(spec, grid, 1)
     out = _out_dir(args, cfg)
 
     sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
@@ -399,7 +395,7 @@ def cmd_stop(args) -> int:
 
 def cmd_verify_assumptions(args) -> int:
     cfg = load_config(args.config[0])
-    spec, grid, _ = _build(cfg, args.max_n)
+    spec, grid = _build(cfg, args.max_n)
     out = _out_dir(args, cfg)
 
     rep = verify_assumptions(spec, n_steps=grid.n_steps)

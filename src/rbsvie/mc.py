@@ -26,7 +26,7 @@ from rbsvie.grid import TimeGrid
 from rbsvie.instances import InstanceSpec
 from rbsvie.stopping import STOP_TOLERANCE
 from rbsvie.volterra import (NoConvergence, PicardConfig, VolterraError,
-                             check_finite, step_layer, step_rows)
+                             check_finite, step_layer, step_rows, terminal_rows)
 
 BLOCK_SIZE = 65536
 # paths per block of the bootstrap's weighted sums; a block stays in cache
@@ -230,9 +230,9 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
              cfg: PicardConfig | None = None, n_bootstrap: int = 48) -> MCSolution:
     """One backward pass over the layers (see the module docstring).
 
-    cfg.max_iters bounds each per-path equation; the tolerance is not
-    read.  A non-finite row raises MCError, an equation that does not
-    settle NoConvergence; both name the anchor and layer.
+    cfg.max_iters bounds each per-path equation.  A non-finite row raises
+    MCError, an equation that does not settle NoConvergence; both name
+    the anchor and layer.
     """
     cfg = cfg or PicardConfig()
     grid = bundle.grid
@@ -241,14 +241,11 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
     dt = grid.dt
     if n < 2 * basis.dim:
         raise MCError(f"need n_paths >= {2 * basis.dim} for a {basis.dim}-column basis")
-    anchor_t = (np.arange(N + 1) * dt)[:, None]  # bitwise equal to grid.t(i)
 
     # vals[i] is anchor i's value row on the current layer and zrows[i] its
     # martingale coefficient; projection and step overwrite them in place
     x_N = bundle.x[N]
-    vals = np.empty((N + 1, n))
-    for i in range(N + 1):
-        vals[i] = spec.terminal(grid.t(i), x_N)
+    anchor_t, vals = terminal_rows(spec, grid, x_N, range(N + 1))
     zrows = np.empty_like(vals)
     wts = _bootstrap_weights(bundle, n_bootstrap)
     reps = np.empty((n_bootstrap, n))

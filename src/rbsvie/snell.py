@@ -258,8 +258,7 @@ def phi_step(lat: Lattice, spec: InstanceSpec, U: list, anchors=None) -> Solutio
             z[j][i] = sl.z_at(j)
             kinc[j][i] = sl.kinc_at(j)
     return Solution(y_diag, BiField(N, "ytilde", ytilde), BiField(N, "z", z),
-                    BiField(N, "kinc", kinc), iterations=1, residual_history=[],
-                    mode="global")
+                    BiField(N, "kinc", kinc), iterations=1, residual_history=[])
 
 
 def e_norm(lat: Lattice, d_diag: list, d_z: list) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from rbsvie.grid import Lattice
 from rbsvie.instances import InstanceSpec
 from rbsvie.oracle import StoppingRule
-from rbsvie.volterra import Solution, VolterraError, _driver_rows
+from rbsvie.volterra import Solution, VolterraError, _driver_rows, terminal_rows
 
 
 STOP_TOLERANCE = 1e-9  # a node stops where the envelope is this close to L
@@ -91,10 +91,7 @@ def _rule_values(lat: Lattice, spec: InstanceSpec, sol: Solution, lo: int, hi: i
     N = lat.n_steps
     grid = lat.grid
     dt = grid.dt
-    anchor_t = (np.arange(N + 1) * dt)[:, None]  # bitwise equal to grid.t(i)
-    vals = np.empty((hi - lo + 1, N + 1))
-    for i in range(lo, hi + 1):
-        vals[i - lo] = spec.terminal(grid.t(i), lat.x[N])
+    anchor_t, vals = terminal_rows(spec, grid, lat.x[N], range(lo, hi + 1))
     out = np.empty(hi - lo + 1)
     if hi == N:
         out[-1] = lat.layer_expect(N, vals[-1])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rbsvie.grid import Lattice
+from rbsvie.grid import Lattice, TimeGrid
 from rbsvie.instances import InstanceSpec
 
 # relative size of a last-bit cycle the per-node equation may end on
@@ -102,10 +102,10 @@ class Solution:
     and reflection increments (None in diagonal-only mode); the
     reflection term is stored as per-step increments, so the cumulative
     K(t_i, t_j) along a path is the sum of kinc over the visited nodes.
-    For mode "sweep", residual_history holds one entry, the largest last
+    For the sweep, residual_history holds one entry, the largest last
     update of the per-node equations (0.0 when every one settled
-    exactly); for mode "global" it holds the expectation-norm change per
-    pass (empty for a single snell.phi_step pass).
+    exactly); for the Picard reference it holds the expectation-norm
+    change per pass (empty for a single snell.phi_step pass).
     """
 
     y_diag: list
@@ -114,7 +114,6 @@ class Solution:
     kinc: BiField | None
     iterations: int
     residual_history: list
-    mode: str = "sweep"
 
 
 def _driver_rows(spec: InstanceSpec, t, s: float, x, y, z, shape: tuple,
@@ -166,6 +165,16 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
     raise NoConvergence(max_iters, last, where=f"anchor {j}, layer {j}")
 
 
+def terminal_rows(spec: InstanceSpec, grid: TimeGrid, x_N, anchors: range) -> tuple:
+    """(anchor_t, rows): the column of anchor times t_0..t_N, bitwise equal
+    to grid.t(i), and the terminal rows of the given anchors on x_N."""
+    anchor_t = (np.arange(grid.n_steps + 1) * grid.dt)[:, None]
+    rows = np.empty((len(anchors), len(x_N)))
+    for r, i in enumerate(anchors):
+        rows[r] = spec.terminal(grid.t(i), x_N)
+    return anchor_t, rows
+
+
 def step_rows(spec: InstanceSpec, t, s: float, x, v, e: np.ndarray, z: np.ndarray,
               barrier, dt: float, j: int, kinc: bool = False) -> tuple:
     """max(e + f(t, s, x, v, z) dt, L) row by row, written over e.
@@ -204,11 +213,7 @@ def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> 
     grid = lat.grid
     N = lat.n_steps
     dt = grid.dt
-    anchor_t = (np.arange(N + 1) * dt)[:, None]  # bitwise equal to grid.t(i)
-
-    rows = np.empty((N + 1, N + 1))
-    for i in range(N + 1):
-        rows[i] = spec.terminal(grid.t(i), lat.x[N])
+    anchor_t, rows = terminal_rows(spec, grid, lat.x[N], range(N + 1))
     check_finite(rows, N)
     y_diag = [None] * (N + 1)
     y_diag[N] = rows[N].copy()
@@ -235,5 +240,4 @@ def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> 
     if cfg.store_fields:
         fields = [BiField(N, "ytilde", ytilde_layers), BiField(N, "z", z_layers),
                   BiField(N, "kinc", kinc_layers)]
-    return Solution(y_diag, *fields, iterations=1, residual_history=[largest_update],
-                    mode="sweep")
+    return Solution(y_diag, *fields, iterations=1, residual_history=[largest_update])

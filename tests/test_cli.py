@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from rbsvie import cli
+from rbsvie import cli, instances
 from rbsvie.grid import TimeGrid, build_lattice
 from rbsvie.instances import catalog_instance
 from rbsvie.snell import flatness_defect, solve_slice
+from rbsvie.stopping import extract_frontier, frontier_rows
+from rbsvie.volterra import solve
 
 
 def _cfg(tmp_path, body, name="run.ini"):
@@ -37,7 +39,6 @@ dir = {out}
     sol = json.loads((out / "solution.json").read_text())
     assert sol["engine"] == "lattice"
     assert sol["n_steps"] == 12
-    assert sol["iterations"] >= 1
     assert len(sol["y_diag"]) == 13
     assert len(sol["y_diag"][5]) == 6
     assert sol["y0"] == sol["y_diag"][0][0]
@@ -90,6 +91,13 @@ dir = {out}
         i = round(float(row["anchor_time"]) / (1.0 / 9))
         k = int(row["node_index"])
         assert float(row["y"]) == sol["y_diag"][i][k]
+    # every float field is the repr of the in-memory value
+    spec = catalog_instance("american_put")
+    lat = spec.lattice(9)
+    mem = solve(lat, spec)
+    want = [[repr(lat.grid.t(i)), str(k), repr(float(lat.x[i][k])),
+             repr(float(mem.y_diag[i][k]))] for i in range(10) for k in range(i + 1)]
+    assert [list(row.values()) for row in rows] == want
 
 
 def test_frontier_csv_matches_summary(tmp_path):
@@ -106,8 +114,11 @@ dir = {out}
     assert _run("solve", "--config", cfg) == cli.EXIT_OK
     sol = json.loads((out / "solution.json").read_text())
     with open(out / "frontier.csv") as fh:
-        rows = [[float(v) for v in row.values()] for row in csv.DictReader(fh)]
-    assert rows == sol["frontier"]["rows"]
+        rows = [list(row.values()) for row in csv.DictReader(fh)]
+    spec = catalog_instance("american_put")
+    lat = spec.lattice(10)
+    want = frontier_rows(extract_frontier(solve(lat, spec), lat, spec), lat)
+    assert rows == [[repr(v) for v in row] for row in want]
     assert len(rows) == sol["frontier"]["n_rows"]
 
 
@@ -400,8 +411,6 @@ mode = {mode}
     assert (outs["windowed"] / "y_diag.csv").read_bytes() == \
         (outs["global"] / "y_diag.csv").read_bytes()
     sol = json.loads((outs["windowed"] / "solution.json").read_text())
-    assert sol["mode"] == "sweep"
-    assert sol["iterations"] == 1
     assert len(sol["residual_history"]) == 1 and sol["residual_history"][0] <= 1e-14
 
 
@@ -430,6 +439,49 @@ def test_infeasible_request_exits_one_without_artifacts(tmp_path, body, flags, c
     assert _run("solve", "--config", cfg, "--out", str(out), *flags) == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "stop", "compare"])
+def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command, capsys,
+                                                              monkeypatch):
+    # N = 100000 stores about 2.7e16 bytes of fields per solution:
+    # refused before the lattice is built or --out is made
+    def no_lattice(*args):
+        raise AssertionError("lattice built")
+    monkeypatch.setattr(cli, "build_lattice", no_lattice)
+    out = tmp_path / "out"
+    n = 100000
+    cfg = _cfg(tmp_path, f"[instance]\nname = american_put\n\n[grid]\nN = {n}\n")
+    solutions = 2 if command == "compare" else 1
+    assert _run(command, *("--config", cfg) * solutions, "--out", str(out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+
+    def squares(m):
+        return m * (m + 1) * (2 * m + 1) // 6
+    need = solutions * 8 * (squares(n + 1) + 2 * squares(n))
+    assert "config error:" in err and f"need {need} bytes" in err
+    assert "bytes of physical memory" in err
+    assert not out.exists()
+
+
+def test_lattice_built_only_where_read(tmp_path, monkeypatch):
+    built = []
+
+    def counting(grid, x0, dyn):
+        built.append(grid.n_steps)
+        return build_lattice(grid, x0, dyn)
+    monkeypatch.setattr(cli, "build_lattice", counting)
+    monkeypatch.setattr(instances, "build_lattice", counting)
+    lo = _cfg(tmp_path, "[instance]\nname = american_put\nstrike = 0.9\n\n[grid]\nN = 6\n",
+              name="lo.ini")
+    hi = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 6\n\n"
+                        "[mc]\nn_paths = 2000\n", name="hi.ini")
+    runs = [("compare", "--config", lo, "--config", hi), ("verify-assumptions", "--config", hi),
+            ("solve", "--config", hi, "--engine", "mc")]
+    for argv in runs:
+        built.clear()
+        assert _run(*argv, "--out", str(tmp_path / argv[0])) == cli.EXIT_OK
+        assert built == ([] if argv[-1] == "mc" else [6]), argv[0]
 
 
 @pytest.mark.parametrize("params, message", [

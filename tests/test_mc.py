@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,19 @@ def test_sweep_matches_picard_reference_over_paths(name):
     assert sol.y0 == pytest.approx(U[0, 0], rel=0, abs=1e-10)
     assert np.max(np.abs(np.array(sol.e_y_diag) - U.mean(axis=1))) <= 1e-10
     assert sol.iterations == 1
+
+
+def test_anchor_dependent_terminal_matches_picard_reference_over_paths():
+    # no catalog terminal reads its anchor; the reference sets each
+    # anchor's terminal row on its own
+    spec = replace(catalog_instance("hyperbolic_discount"),
+                   terminal=TerminalSpec(name="x+t", fn=lambda t, x: x + t))
+    bundle = mc.simulate(TimeGrid(spec.horizon, 6), spec, 2_000, seed=8)
+    basis = mc.RegressionBasis()
+    sol = mc.solve_mc(bundle, spec, basis, n_bootstrap=4)
+    U = _picard_reference(bundle, spec, basis)
+    assert sol.y0 == pytest.approx(U[0, 0], rel=0, abs=1e-10)
+    assert np.max(np.abs(np.array(sol.e_y_diag) - U.mean(axis=1))) <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["hyperbolic_discount", "custom_affine"])

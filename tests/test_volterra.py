@@ -10,6 +10,7 @@ from rbsvie.instances import (
     CATALOG_NAMES,
     DriverSpec,
     ObstacleSpec,
+    TerminalSpec,
     catalog_instance,
 )
 from rbsvie.snell import (
@@ -24,6 +25,7 @@ from rbsvie.snell import (
     solve_slice,
     zero_diagonal,
 )
+from rbsvie.stopping import inconsistency_report
 from rbsvie.volterra import NoConvergence, PicardConfig, VolterraError, solve
 
 
@@ -224,11 +226,26 @@ def test_sweep_rows_equal_policy_envelope(n):
                 assert np.array_equal(env[j - i], sol.ytilde.at(i, j)), (name, i, j)
 
 
+def test_anchor_dependent_terminal_reaches_every_anchor():
+    # no catalog terminal reads its anchor; this one does, so a terminal
+    # row handed to the wrong anchor shows against the per-anchor
+    # references: the policy envelope and the own-rule identity
+    spec = replace(catalog_instance("hyperbolic_discount"),
+                   terminal=TerminalSpec(name="x+t", fn=lambda t, x: x + t))
+    lat = spec.lattice(8)
+    sol = solve(lat, spec)
+    for i in range(9):
+        env = snell_by_policy_envelope(lat, spec, i, sol.y_diag)
+        assert np.max(np.abs(env[0] - sol.y_diag[i])) <= 1e-14, i
+        for j in range(i + 1, 9):
+            assert np.array_equal(env[j - i], sol.ytilde.at(i, j)), (i, j)
+    assert inconsistency_report(lat, spec, sol).max_identity_error <= 1e-12
+
+
 def test_sweep_record_and_diagonal_only_mode():
     spec = catalog_instance("hyperbolic_discount")
     lat = spec.lattice(30)
     full = solve(lat, spec)
-    assert full.mode == "sweep" and full.iterations == 1
     assert len(full.residual_history) == 1 and full.residual_history[0] <= 1e-14
     lean = solve(lat, spec, PicardConfig(store_fields=False))
     assert lean.ytilde is None and lean.z is None and lean.kinc is None
