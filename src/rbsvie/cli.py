@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import os
 import sys
@@ -215,12 +214,52 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    # the csv module writes floats with repr: full precision, exact round trip
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) -> None:
+    """Write solution.json, y_diag.csv and frontier.csv, one layer at a time.
+
+    The files are byte-equal to json.dump of payload plus "y_diag" (indent=2,
+    sort_keys=True, then a newline) and to csv.writer(lineterminator="\n"),
+    which formats floats with repr, over the rows.  Each diagonal value,
+    anchor time and node state goes through repr once; the JSON block and
+    both CSVs share the strings.  times are the anchor times t_0..t_N.  The
+    lattice passes y_diag and states as one node array per anchor; the MC
+    engine passes one mean per anchor and states=None, which leaves node
+    and state empty.  f_rows are frontier_rows' tuples.  The solvers reject
+    non-finite values, so every float prints as repr.
+    """
+    t_str = list(map(repr, times))
+    known = dict(zip(times, t_str))  # float -> string, for the frontier columns
+    head, _, tail = json.dumps({**payload, "y_diag": None}, indent=2,
+                               sort_keys=True).partition('"y_diag": null')
+    with open(out / "solution.json", "w") as js, \
+            open(out / "y_diag.csv", "w", newline="") as yc:
+        js.write(head + '"y_diag": [')
+        yc.write("anchor_time,node_index,state,y\n")
+        if states is None:
+            ys = list(map(repr, y_diag))
+            js.write("\n    " + ",\n    ".join(ys))
+            yc.write("".join(f"{t},,,{y}\n" for t, y in zip(t_str, ys)))
+        else:
+            k_str = [str(k) for k in range(len(times))]
+            for i, (t, x, y) in enumerate(zip(t_str, states, y_diag)):
+                xl = x.tolist()
+                xs = list(map(repr, xl))
+                known.update(zip(xl, xs))
+                ys = list(map(repr, y.tolist()))
+                js.write(("," if i else "") + "\n    [\n      " + ",\n      ".join(ys)
+                         + "\n    ]")
+                lead = t + ","
+                yc.write(lead + ("\n" + lead).join(map(",".join, zip(k_str, xs, ys))) + "\n")
+        js.write("\n  ]" + tail + "\n")
+    # 0.0 == -0.0 share a key, so zeros print through repr and keep their sign
+    known.pop(0.0, None)
+    get = known.get
+    step = len(times)
+    with open(out / "frontier.csv", "w", newline="") as fc:
+        fc.write("anchor_time,time,critical_state_low,critical_state_high\n")
+        for start in range(0, len(f_rows), step):
+            cols = ([get(v) or repr(v) for v in c] for c in zip(*f_rows[start: start + step]))
+            fc.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def cmd_solve(args) -> int:
@@ -231,26 +270,22 @@ def cmd_solve(args) -> int:
 
     if args.engine == "lattice":
         sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
-        frontier = extract_frontier(sol, lat, spec)
-        f_rows = frontier_rows(frontier, lat)
-        y_diag = [row.tolist() for row in sol.y_diag]
-        payload = {"y_diag": y_diag, "y0": y_diag[0][0]}
-        y_rows = [(grid.t(i), k, x, y) for i, ys in enumerate(y_diag)
-                  for k, (x, y) in enumerate(zip(lat.x[i].tolist(), ys))]
+        f_rows = frontier_rows(extract_frontier(sol, lat, spec), lat)
+        y_diag, states = sol.y_diag, lat.x
+        payload = {"y0": float(y_diag[0][0])}
     else:
         bundle = mc.simulate(grid, spec, cfg.n_paths, cfg.seed)
         basis = mc.RegressionBasis(cfg.basis_family, cfg.basis_degree)
         sol = mc.solve_mc(bundle, spec, basis, PicardConfig(max_iters=cfg.max_iters))
         f_rows = [(0.0, t_j, lo, hi) for t_j, lo, hi in sol.frontier_rows]
+        # mc rows estimate the mean diagonal: no lattice node applies
+        y_diag, states = sol.e_y_diag, None
         payload = {
-            "y_diag": [float(v) for v in sol.e_y_diag],
             "y0": sol.y0,
             "y0_se": sol.y0_se,
             "floor_margin": sol.floor_margin,
             "metadata": sol.metadata,
         }
-        # mc rows estimate the mean diagonal: no lattice node applies
-        y_rows = [(grid.t(i), "", "", y) for i, y in enumerate(sol.e_y_diag)]
 
     payload.update({
         "engine": args.engine,
@@ -260,11 +295,8 @@ def cmd_solve(args) -> int:
         "residual_history": [float(r) for r in sol.residual_history],
         "frontier": {"n_rows": len(f_rows)},
     })
-    _write_json(out / "solution.json", payload)
-    _write_csv(out / "y_diag.csv", ("anchor_time", "node_index", "state", "y"), y_rows)
-    _write_csv(out / "frontier.csv",
-               ("anchor_time", "time", "critical_state_low", "critical_state_high"),
-               f_rows)
+    times = [grid.t(i) for i in range(grid.n_steps + 1)]
+    _write_solve(out, payload, times, y_diag, states, f_rows)
     print(f"solved {spec.label} (engine={args.engine}, N={grid.n_steps}): "
           f"y0={payload['y0']:.10g}; wrote {out}")
     return EXIT_OK

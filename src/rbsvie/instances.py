@@ -409,7 +409,9 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
       within 1 percent, sampled;
     * time-increment Holder: |f(t',s,..) - f(t,s,..)| <= c_1 |t'-t|^alpha
       for |y|, |z| <= 1, within 1 percent, sampled;
-    * finiteness of f(t,s,x,0,0), xi and L on lattice nodes.
+    * finiteness of f(t,s,x,0,0), xi and L on lattice nodes;
+    * broadcasting: f with a column of anchor times against one layer's
+      nodes has a result that broadcasts to (anchors, nodes).
 
     Report-only: violations are collected, never raised.
     """
@@ -482,6 +484,26 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
         if not np.all(np.isfinite(np.asarray(spec.driver(0.0, u if u > 0 else T, xj,
                                                          np.zeros_like(xj), np.zeros_like(xj)), dtype=float))):
             violations.append(Violation("finiteness", f"driver non-finite on layer {j} at (y,z)=(0,0)", (j,)))
+
+    # the sweeps pass t as a column of anchor times against one layer's
+    # nodes; anchors 0..N against layer N // 2 give the two axes different
+    # lengths, so a driver that folds the anchor axis into the node axis fails
+    j = n_steps // 2
+    xj = lat.x[j]
+    shape = (n_steps + 1, j + 1)
+    try:
+        got = np.shape(spec.driver(grid.times[:, None], T, xj, np.zeros_like(xj),
+                                   np.zeros(shape)))
+        reason = None if np.broadcast_shapes(got, shape) == shape else f"result shape {got}"
+    except ValueError as exc:
+        reason = str(exc)
+    if reason is not None:
+        violations.append(Violation(
+            "broadcast",
+            f"driver with an anchor column on layer {j} does not broadcast to "
+            f"(anchors, nodes) = {shape}: {reason}",
+            (j,),
+        ))
 
     return AssumptionReport(
         instance=spec.label,

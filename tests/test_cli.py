@@ -1,15 +1,20 @@
 import csv
+import io
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rbsvie import cli, instances
+from rbsvie import cli, instances, mc
 from rbsvie.grid import TimeGrid, build_lattice
-from rbsvie.instances import catalog_instance
+from rbsvie.instances import CATALOG_NAMES, DriverSpec, catalog_instance
 from rbsvie.snell import flatness_defect, solve_slice
 from rbsvie.stopping import extract_frontier, frontier_rows
-from rbsvie.volterra import solve
+from rbsvie.volterra import PicardConfig, solve
 
 
 def _cfg(tmp_path, body, name="run.ini"):
@@ -161,6 +166,144 @@ seed = 11
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
     assert all(r["node_index"] == "" and r["state"] == "" for r in rows)
+
+
+Y_HEADER = ("anchor_time", "node_index", "state", "y")
+F_HEADER = ("anchor_time", "time", "critical_state_low", "critical_state_high")
+
+
+def _render(payload, y_rows, f_rows) -> dict:
+    """The artifact byte contract: json.dump(indent=2, sort_keys=True) plus a
+    newline, and csv.writer with "\\n" line endings (floats go through repr)."""
+    files = {}
+    buf = io.StringIO()
+    json.dump(payload, buf, indent=2, sort_keys=True)
+    files["solution.json"] = buf.getvalue() + "\n"
+    for name, header, rows in (("y_diag.csv", Y_HEADER, y_rows),
+                               ("frontier.csv", F_HEADER, f_rows)):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        files[name] = buf.getvalue()
+    return files
+
+
+def _written(out: Path) -> dict:
+    return {name: (out / name).read_text() for name in ("solution.json", "y_diag.csv",
+                                                        "frontier.csv")}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_lattice_artifacts_render_the_in_memory_solution(tmp_path, name):
+    n = 9
+    cfg = _cfg(tmp_path, f"[instance]\nname = {name}\n\n[grid]\nN = {n}\n")
+    assert _run("solve", "--config", cfg, "--out", str(tmp_path / "out")) == cli.EXIT_OK
+    spec = catalog_instance(name)
+    lat = spec.lattice(n)
+    sol = solve(lat, spec)
+    grid = lat.grid
+    y_diag = [row.tolist() for row in sol.y_diag]
+    f_rows = frontier_rows(extract_frontier(sol, lat, spec), lat)
+    payload = {
+        "y_diag": y_diag,
+        "y0": y_diag[0][0],
+        "engine": "lattice",
+        "instance": spec.label,
+        "n_steps": n,
+        "horizon": grid.horizon,
+        "residual_history": [float(r) for r in sol.residual_history],
+        "frontier": {"n_rows": len(f_rows)},
+    }
+    y_rows = [(grid.t(i), k, x, y) for i, ys in enumerate(y_diag)
+              for k, (x, y) in enumerate(zip(lat.x[i].tolist(), ys))]
+    assert _written(tmp_path / "out") == _render(payload, y_rows, f_rows)
+
+
+def test_mc_artifacts_render_the_in_memory_solution(tmp_path):
+    cfg = _cfg(tmp_path, "[instance]\nname = hyperbolic_discount\n\n[grid]\nN = 7\n\n"
+                         "[mc]\nn_paths = 1500\nseed = 5\n")
+    assert _run("solve", "--config", cfg, "--engine", "mc",
+                "--out", str(tmp_path / "out")) == cli.EXIT_OK
+    rc = cli.load_config(cfg)
+    spec = catalog_instance(rc.instance_name)
+    grid = TimeGrid(spec.horizon, rc.n_steps)
+    sol = mc.solve_mc(mc.simulate(grid, spec, rc.n_paths, rc.seed), spec,
+                      mc.RegressionBasis(rc.basis_family, rc.basis_degree),
+                      PicardConfig(max_iters=rc.max_iters))
+    f_rows = [(0.0, t, lo, hi) for t, lo, hi in sol.frontier_rows]
+    payload = {
+        "y_diag": sol.e_y_diag,
+        "y0": sol.y0,
+        "y0_se": sol.y0_se,
+        "floor_margin": sol.floor_margin,
+        "metadata": sol.metadata,
+        "engine": "mc",
+        "instance": spec.label,
+        "n_steps": grid.n_steps,
+        "horizon": grid.horizon,
+        "residual_history": [float(r) for r in sol.residual_history],
+        "frontier": {"n_rows": len(f_rows)},
+    }
+    # one mean per anchor: node and state stay empty
+    y_rows = [(grid.t(i), "", "", y) for i, y in enumerate(sol.e_y_diag)]
+    assert f_rows
+    assert _written(tmp_path / "out") == _render(payload, y_rows, f_rows)
+
+
+# floats whose repr is easy to get wrong: signed zeros, the smallest
+# subnormal, both sides of repr's switches to exponent form at 1e-4 and
+# 1e16, integral values and values that need all 17 digits
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-4, 9.999999999999999e-05, 1e-05,
+               0.00010000000000000002, 1e16, 9999999999999998.0, 1e17,
+               1.0000000000000002e16, 2.0, -3.0, 1e22, 0.1, 1 / 3, -2.2250738585072014e-308)
+_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_writer_renders_edge_floats_like_json_and_csv(data):
+    n = data.draw(st.integers(0, 4), label="n")  # n = 0: one one-node layer
+    times = data.draw(st.lists(_floats, min_size=n + 1, max_size=n + 1), label="times")
+    if data.draw(st.booleans(), label="mc"):
+        y_diag = data.draw(st.lists(_floats, min_size=n + 1, max_size=n + 1), label="y")
+        states = None
+        y_rows = [(t, "", "", y) for t, y in zip(times, y_diag)]
+        y_json = y_diag
+    else:
+        y_json = [data.draw(st.lists(_floats, min_size=i + 1, max_size=i + 1)) for i in range(n + 1)]
+        x = [data.draw(st.lists(_floats, min_size=i + 1, max_size=i + 1)) for i in range(n + 1)]
+        y_diag, states = [np.array(v) for v in y_json], [np.array(v) for v in x]
+        y_rows = [(times[i], k, x[i][k], y_json[i][k]) for i in range(n + 1) for k in range(i + 1)]
+    # frontier entries reuse times and states, as the solver's rows do, or are new
+    pool = times + ([v for row in states for v in row.tolist()] if states else [])
+    value = st.one_of(st.sampled_from(pool), _floats)
+    f_rows = data.draw(st.lists(st.tuples(value, value, value, value), max_size=3 * n + 4),
+                       label="frontier")
+    # "zeta" sorts after "y_diag": the block must land at its sorted position
+    payload = {"y0": 1.5, "engine": "x", "frontier": {"n_rows": len(f_rows)}, "zeta": [-0.0]}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        cli._write_solve(out, payload, times, y_diag, states, f_rows)
+        assert _written(out) == _render({**payload, "y_diag": y_json}, y_rows, f_rows)
+
+
+def test_verify_assumptions_flags_a_driver_that_folds_the_anchor_axis(tmp_path, monkeypatch):
+    # squeezing the (anchors, 1) column of anchor times lines anchors up with
+    # nodes: the sweep would accept it on every layer, since both counts are j + 1
+    fold = DriverSpec(name="fold", lipschitz=0.5, holder_const=0.5,
+                      fn=lambda t, s, x, y, z: -0.5 / (1.0 + np.squeeze(s - t)) * y)
+    real = cli.catalog_instance
+    monkeypatch.setattr(cli, "catalog_instance",
+                        lambda name, params=None: replace(real(name, params), driver=fold))
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, "[instance]\nname = hyperbolic_discount\n\n[grid]\nN = 10\n")
+    assert _run("verify-assumptions", "--config", cfg, "--out", str(out)) == cli.EXIT_VERIFICATION
+    rep = json.loads((out / "report.json").read_text())
+    assert not rep["ok"]
+    assert [v["kind"] for v in rep["violations"]] == ["broadcast"]
+    assert "(anchors, nodes) = (11, 6)" in rep["violations"][0]["detail"]
 
 
 @pytest.mark.parametrize("body", [

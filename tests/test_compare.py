@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rbsvie.compare import (
     CompareError,
@@ -17,6 +18,7 @@ from rbsvie.instances import (
     shift_terminal,
 )
 from rbsvie.snell import monotone_scheme, solve_global, theta_norm, theta_threshold
+from rbsvie.volterra import solve
 
 NAMES = ("american_put", "hyperbolic_discount", "linear_z",
          "custom_affine", "zero_driver_flat")
@@ -129,6 +131,46 @@ def test_randomized_pairs_all_ordered():
     for name, pair in random_ordered_pairs(NAMES, lat_by, 25, seed=11):
         rep = check_comparison(lat_by[name], pair)
         assert rep.max_diff <= 1e-9, (name, pair.witnesses, rep.max_diff)
+
+
+# catalog parameters that leave the shared dynamics alone; zero_driver_flat
+# has none, so its pairs differ by the driver shift only
+PAIR_PARAMS = {
+    "american_put": {"strike": (0.9, 1.0, 1.1)},
+    "hyperbolic_discount": {"rho0": (0.0, 0.5), "kappa": (0.0, 1.0),
+                            "terminal_scale": (0.9, 1.0, 1.1),
+                            "obstacle_gap": (0.05, 0.1, 0.2)},
+    "linear_z": {"a": (0.0, 0.25), "b": (-0.25, 0.0, 0.25), "obstacle_gap": (0.3, 0.5)},
+    "custom_affine": {"const": (0.0, 0.1), "y_coef": (-0.2, 0.2), "z_coef": (0.0, 0.2),
+                      "t_coef": (0.0, 0.3), "obstacle_gap": (0.35, 0.4)},
+    "zero_driver_flat": {},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_accepted_pair_solves_ordered(data):
+    # the comparison theorem on the lattice: whatever pair the gate admits,
+    # the lo sweep stays below the hi sweep at every node
+    name = data.draw(st.sampled_from(NAMES), label="instance")
+    lo_params, hi_params = {}, {}
+    for key, values in PAIR_PARAMS[name].items():
+        lo_params[key] = data.draw(st.sampled_from(values), label=f"lo {key}")
+        # equal to lo's at least half the time, so pairs moving one datum come up often
+        hi_params[key] = data.draw(st.sampled_from((lo_params[key],) + values), label=f"hi {key}")
+    shift = data.draw(st.sampled_from((0.0, 0.1)), label="hi driver shift")
+    n = data.draw(st.integers(1, 12), label="N")
+    lo = catalog_instance(name, lo_params)
+    hi = catalog_instance(name, hi_params)
+    if shift:
+        hi = shift_driver(hi, shift)
+    lat = lo.lattice(n)
+    try:
+        OrderedPair.build(lo, hi, lat)
+    except CompareError:
+        assume(False)
+    for i, (a, b) in enumerate(zip(solve(lat, lo).y_diag, solve(lat, hi).y_diag)):
+        assert np.all(a <= b + 1e-12), (i, float(np.max(a - b)))
 
 
 def test_obstacle_downshift_keeps_lo_below():

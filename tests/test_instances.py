@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ def test_understated_lipschitz_constant_reported():
     )
     report = verify_assumptions(cheat, n_steps=20, samples=800)
     assert any(v.kind == "lipschitz" for v in report.violations)
+
+
+def test_driver_that_folds_the_anchor_axis_reported():
+    # np.squeeze turns the (anchors, 1) time column into a node-length row on
+    # every sweep layer, where anchors and nodes both number j + 1
+    base = catalog_instance("hyperbolic_discount")
+    fold = replace(base, driver=DriverSpec(
+        name="fold", lipschitz=0.5, holder_const=0.5,
+        fn=lambda t, s, x, y, z: -0.5 / (1.0 + np.squeeze(s - t)) * y))
+    for n in (1, 2, 20):
+        report = verify_assumptions(fold, n_steps=n)
+        assert [v.kind for v in report.violations] == ["broadcast"], n
+        assert report.violations[0].witness == (n // 2,)
+    # the catalog driver it mimics broadcasts, at the smallest grids too
+    for n in (1, 2):
+        assert verify_assumptions(base, n_steps=n).ok
 
 
 def test_shift_helpers_preserve_structure():
