@@ -12,15 +12,14 @@ Usage: python3 scripts/replanning_gaps.py [--n-steps 50] [--every 5]
 import argparse
 
 from rbsvie.instances import catalog_instance
-from rbsvie.stopping import inconsistency_report
-from rbsvie.volterra import PicardConfig, solve
+from rbsvie.stopping import stream_report
+from rbsvie.volterra import PicardConfig, sweep
 
 
 def report(name, n_steps, every):
     spec = catalog_instance(name)
     lat = spec.lattice(n_steps)
-    sol = solve(lat, spec, PicardConfig())
-    rep = inconsistency_report(lat, spec, sol)
+    rep, _ = stream_report(lat, sweep(lat, spec, PicardConfig().max_iters))
     print(f"\n{name}: frontiers identical = {rep.frontiers_identical}, "
           f"max gap = {rep.max_gap:.3e}")
     print(f"{'t_i':>8s} {'E[Y(t_i)]':>12s} {'J(own)':>12s} {'J(time-0)':>12s} {'gap':>12s}")

@@ -6,8 +6,8 @@ Usage: python3 scripts/run_catalog.py [--n-steps 50]
 import argparse
 
 from rbsvie.instances import CATALOG_NAMES, catalog_instance
-from rbsvie.stopping import extract_frontier, frontier_rows
-from rbsvie.volterra import PicardConfig, solve
+from rbsvie.stopping import stream_solve
+from rbsvie.volterra import PicardConfig, sweep
 
 
 def main():
@@ -19,8 +19,7 @@ def main():
     for name in CATALOG_NAMES:
         spec = catalog_instance(name)
         lat = spec.lattice(args.n_steps)
-        sol = solve(lat, spec, PicardConfig())
-        rows = frontier_rows(extract_frontier(sol, lat, spec), lat)
+        sol, rows = stream_solve(lat, sweep(lat, spec, PicardConfig().max_iters))
         print(f"{name:24s} {sol.y_diag[0][0]:14.8f} {sol.residual_history[-1]:14.3e} "
               f"{len(rows):10d}")
 

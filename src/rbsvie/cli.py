@@ -29,9 +29,8 @@ from rbsvie.grid import GridError, TimeGrid, build_lattice
 from rbsvie.instances import (CATALOG_NAMES, InstanceError, catalog_instance,
                               verify_assumptions)
 from rbsvie.oracle import MAX_RULE_NODES, best_rule, interior_node_count
-from rbsvie.stopping import (extract_frontier, frontier_rows,
-                             inconsistency_report, premature_increment_mass)
-from rbsvie.volterra import NoConvergence, PicardConfig, VolterraError, solve
+from rbsvie.stopping import stream_report, stream_solve
+from rbsvie.volterra import NoConvergence, PicardConfig, VolterraError, solve, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -190,15 +189,23 @@ def _build(cfg: RunConfig, max_n=None):
     return spec, TimeGrid(spec.horizon, n)
 
 
+# (N + 1) x (N + 1) arrays a command holds at once while the sweep streams:
+# the sweep's rows, expectations, coefficients, increments and running terms,
+# the stop report's flags and two rule inductions, and their temporaries
+LAYER_ARRAYS = 12
+
+
 def _lattice(spec, grid: TimeGrid, solutions: int):
-    """The lattice, once the stored fields of that many solutions fit in memory:
-    ytilde on layers 0..N, z and kinc on 0..N-1, layer j (j + 1)^2 floats."""
+    """The lattice, once the streamed working set fits in memory: the
+    lattice's three node arrays and each solution's diagonal, (N+1)(N+2)/2
+    floats each, and LAYER_ARRAYS layer arrays."""
     n = grid.n_steps
-    need = solutions * 8 * ((n + 1) ** 2 + 3 * sum(m * m for m in range(1, n + 1)))
+    triangle = (n + 1) * (n + 2) // 2
+    need = 8 * ((3 + solutions) * triangle + LAYER_ARRAYS * (n + 1) ** 2)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ConfigError(f"the stored fields at N={n} need {need} bytes, more than "
-                          f"the {have} bytes of physical memory")
+        raise ConfigError(f"the streamed working set at N={n} needs {need} bytes, more "
+                          f"than the {have} bytes of physical memory")
     return build_lattice(grid, spec.x0, spec.dynamics)
 
 
@@ -269,8 +276,7 @@ def cmd_solve(args) -> int:
     out = _out_dir(args, cfg)
 
     if args.engine == "lattice":
-        sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
-        f_rows = frontier_rows(extract_frontier(sol, lat, spec), lat)
+        sol, f_rows = stream_solve(lat, sweep(lat, spec, cfg.max_iters))
         y_diag, states = sol.y_diag, lat.x
         payload = {"y0": float(y_diag[0][0])}
     else:
@@ -392,9 +398,8 @@ def cmd_stop(args) -> int:
     lat = _lattice(spec, grid, 1)
     out = _out_dir(args, cfg)
 
-    sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
-    rep = inconsistency_report(lat, spec, sol)
-    mass = float(premature_increment_mass(sol, rep.frontier).max())
+    rep, masses = stream_report(lat, sweep(lat, spec, cfg.max_iters))
+    mass = float(masses.max())
     _write_json(out / "inconsistency.json", {
         "command": "stop",
         "instance": spec.label,

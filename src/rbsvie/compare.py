@@ -8,7 +8,7 @@ the pair must differ only in the driver, by an additive constant (the
 shift families used throughout the tests), or both instances must
 ignore the anchor, so that the system is a reflected BSDE, for which
 comparison needs no monotonicity.  The solved-value check is empirical
-either way: solve both, compare every node.  The monotone approximation
+either way: sweep both, compare every diagonal node.  The monotone approximation
 scheme of the comparison theorem is a reference, in snell.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from rbsvie.grid import Lattice
 from rbsvie.instances import InstanceSpec
-from rbsvie.volterra import PicardConfig, Solution, solve
+from rbsvie.volterra import PicardConfig, sweep
 
 PAIR_ATOL = 1e-12       # slack of the data order in OrderedPair.build
 ORDER_TOLERANCE = 1e-9  # largest max(Y_lo - Y_hi) check_comparison calls ordered
@@ -148,15 +148,18 @@ class ComparisonReport:
     z_range: tuple
 
 
-def _field_ranges(sol: Solution) -> tuple:
-    y_lo = min(float(a.min()) for a in sol.y_diag)
-    y_hi = max(float(a.max()) for a in sol.y_diag)
+def _diagonal_and_ranges(lat: Lattice, spec: InstanceSpec, max_iters: int) -> tuple:
+    """(diagonal, (y_lo, y_hi), (z_lo, z_hi)) of one sweep, which keeps no
+    other layer array; the z range starts from 0."""
+    y_diag = [None] * (lat.n_steps + 1)
     z_lo, z_hi = 0.0, 0.0
-    if sol.z is not None:
-        for a in sol.z.layers:
-            z_lo = min(z_lo, float(a.min()))
-            z_hi = max(z_hi, float(a.max()))
-    return (y_lo, y_hi), (z_lo, z_hi)
+    for layer in sweep(lat, spec, max_iters):
+        y_diag[layer.j] = layer.v
+        if layer.z is not None:
+            z_lo = min(z_lo, float(layer.z.min()))
+            z_hi = max(z_hi, float(layer.z.max()))
+    y_range = (min(float(a.min()) for a in y_diag), max(float(a.max()) for a in y_diag))
+    return y_diag, y_range, (z_lo, z_hi)
 
 
 def _pad(lohi: tuple, frac: float) -> tuple:
@@ -167,25 +170,26 @@ def _pad(lohi: tuple, frac: float) -> tuple:
 
 def check_comparison(lat: Lattice, pair: OrderedPair,
                      cfg: PicardConfig | None = None) -> ComparisonReport:
-    """Solve both instances and compare every diagonal node.
+    """Sweep both instances, one layer held at a time, and compare every
+    diagonal node.
 
     Also recheck the driver ordering on the solved (y, z) ranges padded
     by RANGE_PAD of their width, the region the discrete comparison
     actually exercises.
     """
-    sol_lo = solve(lat, pair.lo, cfg)
-    sol_hi = solve(lat, pair.hi, cfg)
+    max_iters = (cfg or PicardConfig()).max_iters
+    y_lo, ya, za = _diagonal_and_ranges(lat, pair.lo, max_iters)
+    y_hi, yb, zb = _diagonal_and_ranges(lat, pair.hi, max_iters)
 
     max_diff = -np.inf
     witness = None
     for i in range(lat.n_steps + 1):
-        d = sol_lo.y_diag[i] - sol_hi.y_diag[i]
+        d = y_lo[i] - y_hi[i]
         k = int(np.argmax(d))
         if float(d[k]) > max_diff:
             max_diff = float(d[k])
             witness = (i, k, max_diff)
 
-    (ya, za), (yb, zb) = _field_ranges(sol_lo), _field_ranges(sol_hi)
     yl, yh = _pad((min(ya[0], yb[0]), max(ya[1], yb[1])), RANGE_PAD)
     zl, zh = _pad((min(za[0], zb[0]), max(za[1], zb[1])), RANGE_PAD)
     corners = [(yl, zl), (yl, zh), (yh, zl), (yh, zh),

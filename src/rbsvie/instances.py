@@ -397,6 +397,33 @@ class AssumptionReport:
         return not self.violations
 
 
+def broadcast_defect(got: tuple, shape: tuple) -> str | None:
+    """Why a result of shape got does not broadcast to shape, or None."""
+    try:
+        if np.broadcast_shapes(got, shape) == shape:
+            return None
+    except ValueError as exc:
+        return str(exc)
+    return f"result shape {got}"
+
+
+def anchor_axis_defect(spec: InstanceSpec, anchor_t: np.ndarray, x: np.ndarray) -> str | None:
+    """Why the driver fails the sweeps' anchor axis on nodes x, or None.
+
+    The sweeps pass t as a column of anchor times against one layer's
+    nodes and need a result that broadcasts to (anchors, nodes).  The
+    driver is called at s = T with y = 0 and z = 0; with more anchors than
+    nodes, a driver that folds the anchor axis into the node axis fails.
+    """
+    shape = (len(anchor_t), len(x))
+    try:
+        got = np.shape(spec.driver(anchor_t, spec.horizon, x, np.zeros_like(x),
+                                   np.zeros(shape)))
+    except ValueError as exc:
+        return str(exc)
+    return broadcast_defect(got, shape)
+
+
 def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400,
                        seed: int = 20260825) -> AssumptionReport:
     """Spot-check the declared regularity of an instance on its lattice.
@@ -485,18 +512,10 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
                                                          np.zeros_like(xj), np.zeros_like(xj)), dtype=float))):
             violations.append(Violation("finiteness", f"driver non-finite on layer {j} at (y,z)=(0,0)", (j,)))
 
-    # the sweeps pass t as a column of anchor times against one layer's
-    # nodes; anchors 0..N against layer N // 2 give the two axes different
-    # lengths, so a driver that folds the anchor axis into the node axis fails
+    # anchors 0..N against layer N // 2 give the two axes different lengths
     j = n_steps // 2
-    xj = lat.x[j]
     shape = (n_steps + 1, j + 1)
-    try:
-        got = np.shape(spec.driver(grid.times[:, None], T, xj, np.zeros_like(xj),
-                                   np.zeros(shape)))
-        reason = None if np.broadcast_shapes(got, shape) == shape else f"result shape {got}"
-    except ValueError as exc:
-        reason = str(exc)
+    reason = anchor_axis_defect(spec, grid.times[:, None], lat.x[j])
     if reason is not None:
         violations.append(Violation(
             "broadcast",

@@ -275,11 +275,12 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
                                    bundle.dw[j], dt)
             e, z = vals[: j + 1], zrows[: j + 1]
             proj.project(e, z)
-            rows, v, barrier, update, _ = step_layer(spec, anchor_t, s, x_j, e, z, dt, j,
-                                                     cfg.max_iters)
-            largest_update = max(largest_update, update)
+            layer = step_layer(spec, anchor_t, s, x_j, e, z, dt, j, cfg.max_iters)
+            v, barrier = layer.v, layer.barrier
+            largest_update = max(largest_update, layer.update)
             e_y_diag[j] = float(v.mean())
-            record(j, x_j, rows[0], barrier)
+            record(j, x_j, layer.rows[0], barrier)
+            del layer  # its running terms are (anchors x paths): free them before the bootstrap
             # anchor-0 bootstrap refits, diagonal frozen at v, basis.dim at a time
             grams = proj.weighted_grams(wts)
             for lo in range(0, n_bootstrap, basis.dim):

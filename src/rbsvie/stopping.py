@@ -11,11 +11,18 @@ yields a different (wrong) rule on anchor-dependent instances.
 Stop regions use the solver's field layout (BiField.layers): layer j
 holds one boolean row per anchor 0..j over the layer-j nodes.  Rule
 values come from one backward induction that steps every anchor's row
-on a layer at once, as the solver's sweep does.
+on a layer at once, as the solver's sweep does.  Every report reads the
+layers in the sweep's order, j = N .. 0, so each is a per-layer step:
+stream_report and stream_solve take them straight from volterra.sweep
+and hold one layer at a time, and the functions on a stored Solution
+(extract_frontier, frontier_rows, inconsistency_report,
+premature_increment_mass, evaluate_J) replay its fields through the
+same steps.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +30,7 @@ import numpy as np
 from rbsvie.grid import Lattice
 from rbsvie.instances import InstanceSpec
 from rbsvie.oracle import StoppingRule
-from rbsvie.volterra import Solution, VolterraError, _driver_rows, terminal_rows
+from rbsvie.volterra import Layer, Solution, VolterraError, _driver_rows, terminal_rows
 
 
 STOP_TOLERANCE = 1e-9  # a node stops where the envelope is this close to L
@@ -54,17 +61,24 @@ class StoppingFrontier:
     def rule(self, i: int) -> StoppingRule:
         return StoppingRule(start=i, flags=tuple(f[i] for f in self.layers[i:]))
 
-    def same_rows(self, a: int, b: int) -> bool:
-        """Whether anchors a and b prescribe identical flags on shared layers."""
-        return all(np.array_equal(f[a], f[b]) for f in self.layers[max(a, b):])
+
+def _obstacle(lat: Lattice, spec: InstanceSpec, j: int) -> np.ndarray:
+    return np.asarray(spec.obstacle(lat.grid.t(j), lat.x[j]), dtype=float)
+
+
+def _stops(rows: np.ndarray, barrier) -> np.ndarray:
+    """Stop flags of one layer: rows within STOP_TOLERANCE of the barrier,
+    or every node on the terminal layer (barrier None)."""
+    if barrier is None:
+        return np.ones(rows.shape, dtype=bool)
+    return (rows - barrier) <= STOP_TOLERANCE
 
 
 def _threshold(lat: Lattice, spec: InstanceSpec, rows) -> StoppingFrontier:
     """Stop where rows[j], one row per anchor 0..j, is within STOP_TOLERANCE of L_j."""
     N = lat.n_steps
-    layers = [(rows[j] - np.asarray(spec.obstacle(lat.grid.t(j), lat.x[j]), dtype=float))
-              <= STOP_TOLERANCE for j in range(N)]
-    layers.append(np.ones((N + 1, N + 1), dtype=bool))
+    layers = [_stops(rows[j], _obstacle(lat, spec, j)) for j in range(N)]
+    layers.append(_stops(rows[N], None))
     return StoppingFrontier(n_steps=N, layers=tuple(layers))
 
 
@@ -75,14 +89,23 @@ def extract_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec) -> Stoppin
     return _threshold(lat, spec, sol.ytilde.layers)
 
 
+def _rule_step(vals: np.ndarray, n: int, stop, fdt, barrier) -> np.ndarray:
+    """One layer of the rule induction for the first n rows of vals.
+
+    Stopped nodes collect the obstacle, continuation nodes the one-step
+    conditional expectation plus the running term fdt; stop is one row
+    per anchor or one row for all.
+    """
+    nxt = vals[:n]
+    return np.where(stop, barrier, 0.5 * (nxt[:, 1:] + nxt[:, :-1]) + fdt)
+
+
 def _rule_values(lat: Lattice, spec: InstanceSpec, sol: Solution, lo: int, hi: int,
                  stop) -> np.ndarray:
     """Expected payoffs of anchors lo..hi's rules, one backward induction for all.
 
     Exact induction with the driver frozen at the solved diagonal and each
-    anchor's coefficient row: stopped nodes collect the obstacle (the
-    terminal value at the last layer), continuation nodes collect the
-    one-step conditional expectation plus the running term.  stop[j - lo]
+    anchor's coefficient row, starting from the terminal values.  stop[j - lo]
     holds the layer-j flags of anchors lo..min(j, hi), one row each or one
     row for all.  Anchor i's value is the expectation over its layer-i nodes.
     """
@@ -90,20 +113,17 @@ def _rule_values(lat: Lattice, spec: InstanceSpec, sol: Solution, lo: int, hi: i
         raise VolterraError("rule evaluation needs stored fields")
     N = lat.n_steps
     grid = lat.grid
-    dt = grid.dt
     anchor_t, vals = terminal_rows(spec, grid, lat.x[N], range(lo, hi + 1))
     out = np.empty(hi - lo + 1)
     if hi == N:
         out[-1] = lat.layer_expect(N, vals[-1])
     for j in range(N - 1, lo - 1, -1):
         top = min(j, hi)
-        nxt = vals[: top - lo + 1]
-        cont = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
         z = sol.z.layers[j][lo: top + 1]
         f = _driver_rows(spec, anchor_t[lo: top + 1], grid.t(j), lat.x[j], sol.y_diag[j],
                          z, z.shape, j)
-        barrier = np.asarray(spec.obstacle(grid.t(j), lat.x[j]), dtype=float)
-        vals = np.where(stop[j - lo], barrier, cont + f * dt)
+        vals = _rule_step(vals, top - lo + 1, stop[j - lo], f * grid.dt,
+                          _obstacle(lat, spec, j))
         if top == j:
             out[j - lo] = lat.layer_expect(j, vals[-1])
     return out
@@ -132,7 +152,6 @@ class ConsistencyReport:
     own rule is optimal for anchor i, so gaps are nonnegative up to
     numerical tolerance; a strictly positive gap at an interior anchor
     certifies that the anchor-0 plan is no longer optimal later.
-    frontier holds the stop regions the rules were read from.
     """
 
     anchor_times: tuple
@@ -141,7 +160,6 @@ class ConsistencyReport:
     j_restarted: tuple
     gap: tuple
     frontiers_identical: bool
-    frontier: StoppingFrontier
 
     @property
     def max_gap(self) -> float:
@@ -155,19 +173,31 @@ class ConsistencyReport:
         return self.max_gap > GAP_THRESHOLD
 
 
+def _report(lat: Lattice, e_y, j_own: np.ndarray, j_rest: np.ndarray,
+            identical: bool) -> ConsistencyReport:
+    return ConsistencyReport(
+        anchor_times=tuple(lat.grid.t(i) for i in range(lat.n_steps + 1)),
+        e_y=tuple(e_y), j_own=tuple(j_own.tolist()), j_restarted=tuple(j_rest.tolist()),
+        gap=tuple((j_own - j_rest).tolist()), frontiers_identical=identical)
+
+
+def _same_as_anchor0(stops: np.ndarray) -> bool:
+    return bool((stops == stops[0]).all())
+
+
 def inconsistency_report(lat: Lattice, spec: InstanceSpec, sol: Solution) -> ConsistencyReport:
     frontier = extract_frontier(sol, lat, spec)
     N = lat.n_steps
     j_own = _rule_values(lat, spec, sol, 0, N, frontier.layers)
     j_rest = _rule_values(lat, spec, sol, 0, N, [f[0] for f in frontier.layers])
-    return ConsistencyReport(
-        anchor_times=tuple(lat.grid.t(i) for i in range(N + 1)),
-        e_y=tuple(expected_y(lat, sol, i) for i in range(N + 1)),
-        j_own=tuple(j_own.tolist()), j_restarted=tuple(j_rest.tolist()),
-        gap=tuple((j_own - j_rest).tolist()),
-        frontiers_identical=all(bool((f == f[0]).all()) for f in frontier.layers),
-        frontier=frontier,
-    )
+    return _report(lat, (expected_y(lat, sol, i) for i in range(N + 1)), j_own, j_rest,
+                   all(map(_same_as_anchor0, frontier.layers)))
+
+
+def _mass_step(worst: np.ndarray, kinc: np.ndarray, stops: np.ndarray) -> None:
+    """Raise worst[i] to anchor i's largest increment off its stop nodes on one layer."""
+    rows = worst[: len(kinc)]
+    np.maximum(rows, np.where(stops, 0.0, np.abs(kinc)).max(axis=1), out=rows)
 
 
 def premature_increment_mass(sol: Solution, frontier: StoppingFrontier) -> np.ndarray:
@@ -182,9 +212,23 @@ def premature_increment_mass(sol: Solution, frontier: StoppingFrontier) -> np.nd
         raise VolterraError("needs stored fields")
     worst = np.zeros(frontier.n_steps + 1)
     for kinc, stops in zip(sol.kinc.layers, frontier.layers):
-        rows = worst[: len(kinc)]
-        np.maximum(rows, np.where(stops, 0.0, np.abs(kinc)).max(axis=1), out=rows)
+        _mass_step(worst, kinc, stops)
     return worst
+
+
+def _frontier_part(j: int, stops: np.ndarray, x: np.ndarray) -> tuple:
+    """(anchor, layer, low, high) columns of layer j's nonempty stop regions."""
+    hit = stops.any(axis=1)
+    return (np.flatnonzero(hit), np.full(int(hit.sum()), j),
+            np.where(stops, x, np.inf).min(axis=1)[hit],
+            np.where(stops, x, -np.inf).max(axis=1)[hit])
+
+
+def _sorted_rows(parts: list, dt: float) -> list:
+    i, j, low, high = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((j, i))
+    return list(zip((i[order] * dt).tolist(), (j[order] * dt).tolist(),
+                    low[order].tolist(), high[order].tolist()))
 
 
 def frontier_rows(frontier: StoppingFrontier, lat: Lattice) -> list:
@@ -193,15 +237,55 @@ def frontier_rows(frontier: StoppingFrontier, lat: Lattice) -> list:
     One row per (anchor, layer) with a nonempty stop region, anchor-major;
     low and high are the smallest and largest stopped node states.
     """
+    return _sorted_rows([_frontier_part(j, stops, lat.x[j])
+                         for j, stops in enumerate(frontier.layers)], lat.grid.dt)
+
+
+def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
+    """Stop report and premature increment mass of the sweep's layers j = N .. 0.
+
+    Per layer: the stop flags, one step of both rule inductions (each
+    anchor's own flags, and anchor 0's row for all) on the sweep's own
+    running terms, E[Y(t_j)] and the mass; no layer is kept.  Float for
+    float equal to inconsistency_report and premature_increment_mass on
+    the stored solution.  Returns (ConsistencyReport, mass per anchor).
+    """
+    N = lat.n_steps
+    e_y = [0.0] * (N + 1)
+    j_own, j_rest, worst = np.empty(N + 1), np.empty(N + 1), np.zeros(N + 1)
+    identical = True
+    for layer in layers:
+        j, barrier = layer.j, layer.barrier
+        if barrier is None:  # terminal layer: both inductions start at its rows
+            own = rest = layer.rows
+        else:
+            stops = _stops(layer.rows, barrier)
+            own = _rule_step(own, j + 1, stops, layer.fdt, barrier)
+            rest = _rule_step(rest, j + 1, stops[0], layer.fdt, barrier)
+            _mass_step(worst, layer.kinc, stops)
+            identical = identical and _same_as_anchor0(stops)
+        e_y[j] = lat.layer_expect(j, layer.v)
+        j_own[j] = lat.layer_expect(j, own[-1])
+        j_rest[j] = lat.layer_expect(j, rest[-1])
+    return _report(lat, e_y, j_own, j_rest, identical), worst
+
+
+def stream_solve(lat: Lattice, layers: Iterable[Layer]) -> tuple:
+    """Diagonal and frontier rows of the sweep's layers j = N .. 0.
+
+    Keeps each layer's diagonal and frontier reduction, and sorts the
+    rows anchor-major at the end: float for float equal to the stored
+    solution's diagonal and frontier_rows.  Returns (diagonal-only
+    Solution, frontier rows).
+    """
+    N = lat.n_steps
+    y_diag = [None] * (N + 1)
     parts = []
-    for j, stops in enumerate(frontier.layers):
-        hit = stops.any(axis=1)
-        x = lat.x[j]
-        parts.append((np.flatnonzero(hit), np.full(int(hit.sum()), j),
-                      np.where(stops, x, np.inf).min(axis=1)[hit],
-                      np.where(stops, x, -np.inf).max(axis=1)[hit]))
-    i, j, low, high = (np.concatenate(p) for p in zip(*parts))
-    order = np.lexsort((j, i))
-    dt = lat.grid.dt
-    return list(zip((i[order] * dt).tolist(), (j[order] * dt).tolist(),
-                    low[order].tolist(), high[order].tolist()))
+    largest_update = 0.0
+    for layer in layers:
+        j = layer.j
+        y_diag[j] = layer.v
+        largest_update = max(largest_update, layer.update)
+        parts.append(_frontier_part(j, _stops(layer.rows, layer.barrier), lat.x[j]))
+    sol = Solution(y_diag, None, None, None, iterations=1, residual_history=[largest_update])
+    return sol, _sorted_rows(parts, lat.grid.dt)

@@ -12,8 +12,10 @@ from the layer-(j+1) rows of anchors 0..j:
              i <= j at once, the driver broadcast over an anchor axis
 
 This is the paper's construction that pastes short windows together,
-with window dt and an exact inner solve.  solve runs it and stores each
-layer's (anchors x nodes) arrays once, in BiFields.  step_layer is
+with window dt and an exact inner solve.  sweep runs it and hands out
+each layer's (anchors x nodes) arrays as soon as they are made, so a
+consumer that reads them in the sweep's order, j = N .. 0, holds one
+layer at a time; solve collects them into BiFields.  step_layer is
 everything after the one-step operator; the regression Monte Carlo
 engine (mc.solve_mc) calls it on its projections, so the two engines
 differ only in how E and z are made.  The global Picard iteration the
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rbsvie.grid import Lattice, TimeGrid
-from rbsvie.instances import InstanceSpec
+from rbsvie.instances import InstanceSpec, anchor_axis_defect, broadcast_defect
 
 # relative size of a last-bit cycle the per-node equation may end on
 SETTLE_RTOL = 1e-14
@@ -52,13 +54,11 @@ class NoConvergence(RuntimeError):
 class PicardConfig:
     """Solver controls.
 
-    max_iters bounds the iterations of each per-node equation in solve
-    and the passes of the Picard reference (snell.solve_global).
-    store_fields=False makes solve keep only the diagonal.
+    max_iters bounds the iterations of each per-node equation in the
+    sweep and the passes of the Picard reference (snell.solve_global).
     """
 
     max_iters: int = 200
-    store_fields: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -99,9 +99,10 @@ class Solution:
 
     y_diag[i] is the layer-i array of diagonal values Y(t_i).  The
     triangular fields hold per-anchor envelopes, martingale coefficients
-    and reflection increments (None in diagonal-only mode); the
-    reflection term is stored as per-step increments, so the cumulative
-    K(t_i, t_j) along a path is the sum of kinc over the visited nodes.
+    and reflection increments (None in the diagonal-only solution of
+    stopping.stream_solve); the reflection term is stored as per-step
+    increments, so the cumulative K(t_i, t_j) along a path is the sum of
+    kinc over the visited nodes.
     For the sweep, residual_history holds one entry, the largest last
     update of the per-node equations (0.0 when every one settled
     exactly); for the Picard reference it holds the expectation-norm
@@ -120,14 +121,14 @@ def _driver_rows(spec: InstanceSpec, t, s: float, x, y, z, shape: tuple,
                  j: int) -> np.ndarray:
     """Driver values that broadcast to shape; a mismatch names the layer."""
     f = np.asarray(spec.driver(t, s, x, y, z), dtype=float)
-    try:
-        if np.broadcast_shapes(f.shape, shape) == shape:
-            return f
-    except ValueError:
-        pass
-    raise VolterraError(
-        f"driver result of shape {f.shape} at layer {j} does not broadcast "
-        f"to (anchors, nodes) = {shape}")
+    if f.shape == shape or broadcast_defect(f.shape, shape) is None:
+        return f
+    raise _not_broadcast(f"result shape {f.shape}", shape, j)
+
+
+def _not_broadcast(reason: str, shape: tuple, j: int) -> VolterraError:
+    return VolterraError(f"driver at layer {j} does not broadcast to "
+                         f"(anchors, nodes) = {shape}: {reason}")
 
 
 def _non_finite(i: int, j: int) -> VolterraError:
@@ -179,16 +180,42 @@ def step_rows(spec: InstanceSpec, t, s: float, x, v, e: np.ndarray, z: np.ndarra
               barrier, dt: float, j: int, kinc: bool = False) -> tuple:
     """max(e + f(t, s, x, v, z) dt, L) row by row, written over e.
 
-    Returns (rows, reflection increments max(L - e - f dt, 0) or None).
+    Returns (rows, reflection increments max(L - e - f dt, 0) or None,
+    running term f dt).
     """
-    c = np.add(e, _driver_rows(spec, t, s, x, v, z, z.shape, j) * dt, out=e)
+    fdt = _driver_rows(spec, t, s, x, v, z, z.shape, j) * dt
+    c = np.add(e, fdt, out=e)
     k = np.maximum(barrier - c, 0.0) if kinc else None
-    return np.maximum(c, barrier, out=c), k
+    return np.maximum(c, barrier, out=c), k, fdt
+
+
+@dataclass(frozen=True)
+class Layer:
+    """Layer j of the backward sweep, anchors 0..j over the layer-j nodes.
+
+    rows[i] is anchor i's envelope and v the settled diagonal Y(t_j),
+    equal to rows[j]; z[i] and kinc[i] are anchor i's martingale
+    coefficients and reflection increments (kinc None unless asked for),
+    fdt the running terms f(t_i, t_j, x, v, z[i]) dt and barrier the
+    obstacle L(t_j, x); update is the last update of the per-node
+    equation.  On the terminal layer N, rows are the terminal values and
+    z, kinc, fdt and barrier are None.  The lattice sweep writes into no
+    layer after handing it out; the Monte Carlo engine reuses its z buffer.
+    """
+
+    j: int
+    rows: np.ndarray
+    v: np.ndarray
+    z: np.ndarray | None = None
+    kinc: np.ndarray | None = None
+    fdt: np.ndarray | None = None
+    barrier: np.ndarray | None = None
+    update: float = 0.0
 
 
 def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndarray,
                z: np.ndarray, dt: float, j: int, max_iters: int,
-               kinc: bool = False) -> tuple:
+               kinc: bool = False) -> Layer:
     """Layer j of the backward sweep, from the one-step operator's output.
 
     e and z are the conditional expectations and martingale coefficients
@@ -197,47 +224,60 @@ def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndar
     regression projection).  anchor_t is the column of anchor times.
     Anchor j's row settles its per-state equation, then every row steps
     with the diagonal frozen at the settled v.  The rows overwrite e.
-    Returns (rows, v, barrier, last update, reflection increments or None).
     """
     barrier = np.asarray(spec.obstacle(s, x), dtype=float)
     v, update = _settle_diagonal(spec, s, x, e[j], z[j], barrier, dt, j, max_iters)
-    rows, k = step_rows(spec, anchor_t[: j + 1], s, x, v, e, z, barrier, dt, j, kinc)
+    rows, k, fdt = step_rows(spec, anchor_t[: j + 1], s, x, v, e, z, barrier, dt, j, kinc)
     rows[j] = v
     check_finite(rows, j)
-    return rows, v, barrier, update, k
+    return Layer(j, rows, v, z, k, fdt, barrier, update)
+
+
+def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int):
+    """Yield the sweep's layers j = N .. 0 (see the module docstring).
+
+    Before the first layer the driver is probed with all N + 1 anchor
+    times against layer N - 1's N nodes, the one layer where the two axes
+    differ in length: a driver that folds the anchor axis into the node
+    axis passes every sweep layer's shape test and would be solved on
+    wrong values.  Each later layer is made from the one before, which
+    the consumer may keep or drop.
+    """
+    grid = lat.grid
+    N = lat.n_steps
+    anchor_t, rows = terminal_rows(spec, grid, lat.x[N], range(N + 1))
+    check_finite(rows, N)
+    reason = anchor_axis_defect(spec, anchor_t, lat.x[N - 1])
+    if reason is not None:
+        raise _not_broadcast(reason, (N + 1, N), N - 1)
+    layer = Layer(N, rows, rows[N].copy())
+    yield layer
+    for j in range(N - 1, -1, -1):
+        nxt = layer.rows[: j + 1]  # anchors 0..j on layer j + 1
+        e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
+        z = (nxt[:, 1:] - nxt[:, :-1]) / (2.0 * grid.sqrt_dt)
+        layer = step_layer(spec, anchor_t, grid.t(j), lat.x[j], e, z, grid.dt, j,
+                           max_iters, kinc=True)
+        yield layer
 
 
 def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> Solution:
-    """One backward sweep over the layers (see the module docstring)."""
+    """The sweep's layers collected into a Solution (see the module docstring)."""
     cfg = cfg or PicardConfig()
-    grid = lat.grid
     N = lat.n_steps
-    dt = grid.dt
-    anchor_t, rows = terminal_rows(spec, grid, lat.x[N], range(N + 1))
-    check_finite(rows, N)
     y_diag = [None] * (N + 1)
-    y_diag[N] = rows[N].copy()
     ytilde_layers = [None] * (N + 1)
     z_layers = [None] * N
     kinc_layers = [None] * N
-    ytilde_layers[N] = rows
     largest_update = 0.0
-
-    for j in range(N - 1, -1, -1):
-        nxt = rows[: j + 1]  # anchors 0..j on layer j + 1
-        e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
-        z = (nxt[:, 1:] - nxt[:, :-1]) / (2.0 * grid.sqrt_dt)
-        rows, v, _, update, kinc = step_layer(spec, anchor_t, grid.t(j), lat.x[j], e, z,
-                                              dt, j, cfg.max_iters, cfg.store_fields)
-        largest_update = max(largest_update, update)
-        y_diag[j] = v
-        if cfg.store_fields:
-            ytilde_layers[j] = rows
-            z_layers[j] = z
-            kinc_layers[j] = kinc
-
-    fields = [None, None, None]
-    if cfg.store_fields:
-        fields = [BiField(N, "ytilde", ytilde_layers), BiField(N, "z", z_layers),
-                  BiField(N, "kinc", kinc_layers)]
-    return Solution(y_diag, *fields, iterations=1, residual_history=[largest_update])
+    for layer in sweep(lat, spec, cfg.max_iters):
+        j = layer.j
+        y_diag[j] = layer.v
+        largest_update = max(largest_update, layer.update)
+        ytilde_layers[j] = layer.rows
+        if j < N:
+            z_layers[j] = layer.z
+            kinc_layers[j] = layer.kinc
+    return Solution(y_diag, BiField(N, "ytilde", ytilde_layers), BiField(N, "z", z_layers),
+                    BiField(N, "kinc", kinc_layers), iterations=1,
+                    residual_history=[largest_update])

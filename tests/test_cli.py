@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -290,13 +291,7 @@ def test_writer_renders_edge_floats_like_json_and_csv(data):
 
 
 def test_verify_assumptions_flags_a_driver_that_folds_the_anchor_axis(tmp_path, monkeypatch):
-    # squeezing the (anchors, 1) column of anchor times lines anchors up with
-    # nodes: the sweep would accept it on every layer, since both counts are j + 1
-    fold = DriverSpec(name="fold", lipschitz=0.5, holder_const=0.5,
-                      fn=lambda t, s, x, y, z: -0.5 / (1.0 + np.squeeze(s - t)) * y)
-    real = cli.catalog_instance
-    monkeypatch.setattr(cli, "catalog_instance",
-                        lambda name, params=None: replace(real(name, params), driver=fold))
+    _fold_driver(monkeypatch)
     out = tmp_path / "out"
     cfg = _cfg(tmp_path, "[instance]\nname = hyperbolic_discount\n\n[grid]\nN = 10\n")
     assert _run("verify-assumptions", "--config", cfg, "--out", str(out)) == cli.EXIT_VERIFICATION
@@ -587,8 +582,9 @@ def test_infeasible_request_exits_one_without_artifacts(tmp_path, body, flags, c
 @pytest.mark.parametrize("command", ["solve", "stop", "compare"])
 def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command, capsys,
                                                               monkeypatch):
-    # N = 100000 stores about 2.7e16 bytes of fields per solution:
-    # refused before the lattice is built or --out is made
+    # N = 100000 needs about 1.1e12 bytes of lattice, diagonals and layer
+    # arrays while the sweep streams: refused before the lattice is built or
+    # --out is made
     def no_lattice(*args):
         raise AssertionError("lattice built")
     monkeypatch.setattr(cli, "build_lattice", no_lattice)
@@ -599,12 +595,57 @@ def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command,
     assert _run(command, *("--config", cfg) * solutions, "--out", str(out)) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
 
-    def squares(m):
-        return m * (m + 1) * (2 * m + 1) // 6
-    need = solutions * 8 * (squares(n + 1) + 2 * squares(n))
-    assert "config error:" in err and f"need {need} bytes" in err
+    # the lattice's w, x and probs and each diagonal hold (N+1)(N+2)/2 floats
+    triangle = (n + 1) * (n + 2) // 2
+    need = 8 * ((3 + solutions) * triangle + cli.LAYER_ARRAYS * (n + 1) ** 2)
+    assert "config error:" in err and f"needs {need} bytes" in err
     assert "bytes of physical memory" in err
     assert not out.exists()
+
+
+def _traced_peak(*argv) -> int:
+    tracemalloc.start()
+    try:
+        assert _run(*argv) == cli.EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["solve", "stop"])
+def test_streamed_commands_grow_like_n_squared(tmp_path, command):
+    # stored fields grew the traced peak about 7.7x from N = 200 to 400 (N^3);
+    # streamed layers hold (N + 1)^2-sized arrays, about 4x
+    peaks = []
+    for n in (200, 400):
+        cfg = _cfg(tmp_path, f"[instance]\nname = hyperbolic_discount\n\n[grid]\nN = {n}\n",
+                   name=f"{n}.ini")
+        peaks.append(_traced_peak(command, "--config", cfg, "--out", str(tmp_path / str(n))))
+    assert peaks[1] <= 5 * peaks[0], peaks
+
+
+def _fold_driver(monkeypatch):
+    # squeezing the (anchors, 1) column of anchor times lines anchors up with
+    # nodes: every sweep layer has j + 1 of both
+    fold = DriverSpec(name="fold", lipschitz=0.5, holder_const=0.5,
+                      fn=lambda t, s, x, y, z: -0.5 / (1.0 + np.squeeze(s - t)) * y)
+    real = cli.catalog_instance
+    monkeypatch.setattr(cli, "catalog_instance",
+                        lambda name, params=None: replace(real(name, params), driver=fold))
+
+
+@pytest.mark.parametrize("command", ["solve", "stop", "compare"])
+def test_driver_that_folds_the_anchor_axis_exits_one_without_artifacts(tmp_path, command,
+                                                                       capsys, monkeypatch):
+    # the sweep probes anchors 0..N against layer N - 1's N nodes first
+    _fold_driver(monkeypatch)
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, "[instance]\nname = hyperbolic_discount\n\n[grid]\nN = 10\n")
+    solutions = 2 if command == "compare" else 1
+    assert _run(command, *("--config", cfg) * solutions, "--out", str(out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "layer 9" in err and "(anchors, nodes) = (11, 10)" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_lattice_built_only_where_read(tmp_path, monkeypatch):

@@ -25,8 +25,8 @@ from rbsvie.snell import (
     solve_slice,
     zero_diagonal,
 )
-from rbsvie.stopping import inconsistency_report
-from rbsvie.volterra import NoConvergence, PicardConfig, VolterraError, solve
+from rbsvie.stopping import inconsistency_report, stream_solve
+from rbsvie.volterra import NoConvergence, PicardConfig, VolterraError, solve, sweep
 
 
 def test_config_validation():
@@ -247,7 +247,7 @@ def test_sweep_record_and_diagonal_only_mode():
     lat = spec.lattice(30)
     full = solve(lat, spec)
     assert len(full.residual_history) == 1 and full.residual_history[0] <= 1e-14
-    lean = solve(lat, spec, PicardConfig(store_fields=False))
+    lean, _ = stream_solve(lat, sweep(lat, spec, 200))
     assert lean.ytilde is None and lean.z is None and lean.kinc is None
     for a, b in zip(full.y_diag, lean.y_diag):
         assert np.array_equal(a, b)
