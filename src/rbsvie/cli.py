@@ -195,17 +195,22 @@ def _build(cfg: RunConfig, max_n=None):
 LAYER_ARRAYS = 12
 
 
-def _lattice(spec, grid: TimeGrid, solutions: int):
-    """The lattice, once the streamed working set fits in memory: the
-    lattice's three node arrays and each solution's diagonal, (N+1)(N+2)/2
-    floats each, and LAYER_ARRAYS layer arrays."""
-    n = grid.n_steps
-    triangle = (n + 1) * (n + 2) // 2
-    need = 8 * ((3 + solutions) * triangle + LAYER_ARRAYS * (n + 1) ** 2)
+def _check_fits(what: str, need: int) -> None:
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ConfigError(f"the streamed working set at N={n} needs {need} bytes, more "
-                          f"than the {have} bytes of physical memory")
+        raise ConfigError(f"{what} needs {need} bytes, more than the {have} bytes "
+                          f"of physical memory")
+
+
+def _lattice(spec, grid: TimeGrid, solutions: int, frontier: bool = False):
+    """The lattice, once the streamed working set fits in memory: the
+    lattice's three node arrays, each solution's diagonal and, with
+    frontier, the four frontier columns (one row at most per anchor and
+    layer), (N+1)(N+2)/2 floats each, and LAYER_ARRAYS layer arrays."""
+    n = grid.n_steps
+    triangle = (n + 1) * (n + 2) // 2
+    need = 8 * ((3 + solutions + 4 * frontier) * triangle + LAYER_ARRAYS * (n + 1) ** 2)
+    _check_fits(f"the streamed working set at N={n}", need)
     return build_lattice(grid, spec.x0, spec.dynamics)
 
 
@@ -231,8 +236,8 @@ def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) 
     both CSVs share the strings.  times are the anchor times t_0..t_N.  The
     lattice passes y_diag and states as one node array per anchor; the MC
     engine passes one mean per anchor and states=None, which leaves node
-    and state empty.  f_rows are frontier_rows' tuples.  The solvers reject
-    non-finite values, so every float prints as repr.
+    and state empty.  f_rows is either engine's (rows, 4) frontier array.
+    The solvers reject non-finite values, so every float prints as repr.
     """
     t_str = list(map(repr, times))
     known = dict(zip(times, t_str))  # float -> string, for the frontier columns
@@ -265,25 +270,30 @@ def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) 
     with open(out / "frontier.csv", "w", newline="") as fc:
         fc.write("anchor_time,time,critical_state_low,critical_state_high\n")
         for start in range(0, len(f_rows), step):
-            cols = ([get(v) or repr(v) for v in c] for c in zip(*f_rows[start: start + step]))
+            block = f_rows[start: start + step].T.tolist()
+            cols = ([get(v) or repr(v) for v in c] for c in block)
             fc.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config[0])
     spec, grid = _build(cfg, args.max_n)
-    lat = _lattice(spec, grid, 1) if args.engine == "lattice" else None
+    if args.engine == "lattice":
+        lat = _lattice(spec, grid, 1, frontier=True)
+    else:
+        basis = mc.RegressionBasis(cfg.basis_family, cfg.basis_degree)
+        _check_fits(f"the Monte Carlo working set of {cfg.n_paths} paths at N={grid.n_steps}",
+                    mc.working_set_bytes(grid.n_steps, cfg.n_paths, basis))
     out = _out_dir(args, cfg)
 
     if args.engine == "lattice":
-        sol, f_rows = stream_solve(lat, sweep(lat, spec, cfg.max_iters))
-        y_diag, states = sol.y_diag, lat.x
+        y_diag, update, f_rows = stream_solve(lat, sweep(lat, spec, cfg.max_iters))
+        states, residuals = lat.x, [update]
         payload = {"y0": float(y_diag[0][0])}
     else:
         bundle = mc.simulate(grid, spec, cfg.n_paths, cfg.seed)
-        basis = mc.RegressionBasis(cfg.basis_family, cfg.basis_degree)
         sol = mc.solve_mc(bundle, spec, basis, PicardConfig(max_iters=cfg.max_iters))
-        f_rows = [(0.0, t_j, lo, hi) for t_j, lo, hi in sol.frontier_rows]
+        f_rows, residuals = sol.frontier_rows, sol.residual_history
         # mc rows estimate the mean diagonal: no lattice node applies
         y_diag, states = sol.e_y_diag, None
         payload = {
@@ -298,7 +308,7 @@ def cmd_solve(args) -> int:
         "instance": spec.label,
         "n_steps": grid.n_steps,
         "horizon": grid.horizon,
-        "residual_history": [float(r) for r in sol.residual_history],
+        "residual_history": [float(r) for r in residuals],
         "frontier": {"n_rows": len(f_rows)},
     })
     times = [grid.t(i) for i in range(grid.n_steps + 1)]

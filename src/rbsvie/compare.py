@@ -57,8 +57,6 @@ def _driver_gap_stats(lo: InstanceSpec, hi: InstanceSpec, lat: Lattice,
             - np.asarray(lo.driver(t, s, x, y, z), dtype=float)
         gmin = min(gmin, float(g.min()))
         gmax = max(gmax, float(g.max()))
-    if gmin is np.inf:  # single-layer grid, no interior (t, s)
-        gmin = gmax = 0.0
     return gmin, gmax
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from rbsvie.grid import TimeGrid
 from rbsvie.instances import InstanceSpec
-from rbsvie.stopping import STOP_TOLERANCE
+from rbsvie.stopping import _frontier_part, _sorted_rows, _stops
 from rbsvie.volterra import (NoConvergence, PicardConfig, VolterraError,
                              check_finite, step_layer, step_rows, terminal_rows)
 
@@ -33,6 +33,7 @@ BLOCK_SIZE = 65536
 # (blocks of 512-4096 paths time alike at 100k paths)
 KR_BLOCK = 1024
 GENERATOR_NAME = "numpy-pcg64"
+N_BOOTSTRAP = 48
 
 
 class MCError(ValueError):
@@ -195,18 +196,20 @@ class MCSolution:
 
     y0 is the time-0 value (layer-0 projection is a plain average: all
     paths share the starting state).  e_y_diag[i] estimates the mean
-    diagonal value at anchor i.  floor_margin is the smallest ytilde -
-    obstacle over every path point of anchor 0's rows (nonnegative by
-    construction).  y0_replicates are the bootstrap refits of y0, whose
-    standard deviation is y0_se.  As for the lattice sweep, iterations
-    is 1 and residual_history holds the largest last update of the
-    per-path equations.
+    diagonal value at anchor i.  frontier_rows are anchor 0's stopping
+    rows (anchor time 0.0) with the terminal layer thresholded against
+    the obstacle, not all stopped as on the lattice.  floor_margin is the
+    smallest ytilde - obstacle over every path point of anchor 0's rows
+    (nonnegative by construction).  y0_replicates are the bootstrap
+    refits of y0, whose standard deviation is y0_se.  As for the lattice
+    sweep, iterations is 1 and residual_history holds the largest last
+    update of the per-path equations.
     """
 
     y0: float
     y0_se: float
     e_y_diag: list
-    frontier_rows: list
+    frontier_rows: np.ndarray
     iterations: int
     residual_history: list
     floor_margin: float
@@ -226,8 +229,20 @@ def _bootstrap_weights(bundle: PathBundle, n_bootstrap: int) -> np.ndarray:
     return wts
 
 
+def working_set_bytes(n_steps: int, n_paths: int, basis: RegressionBasis) -> int:
+    """Bytes of the path arrays simulate and solve_mc (N_BOOTSTRAP
+    replicates) hold at once.
+
+    N + 1 rows each: x, dw, the anchors' value and z rows, and a layer's
+    driver values and running terms; N_BOOTSTRAP rows each: the bootstrap
+    weights and replicates; basis.dim rows each: the layer's design, the
+    projector's transposed and weighted designs, and the replicates' z.
+    """
+    return 8 * n_paths * (6 * (n_steps + 1) + 2 * N_BOOTSTRAP + 4 * basis.dim)
+
+
 def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
-             cfg: PicardConfig | None = None, n_bootstrap: int = 48) -> MCSolution:
+             cfg: PicardConfig | None = None, n_bootstrap: int = N_BOOTSTRAP) -> MCSolution:
     """One backward pass over the layers (see the module docstring).
 
     cfg.max_iters bounds each per-path equation.  A non-finite row raises
@@ -253,17 +268,13 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
     zrep = np.empty((basis.dim, n))
     e_y_diag = [0.0] * (N + 1)
     e_y_diag[N] = float(vals[N].mean())
-    frontier, margin = [], np.inf
+    parts, margin = [], np.inf
     largest_update = 0.0
 
     def record(j, x, row, barrier):
         nonlocal margin
-        slack = row - barrier
-        margin = min(margin, float(slack.min()))
-        exercised = slack <= STOP_TOLERANCE
-        if np.any(exercised):
-            xs = x[exercised]
-            frontier.append((grid.t(j), float(xs.min()), float(xs.max())))
+        margin = min(margin, float((row - barrier).min()))
+        parts.append(_frontier_part(j, _stops(row[None], barrier), x))
 
     try:
         check_finite(vals, N)
@@ -299,7 +310,7 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
         y0=float(vals[0, 0]),
         y0_se=float(reps[:, 0].std(ddof=1)),
         e_y_diag=e_y_diag,
-        frontier_rows=frontier[::-1],
+        frontier_rows=_sorted_rows(parts, dt),
         iterations=1,
         residual_history=[largest_update],
         floor_margin=margin,

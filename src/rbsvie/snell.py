@@ -13,7 +13,7 @@ xi(t_i, .) and the obstacle L, running s over grid layers j = i..N:
 The y-argument of the driver is the frozen diagonal U supplied by the
 caller; the z-argument is the martingale coefficient of the slice being
 built, which makes the scheme explicit in z.  The production backward
-sweep (volterra.solve) runs the same scheme for all anchors of a layer
+sweep (volterra.sweep) runs the same scheme for all anchors of a layer
 at once, with U the diagonal already solved on that layer.  kinc holds
 the per-step increments of the reflection term, so K(t_i, t_j) = sum of
 kinc over i <= j' < j along a path.  Where kinc > 0 the value sits

@@ -18,6 +18,13 @@ and hold one layer at a time, and the functions on a stored Solution
 (extract_frontier, frontier_rows, inconsistency_report,
 premature_increment_mass, evaluate_J) replay its fields through the
 same steps.
+
+Both engines report a strategy as frontier rows: one float64 array of
+shape (rows, 4) holding anchor time, time, and the smallest and largest
+stopped state, one row per (anchor, layer) with a nonempty stop region,
+anchor-major.  _stops decides which nodes stop and _frontier_part and
+_sorted_rows reduce them to rows, for the lattice here and for one
+anchor-0 row per path in the regression Monte Carlo engine.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 from rbsvie.grid import Lattice
 from rbsvie.instances import InstanceSpec
 from rbsvie.oracle import StoppingRule
-from rbsvie.volterra import Layer, Solution, VolterraError, _driver_rows, terminal_rows
+from rbsvie.volterra import Layer, Solution, _driver_rows, terminal_rows
 
 
 STOP_TOLERANCE = 1e-9  # a node stops where the envelope is this close to L
@@ -84,8 +91,6 @@ def _threshold(lat: Lattice, spec: InstanceSpec, rows) -> StoppingFrontier:
 
 def extract_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec) -> StoppingFrontier:
     """Stop regions from the per-anchor envelope rows of a solution."""
-    if sol.ytilde is None:
-        raise VolterraError("frontier extraction needs stored fields")
     return _threshold(lat, spec, sol.ytilde.layers)
 
 
@@ -109,8 +114,6 @@ def _rule_values(lat: Lattice, spec: InstanceSpec, sol: Solution, lo: int, hi: i
     holds the layer-j flags of anchors lo..min(j, hi), one row each or one
     row for all.  Anchor i's value is the expectation over its layer-i nodes.
     """
-    if sol.z is None:
-        raise VolterraError("rule evaluation needs stored fields")
     N = lat.n_steps
     grid = lat.grid
     anchor_t, vals = terminal_rows(spec, grid, lat.x[N], range(lo, hi + 1))
@@ -208,8 +211,6 @@ def premature_increment_mass(sol: Solution, frontier: StoppingFrontier) -> np.nd
     where the envelope is pinned to the obstacle, and those nodes are
     stop nodes.
     """
-    if sol.kinc is None:
-        raise VolterraError("needs stored fields")
     worst = np.zeros(frontier.n_steps + 1)
     for kinc, stops in zip(sol.kinc.layers, frontier.layers):
         _mass_step(worst, kinc, stops)
@@ -224,17 +225,15 @@ def _frontier_part(j: int, stops: np.ndarray, x: np.ndarray) -> tuple:
             np.where(stops, x, -np.inf).max(axis=1)[hit])
 
 
-def _sorted_rows(parts: list, dt: float) -> list:
+def _sorted_rows(parts: list, dt: float) -> np.ndarray:
+    """The parts' frontier rows, anchor-major and then by time (see the module docstring)."""
     i, j, low, high = (np.concatenate(p) for p in zip(*parts))
-    order = np.lexsort((j, i))
-    return list(zip((i[order] * dt).tolist(), (j[order] * dt).tolist(),
-                    low[order].tolist(), high[order].tolist()))
+    return np.column_stack((i * dt, j * dt, low, high))[np.lexsort((j, i))]
 
 
-def frontier_rows(frontier: StoppingFrontier, lat: Lattice) -> list:
-    """Flatten a frontier to (anchor_time, time, low_state, high_state) rows.
+def frontier_rows(frontier: StoppingFrontier, lat: Lattice) -> np.ndarray:
+    """A frontier's (anchor_time, time, low_state, high_state) rows.
 
-    One row per (anchor, layer) with a nonempty stop region, anchor-major;
     low and high are the smallest and largest stopped node states.
     """
     return _sorted_rows([_frontier_part(j, stops, lat.x[j])
@@ -275,8 +274,8 @@ def stream_solve(lat: Lattice, layers: Iterable[Layer]) -> tuple:
 
     Keeps each layer's diagonal and frontier reduction, and sorts the
     rows anchor-major at the end: float for float equal to the stored
-    solution's diagonal and frontier_rows.  Returns (diagonal-only
-    Solution, frontier rows).
+    solution's y_diag, residual_history[0] and frontier_rows.  Returns
+    (y_diag, largest last update of the per-node equations, rows).
     """
     N = lat.n_steps
     y_diag = [None] * (N + 1)
@@ -287,5 +286,4 @@ def stream_solve(lat: Lattice, layers: Iterable[Layer]) -> tuple:
         y_diag[j] = layer.v
         largest_update = max(largest_update, layer.update)
         parts.append(_frontier_part(j, _stops(layer.rows, layer.barrier), lat.x[j]))
-    sol = Solution(y_diag, None, None, None, iterations=1, residual_history=[largest_update])
-    return sol, _sorted_rows(parts, lat.grid.dt)
+    return y_diag, largest_update, _sorted_rows(parts, lat.grid.dt)

@@ -95,12 +95,11 @@ class BiField:
 
 @dataclass
 class Solution:
-    """Solved diagonal and, unless diagonal-only, the per-anchor fields.
+    """Solved diagonal and the stored per-anchor fields.
 
     y_diag[i] is the layer-i array of diagonal values Y(t_i).  The
     triangular fields hold per-anchor envelopes, martingale coefficients
-    and reflection increments (None in the diagonal-only solution of
-    stopping.stream_solve); the reflection term is stored as per-step
+    and reflection increments; the reflection term is stored as per-step
     increments, so the cumulative K(t_i, t_j) along a path is the sum of
     kinc over the visited nodes.
     For the sweep, residual_history holds one entry, the largest last
@@ -110,9 +109,9 @@ class Solution:
     """
 
     y_diag: list
-    ytilde: BiField | None
-    z: BiField | None
-    kinc: BiField | None
+    ytilde: BiField
+    z: BiField
+    kinc: BiField
     iterations: int
     residual_history: list
 

@@ -124,7 +124,7 @@ dir = {out}
     spec = catalog_instance("american_put")
     lat = spec.lattice(10)
     want = frontier_rows(extract_frontier(solve(lat, spec), lat, spec), lat)
-    assert rows == [[repr(v) for v in row] for row in want]
+    assert rows == [[repr(v) for v in row] for row in want.tolist()]
     assert len(rows) == sol["frontier"]["n_rows"]
 
 
@@ -218,7 +218,7 @@ def test_lattice_artifacts_render_the_in_memory_solution(tmp_path, name):
     }
     y_rows = [(grid.t(i), k, x, y) for i, ys in enumerate(y_diag)
               for k, (x, y) in enumerate(zip(lat.x[i].tolist(), ys))]
-    assert _written(tmp_path / "out") == _render(payload, y_rows, f_rows)
+    assert _written(tmp_path / "out") == _render(payload, y_rows, f_rows.tolist())
 
 
 def test_mc_artifacts_render_the_in_memory_solution(tmp_path):
@@ -232,7 +232,7 @@ def test_mc_artifacts_render_the_in_memory_solution(tmp_path):
     sol = mc.solve_mc(mc.simulate(grid, spec, rc.n_paths, rc.seed), spec,
                       mc.RegressionBasis(rc.basis_family, rc.basis_degree),
                       PicardConfig(max_iters=rc.max_iters))
-    f_rows = [(0.0, t, lo, hi) for t, lo, hi in sol.frontier_rows]
+    f_rows = sol.frontier_rows
     payload = {
         "y_diag": sol.e_y_diag,
         "y0": sol.y0,
@@ -248,8 +248,8 @@ def test_mc_artifacts_render_the_in_memory_solution(tmp_path):
     }
     # one mean per anchor: node and state stay empty
     y_rows = [(grid.t(i), "", "", y) for i, y in enumerate(sol.e_y_diag)]
-    assert f_rows
-    assert _written(tmp_path / "out") == _render(payload, y_rows, f_rows)
+    assert len(f_rows)
+    assert _written(tmp_path / "out") == _render(payload, y_rows, f_rows.tolist())
 
 
 # floats whose repr is easy to get wrong: signed zeros, the smallest
@@ -280,14 +280,15 @@ def test_writer_renders_edge_floats_like_json_and_csv(data):
     # frontier entries reuse times and states, as the solver's rows do, or are new
     pool = times + ([v for row in states for v in row.tolist()] if states else [])
     value = st.one_of(st.sampled_from(pool), _floats)
-    f_rows = data.draw(st.lists(st.tuples(value, value, value, value), max_size=3 * n + 4),
-                       label="frontier")
+    n_rows = data.draw(st.integers(0, 3 * n + 4), label="n_rows")
+    f_rows = np.array(data.draw(st.lists(value, min_size=4 * n_rows, max_size=4 * n_rows),
+                                label="frontier"), dtype=float).reshape(n_rows, 4)
     # "zeta" sorts after "y_diag": the block must land at its sorted position
     payload = {"y0": 1.5, "engine": "x", "frontier": {"n_rows": len(f_rows)}, "zeta": [-0.0]}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         cli._write_solve(out, payload, times, y_diag, states, f_rows)
-        assert _written(out) == _render({**payload, "y_diag": y_json}, y_rows, f_rows)
+        assert _written(out) == _render({**payload, "y_diag": y_json}, y_rows, f_rows.tolist())
 
 
 def test_verify_assumptions_flags_a_driver_that_folds_the_anchor_axis(tmp_path, monkeypatch):
@@ -582,9 +583,9 @@ def test_infeasible_request_exits_one_without_artifacts(tmp_path, body, flags, c
 @pytest.mark.parametrize("command", ["solve", "stop", "compare"])
 def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command, capsys,
                                                               monkeypatch):
-    # N = 100000 needs about 1.1e12 bytes of lattice, diagonals and layer
-    # arrays while the sweep streams: refused before the lattice is built or
-    # --out is made
+    # N = 100000 needs about 1.1e12 bytes of lattice, diagonals, solve's
+    # frontier and layer arrays while the sweep streams: refused before the
+    # lattice is built or --out is made
     def no_lattice(*args):
         raise AssertionError("lattice built")
     monkeypatch.setattr(cli, "build_lattice", no_lattice)
@@ -594,10 +595,35 @@ def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command,
     solutions = 2 if command == "compare" else 1
     assert _run(command, *("--config", cfg) * solutions, "--out", str(out)) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
+    need = _streamed_bytes(n, solutions, frontier=command == "solve")
+    assert "config error:" in err and f"needs {need} bytes" in err
+    assert "bytes of physical memory" in err
+    assert not out.exists()
 
-    # the lattice's w, x and probs and each diagonal hold (N+1)(N+2)/2 floats
+
+def _streamed_bytes(n, solutions, frontier):
+    # the lattice's w, x and probs, each diagonal and solve's four frontier
+    # columns hold (N+1)(N+2)/2 floats each
     triangle = (n + 1) * (n + 2) // 2
-    need = 8 * ((3 + solutions) * triangle + cli.LAYER_ARRAYS * (n + 1) ** 2)
+    return 8 * ((3 + solutions + 4 * frontier) * triangle
+                + cli.LAYER_ARRAYS * (n + 1) ** 2)
+
+
+def test_mc_paths_beyond_memory_exit_one_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_paths(*args):
+        raise AssertionError("paths simulated")
+    monkeypatch.setattr(mc, "simulate", no_paths)
+    out = tmp_path / "out"
+    n_paths = 10 ** 11
+    cfg = _cfg(tmp_path, f"[instance]\nname = american_put\n\n[grid]\nN = 10\n\n"
+                         f"[mc]\nn_paths = {n_paths}\n")
+    assert _run("solve", "--config", cfg, "--engine", "mc",
+                "--out", str(out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    # x, dw, the value and z rows and a layer's driver values and running
+    # terms (N + 1 rows each), 48 bootstrap weights and replicates, and four
+    # rows per column of the 10-column basis
+    need = 8 * n_paths * (6 * 11 + 2 * 48 + 4 * 10)
     assert "config error:" in err and f"needs {need} bytes" in err
     assert "bytes of physical memory" in err
     assert not out.exists()
@@ -610,6 +636,13 @@ def _traced_peak(*argv) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_solve_traced_peak_within_its_memory_gate(tmp_path):
+    n = 400
+    cfg = _cfg(tmp_path, f"[instance]\nname = hyperbolic_discount\n\n[grid]\nN = {n}\n")
+    peak = _traced_peak("solve", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert peak <= _streamed_bytes(n, 1, frontier=True), peak
 
 
 @pytest.mark.parametrize("command", ["solve", "stop"])

@@ -5,10 +5,11 @@ import pytest
 
 from rbsvie import mc
 from rbsvie.grid import TimeGrid, build_lattice
-from rbsvie.instances import (DriverSpec, DynamicsSpec, InstanceSpec,
+from rbsvie.instances import (CATALOG_NAMES, DriverSpec, DynamicsSpec, InstanceSpec,
                               ObstacleSpec, TerminalSpec, catalog_instance)
 from rbsvie.snell import solve_global
-from rbsvie.volterra import NoConvergence, PicardConfig
+from rbsvie.stopping import extract_frontier, frontier_rows, stream_solve
+from rbsvie.volterra import NoConvergence, PicardConfig, solve, sweep
 
 
 def _lattice_y0(spec, n_steps):
@@ -144,7 +145,7 @@ def test_solution_is_deterministic():
     assert a.y0 == b.y0
     assert a.y0_se == b.y0_se
     assert a.e_y_diag == b.e_y_diag
-    assert a.frontier_rows == b.frontier_rows
+    assert a.frontier_rows.tobytes() == b.frontier_rows.tobytes()
 
 
 def test_floor_margin_nonnegative_and_frontier_sane():
@@ -153,10 +154,55 @@ def test_floor_margin_nonnegative_and_frontier_sane():
     bundle = mc.simulate(grid, spec, 6_000, seed=31)
     sol = mc.solve_mc(bundle, spec, mc.RegressionBasis(), n_bootstrap=8)
     assert sol.floor_margin >= 0.0
-    assert sol.frontier_rows
-    for t_j, lo, hi in sol.frontier_rows:
-        assert 0.0 <= t_j <= spec.horizon
+    assert len(sol.frontier_rows)
+    for anchor_t, t_j, lo, hi in sol.frontier_rows:
+        assert anchor_t == 0.0 and 0.0 <= t_j <= spec.horizon
         assert lo <= hi
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_frontier_rows_match_a_per_layer_exercise_record(name, monkeypatch):
+    # anchor 0's row on every layer, as step_layer hands it to solve_mc
+    real, seen = mc.step_layer, {}
+
+    def spy(*args, **kwargs):
+        layer = real(*args, **kwargs)
+        seen[layer.j] = (args[3], layer.rows[0].copy(), layer.barrier)
+        return layer
+
+    monkeypatch.setattr(mc, "step_layer", spy)
+    spec = catalog_instance(name)
+    N = 12
+    grid = TimeGrid(spec.horizon, N)
+    bundle = mc.simulate(grid, spec, 3000, seed=17)
+    sol = mc.solve_mc(bundle, spec, mc.RegressionBasis(), n_bootstrap=8)
+    x_N = bundle.x[N]
+    seen[N] = (x_N, np.asarray(spec.terminal(0.0, x_N), dtype=float),
+               np.asarray(spec.obstacle(grid.t(N), x_N), dtype=float))
+
+    # the exercise record solve_mc kept per layer, j = N .. 0: the terminal
+    # layer is thresholded against the obstacle, not marked all stopped
+    record = []
+    for j in range(N, -1, -1):
+        x, row, barrier = seen[j]
+        exercised = row - barrier <= 1e-9
+        if np.any(exercised):
+            xs = x[exercised]
+            record.append((0.0, grid.t(j), float(xs.min()), float(xs.max())))
+    record = record[::-1]
+
+    rows = sol.frontier_rows
+    assert rows.shape == (len(record), 4) and rows.dtype == np.float64
+    assert [_bits(r) for r in rows] == [_bits(r) for r in record]
+    lat = spec.lattice(N)
+    for lattice_rows in (frontier_rows(extract_frontier(solve(lat, spec), lat, spec), lat),
+                         stream_solve(lat, sweep(lat, spec, 200))[2]):
+        assert lattice_rows.ndim == 2 and lattice_rows.shape[1] == 4
+        assert lattice_rows.dtype == np.float64
 
 
 @pytest.mark.parametrize("name", ["american_put", "linear_z"])

@@ -26,7 +26,7 @@ from rbsvie.stopping import (
     stream_solve,
 )
 from rbsvie.snell import diagonal_frontier, solve_global
-from rbsvie.volterra import PicardConfig, VolterraError, solve, sweep
+from rbsvie.volterra import PicardConfig, solve, sweep
 
 
 def _solved(name, N, tol=1e-12, overrides=None):
@@ -197,15 +197,11 @@ def test_rule_start_mismatch_rejected():
 
 
 def test_rule_value_needs_stored_fields():
-    # a diagonal-only solution has no z rows to freeze the driver at
     spec = catalog_instance("linear_z")
     lat = spec.lattice(20)
     full = solve(lat, spec, PicardConfig())
     rule = extract_frontier(full, lat, spec).rule(0)
     assert abs(evaluate_J(lat, spec, full, 0, rule) - expected_y(lat, full, 0)) < 1e-12
-    diag_only, _ = stream_solve(lat, sweep(lat, spec, 200))
-    with pytest.raises(VolterraError, match="stored fields"):
-        evaluate_J(lat, spec, diag_only, 0, rule)
 
 
 # Per-anchor reference for the stopping layer: anchor-major flag tuples,
@@ -318,8 +314,7 @@ def test_streamed_reports_equal_the_stored_replay(name, n_steps):
     assert rep.frontiers_identical == ref.frontiers_identical
     assert _bits(mass) == _bits(premature_increment_mass(sol, fr))
 
-    diag, rows = stream_solve(lat, sweep(lat, spec, 200))
+    y_diag, update, rows = stream_solve(lat, sweep(lat, spec, 200))
     assert [_bits(r) for r in rows] == [_bits(r) for r in frontier_rows(fr, lat)]
-    assert [a.tobytes() for a in diag.y_diag] == [a.tobytes() for a in sol.y_diag]
-    assert _bits(diag.residual_history) == _bits(sol.residual_history)
-    assert diag.ytilde is None and diag.z is None and diag.kinc is None
+    assert [a.tobytes() for a in y_diag] == [a.tobytes() for a in sol.y_diag]
+    assert _bits([update]) == _bits(sol.residual_history)
