@@ -16,7 +16,8 @@ import time
 
 from rbsvie import mc
 from rbsvie.instances import CATALOG_NAMES, catalog_instance
-from rbsvie.volterra import PicardConfig, solve
+from rbsvie.stopping import stream_solve
+from rbsvie.volterra import PicardConfig, sweep
 
 
 def main():
@@ -35,7 +36,8 @@ def main():
     for name in CATALOG_NAMES:
         spec = catalog_instance(name)
         lat = spec.lattice(args.n_steps)
-        y0 = float(solve(lat, spec, PicardConfig()).y_diag[0][0])
+        y_diag, _, _ = stream_solve(lat, sweep(lat, spec, PicardConfig().max_iters))
+        y0 = float(y_diag[0][0])
         t0 = time.perf_counter()
         bundle = mc.simulate(lat.grid, spec, args.n_paths, seed=args.seed)
         est = mc.solve_mc(bundle, spec, basis)

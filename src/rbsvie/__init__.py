@@ -11,7 +11,7 @@ Modules
 -------
 grid       time grid and recombining binomial lattice
 instances  problem data catalog (driver, terminal, obstacle, dynamics)
-volterra   backward sweep over anchors for the diagonal; field storage
+volterra   backward sweep over anchors, one layer at a time; stored solutions
 oracle     brute-force stopping-rule enumeration on small lattices
 compare    ordered-pair gate and comparison checks
 stopping   optimal stopping rules, frontiers and time-inconsistency gaps

@@ -50,14 +50,23 @@ def _probes(lat: Lattice, box_yz):
 
 def _driver_gap_stats(lo: InstanceSpec, hi: InstanceSpec, lat: Lattice,
                       box_yz) -> tuple:
-    """(min, max) of f_hi - f_lo over lattice nodes and probed (y, z)."""
+    """(min, max) of f_hi - f_lo over lattice nodes and probed (y, z);
+    (nan, nan) once a gap is not finite."""
     gmin, gmax = np.inf, -np.inf
     for t, s, x, y, z in _probes(lat, box_yz):
         g = np.asarray(hi.driver(t, s, x, y, z), dtype=float) \
             - np.asarray(lo.driver(t, s, x, y, z), dtype=float)
+        if not np.isfinite(g).all():
+            return np.nan, np.nan
         gmin = min(gmin, float(g.min()))
         gmax = max(gmax, float(g.max()))
     return gmin, gmax
+
+
+def _check_finite(gap: np.ndarray, where: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(gap))
+    if bad.size:
+        raise CompareError(f"non-finite {where}, node {int(bad[0])}")
 
 
 def _ignores_anchor(spec: InstanceSpec, lat: Lattice) -> bool:
@@ -95,6 +104,7 @@ class OrderedPair:
             a = np.asarray(lo.terminal(t, xN), dtype=float)
             b = np.asarray(hi.terminal(t, xN), dtype=float)
             bad = a - b
+            _check_finite(bad, f"terminal gap at anchor {i}")
             if float(bad.max()) > PAIR_ATOL:
                 k = int(np.argmax(bad))
                 raise CompareError(
@@ -108,6 +118,7 @@ class OrderedPair:
             a = np.asarray(lo.obstacle(u, lat.x[j]), dtype=float)
             b = np.asarray(hi.obstacle(u, lat.x[j]), dtype=float)
             bad = a - b
+            _check_finite(bad, f"obstacle gap at layer {j}")
             if float(bad.max()) > PAIR_ATOL:
                 k = int(np.argmax(bad))
                 raise CompareError(
@@ -117,6 +128,8 @@ class OrderedPair:
                 witnesses.add("obstacle")
 
         gmin, gmax = _driver_gap_stats(lo, hi, lat, _PROBE_YZ)
+        if np.isnan(gmin):
+            raise CompareError("non-finite driver gap on a probed node")
         if gmin < -PAIR_ATOL:
             raise CompareError(f"driver order violated: min(f_hi - f_lo) = {gmin:.3e}")
         if max(abs(gmin), abs(gmax)) > PAIR_ATOL:

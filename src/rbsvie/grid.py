@@ -51,7 +51,8 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
+        """t_0..t_N, bitwise equal to t(i)."""
+        return np.arange(self.n_steps + 1) * self.dt
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

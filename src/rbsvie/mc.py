@@ -260,7 +260,7 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
     # vals[i] is anchor i's value row on the current layer and zrows[i] its
     # martingale coefficient; projection and step overwrite them in place
     x_N = bundle.x[N]
-    anchor_t, vals = terminal_rows(spec, grid, x_N, range(N + 1))
+    anchor_t, vals = terminal_rows(spec, grid, x_N)
     zrows = np.empty_like(vals)
     wts = _bootstrap_weights(bundle, n_bootstrap)
     reps = np.empty((n_bootstrap, n))

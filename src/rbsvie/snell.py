@@ -40,8 +40,7 @@ from rbsvie.compare import CompareError
 from rbsvie.grid import Lattice, cond_expect, martingale_coeff
 from rbsvie.instances import InstanceSpec, shift_driver
 from rbsvie.stopping import StoppingFrontier, _threshold
-from rbsvie.volterra import (BiField, NoConvergence, PicardConfig, Solution,
-                             VolterraError, solve)
+from rbsvie.volterra import NoConvergence, PicardConfig, Solution, VolterraError, solve
 
 
 class SnellError(ValueError):
@@ -122,12 +121,12 @@ def solve_slice(lat: Lattice, spec: InstanceSpec, i: int, U: list) -> SnellSlice
 
 def slice_view(sol: Solution, i: int) -> SnellSlice:
     """Anchor i's slice read back from a solution's stored fields."""
-    n = sol.ytilde.n_steps
+    n = len(sol.z)
     return SnellSlice(
         anchor=i,
-        ytilde=[sol.ytilde.at(i, j) for j in range(i, n + 1)],
-        z=[sol.z.at(i, j) for j in range(i, n)],
-        kinc=[sol.kinc.at(i, j) for j in range(i, n)],
+        ytilde=[sol.ytilde[j][i] for j in range(i, n + 1)],
+        z=[sol.z[j][i] for j in range(i, n)],
+        kinc=[sol.kinc[j][i] for j in range(i, n)],
     )
 
 
@@ -257,8 +256,7 @@ def phi_step(lat: Lattice, spec: InstanceSpec, U: list, anchors=None) -> Solutio
         for j in range(i, N):
             z[j][i] = sl.z_at(j)
             kinc[j][i] = sl.kinc_at(j)
-    return Solution(y_diag, BiField(N, "ytilde", ytilde), BiField(N, "z", z),
-                    BiField(N, "kinc", kinc), iterations=1, residual_history=[])
+    return Solution(y_diag, ytilde, z, kinc, iterations=1, residual_history=[])
 
 
 def e_norm(lat: Lattice, d_diag: list, d_z: list) -> float:
@@ -267,7 +265,7 @@ def e_norm(lat: Lattice, d_diag: list, d_z: list) -> float:
     Squared: sum_i dt E|dY(t_i)|^2 + sum_{i<=j} dt^2 E|dZ(t_i,t_j)|^2,
     expectations under the node distribution of the relevant layer.
     d_diag[j] is the change on layer j's nodes and d_z[j] the change of
-    z.layers[j], one row per anchor.
+    z[j], one row per anchor.
     """
     dt = lat.grid.dt
     total = 0.0
@@ -310,13 +308,12 @@ def solve_global(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = No
     for it in range(1, cfg.max_iters + 1):
         sol = phi_step(lat, spec, U)
         d_diag = [a - b for a, b in zip(sol.y_diag, U)]
-        d_z = (sol.z.layers if prev_z is None
-               else [a - b for a, b in zip(sol.z.layers, prev_z)])
+        d_z = sol.z if prev_z is None else [a - b for a, b in zip(sol.z, prev_z)]
         sup_change = max(_sup(d) for d in d_diag + d_z)
         res = e_norm(lat, d_diag, d_z)
         residuals.append(res)
         U = sol.y_diag
-        prev_z = sol.z.layers
+        prev_z = sol.z
         if sup_change < tolerance and res < tolerance:
             return replace(sol, iterations=it, residual_history=residuals)
     raise NoConvergence(cfg.max_iters, residuals[-1] if residuals else float("inf"))
@@ -378,7 +375,7 @@ def contraction_ratios(lat: Lattice, spec: InstanceSpec, pairs: int = 50,
         s1 = phi_step(lat, spec, U1, anchors=anchors)
         s2 = phi_step(lat, spec, U2, anchors=anchors)
         num = e_norm(lat, [a - b for a, b in zip(s1.y_diag, s2.y_diag)],
-                     [a - b for a, b in zip(s1.z.layers, s2.z.layers)])
+                     [a - b for a, b in zip(s1.z, s2.z)])
         ratios.append(num / den)
     return ratios
 
@@ -395,7 +392,7 @@ def theta_norm(lat: Lattice, d_diag: list, d_z: list, d_kinc: list,
     Squared: sum_i dt e^(theta t_i) ( E[dY_i^2] + sum_j dt E[dZ_ij^2]
     + E[dK(t_i, T)^2] ), where dK(t_i, T) sums the per-step increment
     differences along each path (exact second moment, no sampling).
-    d_z and d_kinc are differences of z.layers and kinc.layers: row i of
+    d_z and d_kinc are differences of the z and kinc layers: row i of
     layer j is anchor i's change on the layer-j nodes.
     """
     dt = lat.grid.dt
@@ -458,8 +455,8 @@ def monotone_scheme(lat: Lattice, spec: InstanceSpec, n_max: int,
         nxt = phi_step(lat, spec, prev.y_diag)
         d_diag = [a - b for a, b in zip(nxt.y_diag, prev.y_diag)]
         worst = max(worst, max(float(np.max(d)) for d in d_diag))
-        d_z = [a - b for a, b in zip(nxt.z.layers, prev.z.layers)]
-        d_k = [a - b for a, b in zip(nxt.kinc.layers, prev.kinc.layers)]
+        d_z = [a - b for a, b in zip(nxt.z, prev.z)]
+        d_k = [a - b for a, b in zip(nxt.kinc, prev.kinc)]
         increments.append(theta_norm(lat, d_diag, d_z, d_k, theta))
         diags.append(nxt.y_diag)
         prev = nxt

@@ -8,16 +8,15 @@ family of problems is.  The envelope rows are the right object to
 threshold; the diagonal satisfies no single backward recursion and
 yields a different (wrong) rule on anchor-dependent instances.
 
-Stop regions use the solver's field layout (BiField.layers): layer j
-holds one boolean row per anchor 0..j over the layer-j nodes.  Rule
+Stop regions use the solver's layer layout (volterra.Solution): layer
+j holds one boolean row per anchor 0..j over the layer-j nodes.  Rule
 values come from one backward induction that steps every anchor's row
 on a layer at once, as the solver's sweep does.  Every report reads the
 layers in the sweep's order, j = N .. 0, so each is a per-layer step:
 stream_report and stream_solve take them straight from volterra.sweep
 and hold one layer at a time, and the functions on a stored Solution
-(extract_frontier, frontier_rows, inconsistency_report,
-premature_increment_mass, evaluate_J) replay its fields through the
-same steps.
+(frontier_rows, inconsistency_report, premature_increment_mass,
+evaluate_J) feed them the layers _replay rebuilds from its fields.
 
 Both engines report a strategy as frontier rows: one float64 array of
 shape (rows, 4) holding anchor time, time, and the smallest and largest
@@ -37,7 +36,7 @@ import numpy as np
 from rbsvie.grid import Lattice
 from rbsvie.instances import InstanceSpec
 from rbsvie.oracle import StoppingRule
-from rbsvie.volterra import Layer, Solution, _driver_rows, terminal_rows
+from rbsvie.volterra import Layer, Solution, running_terms
 
 
 STOP_TOLERANCE = 1e-9  # a node stops where the envelope is this close to L
@@ -91,7 +90,7 @@ def _threshold(lat: Lattice, spec: InstanceSpec, rows) -> StoppingFrontier:
 
 def extract_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec) -> StoppingFrontier:
     """Stop regions from the per-anchor envelope rows of a solution."""
-    return _threshold(lat, spec, sol.ytilde.layers)
+    return _threshold(lat, spec, sol.ytilde)
 
 
 def _rule_step(vals: np.ndarray, n: int, stop, fdt, barrier) -> np.ndarray:
@@ -105,42 +104,41 @@ def _rule_step(vals: np.ndarray, n: int, stop, fdt, barrier) -> np.ndarray:
     return np.where(stop, barrier, 0.5 * (nxt[:, 1:] + nxt[:, :-1]) + fdt)
 
 
-def _rule_values(lat: Lattice, spec: InstanceSpec, sol: Solution, lo: int, hi: int,
-                 stop) -> np.ndarray:
-    """Expected payoffs of anchors lo..hi's rules, one backward induction for all.
+def _replay(lat: Lattice, spec: InstanceSpec, sol: Solution):
+    """A stored solution's layers j = N .. 0, as volterra.sweep yields them.
 
-    Exact induction with the driver frozen at the solved diagonal and each
-    anchor's coefficient row, starting from the terminal values.  stop[j - lo]
-    holds the layer-j flags of anchors lo..min(j, hi), one row each or one
-    row for all.  Anchor i's value is the expectation over its layer-i nodes.
+    The running terms are recomputed from the stored diagonal and
+    martingale coefficients by the sweep's own call, and the barrier from
+    the obstacle, so a sweep's solution replays to its layers bit for bit.
     """
     N = lat.n_steps
     grid = lat.grid
-    anchor_t, vals = terminal_rows(spec, grid, lat.x[N], range(lo, hi + 1))
-    out = np.empty(hi - lo + 1)
-    if hi == N:
-        out[-1] = lat.layer_expect(N, vals[-1])
-    for j in range(N - 1, lo - 1, -1):
-        top = min(j, hi)
-        z = sol.z.layers[j][lo: top + 1]
-        f = _driver_rows(spec, anchor_t[lo: top + 1], grid.t(j), lat.x[j], sol.y_diag[j],
-                         z, z.shape, j)
-        vals = _rule_step(vals, top - lo + 1, stop[j - lo], f * grid.dt,
-                          _obstacle(lat, spec, j))
-        if top == j:
-            out[j - lo] = lat.layer_expect(j, vals[-1])
-    return out
+    anchor_t = grid.times[:, None]
+    yield Layer(N, sol.ytilde[N], sol.y_diag[N])
+    for j in range(N - 1, -1, -1):
+        v, z = sol.y_diag[j], sol.z[j]
+        fdt = running_terms(spec, anchor_t[: j + 1], grid.t(j), lat.x[j], v, z, grid.dt, j)
+        yield Layer(j, sol.ytilde[j], v, z, sol.kinc[j], fdt, _obstacle(lat, spec, j))
 
 
 def evaluate_J(lat: Lattice, spec: InstanceSpec, sol: Solution, i: int,
                rule: StoppingRule) -> float:
     """Expected payoff of following a stopping rule from anchor i.
 
-    The single-anchor case of the induction behind inconsistency_report.
+    Anchor i's row of the induction behind inconsistency_report, stepped
+    on the replayed layers N .. i.
     """
     if rule.start != i:
         raise StoppingError(f"rule starts at {rule.start}, expected {i}")
-    return float(_rule_values(lat, spec, sol, i, i, rule.flags)[0])
+    for layer in _replay(lat, spec, sol):
+        j = layer.j
+        if layer.barrier is None:
+            vals = layer.rows[i: i + 1]
+        else:
+            fdt = np.broadcast_to(layer.fdt, layer.rows.shape)[i]
+            vals = _rule_step(vals, 1, rule.flags[j - i], fdt, layer.barrier)
+        if j == i:
+            return lat.layer_expect(i, vals[0])
 
 
 def expected_y(lat: Lattice, sol: Solution, i: int) -> float:
@@ -176,25 +174,13 @@ class ConsistencyReport:
         return self.max_gap > GAP_THRESHOLD
 
 
-def _report(lat: Lattice, e_y, j_own: np.ndarray, j_rest: np.ndarray,
-            identical: bool) -> ConsistencyReport:
-    return ConsistencyReport(
-        anchor_times=tuple(lat.grid.t(i) for i in range(lat.n_steps + 1)),
-        e_y=tuple(e_y), j_own=tuple(j_own.tolist()), j_restarted=tuple(j_rest.tolist()),
-        gap=tuple((j_own - j_rest).tolist()), frontiers_identical=identical)
-
-
 def _same_as_anchor0(stops: np.ndarray) -> bool:
     return bool((stops == stops[0]).all())
 
 
 def inconsistency_report(lat: Lattice, spec: InstanceSpec, sol: Solution) -> ConsistencyReport:
-    frontier = extract_frontier(sol, lat, spec)
-    N = lat.n_steps
-    j_own = _rule_values(lat, spec, sol, 0, N, frontier.layers)
-    j_rest = _rule_values(lat, spec, sol, 0, N, [f[0] for f in frontier.layers])
-    return _report(lat, (expected_y(lat, sol, i) for i in range(N + 1)), j_own, j_rest,
-                   all(map(_same_as_anchor0, frontier.layers)))
+    """stream_report's consistency report of a stored solution."""
+    return stream_report(lat, _replay(lat, spec, sol))[0]
 
 
 def _mass_step(worst: np.ndarray, kinc: np.ndarray, stops: np.ndarray) -> None:
@@ -203,7 +189,7 @@ def _mass_step(worst: np.ndarray, kinc: np.ndarray, stops: np.ndarray) -> None:
     np.maximum(rows, np.where(stops, 0.0, np.abs(kinc)).max(axis=1), out=rows)
 
 
-def premature_increment_mass(sol: Solution, frontier: StoppingFrontier) -> np.ndarray:
+def premature_increment_mass(lat: Lattice, spec: InstanceSpec, sol: Solution) -> np.ndarray:
     """Largest reflection increment on a non-stop node, one entry per anchor.
 
     Zero at anchor i certifies that the reflection term cannot accrue
@@ -211,10 +197,7 @@ def premature_increment_mass(sol: Solution, frontier: StoppingFrontier) -> np.nd
     where the envelope is pinned to the obstacle, and those nodes are
     stop nodes.
     """
-    worst = np.zeros(frontier.n_steps + 1)
-    for kinc, stops in zip(sol.kinc.layers, frontier.layers):
-        _mass_step(worst, kinc, stops)
-    return worst
+    return stream_report(lat, _replay(lat, spec, sol))[1]
 
 
 def _frontier_part(j: int, stops: np.ndarray, x: np.ndarray) -> tuple:
@@ -231,13 +214,12 @@ def _sorted_rows(parts: list, dt: float) -> np.ndarray:
     return np.column_stack((i * dt, j * dt, low, high))[np.lexsort((j, i))]
 
 
-def frontier_rows(frontier: StoppingFrontier, lat: Lattice) -> np.ndarray:
-    """A frontier's (anchor_time, time, low_state, high_state) rows.
+def frontier_rows(lat: Lattice, spec: InstanceSpec, sol: Solution) -> np.ndarray:
+    """A stored solution's (anchor_time, time, low_state, high_state) rows.
 
     low and high are the smallest and largest stopped node states.
     """
-    return _sorted_rows([_frontier_part(j, stops, lat.x[j])
-                         for j, stops in enumerate(frontier.layers)], lat.grid.dt)
+    return stream_solve(lat, _replay(lat, spec, sol))[2]
 
 
 def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
@@ -245,9 +227,8 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
 
     Per layer: the stop flags, one step of both rule inductions (each
     anchor's own flags, and anchor 0's row for all) on the sweep's own
-    running terms, E[Y(t_j)] and the mass; no layer is kept.  Float for
-    float equal to inconsistency_report and premature_increment_mass on
-    the stored solution.  Returns (ConsistencyReport, mass per anchor).
+    running terms, E[Y(t_j)] and the mass; no layer is kept.  Returns
+    (ConsistencyReport, mass per anchor).
     """
     N = lat.n_steps
     e_y = [0.0] * (N + 1)
@@ -266,16 +247,19 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
         e_y[j] = lat.layer_expect(j, layer.v)
         j_own[j] = lat.layer_expect(j, own[-1])
         j_rest[j] = lat.layer_expect(j, rest[-1])
-    return _report(lat, e_y, j_own, j_rest, identical), worst
+    rep = ConsistencyReport(
+        anchor_times=tuple(lat.grid.times.tolist()), e_y=tuple(e_y),
+        j_own=tuple(j_own.tolist()), j_restarted=tuple(j_rest.tolist()),
+        gap=tuple((j_own - j_rest).tolist()), frontiers_identical=identical)
+    return rep, worst
 
 
 def stream_solve(lat: Lattice, layers: Iterable[Layer]) -> tuple:
     """Diagonal and frontier rows of the sweep's layers j = N .. 0.
 
     Keeps each layer's diagonal and frontier reduction, and sorts the
-    rows anchor-major at the end: float for float equal to the stored
-    solution's y_diag, residual_history[0] and frontier_rows.  Returns
-    (y_diag, largest last update of the per-node equations, rows).
+    rows anchor-major at the end.  Returns (y_diag, largest last update
+    of the per-node equations, rows).
     """
     N = lat.n_steps
     y_diag = [None] * (N + 1)

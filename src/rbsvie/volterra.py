@@ -15,11 +15,12 @@ This is the paper's construction that pastes short windows together,
 with window dt and an exact inner solve.  sweep runs it and hands out
 each layer's (anchors x nodes) arrays as soon as they are made, so a
 consumer that reads them in the sweep's order, j = N .. 0, holds one
-layer at a time; solve collects them into BiFields.  step_layer is
-everything after the one-step operator; the regression Monte Carlo
-engine (mc.solve_mc) calls it on its projections, so the two engines
-differ only in how E and z are made.  The global Picard iteration the
-sweep is checked against lives in the reference module, snell.
+layer at a time; solve collects them into a Solution's per-layer lists.
+step_layer is everything after the one-step operator; the regression
+Monte Carlo engine (mc.solve_mc) calls it on its projections, so the
+two engines differ only in how E and z are made.  The global Picard
+iteration the sweep is checked against lives in the reference module,
+snell.
 """
 
 from __future__ import annotations
@@ -65,41 +66,15 @@ class PicardConfig:
             raise VolterraError("max_iters must be >= 1")
 
 
-class BiField:
-    """Triangular two-time node field, stored layer by layer.
-
-    layers[j] is a (j + 1) x (j + 1) array whose row i holds anchor i's
-    values on the layer-j nodes; at(i, j) is a view into it.  Role
-    "ytilde" has layers 0..N, "z" and "kinc" layers 0..N-1 (no increment
-    or martingale coefficient is attached to the terminal layer).  The
-    layers are taken over as they are.
-    """
-
-    __slots__ = ("n_steps", "role", "layers")
-
-    def __init__(self, n_steps: int, role: str, layers: list):
-        if role not in ("ytilde", "z", "kinc"):
-            raise VolterraError(f"unknown BiField role '{role}'")
-        n_layers = n_steps + 1 if role == "ytilde" else n_steps
-        if len(layers) != n_layers:
-            raise VolterraError(f"role {role} needs {n_layers} layers, got {len(layers)}")
-        self.n_steps = n_steps
-        self.role = role
-        self.layers = layers
-
-    def at(self, i: int, j: int) -> np.ndarray:
-        if not 0 <= i <= j < len(self.layers):
-            raise VolterraError(f"index ({i}, {j}) outside role-{self.role} triangle")
-        return self.layers[j][i]
-
-
 @dataclass
 class Solution:
-    """Solved diagonal and the stored per-anchor fields.
+    """Solved diagonal and the stored per-anchor fields, layer by layer.
 
-    y_diag[i] is the layer-i array of diagonal values Y(t_i).  The
-    triangular fields hold per-anchor envelopes, martingale coefficients
-    and reflection increments; the reflection term is stored as per-step
+    y_diag[i] is the layer-i array of diagonal values Y(t_i).  ytilde[j],
+    z[j] and kinc[j] are the sweep's (j + 1) x (j + 1) layer arrays, row i
+    anchor i's envelope, martingale coefficients and reflection
+    increments on the layer-j nodes; ytilde has layers 0..N, z and kinc
+    layers 0..N-1.  The reflection term is stored as per-step
     increments, so the cumulative K(t_i, t_j) along a path is the sum of
     kinc over the visited nodes.
     For the sweep, residual_history holds one entry, the largest last
@@ -109,9 +84,9 @@ class Solution:
     """
 
     y_diag: list
-    ytilde: BiField
-    z: BiField
-    kinc: BiField
+    ytilde: list
+    z: list
+    kinc: list
     iterations: int
     residual_history: list
 
@@ -165,14 +140,20 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
     raise NoConvergence(max_iters, last, where=f"anchor {j}, layer {j}")
 
 
-def terminal_rows(spec: InstanceSpec, grid: TimeGrid, x_N, anchors: range) -> tuple:
-    """(anchor_t, rows): the column of anchor times t_0..t_N, bitwise equal
-    to grid.t(i), and the terminal rows of the given anchors on x_N."""
-    anchor_t = (np.arange(grid.n_steps + 1) * grid.dt)[:, None]
-    rows = np.empty((len(anchors), len(x_N)))
-    for r, i in enumerate(anchors):
-        rows[r] = spec.terminal(grid.t(i), x_N)
+def terminal_rows(spec: InstanceSpec, grid: TimeGrid, x_N) -> tuple:
+    """(anchor_t, rows): grid.times as a column of anchor times, and every
+    anchor's terminal row on x_N."""
+    anchor_t = grid.times[:, None]
+    rows = np.empty((len(anchor_t), len(x_N)))
+    for i in range(len(anchor_t)):
+        rows[i] = spec.terminal(grid.t(i), x_N)
     return anchor_t, rows
+
+
+def running_terms(spec: InstanceSpec, t, s: float, x, v, z: np.ndarray, dt: float,
+                  j: int) -> np.ndarray:
+    """f(t, s, x, v, z) dt, broadcastable to z's (anchors, nodes) shape."""
+    return _driver_rows(spec, t, s, x, v, z, z.shape, j) * dt
 
 
 def step_rows(spec: InstanceSpec, t, s: float, x, v, e: np.ndarray, z: np.ndarray,
@@ -182,7 +163,7 @@ def step_rows(spec: InstanceSpec, t, s: float, x, v, e: np.ndarray, z: np.ndarra
     Returns (rows, reflection increments max(L - e - f dt, 0) or None,
     running term f dt).
     """
-    fdt = _driver_rows(spec, t, s, x, v, z, z.shape, j) * dt
+    fdt = running_terms(spec, t, s, x, v, z, dt, j)
     c = np.add(e, fdt, out=e)
     k = np.maximum(barrier - c, 0.0) if kinc else None
     return np.maximum(c, barrier, out=c), k, fdt
@@ -244,7 +225,7 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int):
     """
     grid = lat.grid
     N = lat.n_steps
-    anchor_t, rows = terminal_rows(spec, grid, lat.x[N], range(N + 1))
+    anchor_t, rows = terminal_rows(spec, grid, lat.x[N])
     check_finite(rows, N)
     reason = anchor_axis_defect(spec, anchor_t, lat.x[N - 1])
     if reason is not None:
@@ -264,19 +245,14 @@ def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> 
     """The sweep's layers collected into a Solution (see the module docstring)."""
     cfg = cfg or PicardConfig()
     N = lat.n_steps
-    y_diag = [None] * (N + 1)
-    ytilde_layers = [None] * (N + 1)
-    z_layers = [None] * N
-    kinc_layers = [None] * N
+    y_diag, ytilde = [None] * (N + 1), [None] * (N + 1)
+    z, kinc = [None] * N, [None] * N
     largest_update = 0.0
     for layer in sweep(lat, spec, cfg.max_iters):
         j = layer.j
-        y_diag[j] = layer.v
+        y_diag[j], ytilde[j] = layer.v, layer.rows
         largest_update = max(largest_update, layer.update)
-        ytilde_layers[j] = layer.rows
         if j < N:
-            z_layers[j] = layer.z
-            kinc_layers[j] = layer.kinc
-    return Solution(y_diag, BiField(N, "ytilde", ytilde_layers), BiField(N, "z", z_layers),
-                    BiField(N, "kinc", kinc_layers), iterations=1,
+            z[j], kinc[j] = layer.z, layer.kinc
+    return Solution(y_diag, ytilde, z, kinc, iterations=1,
                     residual_history=[largest_update])

@@ -52,7 +52,7 @@ def solved100(specs):
 
 
 def _zrow(sol, i, n_steps):
-    return [sol.z.at(i, j) for j in range(i, n_steps)]
+    return [sol.z[j][i] for j in range(i, n_steps)]
 
 
 def test_criterion_01_exhaustive_rule_equivalence(specs):
@@ -67,7 +67,7 @@ def test_criterion_01_exhaustive_rule_equivalence(specs):
             sol = solve_global(lat, spec, PicardConfig())
             for i in range(n + 1):
                 zrow = _zrow(sol, i, n)
-                row = sol.ytilde.at(i, i)
+                row = sol.ytilde[i][i]
                 for k in range(i + 1):
                     _, val = best_rule(lat, spec, i, k, sol.y_diag, zrow)
                     worst = max(worst, abs(float(row[k]) - val))
@@ -172,7 +172,7 @@ def test_criterion_05_flatness_and_no_premature_reflection(specs, solved50,
     for table in (solved50, solved100):
         for name, (lat, sol) in table.items():
             spec = specs[name]
-            masses = premature_increment_mass(sol, extract_frontier(sol, lat, spec))
+            masses = premature_increment_mass(lat, spec, sol)
             for i in range(lat.grid.n_steps + 1):
                 d = flatness_defect(lat, spec, slice_view(sol, i))
                 worst_defect = max(worst_defect, abs(d))
@@ -192,7 +192,7 @@ def test_criterion_05_flatness_and_no_premature_reflection(specs, solved50,
             for j in range(n):
                 if frontier.stops(0, j, node):
                     break
-                acc += float(sol.kinc.at(0, j)[node])
+                acc += float(sol.kinc[j][0][node])
                 node += (bits >> j) & 1
             assert acc == 0.0, f"{name}: path {bits:#x} accrues {acc:.3e} before stopping"
     print(f"\ncriterion 05 PASS: flatness defect <= {worst_defect:.2e} on every "
@@ -243,7 +243,7 @@ def test_criterion_07_rule_value_identity_and_dominance(specs, solved50):
         sol = solve_global(lat, spec, PicardConfig())
         for i in range(5):
             zrow = _zrow(sol, i, 4)
-            row = sol.ytilde.at(i, i)
+            row = sol.ytilde[i][i]
             for k in range(i + 1):
                 _, val = best_rule(lat, spec, i, k, sol.y_diag, zrow)
                 min_slack = min(min_slack, float(row[k]) - val)

@@ -14,7 +14,7 @@ from rbsvie import cli, instances, mc
 from rbsvie.grid import TimeGrid, build_lattice
 from rbsvie.instances import CATALOG_NAMES, DriverSpec, catalog_instance
 from rbsvie.snell import flatness_defect, solve_slice
-from rbsvie.stopping import extract_frontier, frontier_rows
+from rbsvie.stopping import frontier_rows
 from rbsvie.volterra import PicardConfig, solve
 
 
@@ -123,7 +123,7 @@ dir = {out}
         rows = [list(row.values()) for row in csv.DictReader(fh)]
     spec = catalog_instance("american_put")
     lat = spec.lattice(10)
-    want = frontier_rows(extract_frontier(solve(lat, spec), lat, spec), lat)
+    want = frontier_rows(lat, spec, solve(lat, spec))
     assert rows == [[repr(v) for v in row] for row in want.tolist()]
     assert len(rows) == sol["frontier"]["n_rows"]
 
@@ -205,7 +205,7 @@ def test_lattice_artifacts_render_the_in_memory_solution(tmp_path, name):
     sol = solve(lat, spec)
     grid = lat.grid
     y_diag = [row.tolist() for row in sol.y_diag]
-    f_rows = frontier_rows(extract_frontier(sol, lat, spec), lat)
+    f_rows = frontier_rows(lat, spec, sol)
     payload = {
         "y_diag": y_diag,
         "y0": y_diag[0][0],

@@ -126,6 +126,46 @@ def test_hypothesis_gate_blocks_obstacle_only_pair_on_anchor_coupled_driver():
         OrderedPair.build(shift_obstacle(base, -0.3), base, base.lattice(20))
 
 
+def _nan_datum(base, datum):
+    """base with one datum NaN at every node, the datum's other fields kept."""
+    from dataclasses import replace
+    nan = lambda *args: np.full(np.shape(args[-1]), np.nan)
+    return replace(base, **{datum: replace(getattr(base, datum), fn=nan, name="nan")})
+
+
+@pytest.mark.parametrize("side,datum", [("hi", "terminal"), ("lo", "obstacle"),
+                                        ("hi", "driver")])
+def test_non_finite_data_gap_rejected(side, datum):
+    # a NaN gap compares false against every tolerance, so it used to pass
+    # as ordered data: no witness, or a driver gap of (inf, -inf)
+    base = catalog_instance("american_put")
+    lat = base.lattice(8)
+    lo, hi = base, base
+    if side == "hi":
+        hi = _nan_datum(base, datum)
+    else:
+        lo = _nan_datum(base, datum)
+    with pytest.raises(CompareError, match=f"non-finite {datum}"):
+        OrderedPair.build(lo, hi, lat)
+
+
+def test_non_finite_driver_gap_on_solved_range_fails_driver_check():
+    # hi's driver is lo's on the solved values and NaN from the padded top
+    # of the y range up, so the sweeps agree and only the recheck sees it
+    from dataclasses import replace
+    base = catalog_instance("american_put")
+    lat = base.lattice(8)
+    top = check_comparison(lat, OrderedPair(base, base, ())).y_range[1]
+
+    def nan_above(t, s, x, y, z):
+        return np.where(np.asarray(y) >= top, np.nan, base.driver(t, s, x, y, z))
+
+    hi = replace(base, driver=replace(base.driver, fn=nan_above, name="nan above"))
+    rep = check_comparison(lat, OrderedPair(base, hi, ()))
+    assert rep.max_diff == 0.0
+    assert not rep.driver_ordering_ok
+
+
 def test_randomized_pairs_all_ordered():
     lat_by = {n: catalog_instance(n).lattice(20) for n in NAMES}
     for name, pair in random_ordered_pairs(NAMES, lat_by, 25, seed=11):

@@ -8,7 +8,7 @@ from rbsvie.grid import TimeGrid, build_lattice
 from rbsvie.instances import (CATALOG_NAMES, DriverSpec, DynamicsSpec, InstanceSpec,
                               ObstacleSpec, TerminalSpec, catalog_instance)
 from rbsvie.snell import solve_global
-from rbsvie.stopping import extract_frontier, frontier_rows, stream_solve
+from rbsvie.stopping import frontier_rows, stream_solve
 from rbsvie.volterra import NoConvergence, PicardConfig, solve, sweep
 
 
@@ -199,7 +199,7 @@ def test_frontier_rows_match_a_per_layer_exercise_record(name, monkeypatch):
     assert rows.shape == (len(record), 4) and rows.dtype == np.float64
     assert [_bits(r) for r in rows] == [_bits(r) for r in record]
     lat = spec.lattice(N)
-    for lattice_rows in (frontier_rows(extract_frontier(solve(lat, spec), lat, spec), lat),
+    for lattice_rows in (frontier_rows(lat, spec, solve(lat, spec)),
                          stream_solve(lat, sweep(lat, spec, 200))[2]):
         assert lattice_rows.ndim == 2 and lattice_rows.shape[1] == 4
         assert lattice_rows.dtype == np.float64

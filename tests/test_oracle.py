@@ -25,7 +25,7 @@ def _solved(name, N, tol=1e-13):
 
 
 def _zrow(sol, i, N):
-    return [sol.z.at(i, j) for j in range(i, N)]
+    return [sol.z[j][i] for j in range(i, N)]
 
 
 def test_rule_counts():
@@ -81,7 +81,7 @@ def test_never_stop_pays_expected_terminal_when_driver_zero():
 def test_put_exhaustive_max_matches_induction():
     spec, lat, sol = _solved("american_put", 2)
     _, v = best_rule(lat, spec, 0, 0, sol.y_diag, _zrow(sol, 0, 2))
-    assert abs(v - sol.ytilde.at(0, 0)[0]) < 1e-12
+    assert abs(v - sol.ytilde[0][0][0]) < 1e-12
 
 
 def test_equivalence_all_nodes_small_lattices():
@@ -89,7 +89,7 @@ def test_equivalence_all_nodes_small_lattices():
         spec, lat, sol = _solved(name, 3)
         for i in range(4):
             zrow = _zrow(sol, i, 3)
-            vals = sol.ytilde.at(i, i)
+            vals = sol.ytilde[i][i]
             for k in range(i + 1):
                 _, v = best_rule(lat, spec, i, k, sol.y_diag, zrow)
                 assert abs(v - vals[k]) < 1e-10, (name, i, k)
@@ -98,7 +98,7 @@ def test_equivalence_all_nodes_small_lattices():
 def test_every_rule_dominated_by_induction_value():
     spec, lat, sol = _solved("custom_affine", 3)
     zrow = _zrow(sol, 0, 3)
-    snell = sol.ytilde.at(0, 0)[0]
+    snell = sol.ytilde[0][0][0]
     for rule in enumerate_rules(lat, 0):
         v = payoff_of_rule(lat, spec, 0, 0, rule, sol.y_diag, zrow)
         assert v <= snell + 1e-10

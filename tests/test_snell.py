@@ -23,32 +23,10 @@ from rbsvie.snell import (
     snell_by_policy_envelope,
     solve_slice,
 )
-from rbsvie.volterra import BiField, VolterraError
 
 
 def zero_diag(n):
     return [np.zeros(j + 1) for j in range(n + 1)]
-
-
-def _layers(n_layers):
-    return [np.zeros((j + 1, j + 1)) for j in range(n_layers)]
-
-
-def test_bifield_shapes_and_roles():
-    f = BiField(3, "ytilde", _layers(4))
-    assert f.at(1, 2).shape == (3,)
-    with pytest.raises(VolterraError):
-        f.at(1, 0)
-    with pytest.raises(VolterraError):
-        f.at(2, 4)  # past the terminal layer
-    z = BiField(3, "z", _layers(3))
-    assert z.at(2, 2).shape == (3,)
-    with pytest.raises(VolterraError):
-        z.at(2, 3)  # no martingale coefficient on the terminal layer
-    with pytest.raises(VolterraError):
-        BiField(3, "z", _layers(4))
-    with pytest.raises(VolterraError):
-        BiField(3, "other", _layers(3))
 
 
 def test_unconstrained_martingale_slice():

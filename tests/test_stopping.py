@@ -12,10 +12,11 @@ from rbsvie.instances import (
     brownian_dynamics,
     catalog_instance,
 )
-from rbsvie.oracle import enumerate_rules, payoff_of_rule
+from rbsvie.oracle import StoppingRule, enumerate_rules, payoff_of_rule
 from rbsvie.stopping import (
     ConsistencyReport,
     StoppingError,
+    _replay,
     evaluate_J,
     expected_y,
     extract_frontier,
@@ -56,7 +57,7 @@ def test_unreachable_floor_stops_only_at_horizon():
         for j in range(i, 12):
             assert not any(fr.stops(i, j, k) for k in range(j + 1))
         assert all(fr.stops(i, 12, k) for k in range(13))
-    rows = frontier_rows(fr, lat)
+    rows = frontier_rows(lat, spec, sol)
     assert len(rows) == 13  # one terminal row per anchor, nothing else
     assert all(row[1] == lat.grid.t(12) for row in rows)
 
@@ -105,7 +106,7 @@ def test_every_enumerated_rule_dominated():
 def test_evaluator_agrees_with_path_enumeration():
     spec, lat, sol = _solved("custom_affine", 4, tol=1e-13)
     i = 1
-    zrow = [sol.z.at(i, j) for j in range(i, 4)]
+    zrow = [sol.z[j][i] for j in range(i, 4)]
     for n, rule in enumerate(enumerate_rules(lat, i)):
         if n % 37:  # thin out, the full cross-check is slow in pure python
             continue
@@ -149,7 +150,7 @@ def test_single_step_lattice_has_zero_gaps():
 def test_no_reflection_before_stopping_nodewise():
     for name in ("american_put", "hyperbolic_discount", "linear_z"):
         spec, lat, sol = _solved(name, 30)
-        mass = premature_increment_mass(sol, extract_frontier(sol, lat, spec))
+        mass = premature_increment_mass(lat, spec, sol)
         for i in range(0, 31, 5):
             assert mass[i] == 0.0, (name, i)
 
@@ -163,7 +164,7 @@ def test_no_reflection_before_stopping_pathwise():
         for j in range(8):
             if fr.stops(0, j, node):
                 break
-            acc += float(sol.kinc.at(0, j)[node])
+            acc += float(sol.kinc[j][0][node])
             if (bits >> j) & 1:
                 node += 1
         assert acc == 0.0
@@ -215,7 +216,7 @@ def _reference_flags(sol, lat, spec, atol=1e-9):
     for i in range(N + 1):
         rows = []
         for j in range(i, N):
-            vals = np.asarray(sol.ytilde.at(i, j), dtype=float)
+            vals = np.asarray(sol.ytilde[j][i], dtype=float)
             barrier = np.asarray(spec.obstacle(lat.grid.t(j), lat.x[j]), dtype=float)
             rows.append(tuple(bool(b) for b in (vals - barrier) <= atol))
         rows.append(tuple(True for _ in range(N + 1)))
@@ -232,7 +233,7 @@ def _reference_J(lat, spec, sol, i, rule_flags):
     for j in range(N - 1, i - 1, -1):
         cont = 0.5 * (vals[1:] + vals[:-1])
         x_j = lat.x[j]
-        f_j = np.asarray(spec.driver(t_i, grid.t(j), x_j, sol.y_diag[j], sol.z.at(i, j)),
+        f_j = np.asarray(spec.driver(t_i, grid.t(j), x_j, sol.y_diag[j], sol.z[j][i]),
                          dtype=float)
         barrier = np.asarray(spec.obstacle(grid.t(j), x_j), dtype=float)
         stop_mask = np.array([rule_flags[j - i][k] for k in range(j + 1)])
@@ -243,7 +244,7 @@ def _reference_J(lat, spec, sol, i, rule_flags):
 def _reference_mass(sol, flags, i):
     worst = 0.0
     for j in range(i, len(flags) - 1):
-        kj = sol.kinc.at(i, j)
+        kj = sol.kinc[j][i]
         for k in range(j + 1):
             if not flags[i][j - i][k]:
                 worst = max(worst, abs(float(kj[k])))
@@ -289,10 +290,14 @@ def test_stopping_layer_matches_per_anchor_reference(name, n_steps):
     assert rep.frontiers_identical == all(flags[0][i:] == flags[i] for i in range(1, N + 1))
     assert _bits(evaluate_J(lat, spec, sol, i, fr.rule(i)) for i in range(N + 1)) == \
         _bits(j_own)
+    restarted = (StoppingRule(start=i, flags=tuple(f[0] for f in fr.layers[i:]))
+                 for i in range(N + 1))
+    assert _bits(evaluate_J(lat, spec, sol, rule.start, rule) for rule in restarted) == \
+        _bits(j_rest)
 
-    assert _bits(premature_increment_mass(sol, fr)) == \
+    assert _bits(premature_increment_mass(lat, spec, sol)) == \
         _bits(_reference_mass(sol, flags, i) for i in range(N + 1))
-    rows = frontier_rows(fr, lat)
+    rows = frontier_rows(lat, spec, sol)
     ref_rows = _reference_rows(flags, lat)
     assert len(rows) == len(ref_rows)
     assert [_bits(r) for r in rows] == [_bits(r) for r in ref_rows]
@@ -302,19 +307,27 @@ def test_stopping_layer_matches_per_anchor_reference(name, n_steps):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_streamed_reports_equal_the_stored_replay(name, n_steps):
     # the commands' live consumers against the same steps replayed over a
-    # stored solution's fields
+    # stored solution's fields; the replay rebuilds every live layer
     spec = catalog_instance(name)
     lat = spec.lattice(n_steps)
     sol = solve(lat, spec, PicardConfig())
-    fr = extract_frontier(sol, lat, spec)
+    replayed = list(_replay(lat, spec, sol))
+    live = list(sweep(lat, spec, 200))
+    assert [layer.j for layer in replayed] == [layer.j for layer in live]
+    for a, b in zip(replayed, live):
+        for field in ("rows", "v", "z", "kinc", "fdt", "barrier"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None) == (y is None), (field, a.j)
+            if x is not None:
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), (field, a.j)
     ref = inconsistency_report(lat, spec, sol)
     rep, mass = stream_report(lat, sweep(lat, spec, 200))
     for field in ("anchor_times", "e_y", "j_own", "j_restarted", "gap"):
         assert _bits(getattr(rep, field)) == _bits(getattr(ref, field)), field
     assert rep.frontiers_identical == ref.frontiers_identical
-    assert _bits(mass) == _bits(premature_increment_mass(sol, fr))
+    assert _bits(mass) == _bits(premature_increment_mass(lat, spec, sol))
 
     y_diag, update, rows = stream_solve(lat, sweep(lat, spec, 200))
-    assert [_bits(r) for r in rows] == [_bits(r) for r in frontier_rows(fr, lat)]
+    assert [_bits(r) for r in rows] == [_bits(r) for r in frontier_rows(lat, spec, sol)]
     assert [a.tobytes() for a in y_diag] == [a.tobytes() for a in sol.y_diag]
     assert _bits([update]) == _bits(sol.residual_history)

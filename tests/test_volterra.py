@@ -161,15 +161,15 @@ def test_phi_step_layers_equal_slices(n):
         rng = np.random.default_rng(n)
         U = [rng.normal(size=j + 1) for j in range(n + 1)]
         sol = phi_step(lat, spec, U)
-        assert len(sol.ytilde.layers) == n + 1 and len(sol.z.layers) == n
+        assert len(sol.ytilde) == n + 1 and len(sol.z) == n
         for i in range(n + 1):
             sl = solve_slice(lat, spec, i, U)
             assert np.array_equal(sol.y_diag[i], sl.diag), (name, i)
             for j in range(i, n + 1):
-                assert np.array_equal(sol.ytilde.layers[j][i], sl.ytilde_at(j)), (name, i, j)
+                assert np.array_equal(sol.ytilde[j][i], sl.ytilde_at(j)), (name, i, j)
             for j in range(i, n):
-                assert np.array_equal(sol.z.layers[j][i], sl.z_at(j)), (name, i, j)
-                assert np.array_equal(sol.kinc.layers[j][i], sl.kinc_at(j)), (name, i, j)
+                assert np.array_equal(sol.z[j][i], sl.z_at(j)), (name, i, j)
+                assert np.array_equal(sol.kinc[j][i], sl.kinc_at(j)), (name, i, j)
         k = n // 2 + 1
         part = phi_step(lat, spec, U, anchors=range(k, n + 1))
         for i in range(n + 1):
@@ -177,7 +177,7 @@ def test_phi_step_layers_equal_slices(n):
             assert np.array_equal(part.y_diag[i], sol.y_diag[i] if inside
                                   else np.zeros(i + 1)), (name, i)
             for f in ("ytilde", "z", "kinc"):
-                ref, got = getattr(sol, f).layers, getattr(part, f).layers
+                ref, got = getattr(sol, f), getattr(part, f)
                 for j in range(i, len(got)):
                     want = ref[j][i] if inside else np.zeros(j + 1)
                     assert np.array_equal(got[j][i], want), (name, f, i, j)
@@ -204,7 +204,7 @@ def test_sweep_matches_global_with_coupling():
         assert gap < 2 * tol, name
         for field in ("z", "kinc"):
             a, b = getattr(g, field), getattr(s, field)
-            fgap = max(float(np.max(np.abs(a.at(i, j) - b.at(i, j))))
+            fgap = max(float(np.max(np.abs(a[j][i] - b[j][i])))
                        for i in range(48) for j in range(i, 48))
             assert fgap < 10 * tol, (name, field, fgap)
 
@@ -220,10 +220,10 @@ def test_sweep_rows_equal_policy_envelope(n):
         sol = solve(lat, spec)
         for i in range(n + 1):
             env = snell_by_policy_envelope(lat, spec, i, sol.y_diag)
-            assert np.array_equal(sol.ytilde.at(i, i), sol.y_diag[i])
+            assert np.array_equal(sol.ytilde[i][i], sol.y_diag[i])
             assert np.max(np.abs(env[0] - sol.y_diag[i])) <= 1e-14, (name, i)
             for j in range(i + 1, n + 1):
-                assert np.array_equal(env[j - i], sol.ytilde.at(i, j)), (name, i, j)
+                assert np.array_equal(env[j - i], sol.ytilde[j][i]), (name, i, j)
 
 
 def test_anchor_dependent_terminal_reaches_every_anchor():
@@ -238,7 +238,7 @@ def test_anchor_dependent_terminal_reaches_every_anchor():
         env = snell_by_policy_envelope(lat, spec, i, sol.y_diag)
         assert np.max(np.abs(env[0] - sol.y_diag[i])) <= 1e-14, i
         for j in range(i + 1, 9):
-            assert np.array_equal(env[j - i], sol.ytilde.at(i, j)), (i, j)
+            assert np.array_equal(env[j - i], sol.ytilde[j][i]), (i, j)
     assert inconsistency_report(lat, spec, sol).max_identity_error <= 1e-12
 
 
@@ -250,18 +250,6 @@ def test_sweep_record_and_diagonal_only_mode():
     y_diag, _, _ = stream_solve(lat, sweep(lat, spec, 200))
     for a, b in zip(full.y_diag, y_diag):
         assert np.array_equal(a, b)
-
-
-def test_sweep_fields_are_views_of_layer_arrays():
-    spec = catalog_instance("custom_affine")
-    lat = spec.lattice(10)
-    sol = solve(lat, spec)
-    for f, top in ((sol.ytilde, 10), (sol.z, 9), (sol.kinc, 9)):
-        assert len(f.layers) == top + 1
-        for j in range(top + 1):
-            assert f.layers[j].shape == (j + 1, j + 1)
-            for i in range(j + 1):
-                assert np.shares_memory(f.at(i, j), f.layers[j])
 
 
 def test_sweep_rejects_driver_that_does_not_broadcast_over_anchors():
