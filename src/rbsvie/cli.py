@@ -220,10 +220,36 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return out
 
 
-def _write_json(path: Path, obj) -> None:
+def _json_floats(strs: list, indent: str) -> str:
+    """A non-empty list of formatted floats laid out as json.dump(indent=2)
+    lays out a list whose closing bracket sits at indent."""
+    item = "\n" + indent + "  "
+    return "[" + item + ("," + item).join(strs) + "\n" + indent + "]"
+
+
+def _json_value(value, indent: str) -> str:
+    """value as json.dump(indent=2, sort_keys=True) writes it at indent.
+
+    A non-empty list of floats goes through float.__repr__ in one join,
+    as json formats finite floats; other values, and lists holding NaN
+    or an infinity (json writes NaN, Infinity), go through json.
+    """
+    if type(value) is list:
+        try:
+            strs = list(map(float.__repr__, value))
+        except TypeError:  # not every item is a float
+            strs = None
+        if strs and "nan" not in strs and "inf" not in strs and "-inf" not in strs:
+            return _json_floats(strs, indent)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    """json.dump(obj, indent=2, sort_keys=True) and a newline, for a
+    non-empty dict with string keys."""
+    items = (json.dumps(key) + ": " + _json_value(obj[key], "  ") for key in sorted(obj))
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write("{\n  " + ",\n  ".join(items) + "\n}\n")
 
 
 def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) -> None:
@@ -245,24 +271,24 @@ def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) 
                                sort_keys=True).partition('"y_diag": null')
     with open(out / "solution.json", "w") as js, \
             open(out / "y_diag.csv", "w", newline="") as yc:
-        js.write(head + '"y_diag": [')
+        js.write(head + '"y_diag": ')
         yc.write("anchor_time,node_index,state,y\n")
         if states is None:
             ys = list(map(repr, y_diag))
-            js.write("\n    " + ",\n    ".join(ys))
+            js.write(_json_floats(ys, "  ") + tail + "\n")
             yc.write("".join(f"{t},,,{y}\n" for t, y in zip(t_str, ys)))
         else:
+            js.write("[")
             k_str = [str(k) for k in range(len(times))]
             for i, (t, x, y) in enumerate(zip(t_str, states, y_diag)):
                 xl = x.tolist()
                 xs = list(map(repr, xl))
                 known.update(zip(xl, xs))
                 ys = list(map(repr, y.tolist()))
-                js.write(("," if i else "") + "\n    [\n      " + ",\n      ".join(ys)
-                         + "\n    ]")
+                js.write(("," if i else "") + "\n    " + _json_floats(ys, "    "))
                 lead = t + ","
                 yc.write(lead + ("\n" + lead).join(map(",".join, zip(k_str, xs, ys))) + "\n")
-        js.write("\n  ]" + tail + "\n")
+            js.write("\n  ]" + tail + "\n")
     # 0.0 == -0.0 share a key, so zeros print through repr and keep their sign
     known.pop(0.0, None)
     get = known.get

@@ -55,11 +55,6 @@ class TimeGrid:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Recombining binomial lattice over a TimeGrid.
@@ -105,16 +100,15 @@ def build_lattice(grid: TimeGrid, x0: float, dyn) -> Lattice:
     """
     if not np.isfinite(x0):
         raise GridError(f"x0 must be finite, got {x0}")
-    sq = grid.sqrt_dt
+    sq, dt = grid.sqrt_dt, grid.dt
     w, x, probs = [], [], []
     p_prev = None
     for j in range(grid.n_steps + 1):
-        k = np.arange(j + 1)
-        wj = (2 * k - j) * sq
-        xj = np.asarray(dyn(grid.t(j), wj), dtype=float)
+        wj = (2 * np.arange(j + 1) - j) * sq
+        xj = np.asarray(dyn(j * dt, wj), dtype=float)
         if xj.shape != wj.shape:
             raise GridError("dynamics map must return one state value per node")
-        if not np.all(np.isfinite(xj)):
+        if not np.logical_and.reduce(np.isfinite(xj)):
             raise GridError(f"dynamics produced non-finite state at layer {j}")
         if j == 0:
             pj = np.ones(1)
@@ -122,9 +116,12 @@ def build_lattice(grid: TimeGrid, x0: float, dyn) -> Lattice:
             pj = np.zeros(j + 1)
             pj[1:] += 0.5 * p_prev
             pj[:-1] += 0.5 * p_prev
-        w.append(_frozen(wj))
-        x.append(_frozen(xj))
-        probs.append(_frozen(pj))
+        wj.setflags(write=False)
+        xj.setflags(write=False)
+        pj.setflags(write=False)
+        w.append(wj)
+        x.append(xj)
+        probs.append(pj)
         p_prev = pj
     if abs(x[0][0] - x0) > 1e-12 * max(1.0, abs(x0)):
         raise GridError(f"dyn(0, 0) = {x[0][0]} does not match x0 = {x0}")

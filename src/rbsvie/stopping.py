@@ -175,7 +175,7 @@ class ConsistencyReport:
 
 
 def _same_as_anchor0(stops: np.ndarray) -> bool:
-    return bool((stops == stops[0]).all())
+    return bool(np.logical_and.reduce(stops == stops[0], axis=None))
 
 
 def inconsistency_report(lat: Lattice, spec: InstanceSpec, sol: Solution) -> ConsistencyReport:
@@ -186,7 +186,7 @@ def inconsistency_report(lat: Lattice, spec: InstanceSpec, sol: Solution) -> Con
 def _mass_step(worst: np.ndarray, kinc: np.ndarray, stops: np.ndarray) -> None:
     """Raise worst[i] to anchor i's largest increment off its stop nodes on one layer."""
     rows = worst[: len(kinc)]
-    np.maximum(rows, np.where(stops, 0.0, np.abs(kinc)).max(axis=1), out=rows)
+    np.maximum(rows, np.maximum.reduce(np.where(stops, 0.0, np.abs(kinc)), axis=1), out=rows)
 
 
 def premature_increment_mass(lat: Lattice, spec: InstanceSpec, sol: Solution) -> np.ndarray:
@@ -202,10 +202,11 @@ def premature_increment_mass(lat: Lattice, spec: InstanceSpec, sol: Solution) ->
 
 def _frontier_part(j: int, stops: np.ndarray, x: np.ndarray) -> tuple:
     """(anchor, layer, low, high) columns of layer j's nonempty stop regions."""
-    hit = stops.any(axis=1)
-    return (np.flatnonzero(hit), np.full(int(hit.sum()), j),
-            np.where(stops, x, np.inf).min(axis=1)[hit],
-            np.where(stops, x, -np.inf).max(axis=1)[hit])
+    hit = np.logical_or.reduce(stops, axis=1)
+    anchors = hit.nonzero()[0]
+    return (anchors, np.full(len(anchors), j),
+            np.minimum.reduce(np.where(stops, x, np.inf), axis=1)[hit],
+            np.maximum.reduce(np.where(stops, x, -np.inf), axis=1)[hit])
 
 
 def _sorted_rows(parts: list, dt: float) -> np.ndarray:
@@ -231,11 +232,12 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
     (ConsistencyReport, mass per anchor).
     """
     N = lat.n_steps
+    probs = lat.probs  # E[Y(t_j)] = probs[j] @ Y(t_j), as lat.layer_expect
     e_y = [0.0] * (N + 1)
     j_own, j_rest, worst = np.empty(N + 1), np.empty(N + 1), np.zeros(N + 1)
     identical = True
     for layer in layers:
-        j, barrier = layer.j, layer.barrier
+        j, barrier, p = layer.j, layer.barrier, probs[layer.j]
         if barrier is None:  # terminal layer: both inductions start at its rows
             own = rest = layer.rows
         else:
@@ -244,9 +246,9 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
             rest = _rule_step(rest, j + 1, stops[0], layer.fdt, barrier)
             _mass_step(worst, layer.kinc, stops)
             identical = identical and _same_as_anchor0(stops)
-        e_y[j] = lat.layer_expect(j, layer.v)
-        j_own[j] = lat.layer_expect(j, own[-1])
-        j_rest[j] = lat.layer_expect(j, rest[-1])
+        e_y[j] = float(p @ layer.v)
+        j_own[j] = p @ own[-1]
+        j_rest[j] = p @ rest[-1]
     rep = ConsistencyReport(
         anchor_times=tuple(lat.grid.times.tolist()), e_y=tuple(e_y),
         j_own=tuple(j_own.tolist()), j_restarted=tuple(j_rest.tolist()),

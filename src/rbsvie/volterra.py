@@ -25,12 +25,13 @@ snell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from rbsvie.grid import Lattice, TimeGrid
-from rbsvie.instances import InstanceSpec, anchor_axis_defect, broadcast_defect
+from rbsvie.instances import InstanceSpec, anchor_axis_defect
 
 # relative size of a last-bit cycle the per-node equation may end on
 SETTLE_RTOL = 1e-14
@@ -91,11 +92,23 @@ class Solution:
     residual_history: list
 
 
+def _broadcasts(got: tuple, shape: tuple) -> bool:
+    """Whether a result of shape got broadcasts to shape: each trailing
+    dimension of got is 1 or shape's."""
+    lead = len(shape) - len(got)
+    if lead < 0:
+        return False
+    for a, b in zip(got, shape[lead:]):
+        if a != 1 and a != b:
+            return False
+    return True
+
+
 def _driver_rows(spec: InstanceSpec, t, s: float, x, y, z, shape: tuple,
                  j: int) -> np.ndarray:
     """Driver values that broadcast to shape; a mismatch names the layer."""
     f = np.asarray(spec.driver(t, s, x, y, z), dtype=float)
-    if f.shape == shape or broadcast_defect(f.shape, shape) is None:
+    if f.shape == shape or _broadcasts(f.shape, shape):
         return f
     raise _not_broadcast(f"result shape {f.shape}", shape, j)
 
@@ -111,10 +124,14 @@ def _non_finite(i: int, j: int) -> VolterraError:
 
 
 def check_finite(rows: np.ndarray, j: int) -> None:
-    """Rows are anchors 0.. on layer j; the first non-finite one is named."""
-    bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():
-        raise _non_finite(int(np.argmax(bad)), j)
+    """Rows are anchors 0.. on layer j; the first non-finite one is named.
+
+    One pass tests the whole layer; only a failing layer is scanned row
+    by row for the anchor to name.
+    """
+    finite = np.isfinite(rows)
+    if not np.logical_and.reduce(finite, axis=None):
+        raise _non_finite(int(np.argmax(~finite.all(axis=1))), j)
 
 
 def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
@@ -123,18 +140,28 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
 
     Iterates from max(e, L) until an update changes nothing, or until
     the updates stop shrinking within SETTLE_RTOL (1 + |v|): a last-bit
-    cycle.  Returns (v, last update).
+    cycle.  Returns (v, last update).  A non-finite start max(e, L)
+    makes the first iterate non-finite on the same node, which is
+    raised after that iterate's driver call.  From a finite start, the
+    update's reduction is the finiteness test: a NaN or infinity in an
+    iterate makes the update NaN or infinite, and only then is the
+    iterate tested value by value, since the difference of two finite
+    iterates may overflow to infinity.
     """
     v = np.maximum(e, barrier)
+    if not np.logical_and.reduce(np.isfinite(v)):
+        _driver_rows(spec, s, s, x, v, z, v.shape, j)
+        raise _non_finite(j, j)
+    d = np.empty_like(v)
     last = np.inf
     for _ in range(max_iters):
         nxt = np.maximum(e + _driver_rows(spec, s, s, x, v, z, v.shape, j) * dt, barrier)
-        if not np.isfinite(nxt).all():
+        step = float(np.maximum.reduce(np.abs(np.subtract(nxt, v, out=d), out=d)))
+        if not math.isfinite(step) and not np.logical_and.reduce(np.isfinite(nxt)):
             raise _non_finite(j, j)
-        step = float(np.max(np.abs(nxt - v)))
         v = nxt
-        if step == 0.0 or (step >= last
-                           and step <= SETTLE_RTOL * (1.0 + float(np.max(np.abs(v))))):
+        if step == 0.0 or (step >= last and step <= SETTLE_RTOL * (
+                1.0 + float(np.maximum.reduce(np.abs(v, out=d))))):
             return v, step
         last = step
     raise NoConvergence(max_iters, last, where=f"anchor {j}, layer {j}")
@@ -232,11 +259,12 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int):
         raise _not_broadcast(reason, (N + 1, N), N - 1)
     layer = Layer(N, rows, rows[N].copy())
     yield layer
+    dt, two_sqrt_dt = grid.dt, 2.0 * grid.sqrt_dt
     for j in range(N - 1, -1, -1):
         nxt = layer.rows[: j + 1]  # anchors 0..j on layer j + 1
         e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
-        z = (nxt[:, 1:] - nxt[:, :-1]) / (2.0 * grid.sqrt_dt)
-        layer = step_layer(spec, anchor_t, grid.t(j), lat.x[j], e, z, grid.dt, j,
+        z = (nxt[:, 1:] - nxt[:, :-1]) / two_sqrt_dt
+        layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, z, dt, j,
                            max_iters, kinc=True)
         yield layer
 

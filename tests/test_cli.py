@@ -291,6 +291,89 @@ def test_writer_renders_edge_floats_like_json_and_csv(data):
         assert _written(out) == _render({**payload, "y_diag": y_json}, y_rows, f_rows.tolist())
 
 
+def _write_json_text(obj) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        cli._write_json(path, obj)
+        return path.read_text()
+
+
+def _json_dumped(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# one payload of each report command's shape, with edge floats in its lists
+JSON_PAYLOADS = {
+    "stop": {
+        "command": "stop", "instance": "hyperbolic_discount", "n_steps": 3,
+        "anchor_times": [0.0, 1 / 3, 2 / 3, 1.0], "e_y": list(EDGE_FLOATS[:4]),
+        "j_own": list(EDGE_FLOATS[4:8]), "j_restarted": list(EDGE_FLOATS[8:12]),
+        "gap": [0.0, -0.0, 1e-17, 3.0], "max_gap": 3.0, "frontiers_identical": False,
+        "inconsistent": True, "max_identity_error": 5e-324,
+        "premature_increment_mass": 0.0,
+    },
+    "compare": {
+        "command": "compare", "low": "american_put(K=0.9)", "high": "american_put(K=1)",
+        "low_params": {"strike": 0.9}, "high_params": {"strike": 1.0, "rate": 0.05},
+        "n_steps": 8, "ordering_witnesses": [], "max_diff": -1e-3, "ordered": True,
+        "witness": None, "driver_ordering_ok": True, "y_range": [-0.0, 0.1],
+        "z_range": [-2.2250738585072014e-308, 1e22],
+    },
+    "oracle-check": {
+        "command": "oracle-check", "instance": "linear_z", "n_steps": 2,
+        "tolerance": 1e-10, "max_abs_error": 1e-16, "nodes_checked": 2,
+        "deviations": [
+            {"anchor": 0, "node": 0, "solver": 0.5, "exhaustive": 0.5, "abs_error": 0.0},
+            {"anchor": 1, "node": 1, "solver": 1 / 3, "exhaustive": 0.3333333333333333,
+             "abs_error": 1e-16},
+        ],
+    },
+    "verify-assumptions": {
+        "command": "verify-assumptions", "instance": "custom_affine", "n_steps": 50,
+        "samples": 400, "ok": False, "lipschitz_ratio": 0.99, "holder_ratio": 1e-4,
+        "violations": [{"kind": "broadcast", "detail": "result shape (51,) \"x\"\n"}],
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_PAYLOADS))
+def test_report_writer_equals_json_dump(command):
+    assert _write_json_text(JSON_PAYLOADS[command]) == _json_dumped(JSON_PAYLOADS[command])
+
+
+@pytest.mark.parametrize("argv, report", [
+    (("stop",), "inconsistency.json"),
+    (("compare", "--config", "{cfg}"), "report.json"),
+    (("oracle-check",), "report.json"),
+    (("verify-assumptions",), "report.json"),
+])
+def test_report_files_equal_json_dump_of_their_payload(tmp_path, argv, report):
+    cfg = _cfg(tmp_path, "[instance]\nname = hyperbolic_discount\n\n[grid]\nN = 5\n")
+    out = tmp_path / "out"
+    argv = [a.format(cfg=cfg) for a in argv]
+    assert _run(argv[0], "--config", cfg, *argv[1:], "--out", str(out)) == cli.EXIT_OK
+    text = (out / report).read_text()
+    assert text == _json_dumped(json.loads(text))
+
+
+_payload_leaf = st.one_of(st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=3),
+                       _floats, st.sampled_from([np.nan, np.inf, -np.inf]))
+_payload_value = st.one_of(
+    _payload_leaf,
+    # float lists, with NaN and the infinities json spells NaN, Infinity
+    st.lists(st.one_of(_floats, st.sampled_from([np.nan, np.inf, -np.inf])), max_size=6),
+    st.lists(_floats.map(np.float64), min_size=1, max_size=4),
+    st.lists(_payload_leaf, max_size=4),
+    st.dictionaries(st.text(max_size=3), st.lists(_floats, max_size=3), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=st.dictionaries(st.text(min_size=1, max_size=6), _payload_value, min_size=1,
+                           max_size=6))
+def test_report_writer_equals_json_dump_on_any_payload(obj):
+    assert _write_json_text(obj) == _json_dumped(obj)
+
+
 def test_verify_assumptions_flags_a_driver_that_folds_the_anchor_axis(tmp_path, monkeypatch):
     _fold_driver(monkeypatch)
     out = tmp_path / "out"

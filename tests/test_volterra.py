@@ -1,16 +1,20 @@
 """Solver tests: the backward sweep against the Picard reference,
 convergence and contraction of the reference, and solver failures."""
 
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbsvie.instances import (
     CATALOG_NAMES,
     DriverSpec,
     ObstacleSpec,
     TerminalSpec,
+    broadcast_defect,
     catalog_instance,
 )
 from rbsvie.snell import (
@@ -26,7 +30,17 @@ from rbsvie.snell import (
     zero_diagonal,
 )
 from rbsvie.stopping import inconsistency_report, stream_solve
-from rbsvie.volterra import NoConvergence, PicardConfig, VolterraError, solve, sweep
+from rbsvie.volterra import (
+    SETTLE_RTOL,
+    NoConvergence,
+    PicardConfig,
+    VolterraError,
+    _broadcasts,
+    _settle_diagonal,
+    check_finite,
+    solve,
+    sweep,
+)
 
 
 def test_config_validation():
@@ -270,3 +284,183 @@ def test_sweep_non_finite_value_names_anchor_and_layer():
     lat = spec.lattice(10)
     with pytest.raises(VolterraError, match="anchor 5, layer 5"):
         solve(lat, spec)
+
+
+def _settle_reference(spec, s, x, e, z, barrier, dt, j, max_iters):
+    """The per-node equation's loop with a separate finiteness pass over
+    every iterate and numpy's reduction wrappers, kept to pin the sweep's
+    loop to the same values, updates and errors."""
+    v = np.maximum(e, barrier)
+    last = np.inf
+    for _ in range(max_iters):
+        nxt = np.maximum(e + np.asarray(spec.driver(s, s, x, v, z), dtype=float) * dt,
+                         barrier)
+        if not np.isfinite(nxt).all():
+            raise VolterraError(f"non-finite value at anchor {j}, layer {j}; "
+                                f"check instance parameters")
+        step = float(np.max(np.abs(nxt - v)))
+        v = nxt
+        if step == 0.0 or (step >= last
+                           and step <= SETTLE_RTOL * (1.0 + float(np.max(np.abs(v))))):
+            return v, step
+        last = step
+    raise NoConvergence(max_iters, last, where=f"anchor {j}, layer {j}")
+
+
+def _outcome(settle, spec, e, z, barrier, dt, max_iters):
+    """(result or error, texts of the warnings printed on the way)."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            v, step = settle(spec, 0.25, 0.5 * e, e, z, barrier, dt, 3, max_iters)
+            got = v.dtype, v.shape, v.tobytes(), step
+        except (VolterraError, NoConvergence) as exc:
+            extra = ((exc.iterations, exc.last_residual) if isinstance(exc, NoConvergence)
+                     else ())
+            got = type(exc), str(exc), extra
+    return got, [str(w.message) for w in seen]
+
+
+_EDGES = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+# (y-slope times dt, dt, scale of e, obstacle) per regime: contracting,
+# last-bit cycles near a slope of 1, expanding, overflowing within the
+# iteration budget, and iterates of alternating sign near the float limit,
+# whose difference overflows while both stay finite
+_REGIMES = {
+    "contract": (st.floats(-1.2, 0.9), st.sampled_from([0.01, 0.1, 0.5]), 1.0, None),
+    "near_one": (st.floats(0.9, 1.0), st.sampled_from([0.01, 0.1, 0.5]), 1.0, None),
+    "expand": (st.floats(1.0, 3.0), st.sampled_from([0.01, 0.1, 0.5]), 1.0, None),
+    "blow_up": (st.sampled_from([60.0, -60.0]), st.sampled_from([0.01, 0.1, 0.5]), 1.0, None),
+    "swing": (st.sampled_from([-2.0, -3.0]), st.just(1.0), 1e306, "none"),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), regime=st.sampled_from(sorted(_REGIMES)), n=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1), b=st.floats(-2.0, 2.0),
+       max_iters=st.integers(1, 400),
+       inject=st.one_of(st.none(), st.tuples(
+           st.sampled_from(["e", "barrier", "driver"]), st.integers(0, 23), _EDGES,
+           st.integers(0, 5))))
+def test_settle_loop_matches_the_separate_finiteness_pass(
+        data, regime, n, seed, b, max_iters, inject):
+    # value, last update and raised error (type, text, NoConvergence
+    # fields) of the sweep's loop equal the reference loop's exactly, on
+    # affine drivers and with NaN or an infinity in e, L or f
+    slopes, dts, scale, barrier_kind = _REGIMES[regime]
+    slope_dt, dt = data.draw(slopes), data.draw(dts)
+    barrier_kind = barrier_kind or data.draw(st.sampled_from(["array", "scalar", "none"]))
+    rng = np.random.default_rng(seed)
+    e = rng.uniform(-5.0, 5.0, n) * scale
+    z = rng.uniform(-1.0, 1.0, n)
+    barrier = {"array": rng.uniform(-6.0, 2.0, n), "scalar": np.asarray(rng.uniform(-6.0, 2.0)),
+               "none": np.full(n, -np.inf)}[barrier_kind]
+    a = slope_dt / dt
+    where, node, bad, after = inject or (None, 0, 0.0, 0)
+    node %= n
+    if where == "e":
+        e[node] = bad
+    elif where == "barrier":
+        barrier = np.broadcast_to(barrier, (n,)).copy()
+        barrier[node] = bad
+
+    def make_spec():
+        calls = [0]
+
+        def f(t, s, x, y, z):
+            out = a * y + b * z + 0.3 * x - 0.1
+            calls[0] += 1
+            if where == "driver" and calls[0] > after:
+                out[node] = bad
+            return out
+        return SimpleNamespace(driver=f)
+
+    want, want_seen = _outcome(_settle_reference, make_spec(), e, z, barrier, dt, max_iters)
+    got, got_seen = _outcome(_settle_diagonal, make_spec(), e, z, barrier, dt, max_iters)
+    assert got == want
+    # an iterate that overflowed on one node may make the update of its
+    # finite nodes overflow too, before the test that raises; no other
+    # warning is new
+    assert [w for w in got_seen if w != "overflow encountered in subtract"] == \
+        [w for w in want_seen if w != "overflow encountered in subtract"]
+
+
+def test_settle_loop_endings():
+    # a settled exact fixed point, a last-bit cycle, no convergence, a
+    # non-finite start or iterate, and an update that overflows
+    e, z = np.linspace(-1.0, 1.0, 7), np.zeros(7)
+    flat = SimpleNamespace(driver=lambda t, s, x, y, z: np.zeros_like(y))
+    assert _settle_diagonal(flat, 0.0, e, e, z, -1.0, 0.1, 0, 5)[1] == 0.0
+    near = SimpleNamespace(driver=lambda t, s, x, y, z: 0.9 / 0.1 * y + 1.0)
+    _, step = _settle_diagonal(near, 0.0, e, e, z, np.full(7, -1.0), 0.1, 0, 400)
+    assert 0.0 < step <= SETTLE_RTOL * 100.0
+    grow = SimpleNamespace(driver=lambda t, s, x, y, z: 2.0 / 0.1 * y)
+    with pytest.raises(NoConvergence, match="anchor 4, layer 4"):
+        _settle_diagonal(grow, 0.0, e, e + 1.0, z, 0.0, 0.1, 4, 50)
+    blow = SimpleNamespace(driver=lambda t, s, x, y, z: 60.0 / 0.1 * y)
+    with np.errstate(over="ignore"), pytest.raises(
+            VolterraError, match="non-finite value at anchor 4, layer 4"):
+        _settle_diagonal(blow, 0.0, e, e + 1.0, z, 0.0, 0.1, 4, 200)
+    with pytest.raises(VolterraError, match="non-finite value at anchor 2, layer 2"):
+        _settle_diagonal(flat, 0.0, e, e, z, np.inf, 0.1, 2, 5)
+    # iterates of either sign near the float limit: their difference
+    # overflows to inf, both are finite, and the loop goes on
+    calls = []
+
+    def swing(t, s, x, y, z):
+        calls.append(None)
+        return np.full_like(y, 1.5e308 if len(calls) % 2 else -1.5e308)
+    with np.errstate(over="ignore"), pytest.raises(NoConvergence) as exc:
+        _settle_diagonal(SimpleNamespace(driver=swing), 0.0, e, e * 0.0, z, -np.inf, 1.0, 0, 3)
+    assert (exc.value.iterations, exc.value.last_residual, len(calls)) == (3, np.inf, 3)
+
+
+def _first_bad_anchor_reference(rows, j):
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise VolterraError(f"non-finite value at anchor {int(np.argmax(bad))}, layer {j}; "
+                            f"check instance parameters")
+
+
+@settings(max_examples=200, deadline=None)
+@given(anchors=st.integers(1, 12), nodes=st.integers(1, 12), j=st.integers(0, 500),
+       seed=st.integers(0, 2**32 - 1),
+       spots=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), _EDGES),
+                      max_size=4))
+def test_check_finite_names_the_first_bad_anchor(anchors, nodes, j, seed, spots):
+    rows = np.random.default_rng(seed).normal(size=(anchors, nodes)) * 1e300
+    for i, k, bad in spots:
+        rows[i % anchors, k % nodes] = bad
+    try:
+        _first_bad_anchor_reference(rows, j)
+    except VolterraError as exc:
+        with pytest.raises(VolterraError) as got:
+            check_finite(rows, j)
+        assert str(got.value) == str(exc)
+    else:
+        assert not spots
+        check_finite(rows, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(got=st.lists(st.integers(0, 3), max_size=4), shape=st.lists(st.integers(0, 3),
+                                                                   max_size=4))
+def test_broadcast_test_agrees_with_numpy(got, shape):
+    got, shape = tuple(got), tuple(shape)
+    assert _broadcasts(got, shape) == (broadcast_defect(got, shape) is None)
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_discount", "custom_affine", "linear_z"])
+def test_lattice_y0_converges_at_first_order(name):
+    # halving dt halves the change in y0: successive differences of y0 at
+    # N = 50, 100, 200, 400 shrink by a factor 2 +- 0.2
+    spec = catalog_instance(name)
+    y0 = []
+    for n in (50, 100, 200, 400):
+        lat = spec.lattice(n)
+        y0.append(float(stream_solve(lat, sweep(lat, spec, 200))[0][0][0]))
+    diffs = np.diff(y0)
+    ratios = diffs[:-1] / diffs[1:]
+    assert np.all(np.abs(ratios - 2.0) <= 0.2), (name, y0, ratios)
