@@ -2,9 +2,10 @@
 
 Prints the lattice y0, the MC estimate with its bootstrap standard
 error, the z-score of the gap and the MC seconds (simulation and solve)
-for each catalog instance, then the total MC seconds and the process's
-peak resident memory.  The defaults are the sizes of acceptance
-criterion 09.
+for each catalog instance, then the total MC seconds, the process's
+peak resident memory and, next to it, mc.working_set_bytes for these
+sizes: the bound on the path arrays that solve --engine mc's memory gate
+checks.  The defaults are the sizes of acceptance criterion 09.
 
 Usage: python3 scripts/mc_crosscheck.py [--n-steps 50] [--n-paths 100000]
        [--seed 20260825] [--basis pwlinear] [--degree 8]
@@ -47,7 +48,9 @@ def main():
         print(f"{name:24s} {y0:12.6f} {est.y0:12.6f} "
               f"{est.y0_se:10.2e} {z:6.2f} {el:6.1f}")
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    print(f"total MC seconds {total:.1f}, peak RSS {peak_kib / 1024:.0f} MB")
+    bound = mc.working_set_bytes(args.n_steps, args.n_paths, basis)
+    print(f"total MC seconds {total:.1f}, peak RSS {peak_kib / 1024:.0f} MB, "
+          f"mc.working_set_bytes {bound / 2**20:.0f} MB")
 
 
 if __name__ == "__main__":

@@ -438,7 +438,11 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
       for |y|, |z| <= 1, within 1 percent, sampled;
     * finiteness of f(t,s,x,0,0), xi and L on lattice nodes;
     * broadcasting: f with a column of anchor times against one layer's
-      nodes has a result that broadcasts to (anchors, nodes).
+      nodes has a result that broadcasts to (anchors, nodes);
+    * dependence: a driver declared free of y (depends_on_y False) or of
+      z (depends_on_z False) keeps its value, exactly, as that argument
+      moves, sampled; the first sample that moves it is reported.  The
+      Monte Carlo engine fits no z for a z-free driver.
 
     Report-only: violations are collected, never raised.
     """
@@ -473,6 +477,9 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
     cf = spec.driver.lipschitz
     c1 = spec.driver.holder_const
     alpha = spec.driver.holder_alpha
+    # arguments the driver declares it ignores, until a sample shows one read
+    free = [arg for arg, reads in (("y", spec.driver.depends_on_y),
+                                   ("z", spec.driver.depends_on_z)) if not reads]
     for m in range(samples):
         j, k = all_nodes[idx[m]]
         x = float(lat.x[j][k])
@@ -501,6 +508,17 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
                     "holder",
                     f"observed time-increment ratio {hol:.6g} exceeds declared {c1:.6g}",
                     (t, tp, s, x, y, z),
+                ))
+        for arg in list(free):
+            moved = (yp, z) if arg == "y" else (y, zp)
+            f1 = float(spec.driver(t, s, x, *moved))
+            if f1 != f0:
+                free.remove(arg)
+                violations.append(Violation(
+                    "dependence",
+                    f"driver declared depends_on_{arg}=False changes from {f0:.6g} "
+                    f"to {f1:.6g} as {arg} moves",
+                    (t, s, x, y, z, *moved),
                 ))
 
     for j in (0, n_steps // 2, n_steps):

@@ -10,6 +10,18 @@ one multi-RHS solve, settles anchor j's per-path equation
 v = max(E + f(t_j, t_j, x, v, z) dt, L), steps anchors 0..j, and steps
 the bootstrap replicates of anchor 0 with the diagonal frozen at v.
 
+The working set is kept to what the sweep reads (working_set_bytes
+bounds it).  The bootstrap weights are multinomial path counts, stored
+in the smallest unsigned type that holds n_paths and cast to float
+block by block where they are read.  Each layer's design is written
+once, as contiguous basis rows, and its projector is freed before the
+next layer's design is built.  A driver declared free of z
+(DriverSpec.depends_on_z False, which instances.verify_assumptions
+checks) gets read-only zeros for z, and no z is fitted for it.  None of
+this changes a float operation or the shape of a matrix product: the
+estimates are bit for bit those of a float64 engine that fits z for
+every driver.
+
 Paths are simulated in fixed-size blocks whose generators are seeded
 from (seed, block index), so results do not depend on how blocks are
 scheduled; the generator family is recorded in the solution metadata.
@@ -103,21 +115,24 @@ class RegressionBasis:
         return self.degree + (1 if self.family == "polynomial" else 2)
 
     def design(self, x: np.ndarray) -> np.ndarray:
+        """The (n, dim) design on the states x, as the .T view of (dim, n)
+        rows: each basis column is one contiguous row, written in place."""
         x = np.asarray(x, dtype=float)
         mu = float(x.mean())
         sd = float(x.std())
         if sd < 1e-300:
             raise MCError("degenerate state cloud: basis design is rank deficient")
-        u = (x - mu) / sd
+        rows = np.empty((self.dim, len(x)))
+        rows[0] = 1.0
+        u = np.divide(np.subtract(x, mu, out=rows[1]), sd, out=rows[1])
         if self.family == "polynomial":
-            cols = [np.ones_like(u)]
-            for _ in range(self.degree):
-                cols.append(cols[-1] * u)
-            return np.column_stack(cols)
+            for k in range(2, self.dim):
+                np.multiply(rows[k - 1], u, out=rows[k])
+            return rows.T
         qs = np.quantile(u, np.linspace(0.0, 1.0, self.degree + 2)[1:-1])
-        cols = [np.ones_like(u), u]
-        cols.extend(np.maximum(u - q, 0.0) for q in qs)
-        return np.column_stack(cols)
+        for k, q in enumerate(qs, 2):
+            np.maximum(np.subtract(u, q, out=rows[k]), 0.0, out=rows[k])
+        return rows.T
 
 
 class _LayerProjector:
@@ -126,6 +141,8 @@ class _LayerProjector:
     Regression targets are rows: project(vals, z) replaces each row of
     vals by its fitted values and writes to the same row of z the fit of
     the martingale target vals * dw / dt, with one solve for all rows.
+    With z None (a driver that reads no z) the martingale coefficients
+    are still solved for, so every solve keeps its shape, but not fitted.
     Layer 0's design is the constant column, since every path starts at
     x0; there the projection is the cross-path mean.
     """
@@ -138,7 +155,7 @@ class _LayerProjector:
         self.bt[:] = design.T
         np.multiply(self.bt, dw / dt, out=self.bbt[d:])
         try:
-            self.chol = np.linalg.cholesky(design.T @ design)
+            self.chol = np.linalg.cholesky(self.bt @ self.bt.T)
         except np.linalg.LinAlgError:
             raise MCError(
                 "rank-deficient regression: basis too rich for the path cloud")
@@ -147,40 +164,49 @@ class _LayerProjector:
             raise MCError(
                 "rank-deficient regression: basis too rich for the path cloud")
 
-    def _fit(self, coef: np.ndarray, vals: np.ndarray, z: np.ndarray) -> None:
+    def _fit(self, coef: np.ndarray, vals: np.ndarray, z: np.ndarray | None) -> None:
         # coef[r] holds row r's value and martingale coefficients, (2, d)
         np.matmul(coef[:, 0], self.bt, out=vals)
-        np.matmul(coef[:, 1], self.bt, out=z)
+        if z is not None:
+            np.matmul(coef[:, 1], self.bt, out=z)
 
-    def project(self, vals: np.ndarray, z: np.ndarray) -> None:
+    def project(self, vals: np.ndarray, z: np.ndarray | None) -> None:
         m, d = len(vals), len(self.bt)
         rhs = (vals @ self.bbt.T).reshape(2 * m, d).T
         coef = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, rhs))
         self._fit(coef.T.reshape(m, 2, d), vals, z)
 
     def weighted_grams(self, wts: np.ndarray) -> np.ndarray:
-        """B^T diag(w) B for every weight row.
+        """B^T diag(w) B for every row of path counts.
 
         The symmetric half of each path's outer product b b^T (the
         Khatri-Rao product of the design with itself) times the weights
         gives every replicate's gram in one GEMM per block of KR_BLOCK
-        paths; a block stays in cache.
+        paths; a block stays in cache.  Row i's products b_i b_i..b_{d-1}
+        fill the next d - i rows of one reused buffer, and each block of
+        counts is cast to float where the GEMM reads it (exactly).
         """
         bt = self.bt
-        d = len(bt)
+        d, n = bt.shape
         up, lo = np.triu_indices(d)
+        kr = np.empty((len(up), min(KR_BLOCK, n)))
         half = np.zeros((len(up), len(wts)))
-        for c in range(0, bt.shape[1], KR_BLOCK):
+        for c in range(0, n, KR_BLOCK):
             blk = bt[:, c:c + KR_BLOCK]
-            half += (blk[up] * blk[lo]) @ wts[:, c:c + KR_BLOCK].T
+            prod = kr[:, :blk.shape[1]]
+            r = 0
+            for i in range(d):
+                np.multiply(blk[i], blk[i:], out=prod[r:r + d - i])
+                r += d - i
+            half += prod @ wts[:, c:c + KR_BLOCK].astype(float).T
         grams = np.empty((len(wts), d, d))
         grams[:, up, lo] = half.T
         grams[:, lo, up] = half.T
         return grams
 
     def project_weighted(self, grams: np.ndarray, wts: np.ndarray,
-                         vals: np.ndarray, z: np.ndarray) -> None:
-        """project, with row r of vals regressed under weights wts[r]."""
+                         vals: np.ndarray, z: np.ndarray | None) -> None:
+        """project, with row r of vals regressed under the path counts wts[r]."""
         m, d = len(vals), len(self.bt)
         rhs = np.zeros((m, 2 * d))
         for c in range(0, vals.shape[1], KR_BLOCK):
@@ -201,7 +227,9 @@ class MCSolution:
     the obstacle, not all stopped as on the lattice.  floor_margin is the
     smallest ytilde - obstacle over every path point of anchor 0's rows
     (nonnegative by construction).  y0_replicates are the bootstrap
-    refits of y0, whose standard deviation is y0_se.  As for the lattice
+    refits of y0, one per row of multinomial path counts (each path
+    drawn as often as its count, n draws with replacement), and y0_se is
+    their standard deviation (ddof 1).  As for the lattice
     sweep, iterations is 1 and residual_history holds the largest last
     update of the per-path equations.
     """
@@ -218,27 +246,40 @@ class MCSolution:
 
 
 def _bootstrap_weights(bundle: PathBundle, n_bootstrap: int) -> np.ndarray:
-    """Multinomial path weights, one row per replicate, from (seed, 999983)."""
+    """Multinomial path counts, one row per replicate, from (seed, 999983).
+
+    Row b counts how often each of the n paths is drawn in n draws with
+    replacement; one multinomial call draws all rows, the same counts as
+    one call per row.  A count is at most n, so the rows are stored in
+    the smallest unsigned type that holds n (uint16 up to 65535 paths),
+    and the projections cast them to float where they read them, exactly.
+    """
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((bundle.seed, 999983))))
     n = bundle.n_paths
-    pvals = np.full(n, 1.0 / n)
-    wts = np.empty((n_bootstrap, n))
-    for b in range(n_bootstrap):
-        wts[b] = rng.multinomial(n, pvals)
-    return wts
+    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=n_bootstrap)
+    return counts.astype(np.min_scalar_type(n))
 
 
 def working_set_bytes(n_steps: int, n_paths: int, basis: RegressionBasis) -> int:
-    """Bytes of the path arrays simulate and solve_mc (N_BOOTSTRAP
-    replicates) hold at once.
+    """Bytes of the arrays simulate and solve_mc (N_BOOTSTRAP replicates)
+    hold at once, an upper bound.
 
-    N + 1 rows each: x, dw, the anchors' value and z rows, and a layer's
-    driver values and running terms; N_BOOTSTRAP rows each: the bootstrap
-    weights and replicates; basis.dim rows each: the layer's design, the
-    projector's transposed and weighted designs, and the replicates' z.
+    Float rows of n_paths values: N + 1 each for x, dw, the anchors'
+    value and z rows, and a layer's driver values and running terms;
+    N_BOOTSTRAP for the replicates; basis.dim each for the layer's
+    design, the projector's two halves and the replicates' z.  The
+    N_BOOTSTRAP rows of path counts take np.min_scalar_type(n_paths)'s
+    itemsize per path.  The z rows are counted even for a driver that
+    reads no z, which gets read-only zeros instead.  The bootstrap's
+    blocks of KR_BLOCK paths add float rows that do not grow with the
+    path count: the design's Khatri-Rao products, dim (dim + 1) / 2 of
+    them, and the counts cast to float, N_BOOTSTRAP.
     """
-    return 8 * n_paths * (6 * (n_steps + 1) + 2 * N_BOOTSTRAP + 4 * basis.dim)
+    d = basis.dim
+    count = np.min_scalar_type(n_paths).itemsize
+    return (n_paths * (8 * (6 * (n_steps + 1) + N_BOOTSTRAP + 4 * d) + count * N_BOOTSTRAP)
+            + 8 * KR_BLOCK * (d * (d + 1) // 2 + N_BOOTSTRAP))
 
 
 def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
@@ -258,14 +299,19 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
         raise MCError(f"need n_paths >= {2 * basis.dim} for a {basis.dim}-column basis")
 
     # vals[i] is anchor i's value row on the current layer and zrows[i] its
-    # martingale coefficient; projection and step overwrite them in place
+    # martingale coefficient; projection and step overwrite them in place.
+    # A driver that reads no z gets read-only zeros, and no z is fitted.
     x_N = bundle.x[N]
     anchor_t, vals = terminal_rows(spec, grid, x_N)
-    zrows = np.empty_like(vals)
+    fit_z = spec.driver.depends_on_z
+    if fit_z:
+        zrows, zrep = np.empty_like(vals), np.empty((basis.dim, n))
+    else:
+        zrows = np.broadcast_to(0.0, vals.shape)
+        zrep = np.broadcast_to(0.0, (basis.dim, n))
     wts = _bootstrap_weights(bundle, n_bootstrap)
     reps = np.empty((n_bootstrap, n))
     reps[:] = vals[0]
-    zrep = np.empty((basis.dim, n))
     e_y_diag = [0.0] * (N + 1)
     e_y_diag[N] = float(vals[N].mean())
     parts, margin = [], np.inf
@@ -285,7 +331,7 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
             proj = _LayerProjector(basis.design(x_j) if j else np.ones((n, 1)),
                                    bundle.dw[j], dt)
             e, z = vals[: j + 1], zrows[: j + 1]
-            proj.project(e, z)
+            proj.project(e, z if fit_z else None)
             layer = step_layer(spec, anchor_t, s, x_j, e, z, dt, j, cfg.max_iters)
             v, barrier = layer.v, layer.barrier
             largest_update = max(largest_update, layer.update)
@@ -298,8 +344,9 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
                 blk = slice(lo, lo + basis.dim)
                 rb = reps[blk]
                 zb = zrep[: len(rb)]
-                proj.project_weighted(grams[blk], wts[blk], rb, zb)
+                proj.project_weighted(grams[blk], wts[blk], rb, zb if fit_z else None)
                 step_rows(spec, 0.0, s, x_j, v, rb, zb, barrier, dt, j)
+            del proj, grams  # before the next layer's design is built
     except NoConvergence as exc:
         raise NoConvergence(exc.iterations, exc.last_residual,
                             where=f"mc {exc.where}") from None

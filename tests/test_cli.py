@@ -704,9 +704,11 @@ def test_mc_paths_beyond_memory_exit_one_before_any_work(tmp_path, capsys, monke
                 "--out", str(out)) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     # x, dw, the value and z rows and a layer's driver values and running
-    # terms (N + 1 rows each), 48 bootstrap weights and replicates, and four
-    # rows per column of the 10-column basis
-    need = 8 * n_paths * (6 * 11 + 2 * 48 + 4 * 10)
+    # terms (N + 1 rows each), 48 bootstrap replicates, four rows per column
+    # of the 10-column basis, and 48 rows of path counts, uint64 at this path
+    # count; the bootstrap's 1024-path blocks of 55 Khatri-Rao products and
+    # 48 counts cast to float add a fixed term
+    need = 8 * n_paths * (6 * 11 + 2 * 48 + 4 * 10) + 8 * 1024 * (55 + 48)
     assert "config error:" in err and f"needs {need} bytes" in err
     assert "bytes of physical memory" in err
     assert not out.exists()

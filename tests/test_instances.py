@@ -198,3 +198,32 @@ def test_instance_lattice_roundtrip():
     lat = spec.lattice(4)
     assert lat.n_steps == 4
     assert lat.x[0][0] == pytest.approx(spec.x0)
+
+
+def test_driver_declared_free_of_z_that_reads_z_reported():
+    # the Monte Carlo engine fits no z for a driver declared z-free, so a
+    # linear_z driver declared that way would be solved with z = 0
+    base = catalog_instance("linear_z")
+    liar = replace(base, driver=replace(base.driver, depends_on_z=False))
+    report = verify_assumptions(liar, n_steps=20)
+    assert [v.kind for v in report.violations] == ["dependence"]
+    assert "depends_on_z=False" in report.violations[0].detail
+    t, s, x, y, z, y1, z1 = report.violations[0].witness
+    assert y1 == y and z1 != z
+    assert liar.driver(t, s, x, y, z) != liar.driver(t, s, x, y1, z1)
+
+
+def test_driver_declared_free_of_y_that_reads_y_reported():
+    base = catalog_instance("hyperbolic_discount")
+    liar = replace(base, driver=replace(base.driver, depends_on_y=False))
+    report = verify_assumptions(liar, n_steps=20)
+    assert [v.kind for v in report.violations] == ["dependence"]
+    assert "depends_on_y=False" in report.violations[0].detail
+
+
+@pytest.mark.parametrize("params", [{"rate": 0.0}, {"rate": 0.05}])
+def test_declared_free_drivers_that_ignore_the_argument_pass(params):
+    # rate 0 declares the put's discount free of y as well; -0.0 * y is 0
+    spec = catalog_instance("american_put", params)
+    assert spec.driver.depends_on_y == (params["rate"] > 0)
+    assert verify_assumptions(spec, n_steps=20).ok

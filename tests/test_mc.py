@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,10 @@ from rbsvie.grid import TimeGrid, build_lattice
 from rbsvie.instances import (CATALOG_NAMES, DriverSpec, DynamicsSpec, InstanceSpec,
                               ObstacleSpec, TerminalSpec, catalog_instance)
 from rbsvie.snell import solve_global
-from rbsvie.stopping import frontier_rows, stream_solve
-from rbsvie.volterra import NoConvergence, PicardConfig, solve, sweep
+from rbsvie.stopping import (_frontier_part, _sorted_rows, _stops, frontier_rows,
+                             stream_solve)
+from rbsvie.volterra import (NoConvergence, PicardConfig, solve, step_layer, step_rows,
+                             sweep, terminal_rows)
 
 
 def _lattice_y0(spec, n_steps):
@@ -360,3 +363,155 @@ def test_bootstrap_replicates_match_weighted_lstsq_refits(name):
     np.testing.assert_allclose(sol.y0_replicates, reps, rtol=1e-10, atol=0)
     assert sol.y0_se == np.std(sol.y0_replicates, ddof=1)
 
+
+
+@pytest.mark.parametrize("family", ["pwlinear", "polynomial"])
+def test_traced_peak_within_working_set_bytes(family):
+    # the memory gate of solve --engine mc must bound what simulate and
+    # solve_mc allocate; z-reading drivers (linear_z, custom_affine) hold the
+    # z rows the others get as read-only zeros
+    N, n = 10, 3000
+    basis = mc.RegressionBasis(family)
+    bound = mc.working_set_bytes(N, n, basis)
+    warm = catalog_instance("american_put")  # first calls fill numpy's caches
+    mc.solve_mc(mc.simulate(TimeGrid(warm.horizon, N), warm, n, seed=0), warm, basis)
+    for name in CATALOG_NAMES:
+        spec = catalog_instance(name)
+        tracemalloc.start()
+        try:
+            bundle = mc.simulate(TimeGrid(spec.horizon, N), spec, n, seed=4)
+            mc.solve_mc(bundle, spec, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (name, peak, bound)
+
+
+# The engine as it was before its working set was cut, kept as the bitwise
+# pin: float64 bootstrap weights drawn one row at a time, a column-stacked
+# design copied into the projector, and z fitted for every driver.
+_PINNED_KR_BLOCK = 1024
+
+
+def _pinned_weights(bundle, n_bootstrap):
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((bundle.seed, 999983))))
+    n = bundle.n_paths
+    pvals = np.full(n, 1.0 / n)
+    wts = np.empty((n_bootstrap, n))
+    for b in range(n_bootstrap):
+        wts[b] = rng.multinomial(n, pvals)
+    return wts
+
+
+def _pinned_design(basis, x):
+    x = np.asarray(x, dtype=float)
+    u = (x - float(x.mean())) / float(x.std())
+    if basis.family == "polynomial":
+        cols = [np.ones_like(u)]
+        for _ in range(basis.degree):
+            cols.append(cols[-1] * u)
+        return np.column_stack(cols)
+    qs = np.quantile(u, np.linspace(0.0, 1.0, basis.degree + 2)[1:-1])
+    cols = [np.ones_like(u), u]
+    cols.extend(np.maximum(u - q, 0.0) for q in qs)
+    return np.column_stack(cols)
+
+
+class _PinnedProjector:
+    def __init__(self, design, dw, dt):
+        d = design.shape[1]
+        self.bbt = np.empty((2 * d, len(dw)))
+        self.bt = self.bbt[:d]
+        self.bt[:] = design.T
+        np.multiply(self.bt, dw / dt, out=self.bbt[d:])
+        self.chol = np.linalg.cholesky(design.T @ design)
+
+    def _fit(self, coef, vals, z):
+        np.matmul(coef[:, 0], self.bt, out=vals)
+        np.matmul(coef[:, 1], self.bt, out=z)
+
+    def project(self, vals, z):
+        m, d = len(vals), len(self.bt)
+        rhs = (vals @ self.bbt.T).reshape(2 * m, d).T
+        coef = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, rhs))
+        self._fit(coef.T.reshape(m, 2, d), vals, z)
+
+    def weighted_grams(self, wts):
+        bt = self.bt
+        d = len(bt)
+        up, lo = np.triu_indices(d)
+        half = np.zeros((len(up), len(wts)))
+        for c in range(0, bt.shape[1], _PINNED_KR_BLOCK):
+            blk = bt[:, c:c + _PINNED_KR_BLOCK]
+            half += (blk[up] * blk[lo]) @ wts[:, c:c + _PINNED_KR_BLOCK].T
+        grams = np.empty((len(wts), d, d))
+        grams[:, up, lo] = half.T
+        grams[:, lo, up] = half.T
+        return grams
+
+    def project_weighted(self, grams, wts, vals, z):
+        m, d = len(vals), len(self.bt)
+        rhs = np.zeros((m, 2 * d))
+        for c in range(0, vals.shape[1], _PINNED_KR_BLOCK):
+            cols = slice(c, c + _PINNED_KR_BLOCK)
+            rhs += (wts[:, cols] * vals[:, cols]) @ self.bbt[:, cols].T
+        rhs = rhs.reshape(m, 2, d).transpose(0, 2, 1)
+        self._fit(np.linalg.solve(grams, rhs).transpose(0, 2, 1), vals, z)
+
+
+def _pinned_solve(bundle, spec, basis, n_bootstrap):
+    grid = bundle.grid
+    N, n, dt = grid.n_steps, bundle.n_paths, grid.dt
+    x_N = bundle.x[N]
+    anchor_t, vals = terminal_rows(spec, grid, x_N)
+    zrows = np.empty_like(vals)
+    wts = _pinned_weights(bundle, n_bootstrap)
+    reps = np.empty((n_bootstrap, n))
+    reps[:] = vals[0]
+    zrep = np.empty((basis.dim, n))
+    e_y_diag = [0.0] * (N + 1)
+    e_y_diag[N] = float(vals[N].mean())
+    barrier = np.asarray(spec.obstacle(grid.t(N), x_N), dtype=float)
+    margin = float((vals[0] - barrier).min())
+    parts = [_frontier_part(N, _stops(vals[0][None], barrier), x_N)]
+    for j in range(N - 1, -1, -1):
+        s, x_j = grid.t(j), bundle.x[j]
+        proj = _PinnedProjector(_pinned_design(basis, x_j) if j else np.ones((n, 1)),
+                                bundle.dw[j], dt)
+        e, z = vals[: j + 1], zrows[: j + 1]
+        proj.project(e, z)
+        layer = step_layer(spec, anchor_t, s, x_j, e, z, dt, j, 200)
+        v, barrier = layer.v, layer.barrier
+        e_y_diag[j] = float(v.mean())
+        margin = min(margin, float((layer.rows[0] - barrier).min()))
+        parts.append(_frontier_part(j, _stops(layer.rows[0][None], barrier), x_j))
+        grams = proj.weighted_grams(wts)
+        for lo in range(0, n_bootstrap, basis.dim):
+            blk = slice(lo, lo + basis.dim)
+            rb, zb = reps[blk], zrep[: len(reps[blk])]
+            proj.project_weighted(grams[blk], wts[blk], rb, zb)
+            step_rows(spec, 0.0, s, x_j, v, rb, zb, barrier, dt, j)
+    return (float(vals[0, 0]), float(reps[:, 0].std(ddof=1)),
+            [float(r) for r in reps[:, 0]], e_y_diag, margin, _sorted_rows(parts, dt))
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("family", ["pwlinear", "polynomial"])
+@pytest.mark.parametrize("name", ["american_put", "hyperbolic_discount",
+                                  "custom_affine", "linear_z"])
+def test_engine_matches_its_pinned_float64_copy_bit_for_bit(name, family, seed):
+    # count-typed weights, in-place designs and no z fit for z-free drivers
+    # (american_put, hyperbolic_discount) keep every float operation
+    spec = catalog_instance(name)
+    bundle = mc.simulate(TimeGrid(spec.horizon, 6), spec, 2_000, seed=seed)
+    basis = mc.RegressionBasis(family)
+    n_boot = 12  # more than one block of basis.dim replicates
+    sol = mc.solve_mc(bundle, spec, basis, n_bootstrap=n_boot)
+    y0, y0_se, reps, e_y_diag, margin, rows = _pinned_solve(bundle, spec, basis, n_boot)
+    assert sol.y0 == y0
+    assert sol.y0_se == y0_se
+    assert sol.y0_replicates == reps
+    assert sol.e_y_diag == e_y_diag
+    assert sol.floor_margin == margin
+    assert sol.frontier_rows.tobytes() == rows.tobytes()
