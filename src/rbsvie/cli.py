@@ -252,21 +252,45 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write("{\n  " + ",\n  ".join(items) + "\n}\n")
 
 
+def _strs(values: list, known: dict) -> list:
+    """repr of each float in values, read from the float -> string table
+    known where it holds the value; the table gains the others except
+    zeros, since 0.0 == -0.0 would share a key: each zero goes through
+    repr and keeps its sign."""
+    strs = list(map(known.get, values))
+    if all(strs):
+        return strs
+    misses = strs.count(None)
+    if misses == len(strs):  # nothing known: format all at once
+        strs = list(map(repr, values))
+        known.update(zip(values, strs))
+        known.pop(0.0, None)
+        return strs
+    k = -1
+    for _ in range(misses):
+        k = strs.index(None, k + 1)
+        strs[k] = s = repr(values[k])
+        if values[k]:
+            known[values[k]] = s
+    return strs
+
+
 def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) -> None:
     """Write solution.json, y_diag.csv and frontier.csv, one layer at a time.
 
     The files are byte-equal to json.dump of payload plus "y_diag" (indent=2,
     sort_keys=True, then a newline) and to csv.writer(lineterminator="\n"),
     which formats floats with repr, over the rows.  Each diagonal value,
-    anchor time and node state goes through repr once; the JSON block and
-    both CSVs share the strings.  times are the anchor times t_0..t_N.  The
-    lattice passes y_diag and states as one node array per anchor; the MC
-    engine passes one mean per anchor and states=None, which leaves node
-    and state empty.  f_rows is either engine's (rows, 4) frontier array.
-    The solvers reject non-finite values, so every float prints as repr.
+    anchor time and distinct node state goes through repr once; the JSON
+    block and both CSVs share the strings.  times are the anchor times
+    t_0..t_N.  The lattice passes y_diag and states as one node array per
+    anchor; the MC engine passes one mean per anchor and states=None, which
+    leaves node and state empty.  f_rows is either engine's (rows, 4)
+    frontier array.  The solvers reject non-finite values, so every float
+    prints as repr.
     """
-    t_str = list(map(repr, times))
-    known = dict(zip(times, t_str))  # float -> string, for the frontier columns
+    known = {}  # float -> string, for the states and the frontier columns
+    t_str = _strs(times, known)
     head, _, tail = json.dumps({**payload, "y_diag": None}, indent=2,
                                sort_keys=True).partition('"y_diag": null')
     with open(out / "solution.json", "w") as js, \
@@ -281,23 +305,17 @@ def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) 
             js.write("[")
             k_str = [str(k) for k in range(len(times))]
             for i, (t, x, y) in enumerate(zip(t_str, states, y_diag)):
-                xl = x.tolist()
-                xs = list(map(repr, xl))
-                known.update(zip(xl, xs))
+                xs = _strs(x.tolist(), known)
                 ys = list(map(repr, y.tolist()))
                 js.write(("," if i else "") + "\n    " + _json_floats(ys, "    "))
                 lead = t + ","
                 yc.write(lead + ("\n" + lead).join(map(",".join, zip(k_str, xs, ys))) + "\n")
             js.write("\n  ]" + tail + "\n")
-    # 0.0 == -0.0 share a key, so zeros print through repr and keep their sign
-    known.pop(0.0, None)
-    get = known.get
     step = len(times)
     with open(out / "frontier.csv", "w", newline="") as fc:
         fc.write("anchor_time,time,critical_state_low,critical_state_high\n")
         for start in range(0, len(f_rows), step):
-            block = f_rows[start: start + step].T.tolist()
-            cols = ([get(v) or repr(v) for v in c] for c in block)
+            cols = [_strs(c, known) for c in f_rows[start: start + step].T.tolist()]
             fc.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
@@ -435,7 +453,7 @@ def cmd_stop(args) -> int:
     lat = _lattice(spec, grid, 1)
     out = _out_dir(args, cfg)
 
-    rep, masses = stream_report(lat, sweep(lat, spec, cfg.max_iters))
+    rep, masses = stream_report(lat, sweep(lat, spec, cfg.max_iters, kinc=True))
     mass = float(masses.max())
     _write_json(out / "inconsistency.json", {
         "command": "stop",

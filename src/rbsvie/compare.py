@@ -164,9 +164,9 @@ def _diagonal_and_ranges(lat: Lattice, spec: InstanceSpec, max_iters: int) -> tu
     other layer array; the z range starts from 0."""
     y_diag = [None] * (lat.n_steps + 1)
     z_lo, z_hi = 0.0, 0.0
-    for layer in sweep(lat, spec, max_iters):
+    for layer in sweep(lat, spec, max_iters, z=True):
         y_diag[layer.j] = layer.v
-        if layer.z is not None:
+        if layer.z is not None:  # None on the terminal layer
             z_lo = min(z_lo, float(layer.z.min()))
             z_hi = max(z_hi, float(layer.z.max()))
     y_range = (min(float(a.min()) for a in y_diag), max(float(a.max()) for a in y_diag))

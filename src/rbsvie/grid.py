@@ -101,10 +101,11 @@ def build_lattice(grid: TimeGrid, x0: float, dyn) -> Lattice:
     if not np.isfinite(x0):
         raise GridError(f"x0 must be finite, got {x0}")
     sq, dt = grid.sqrt_dt, grid.dt
+    two_k = 2 * np.arange(grid.n_steps + 1)
     w, x, probs = [], [], []
     p_prev = None
     for j in range(grid.n_steps + 1):
-        wj = (2 * np.arange(j + 1) - j) * sq
+        wj = (two_k[: j + 1] - j) * sq
         xj = np.asarray(dyn(j * dt, wj), dtype=float)
         if xj.shape != wj.shape:
             raise GridError("dynamics map must return one state value per node")
@@ -112,10 +113,11 @@ def build_lattice(grid: TimeGrid, x0: float, dyn) -> Lattice:
             raise GridError(f"dynamics produced non-finite state at layer {j}")
         if j == 0:
             pj = np.ones(1)
-        else:
-            pj = np.zeros(j + 1)
-            pj[1:] += 0.5 * p_prev
-            pj[:-1] += 0.5 * p_prev
+        else:  # pj[k] = (p_prev[k - 1] + p_prev[k]) / 2, one end term at each edge
+            half = 0.5 * p_prev
+            pj = np.empty(j + 1)
+            np.add(half[:-1], half[1:], out=pj[1:-1])
+            pj[0], pj[-1] = half[0], half[-1]
         wj.setflags(write=False)
         xj.setflags(write=False)
         pj.setflags(write=False)

@@ -129,7 +129,8 @@ class RegressionBasis:
             for k in range(2, self.dim):
                 np.multiply(rows[k - 1], u, out=rows[k])
             return rows.T
-        qs = np.quantile(u, np.linspace(0.0, 1.0, self.degree + 2)[1:-1])
+        # the same order statistics as np.quantile(u): a sorted copy partitions faster
+        qs = np.quantile(np.sort(u), np.linspace(0.0, 1.0, self.degree + 2)[1:-1])
         for k, q in enumerate(qs, 2):
             np.maximum(np.subtract(u, q, out=rows[k]), 0.0, out=rows[k])
         return rows.T

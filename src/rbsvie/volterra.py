@@ -16,6 +16,10 @@ with window dt and an exact inner solve.  sweep runs it and hands out
 each layer's (anchors x nodes) arrays as soon as they are made, so a
 consumer that reads them in the sweep's order, j = N .. 0, holds one
 layer at a time; solve collects them into a Solution's per-layer lists.
+The martingale coefficients z and the reflection increments are made
+only when asked for: a driver that reads no z (DriverSpec.depends_on_z
+False) is stepped on read-only zeros, as in the Monte Carlo engine, and
+the sweep's consumers that write only Y and the stop regions skip both.
 step_layer is everything after the one-step operator; the regression
 Monte Carlo engine (mc.solve_mc) calls it on its projections, so the
 two engines differ only in how E and z are made.  The global Picard
@@ -202,7 +206,7 @@ class Layer:
 
     rows[i] is anchor i's envelope and v the settled diagonal Y(t_j),
     equal to rows[j]; z[i] and kinc[i] are anchor i's martingale
-    coefficients and reflection increments (kinc None unless asked for),
+    coefficients and reflection increments, each None unless asked for,
     fdt the running terms f(t_i, t_j, x, v, z[i]) dt and barrier the
     obstacle L(t_j, x); update is the last update of the per-node
     equation.  On the terminal layer N, rows are the terminal values and
@@ -222,7 +226,7 @@ class Layer:
 
 def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndarray,
                z: np.ndarray, dt: float, j: int, max_iters: int,
-               kinc: bool = False) -> Layer:
+               kinc: bool = False, keep_z: bool = True) -> Layer:
     """Layer j of the backward sweep, from the one-step operator's output.
 
     e and z are the conditional expectations and martingale coefficients
@@ -231,24 +235,31 @@ def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndar
     regression projection).  anchor_t is the column of anchor times.
     Anchor j's row settles its per-state equation, then every row steps
     with the diagonal frozen at the settled v.  The rows overwrite e.
+    The layer carries z when keep_z, and the reflection increments when
+    kinc.
     """
     barrier = np.asarray(spec.obstacle(s, x), dtype=float)
     v, update = _settle_diagonal(spec, s, x, e[j], z[j], barrier, dt, j, max_iters)
     rows, k, fdt = step_rows(spec, anchor_t[: j + 1], s, x, v, e, z, barrier, dt, j, kinc)
     rows[j] = v
     check_finite(rows, j)
-    return Layer(j, rows, v, z, k, fdt, barrier, update)
+    return Layer(j, rows, v, z if keep_z else None, k, fdt, barrier, update)
 
 
-def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int):
+def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False,
+          kinc: bool = False):
     """Yield the sweep's layers j = N .. 0 (see the module docstring).
 
-    Before the first layer the driver is probed with all N + 1 anchor
-    times against layer N - 1's N nodes, the one layer where the two axes
-    differ in length: a driver that folds the anchor axis into the node
-    axis passes every sweep layer's shape test and would be solved on
-    wrong values.  Each later layer is made from the one before, which
-    the consumer may keep or drop.
+    Each layer carries its martingale coefficients only with z, and its
+    reflection increments only with kinc; otherwise Layer.z and
+    Layer.kinc are None.  The coefficients are made anyway when the
+    driver reads them; a driver that reads no z is stepped on read-only
+    zeros.  Before the first layer the driver is probed with all N + 1
+    anchor times against layer N - 1's N nodes, the one layer where the
+    two axes differ in length: a driver that folds the anchor axis into
+    the node axis passes every sweep layer's shape test and would be
+    solved on wrong values.  Each later layer is made from the one
+    before, which the consumer may keep or drop.
     """
     grid = lat.grid
     N = lat.n_steps
@@ -260,12 +271,14 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int):
     layer = Layer(N, rows, rows[N].copy())
     yield layer
     dt, two_sqrt_dt = grid.dt, 2.0 * grid.sqrt_dt
+    zeros = None if z or spec.driver.depends_on_z else np.broadcast_to(0.0, (N, N))
     for j in range(N - 1, -1, -1):
         nxt = layer.rows[: j + 1]  # anchors 0..j on layer j + 1
         e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
-        z = (nxt[:, 1:] - nxt[:, :-1]) / two_sqrt_dt
-        layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, z, dt, j,
-                           max_iters, kinc=True)
+        zj = (nxt[:, 1:] - nxt[:, :-1]) / two_sqrt_dt if zeros is None \
+            else zeros[: j + 1, : j + 1]
+        layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, zj, dt, j,
+                           max_iters, kinc, z)
         yield layer
 
 
@@ -276,7 +289,7 @@ def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> 
     y_diag, ytilde = [None] * (N + 1), [None] * (N + 1)
     z, kinc = [None] * N, [None] * N
     largest_update = 0.0
-    for layer in sweep(lat, spec, cfg.max_iters):
+    for layer in sweep(lat, spec, cfg.max_iters, z=True, kinc=True):
         j = layer.j
         y_diag[j], ytilde[j] = layer.v, layer.rows
         largest_update = max(largest_update, layer.update)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rbsvie.compare import (
+    RANGE_PAD,
     CompareError,
     ComparisonReport,
     OrderedPair,
+    _pad,
     check_comparison,
     random_ordered_pairs,
 )
@@ -32,6 +34,23 @@ def test_identical_instances_trivially_ordered():
     rep = check_comparison(lat, pair)
     assert rep.max_diff == 0.0
     assert rep.ordered and rep.driver_ordering_ok
+
+
+@pytest.mark.parametrize("n_steps", [1, 9, 30])
+@pytest.mark.parametrize("lo_name, lo_params, hi_params", [
+    (name, {}, {}) for name in NAMES] + [("american_put", {"strike": 0.9}, {"strike": 1.0})])
+def test_z_range_spans_the_stored_z(lo_name, lo_params, hi_params, n_steps):
+    # the streamed comparison reads z from the sweep; its range must be the
+    # one over both solutions' stored z, from 0, padded by RANGE_PAD
+    lo = catalog_instance(lo_name, lo_params)
+    hi = catalog_instance(lo_name, hi_params)
+    lat = lo.lattice(n_steps)
+    rep = check_comparison(lat, OrderedPair.build(lo, hi, lat))
+    zs = [z for spec in (lo, hi) for z in solve(lat, spec).z]
+    z_lo = min(0.0, min(float(z.min()) for z in zs))
+    z_hi = max(0.0, max(float(z.max()) for z in zs))
+    assert z_lo < z_hi
+    assert rep.z_range == _pad((z_lo, z_hi), RANGE_PAD)
 
 
 def test_strike_ordered_puts():

@@ -12,6 +12,7 @@ from rbsvie.grid import (
     cond_expect,
     martingale_coeff,
 )
+from rbsvie.instances import brownian_dynamics, geometric_dynamics
 
 
 def identity_dyn(t, w):
@@ -69,6 +70,38 @@ def test_node_count_recombines():
     lat = build_lattice(TimeGrid(1.0, n), x0=0.0, dyn=identity_dyn)
     total = sum(len(layer) for layer in lat.w)
     assert total == (n + 1) * (n + 2) // 2
+
+
+def _reference_layers(grid, dyn):
+    """w, x and probs of every layer, one plain loop per layer."""
+    sq, dt = grid.sqrt_dt, grid.dt
+    w, x, probs = [], [], []
+    for j in range(grid.n_steps + 1):
+        wj = (2 * np.arange(j + 1) - j) * sq
+        w.append(wj)
+        x.append(np.asarray(dyn(j * dt, wj), dtype=float))
+        if j == 0:
+            pj = np.ones(1)
+        else:
+            pj = np.zeros(j + 1)
+            pj[1:] += 0.5 * probs[-1]
+            pj[:-1] += 0.5 * probs[-1]
+        probs.append(pj)
+    return w, x, probs
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 50, 400])
+@pytest.mark.parametrize("dyn", [brownian_dynamics(0.1, 0.7),
+                                 geometric_dynamics(1.0, 0.3, mu=0.05)],
+                         ids=["brownian", "geometric"])
+def test_build_lattice_matches_the_plain_layer_loop(dyn, n_steps):
+    grid = TimeGrid(horizon=1.3, n_steps=n_steps)
+    lat = build_lattice(grid, float(dyn(0.0, np.zeros(1))[0]), dyn)
+    ref = _reference_layers(grid, dyn)
+    for got, want in zip((lat.w, lat.x, lat.probs), ref):
+        assert len(got) == len(want) == n_steps + 1
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_probabilities_are_binomial():

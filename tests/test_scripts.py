@@ -1,5 +1,6 @@
 """Smoke runs of the demo scripts at small sizes."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +24,43 @@ def test_script_runs(script, args, header):
                          capture_output=True, text=True, env=env, timeout=300)
     assert res.returncode == 0, res.stderr
     assert header in res.stdout
+
+
+def _ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_summary_on_fixed_numbers():
+    summarize = _ab_pairs().summarize
+    base = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    # nine wins, one tie; medians 14.5 and 12.5, base IQR 16.75 - 12.25 = 4.5
+    change = [9.0, 10.0, 11.0, 12.0, 13.0, 12.0, 13.0, 14.0, 15.0, 19.0]
+    s = summarize(base, change, "lower", 0.25)
+    assert s["base"] == (12.25, 14.5, 16.75)
+    assert s["change"] == (11.25, 12.5, 13.75)
+    assert (s["wins"], s["pairs"]) == (9, 10)
+    assert s["within_bound"] is True
+    assert s["gain"] is False  # the gap 2.0 does not exceed the base's IQR 4.5
+
+    change = [b - 5.0 for b in base[:9]] + [base[9]]
+    s = summarize(base, change, "lower", 0.25)
+    assert s["wins"] == 9 and s["gain"] is True  # gap 5.0 > 4.5 and 9 of 10 won
+
+    s = summarize(base, [b - 5.0 for b in base[:8]] + base[8:], "lower")
+    assert s["wins"] == 8 and s["gain"] is False and s["within_bound"] is None
+
+    # higher is better: the same numbers read the other way
+    s = summarize(change, base, "higher", 0.05)
+    assert s["wins"] == 9 and s["within_bound"] is True and s["gain"] is True
+
+    s = summarize([100.0] * 4, [106.0] * 4, "lower", 0.05)
+    assert s["wins"] == 0 and s["within_bound"] is False and s["gain"] is False
+    with pytest.raises(ValueError):
+        summarize([1.0], [1.0, 2.0])
+
+
+def test_ab_pairs_seed_ranges():
+    assert _ab_pairs().parse_seeds("701-703,9") == [701, 702, 703, 9]

@@ -312,7 +312,7 @@ def test_streamed_reports_equal_the_stored_replay(name, n_steps):
     lat = spec.lattice(n_steps)
     sol = solve(lat, spec, PicardConfig())
     replayed = list(_replay(lat, spec, sol))
-    live = list(sweep(lat, spec, 200))
+    live = list(sweep(lat, spec, 200, z=True, kinc=True))
     assert [layer.j for layer in replayed] == [layer.j for layer in live]
     for a, b in zip(replayed, live):
         for field in ("rows", "v", "z", "kinc", "fdt", "barrier"):
@@ -321,7 +321,7 @@ def test_streamed_reports_equal_the_stored_replay(name, n_steps):
             if x is not None:
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), (field, a.j)
     ref = inconsistency_report(lat, spec, sol)
-    rep, mass = stream_report(lat, sweep(lat, spec, 200))
+    rep, mass = stream_report(lat, sweep(lat, spec, 200, kinc=True))
     for field in ("anchor_times", "e_y", "j_own", "j_restarted", "gap"):
         assert _bits(getattr(rep, field)) == _bits(getattr(ref, field)), field
     assert rep.frontiers_identical == ref.frontiers_identical

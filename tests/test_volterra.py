@@ -266,6 +266,48 @@ def test_sweep_record_and_diagonal_only_mode():
         assert np.array_equal(a, b)
 
 
+def _recording(spec, seen):
+    """spec with a driver that keeps a copy of every z it is handed."""
+    fn = spec.driver.fn
+
+    def rec(t, s, x, y, z):
+        seen.append(np.array(z))
+        return fn(t, s, x, y, z)
+
+    return replace(spec, driver=replace(spec.driver, fn=rec))
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 9, 40])
+@pytest.mark.parametrize("name, params", [(name, {}) for name in CATALOG_NAMES]
+                         + [("linear_z", {"a": 0.0})])
+def test_lean_sweep_layers_equal_the_full_sweep(name, params, n_steps):
+    # the sweep without z and kinc makes the same layers, bit for bit, and
+    # hands a z-reading driver the same midpoint differences; only a
+    # driver declared z-free gets zeros
+    base = catalog_instance(name, params)
+    lat = base.lattice(n_steps)
+    seen_lean, seen_full = [], []
+    lean = list(sweep(lat, _recording(base, seen_lean), 200))
+    full = list(sweep(lat, _recording(base, seen_full), 200, z=True, kinc=True))
+    assert [a.j for a in lean] == [b.j for b in full]
+    for a, b in zip(lean, full):
+        for field in ("rows", "v", "fdt", "barrier"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None) == (y is None), (field, a.j)
+            if x is not None:
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), (field, a.j)
+        assert a.update.hex() == b.update.hex()
+        assert a.z is None and a.kinc is None
+        assert (b.z is None) == (b.kinc is None) == (b.j == n_steps)
+    assert len(seen_lean) == len(seen_full)
+    if base.driver.depends_on_z:
+        for a, b in zip(seen_lean, seen_full):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert any(np.any(z != 0.0) for z in seen_lean)
+    else:
+        assert all(not np.any(z) for z in seen_lean)
+
+
 def test_sweep_rejects_driver_that_does_not_broadcast_over_anchors():
     base = catalog_instance("linear_z")
     flat = DriverSpec(name="flattening", fn=lambda t, s, x, y, z: 0.1 * np.ravel(z),
