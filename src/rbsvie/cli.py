@@ -10,7 +10,8 @@ Subcommands
 Configs are INI files; see the package README for the key reference.
 Exit codes: 0 success, 1 bad config or infeasible request, 2 solver
 failed to converge, 3 a verification check failed.  All artifacts are
-byte-reproducible from (config, flags).
+byte-reproducible from (config, flags); those of `solve --engine mc` on
+the same BLAS build and thread count (see rbsvie.mc).
 """
 
 from __future__ import annotations
@@ -190,8 +191,9 @@ def _build(cfg: RunConfig, max_n=None):
 
 
 # (N + 1) x (N + 1) arrays a command holds at once while the sweep streams:
-# the sweep's rows, expectations, coefficients, increments and running terms,
-# the stop report's flags and two rule inductions, and their temporaries
+# the sweep's rows, expectations, coefficients and running terms, the stop
+# report's previous-layer rows, flags and two rule inductions, and their
+# temporaries (the sweep makes no reflection increments)
 LAYER_ARRAYS = 12
 
 
@@ -453,7 +455,7 @@ def cmd_stop(args) -> int:
     lat = _lattice(spec, grid, 1)
     out = _out_dir(args, cfg)
 
-    rep, masses = stream_report(lat, sweep(lat, spec, cfg.max_iters, kinc=True))
+    rep, masses = stream_report(lat, sweep(lat, spec, cfg.max_iters))
     mass = float(masses.max())
     _write_json(out / "inconsistency.json", {
         "command": "stop",

@@ -25,7 +25,11 @@ every driver.
 Paths are simulated in fixed-size blocks whose generators are seeded
 from (seed, block index), so results do not depend on how blocks are
 scheduled; the generator family is recorded in the solution metadata.
-All estimates are bitwise reproducible from (seed, config).
+All estimates are bitwise reproducible from (seed, config) on the same
+BLAS build and thread count: the projections' matrix products may sum
+in another order with another thread count (OPENBLAS_NUM_THREADS=1
+against two threads moves y0, y0_se, e_y_diag and every replicate in
+their last bits).
 """
 
 from __future__ import annotations

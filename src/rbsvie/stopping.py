@@ -36,7 +36,7 @@ import numpy as np
 from rbsvie.grid import Lattice
 from rbsvie.instances import InstanceSpec
 from rbsvie.oracle import StoppingRule
-from rbsvie.volterra import Layer, Solution, running_terms
+from rbsvie.volterra import Layer, Solution, increments, running_terms
 
 
 STOP_TOLERANCE = 1e-9  # a node stops where the envelope is this close to L
@@ -195,7 +195,9 @@ def premature_increment_mass(lat: Lattice, spec: InstanceSpec, sol: Solution) ->
     Zero at anchor i certifies that the reflection term cannot accrue
     along any path before that anchor's rule stops: increments live only
     where the envelope is pinned to the obstacle, and those nodes are
-    stop nodes.
+    stop nodes.  Every row of the stored kinc is reduced, so fields that
+    are not the sweep's own, such as the Picard reference's, are checked
+    in full.
     """
     return stream_report(lat, _replay(lat, spec, sol))[1]
 
@@ -228,7 +230,14 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
 
     Per layer: the stop flags, one step of both rule inductions (each
     anchor's own flags, and anchor 0's row for all) on the sweep's own
-    running terms, E[Y(t_j)] and the mass; no layer is kept.  Returns
+    running terms, E[Y(t_j)] and the mass; only the previous layer's
+    rows are kept.  While every anchor's stop row equals anchor 0's, the
+    restarted induction steps the same values on the same flags as the
+    own one, so it is the own one until the rows first differ.  A layer
+    without kinc is the sweep's: its rows i < j are max(E + f dt, L), so
+    their increments are 0.0 off the stop set, and only anchor j's
+    increments are rebuilt from the previous rows and reduced.  A
+    replayed layer's kinc is reduced row by row.  Returns
     (ConsistencyReport, mass per anchor).
     """
     N = lat.n_steps
@@ -241,11 +250,17 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
         if barrier is None:  # terminal layer: both inductions start at its rows
             own = rest = layer.rows
         else:
+            fdt = layer.fdt
             stops = _stops(layer.rows, barrier)
-            own = _rule_step(own, j + 1, stops, layer.fdt, barrier)
-            rest = _rule_step(rest, j + 1, stops[0], layer.fdt, barrier)
-            _mass_step(worst, layer.kinc, stops)
             identical = identical and _same_as_anchor0(stops)
+            own = _rule_step(own, j + 1, stops, fdt, barrier)
+            rest = own if identical else _rule_step(rest, j + 1, stops[0], fdt, barrier)
+            if layer.kinc is None:
+                fdt_j = fdt[-1:] if np.ndim(fdt) == 2 else fdt  # anchor j's running terms
+                _mass_step(worst[j:], increments(prev[j: j + 1], fdt_j, barrier), stops[j:])
+            else:
+                _mass_step(worst, layer.kinc, stops)
+        prev = layer.rows
         e_y[j] = float(p @ layer.v)
         j_own[j] = p @ own[-1]
         j_rest[j] = p @ rest[-1]

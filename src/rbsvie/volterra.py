@@ -16,10 +16,12 @@ with window dt and an exact inner solve.  sweep runs it and hands out
 each layer's (anchors x nodes) arrays as soon as they are made, so a
 consumer that reads them in the sweep's order, j = N .. 0, holds one
 layer at a time; solve collects them into a Solution's per-layer lists.
-The martingale coefficients z and the reflection increments are made
-only when asked for: a driver that reads no z (DriverSpec.depends_on_z
-False) is stepped on read-only zeros, as in the Monte Carlo engine, and
-the sweep's consumers that write only Y and the stop regions skip both.
+The martingale coefficients z are made only when asked for: a driver
+that reads no z (DriverSpec.depends_on_z False) is stepped on read-only
+zeros, as in the Monte Carlo engine.  The sweep makes no reflection
+increments max(L - E - f dt, 0): increments rebuilds them from a
+layer's inputs, for solve's stored field and for the one row of each
+layer on which they can be nonzero off the stop set, anchor j's own.
 step_layer is everything after the one-step operator; the regression
 Monte Carlo engine (mc.solve_mc) calls it on its projections, so the
 two engines differ only in how E and z are made.  The global Picard
@@ -76,9 +78,10 @@ class Solution:
     """Solved diagonal and the stored per-anchor fields, layer by layer.
 
     y_diag[i] is the layer-i array of diagonal values Y(t_i).  ytilde[j],
-    z[j] and kinc[j] are the sweep's (j + 1) x (j + 1) layer arrays, row i
-    anchor i's envelope, martingale coefficients and reflection
-    increments on the layer-j nodes; ytilde has layers 0..N, z and kinc
+    z[j] and kinc[j] are (j + 1) x (j + 1) layer arrays, row i anchor
+    i's envelope, martingale coefficients and reflection increments on
+    the layer-j nodes: the sweep's rows and z, and the increments of its
+    step rebuilt by increments; ytilde has layers 0..N, z and kinc
     layers 0..N-1.  The reflection term is stored as per-step
     increments, so the cumulative K(t_i, t_j) along a path is the sum of
     kinc over the visited nodes.
@@ -188,16 +191,30 @@ def running_terms(spec: InstanceSpec, t, s: float, x, v, z: np.ndarray, dt: floa
 
 
 def step_rows(spec: InstanceSpec, t, s: float, x, v, e: np.ndarray, z: np.ndarray,
-              barrier, dt: float, j: int, kinc: bool = False) -> tuple:
+              barrier, dt: float, j: int) -> tuple:
     """max(e + f(t, s, x, v, z) dt, L) row by row, written over e.
 
-    Returns (rows, reflection increments max(L - e - f dt, 0) or None,
-    running term f dt).
+    Returns (rows, running term f dt); increments rebuilds the rows'
+    reflection increments from the same inputs.
     """
     fdt = running_terms(spec, t, s, x, v, z, dt, j)
     c = np.add(e, fdt, out=e)
-    k = np.maximum(barrier - c, 0.0) if kinc else None
-    return np.maximum(c, barrier, out=c), k, fdt
+    return np.maximum(c, barrier, out=c), fdt
+
+
+def increments(nxt: np.ndarray, fdt, barrier) -> np.ndarray:
+    """Reflection increments max(L - (E + f dt), 0) of the rows stepped from nxt.
+
+    nxt holds the rows' layer-(j+1) values and E is the lattice midpoint
+    0.5 (nxt[:, 1:] + nxt[:, :-1]), so these are the sweep's own
+    operations in its order, and its increments bit for bit.  Off the
+    stop set they vanish on every anchor row i < j of a sweep layer:
+    there rows = max(E + f dt, L) exceeds L by more than the stop
+    tolerance, so E + f dt does too.
+    """
+    e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
+    c = np.add(e, fdt, out=e)
+    return np.maximum(np.subtract(barrier, c, out=c), 0.0, out=c)
 
 
 @dataclass(frozen=True)
@@ -205,13 +222,15 @@ class Layer:
     """Layer j of the backward sweep, anchors 0..j over the layer-j nodes.
 
     rows[i] is anchor i's envelope and v the settled diagonal Y(t_j),
-    equal to rows[j]; z[i] and kinc[i] are anchor i's martingale
-    coefficients and reflection increments, each None unless asked for,
-    fdt the running terms f(t_i, t_j, x, v, z[i]) dt and barrier the
-    obstacle L(t_j, x); update is the last update of the per-node
-    equation.  On the terminal layer N, rows are the terminal values and
-    z, kinc, fdt and barrier are None.  The lattice sweep writes into no
-    layer after handing it out; the Monte Carlo engine reuses its z buffer.
+    equal to rows[j]; z[i] is anchor i's martingale coefficients, None
+    unless asked for, fdt the running terms f(t_i, t_j, x, v, z[i]) dt
+    and barrier the obstacle L(t_j, x); update is the last update of the
+    per-node equation.  kinc[i], anchor i's reflection increments, is
+    set only on the layers stopping replays from a stored Solution; the
+    sweep leaves it None.  On the terminal layer N, rows are the terminal
+    values and z, kinc, fdt and barrier are None.  The lattice sweep
+    writes into no layer after handing it out; the Monte Carlo engine
+    reuses its z buffer.
     """
 
     j: int
@@ -226,7 +245,7 @@ class Layer:
 
 def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndarray,
                z: np.ndarray, dt: float, j: int, max_iters: int,
-               kinc: bool = False, keep_z: bool = True) -> Layer:
+               keep_z: bool = True) -> Layer:
     """Layer j of the backward sweep, from the one-step operator's output.
 
     e and z are the conditional expectations and martingale coefficients
@@ -235,31 +254,29 @@ def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndar
     regression projection).  anchor_t is the column of anchor times.
     Anchor j's row settles its per-state equation, then every row steps
     with the diagonal frozen at the settled v.  The rows overwrite e.
-    The layer carries z when keep_z, and the reflection increments when
-    kinc.
+    The layer carries z when keep_z.
     """
     barrier = np.asarray(spec.obstacle(s, x), dtype=float)
     v, update = _settle_diagonal(spec, s, x, e[j], z[j], barrier, dt, j, max_iters)
-    rows, k, fdt = step_rows(spec, anchor_t[: j + 1], s, x, v, e, z, barrier, dt, j, kinc)
+    rows, fdt = step_rows(spec, anchor_t[: j + 1], s, x, v, e, z, barrier, dt, j)
     rows[j] = v
     check_finite(rows, j)
-    return Layer(j, rows, v, z if keep_z else None, k, fdt, barrier, update)
+    return Layer(j, rows, v, z if keep_z else None, fdt=fdt, barrier=barrier, update=update)
 
 
-def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False,
-          kinc: bool = False):
+def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False):
     """Yield the sweep's layers j = N .. 0 (see the module docstring).
 
-    Each layer carries its martingale coefficients only with z, and its
-    reflection increments only with kinc; otherwise Layer.z and
-    Layer.kinc are None.  The coefficients are made anyway when the
-    driver reads them; a driver that reads no z is stepped on read-only
-    zeros.  Before the first layer the driver is probed with all N + 1
-    anchor times against layer N - 1's N nodes, the one layer where the
-    two axes differ in length: a driver that folds the anchor axis into
-    the node axis passes every sweep layer's shape test and would be
-    solved on wrong values.  Each later layer is made from the one
-    before, which the consumer may keep or drop.
+    Each layer carries its martingale coefficients only with z;
+    otherwise Layer.z is None, and Layer.kinc always is.  The
+    coefficients are made anyway when the driver reads them; a driver
+    that reads no z is stepped on read-only zeros.  Before the first
+    layer the driver is probed with all N + 1 anchor times against layer
+    N - 1's N nodes, the one layer where the two axes differ in length:
+    a driver that folds the anchor axis into the node axis passes every
+    sweep layer's shape test and would be solved on wrong values.  Each
+    later layer is made from the one before, which the consumer may keep
+    or drop.
     """
     grid = lat.grid
     N = lat.n_steps
@@ -277,23 +294,26 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False,
         e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
         zj = (nxt[:, 1:] - nxt[:, :-1]) / two_sqrt_dt if zeros is None \
             else zeros[: j + 1, : j + 1]
-        layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, zj, dt, j,
-                           max_iters, kinc, z)
+        layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, zj, dt, j, max_iters, z)
         yield layer
 
 
 def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> Solution:
-    """The sweep's layers collected into a Solution (see the module docstring)."""
+    """The sweep's layers collected into a Solution (see the module docstring).
+
+    kinc[j] is rebuilt by increments from the stored layer j + 1.
+    """
     cfg = cfg or PicardConfig()
     N = lat.n_steps
     y_diag, ytilde = [None] * (N + 1), [None] * (N + 1)
     z, kinc = [None] * N, [None] * N
     largest_update = 0.0
-    for layer in sweep(lat, spec, cfg.max_iters, z=True, kinc=True):
+    for layer in sweep(lat, spec, cfg.max_iters, z=True):
         j = layer.j
         y_diag[j], ytilde[j] = layer.v, layer.rows
         largest_update = max(largest_update, layer.update)
         if j < N:
-            z[j], kinc[j] = layer.z, layer.kinc
+            z[j] = layer.z
+            kinc[j] = increments(ytilde[j + 1][: j + 1], layer.fdt, layer.barrier)
     return Solution(y_diag, ytilde, z, kinc, iterations=1,
                     residual_history=[largest_update])

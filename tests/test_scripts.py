@@ -26,15 +26,15 @@ def test_script_runs(script, args, header):
     assert header in res.stdout
 
 
-def _ab_pairs():
-    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_ab_pairs_summary_on_fixed_numbers():
-    summarize = _ab_pairs().summarize
+    summarize = _script("ab_pairs").summarize
     base = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
     # nine wins, one tie; medians 14.5 and 12.5, base IQR 16.75 - 12.25 = 4.5
     change = [9.0, 10.0, 11.0, 12.0, 13.0, 12.0, 13.0, 14.0, 15.0, 19.0]
@@ -63,4 +63,33 @@ def test_ab_pairs_summary_on_fixed_numbers():
 
 
 def test_ab_pairs_seed_ranges():
-    assert _ab_pairs().parse_seeds("701-703,9") == [701, 702, 703, 9]
+    assert _script("ab_pairs").parse_seeds("701-703,9") == [701, 702, 703, 9]
+
+
+_ARTIFACTS = {
+    "solve": {"solution.json", "y_diag.csv", "frontier.csv"},
+    "solve-mc": {"solution.json", "y_diag.csv", "frontier.csv"},
+    "stop": {"inconsistency.json"},
+    "compare": {"report.json"},
+    "verify-assumptions": {"report.json"},
+    "oracle-check": {"report.json"},
+}
+
+
+def test_artifact_manifest_repeats_and_lists_every_command(capsys):
+    script = _script("artifact_manifest")
+    printed = []
+    for _ in range(2):
+        script.main(["--n", "1,3"])
+        printed.append(capsys.readouterr().out.splitlines())
+    assert printed[0] == printed[1]
+    *lines, last = printed[0]
+    assert last.startswith("manifest ") and len(last.split()[1]) == 64
+    listed = {line.split("  ", 1)[1] for line in lines}
+    runs = script.commands([1, 3])
+    assert len(runs) == 2 * (5 * len(script.CATALOG_NAMES) + 1) + 2 * len(script.CATALOG_NAMES)
+    for where, _, _ in runs:
+        command = where.rsplit("/", 1)[1]
+        want = {f"{where}/out/{f}" for f in _ARTIFACTS[command]} | {f"{where}/console.txt"}
+        assert want <= listed, where
+    assert len(listed) == len(lines)

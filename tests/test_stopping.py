@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rbsvie.instances import (
     CATALOG_NAMES,
@@ -27,7 +29,7 @@ from rbsvie.stopping import (
     stream_solve,
 )
 from rbsvie.snell import diagonal_frontier, solve_global
-from rbsvie.volterra import PicardConfig, solve, sweep
+from rbsvie.volterra import Layer, PicardConfig, increments, solve, sweep
 
 
 def _solved(name, N, tol=1e-12, overrides=None):
@@ -312,16 +314,20 @@ def test_streamed_reports_equal_the_stored_replay(name, n_steps):
     lat = spec.lattice(n_steps)
     sol = solve(lat, spec, PicardConfig())
     replayed = list(_replay(lat, spec, sol))
-    live = list(sweep(lat, spec, 200, z=True, kinc=True))
+    live = list(sweep(lat, spec, 200, z=True))
     assert [layer.j for layer in replayed] == [layer.j for layer in live]
     for a, b in zip(replayed, live):
-        for field in ("rows", "v", "z", "kinc", "fdt", "barrier"):
+        for field in ("rows", "v", "z", "fdt", "barrier"):
             x, y = getattr(a, field), getattr(b, field)
             assert (x is None) == (y is None), (field, a.j)
             if x is not None:
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), (field, a.j)
+        assert b.kinc is None
+    for a, b, prev in zip(replayed[1:], live[1:], live):
+        k = increments(prev.rows[: b.j + 1], b.fdt, b.barrier)
+        assert k.shape == a.kinc.shape and k.tobytes() == a.kinc.tobytes(), a.j
     ref = inconsistency_report(lat, spec, sol)
-    rep, mass = stream_report(lat, sweep(lat, spec, 200, kinc=True))
+    rep, mass = stream_report(lat, sweep(lat, spec, 200))
     for field in ("anchor_times", "e_y", "j_own", "j_restarted", "gap"):
         assert _bits(getattr(rep, field)) == _bits(getattr(ref, field)), field
     assert rep.frontiers_identical == ref.frontiers_identical
@@ -331,3 +337,48 @@ def test_streamed_reports_equal_the_stored_replay(name, n_steps):
     assert [_bits(r) for r in rows] == [_bits(r) for r in frontier_rows(lat, spec, sol)]
     assert [a.tobytes() for a in y_diag] == [a.tobytes() for a in sol.y_diag]
     assert _bits([update]) == _bits(sol.residual_history)
+
+
+_VALUES = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_streamed_mass_reads_anchor_js_own_row(data):
+    # hand-built sweep layers: rows i < j are max(E + f dt, L) and anchor j's
+    # row sits above L by a drawn offset, so it has increments off its stop
+    # set, which no catalog instance reaches.  The report without kinc reads
+    # only that row and must give the masses of the full increments, and
+    # both inductions must match a plain induction on the same layers
+    N = data.draw(st.integers(1, 6), label="N")
+    lat = catalog_instance("american_put").lattice(N)
+    top = data.draw(arrays(float, (N + 1, N + 1), elements=_VALUES), label="terminal")
+    if data.draw(st.booleans(), label="anchor-free terminal"):
+        top[:] = top[0]
+    lean, full = [Layer(N, top, top[N].copy())], [Layer(N, top, top[N].copy())]
+    own = rest = top
+    j_own, j_rest = [0.0] * (N + 1), [0.0] * (N + 1)
+    j_own[N] = j_rest[N] = lat.probs[N] @ top[N]
+    prev = top
+    for j in range(N - 1, -1, -1):
+        n = j + 1
+        shape = data.draw(st.sampled_from([(n, n), (1, n), (n,), (n, 1), ()]), label="fdt")
+        fdt = data.draw(arrays(float, shape, elements=_VALUES), label="fdt values")
+        fdt = float(fdt) if shape == () else fdt
+        barrier = data.draw(arrays(float, (n,), elements=_VALUES), label="L")
+        rows = np.maximum(0.5 * (prev[:n, 1:] + prev[:n, :-1]) + fdt, barrier)
+        rows[j] += data.draw(arrays(float, (n,), elements=st.sampled_from([0.0, 1e-12, 0.5])),
+                             label="anchor j above L")
+        lean.append(Layer(j, rows, rows[j], fdt=fdt, barrier=barrier))
+        full.append(Layer(j, rows, rows[j], kinc=increments(prev[:n], fdt, barrier),
+                          fdt=fdt, barrier=barrier))
+        stops = (rows - barrier) <= 1e-9
+        own = np.where(stops, barrier, 0.5 * (own[:n, 1:] + own[:n, :-1]) + fdt)
+        rest = np.where(stops[0], barrier, 0.5 * (rest[:n, 1:] + rest[:n, :-1]) + fdt)
+        j_own[j], j_rest[j] = lat.probs[j] @ own[-1], lat.probs[j] @ rest[-1]
+        prev = rows
+    rep, mass = stream_report(lat, lean)
+    ref, ref_mass = stream_report(lat, full)
+    assert mass.tobytes() == ref_mass.tobytes()
+    assert _bits(rep.j_own) == _bits(ref.j_own) == _bits(j_own)
+    assert _bits(rep.j_restarted) == _bits(ref.j_restarted) == _bits(j_rest)

@@ -281,14 +281,14 @@ def _recording(spec, seen):
 @pytest.mark.parametrize("name, params", [(name, {}) for name in CATALOG_NAMES]
                          + [("linear_z", {"a": 0.0})])
 def test_lean_sweep_layers_equal_the_full_sweep(name, params, n_steps):
-    # the sweep without z and kinc makes the same layers, bit for bit, and
+    # the sweep without z makes the same layers, bit for bit, and
     # hands a z-reading driver the same midpoint differences; only a
     # driver declared z-free gets zeros
     base = catalog_instance(name, params)
     lat = base.lattice(n_steps)
     seen_lean, seen_full = [], []
     lean = list(sweep(lat, _recording(base, seen_lean), 200))
-    full = list(sweep(lat, _recording(base, seen_full), 200, z=True, kinc=True))
+    full = list(sweep(lat, _recording(base, seen_full), 200, z=True))
     assert [a.j for a in lean] == [b.j for b in full]
     for a, b in zip(lean, full):
         for field in ("rows", "v", "fdt", "barrier"):
@@ -297,8 +297,8 @@ def test_lean_sweep_layers_equal_the_full_sweep(name, params, n_steps):
             if x is not None:
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), (field, a.j)
         assert a.update.hex() == b.update.hex()
-        assert a.z is None and a.kinc is None
-        assert (b.z is None) == (b.kinc is None) == (b.j == n_steps)
+        assert a.z is None
+        assert (b.z is None) == (b.j == n_steps)
     assert len(seen_lean) == len(seen_full)
     if base.driver.depends_on_z:
         for a, b in zip(seen_lean, seen_full):
