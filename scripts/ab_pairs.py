@@ -4,9 +4,11 @@
         [--workload lattice-solve ...] [--seconds 30]
 
 Extracts the base commit's committed files (git archive, default HEAD,
-the parent of an uncommitted change) into a temporary directory, then
-runs ``perfbench/run.py --trace 0`` once per seed and workload in that
-copy and in this tree, alternating which side runs first.  For each
+the parent of an uncommitted change) and this tree's tracked files as
+they stand, uncommitted edits included, into sibling directories of one
+temporary directory, so neither side runs from a different place.  Then
+runs ``perfbench/run.py --trace 0`` once per seed and workload in both
+copies, alternating which side runs first.  For each
 end-to-end metric of BENCHMARK.json, and for the printed clock median,
 it prints each side's median and quartiles, the change's wins, whether
 the change's median stays within the metric's bound, and whether a gain
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -79,6 +82,25 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
+def extract_sides(root: Path, base: str, tmp: Path) -> tuple:
+    """(base, change): sibling directories under tmp holding the committed
+    files of root's commit base and root's tracked files as they stand in
+    its working tree; a tracked file deleted there is left out."""
+    sides = tmp / "base", tmp / "change"
+    for side in sides:
+        side.mkdir()
+    archive = subprocess.run(["git", "archive", base], cwd=root, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(sides[0])], input=archive, check=True)
+    tracked = subprocess.run(["git", "ls-files", "-z"], cwd=root, check=True,
+                             capture_output=True).stdout.decode()
+    for name in filter(None, tracked.split("\0")):
+        if (root / name).is_file():
+            (sides[1] / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, sides[1] / name)
+    return sides
+
+
 def parse_seeds(text: str) -> list:
     seeds = []
     for part in text.split(","):
@@ -102,14 +124,11 @@ def main(argv=None) -> int:
     metrics.append((CLOCK, "lower", None))
 
     runs = {w: {"base": [], "change": []} for w in workloads}
-    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
-        base = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        base, change = extract_sides(ROOT, args.base, Path(tmp))
         for k, seed in enumerate(seeds):
             for w in workloads:
-                order = (("base", base), ("change", ROOT))
+                order = (("base", base), ("change", change))
                 for side, tree in order if k % 2 == 0 else order[::-1]:
                     r = run_side(tree, w, seed, args.seconds)
                     runs[w][side].append(r)

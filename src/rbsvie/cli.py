@@ -190,11 +190,15 @@ def _build(cfg: RunConfig, max_n=None):
     return spec, TimeGrid(spec.horizon, n)
 
 
-# (N + 1) x (N + 1) arrays a command holds at once while the sweep streams:
-# the sweep's rows, expectations, coefficients and running terms, the stop
-# report's previous-layer rows, flags and two rule inductions, and their
-# temporaries (the sweep makes no reflection increments)
+# layer arrays a command holds at once while the sweep streams, each
+# (N + 1) x (N + 1), or 2 x (N + 1) on an anchor-free instance's shared-row
+# layers: the sweep's rows, expectations, coefficients and running terms,
+# the stop report's previous-layer rows, flags and two rule inductions,
+# and their temporaries (the sweep makes no reflection increments)
 LAYER_ARRAYS = 12
+# floats per frontier row that solve's sort adds once the layers are gone:
+# the concatenated columns, their stacked and sorted copies and the order
+FRONTIER_SORT = 13
 
 
 def _check_fits(what: str, need: int) -> None:
@@ -204,16 +208,20 @@ def _check_fits(what: str, need: int) -> None:
                           f"of physical memory")
 
 
-def _lattice(spec, grid: TimeGrid, solutions: int, frontier: bool = False):
-    """The lattice, once the streamed working set fits in memory: the
-    lattice's three node arrays, each solution's diagonal and, with
-    frontier, the four frontier columns (one row at most per anchor and
-    layer), (N+1)(N+2)/2 floats each, and LAYER_ARRAYS layer arrays."""
+def _lattice(grid: TimeGrid, specs: tuple, frontier: bool = False):
+    """The lattice of specs[0], once the streamed working set of sweeping
+    each of specs in turn fits in memory: the lattice's three node
+    arrays, each solution's diagonal and, with frontier, the four
+    frontier columns (one row at most per anchor and layer), (N+1)(N+2)/2
+    floats each, and the larger of the widest sweep's LAYER_ARRAYS layer
+    arrays and the frontier sort's FRONTIER_SORT floats per row."""
     n = grid.n_steps
     triangle = (n + 1) * (n + 2) // 2
-    need = 8 * ((3 + solutions + 4 * frontier) * triangle + LAYER_ARRAYS * (n + 1) ** 2)
+    layer_rows = max(2 if spec.anchor_free else n + 1 for spec in specs)
+    need = 8 * ((3 + len(specs) + 4 * frontier) * triangle
+                + max(LAYER_ARRAYS * layer_rows * (n + 1), FRONTIER_SORT * frontier * triangle))
     _check_fits(f"the streamed working set at N={n}", need)
-    return build_lattice(grid, spec.x0, spec.dynamics)
+    return build_lattice(grid, specs[0].x0, specs[0].dynamics)
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -325,7 +333,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config[0])
     spec, grid = _build(cfg, args.max_n)
     if args.engine == "lattice":
-        lat = _lattice(spec, grid, 1, frontier=True)
+        lat = _lattice(grid, (spec,), frontier=True)
     else:
         basis = mc.RegressionBasis(cfg.basis_family, cfg.basis_degree)
         _check_fits(f"the Monte Carlo working set of {cfg.n_paths} paths at N={grid.n_steps}",
@@ -373,7 +381,7 @@ def cmd_oracle_check(args) -> int:
         raise ConfigError(
             f"oracle-check needs at most {MAX_RULE_NODES} interior nodes; "
             f"N={n} has {worst} (use N <= 5 or --max-n)")
-    lat = _lattice(spec, grid, 1)
+    lat = _lattice(grid, (spec,))
     out = _out_dir(args, cfg)
 
     sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
@@ -418,7 +426,7 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs both configs on the same grid.N")
     spec_lo, grid = _build(cfg_lo, args.max_n)
     spec_hi, _ = _build(cfg_hi, args.max_n)
-    lat = _lattice(spec_lo, grid, 2)
+    lat = _lattice(grid, (spec_lo, spec_hi))
     try:
         pair = OrderedPair.build(spec_lo, spec_hi, lat)
     except CompareError as exc:
@@ -452,7 +460,7 @@ def cmd_compare(args) -> int:
 def cmd_stop(args) -> int:
     cfg = load_config(args.config[0])
     spec, grid = _build(cfg, args.max_n)
-    lat = _lattice(spec, grid, 1)
+    lat = _lattice(grid, (spec,))
     out = _out_dir(args, cfg)
 
     rep, masses = stream_report(lat, sweep(lat, spec, cfg.max_iters))

@@ -36,7 +36,9 @@ class DriverSpec:
     <= lipschitz * (|y-y'| + |z-z'|).  ``holder_const`` and
     ``holder_alpha`` bound the first-argument increment
     |f(t',s,..) - f(t,s,..)| <= holder_const * |t'-t|**holder_alpha for
-    |y|, |z| <= 1; alpha may not exceed 1/2.
+    |y|, |z| <= 1; alpha may not exceed 1/2.  ``depends_on_anchor`` False
+    declares that f never reads its first argument, the anchor t (see
+    InstanceSpec.anchor_free).
     """
 
     name: str
@@ -47,6 +49,7 @@ class DriverSpec:
     depends_on_y: bool = True
     depends_on_z: bool = True
     monotone_in_y: bool = False
+    depends_on_anchor: bool = True
 
     def __post_init__(self):
         if self.lipschitz < 0 or not np.isfinite(self.lipschitz):
@@ -62,8 +65,12 @@ class DriverSpec:
 
 @dataclass(frozen=True)
 class TerminalSpec:
+    """Terminal payoff xi(t, x_T); ``depends_on_anchor`` False declares
+    that it never reads the anchor t."""
+
     name: str
     fn: Callable  # (t, x_T) -> value
+    depends_on_anchor: bool = True
 
     def __call__(self, t, x):
         return self.fn(t, x)
@@ -104,6 +111,16 @@ class InstanceSpec:
             raise InstanceError(f"x0 must be finite, got {self.x0}")
         if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise InstanceError(f"horizon must be positive, got {self.horizon}")
+
+    @property
+    def anchor_free(self) -> bool:
+        """Whether neither the driver nor the terminal reads the anchor.
+
+        Then every anchor i < j steps the same numbers on layer j, and the
+        sweep keeps one shared row for them (volterra.sweep); the equation
+        is a reflected BSDE and stopping is time-consistent.
+        """
+        return not (self.driver.depends_on_anchor or self.terminal.depends_on_anchor)
 
     def lattice(self, n_steps: int) -> Lattice:
         return build_lattice(TimeGrid(self.horizon, n_steps), self.x0, self.dynamics)
@@ -172,12 +189,14 @@ def _american_put(p: dict) -> InstanceSpec:
         depends_on_y=rate > 0,
         depends_on_z=False,
         monotone_in_y=rate == 0,
+        depends_on_anchor=False,
     )
     payoff = lambda u, x: np.maximum(strike - x, 0.0)
     return InstanceSpec(
         label="american_put",
         driver=driver,
-        terminal=TerminalSpec(name=f"put_payoff(strike={strike})", fn=lambda t, x: payoff(t, x)),
+        terminal=TerminalSpec(name=f"put_payoff(strike={strike})", fn=lambda t, x: payoff(t, x),
+                              depends_on_anchor=False),
         obstacle=ObstacleSpec(name=f"put_payoff(strike={strike})", fn=payoff),
         dynamics=geometric_dynamics(x0, sigma, mu=rate),
         x0=x0,
@@ -211,11 +230,13 @@ def _hyperbolic_discount(p: dict) -> InstanceSpec:
         depends_on_y=rho0 > 0,
         depends_on_z=False,
         monotone_in_y=rho0 == 0,
+        depends_on_anchor=rho0 != 0 and kappa != 0,
     )
     return InstanceSpec(
         label="hyperbolic_discount",
         driver=driver,
-        terminal=TerminalSpec(name=f"linear_state(scale={scale})", fn=lambda t, x: scale * x),
+        terminal=TerminalSpec(name=f"linear_state(scale={scale})", fn=lambda t, x: scale * x,
+                              depends_on_anchor=False),
         obstacle=ObstacleSpec(name=f"linear_offset(gap={gap})", fn=lambda u, x: x - gap),
         dynamics=brownian_dynamics(x0, sigma),
         x0=x0,
@@ -234,11 +255,14 @@ def _zero_driver_flat(p: dict) -> InstanceSpec:
         depends_on_y=False,
         depends_on_z=False,
         monotone_in_y=True,
+        depends_on_anchor=False,
     )
     return InstanceSpec(
         label="zero_driver_flat",
         driver=driver,
-        terminal=TerminalSpec(name="linear_state(scale=1.0)", fn=lambda t, x: np.asarray(x, dtype=float) + 0.0),
+        terminal=TerminalSpec(name="linear_state(scale=1.0)",
+                              fn=lambda t, x: np.asarray(x, dtype=float) + 0.0,
+                              depends_on_anchor=False),
         obstacle=ObstacleSpec(name="floor(-1e6)", fn=lambda u, x: np.full_like(np.asarray(x, dtype=float), _FLOOR)),
         dynamics=brownian_dynamics(x0, sigma),
         x0=x0,
@@ -261,11 +285,14 @@ def _linear_z(p: dict) -> InstanceSpec:
         depends_on_y=b != 0,
         depends_on_z=a != 0,
         monotone_in_y=b >= 0,
+        depends_on_anchor=False,
     )
     return InstanceSpec(
         label="linear_z",
         driver=driver,
-        terminal=TerminalSpec(name="linear_state(scale=1.0)", fn=lambda t, x: np.asarray(x, dtype=float) + 0.0),
+        terminal=TerminalSpec(name="linear_state(scale=1.0)",
+                              fn=lambda t, x: np.asarray(x, dtype=float) + 0.0,
+                              depends_on_anchor=False),
         obstacle=ObstacleSpec(name=f"linear_offset(gap={gap})", fn=lambda u, x: x - gap),
         dynamics=brownian_dynamics(x0, sigma),
         x0=x0,
@@ -295,11 +322,14 @@ def _custom_affine(p: dict) -> InstanceSpec:
         depends_on_y=y_coef != 0,
         depends_on_z=z_coef != 0,
         monotone_in_y=y_coef >= 0,
+        depends_on_anchor=t_coef != 0,
     )
     return InstanceSpec(
         label="custom_affine",
         driver=driver,
-        terminal=TerminalSpec(name="linear_state(scale=1.0)", fn=lambda t, x: np.asarray(x, dtype=float) + 0.0),
+        terminal=TerminalSpec(name="linear_state(scale=1.0)",
+                              fn=lambda t, x: np.asarray(x, dtype=float) + 0.0,
+                              depends_on_anchor=False),
         obstacle=ObstacleSpec(name=f"linear_offset(gap={gap})", fn=lambda u, x: x - gap),
         dynamics=geometric_dynamics(x0, sigma, mu=0.0),
         x0=x0,
@@ -351,14 +381,15 @@ def shift_driver(spec: InstanceSpec, c: float) -> InstanceSpec:
 
 
 def shift_terminal(spec: InstanceSpec, c: float) -> InstanceSpec:
-    """Instance with terminal xi + c (c >= 0 keeps the terminal above the obstacle)."""
+    """Instance with terminal xi + c (c >= 0 keeps the terminal above the
+    obstacle).  The anchor declaration is unchanged."""
     base = spec.terminal
 
     def fn(t, x, _f=base.fn, _c=c):
         return _f(t, x) + _c
 
     return replace(spec, label=f"{spec.label}[xi+{c}]",
-                   terminal=TerminalSpec(name=f"{base.name}+{c}", fn=fn))
+                   terminal=replace(base, name=f"{base.name}+{c}", fn=fn))
 
 
 def shift_obstacle(spec: InstanceSpec, c: float) -> InstanceSpec:
@@ -439,10 +470,14 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
     * finiteness of f(t,s,x,0,0), xi and L on lattice nodes;
     * broadcasting: f with a column of anchor times against one layer's
       nodes has a result that broadcasts to (anchors, nodes);
-    * dependence: a driver declared free of y (depends_on_y False) or of
-      z (depends_on_z False) keeps its value, exactly, as that argument
-      moves, sampled; the first sample that moves it is reported.  The
-      Monte Carlo engine fits no z for a z-free driver.
+    * dependence: a driver declared free of y (depends_on_y False), of
+      z (depends_on_z False) or of the anchor t (depends_on_anchor
+      False) keeps its value, exactly, as that argument moves, sampled;
+      the first sample that moves it is reported.  A terminal declared
+      anchor-free gives every anchor's terminal row exactly anchor 0's
+      (exhaustive; the first other row is reported).  The Monte Carlo
+      engine fits no z for a z-free driver, and the lattice sweep keeps
+      one shared row for the anchors of an anchor-free instance.
 
     Report-only: violations are collected, never raised.
     """
@@ -456,8 +491,21 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
     LT = np.asarray(spec.obstacle(T, xT), dtype=float)
     if not np.all(np.isfinite(LT)):
         violations.append(Violation("finiteness", "obstacle non-finite at terminal layer", (n_steps,)))
+    xi_free = not spec.terminal.depends_on_anchor  # until a row differs from anchor 0's
     for i in range(n_steps + 1):
         xi_vals = np.asarray(spec.terminal(grid.t(i), xT), dtype=float)
+        if i == 0:
+            xi_0 = xi_vals
+        elif xi_free and not np.array_equal(xi_vals, xi_0, equal_nan=True):
+            xi_free = False
+            differ = (xi_vals != xi_0) & ~(np.isnan(xi_vals) & np.isnan(xi_0))
+            k = int(np.argmax(np.broadcast_to(differ, xT.shape)))
+            violations.append(Violation(
+                "dependence",
+                f"terminal declared depends_on_anchor=False differs at anchor {i} from "
+                f"anchor 0 at terminal node {k}",
+                (i, k),
+            ))
         if not np.all(np.isfinite(xi_vals)):
             violations.append(Violation("finiteness", f"terminal non-finite at anchor {i}", (i,)))
             continue
@@ -480,6 +528,7 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
     # arguments the driver declares it ignores, until a sample shows one read
     free = [arg for arg, reads in (("y", spec.driver.depends_on_y),
                                    ("z", spec.driver.depends_on_z)) if not reads]
+    t_free = not spec.driver.depends_on_anchor
     for m in range(samples):
         j, k = all_nodes[idx[m]]
         x = float(lat.x[j][k])
@@ -501,12 +550,21 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
                     (t, s, x, y, z, yp, zp),
                 ))
         if tp - t > 1e-10:
-            hol = abs(float(spec.driver(tp, s, x, y, z)) - f0) / (tp - t) ** alpha
+            fp = float(spec.driver(tp, s, x, y, z))
+            hol = abs(fp - f0) / (tp - t) ** alpha
             hol_max = max(hol_max, hol)
             if hol > c1 * 1.01 + 1e-12:
                 violations.append(Violation(
                     "holder",
                     f"observed time-increment ratio {hol:.6g} exceeds declared {c1:.6g}",
+                    (t, tp, s, x, y, z),
+                ))
+            if t_free and fp != f0:
+                t_free = False
+                violations.append(Violation(
+                    "dependence",
+                    f"driver declared depends_on_anchor=False changes from {f0:.6g} "
+                    f"to {fp:.6g} as the anchor t moves",
                     (t, tp, s, x, y, z),
                 ))
         for arg in list(free):

@@ -17,6 +17,10 @@ stream_report and stream_solve take them straight from volterra.sweep
 and hold one layer at a time, and the functions on a stored Solution
 (frontier_rows, inconsistency_report, premature_increment_mass,
 evaluate_J) feed them the layers _replay rebuilds from its fields.
+The streamed reports index anchors only by first and last row, so they
+read the sweep's shared-row layers of an anchor-free instance (see
+volterra.Layer) as they read full ones: their flags, inductions and
+frontier reductions then hold one shared row and anchor j's.
 
 Both engines report a strategy as frontier rows: one float64 array of
 shape (rows, 4) holding anchor time, time, and the smallest and largest
@@ -93,14 +97,13 @@ def extract_frontier(sol: Solution, lat: Lattice, spec: InstanceSpec) -> Stoppin
     return _threshold(lat, spec, sol.ytilde)
 
 
-def _rule_step(vals: np.ndarray, n: int, stop, fdt, barrier) -> np.ndarray:
-    """One layer of the rule induction for the first n rows of vals.
+def _rule_step(nxt: np.ndarray, stop, fdt, barrier) -> np.ndarray:
+    """One layer of the rule induction from the next layer's rows nxt.
 
     Stopped nodes collect the obstacle, continuation nodes the one-step
     conditional expectation plus the running term fdt; stop is one row
     per anchor or one row for all.
     """
-    nxt = vals[:n]
     return np.where(stop, barrier, 0.5 * (nxt[:, 1:] + nxt[:, :-1]) + fdt)
 
 
@@ -136,7 +139,7 @@ def evaluate_J(lat: Lattice, spec: InstanceSpec, sol: Solution, i: int,
             vals = layer.rows[i: i + 1]
         else:
             fdt = np.broadcast_to(layer.fdt, layer.rows.shape)[i]
-            vals = _rule_step(vals, 1, rule.flags[j - i], fdt, layer.barrier)
+            vals = _rule_step(vals, rule.flags[j - i], fdt, layer.barrier)
         if j == i:
             return lat.layer_expect(i, vals[0])
 
@@ -202,13 +205,21 @@ def premature_increment_mass(lat: Lattice, spec: InstanceSpec, sol: Solution) ->
     return stream_report(lat, _replay(lat, spec, sol))[1]
 
 
-def _frontier_part(j: int, stops: np.ndarray, x: np.ndarray) -> tuple:
-    """(anchor, layer, low, high) columns of layer j's nonempty stop regions."""
+def _frontier_part(j: int, stops: np.ndarray, x: np.ndarray, first: int = 1) -> tuple:
+    """(anchor, layer, low, high) columns of layer j's nonempty stop regions.
+
+    Row 0 of stops stands for anchors 0..first-1 and row r > 0 for anchor
+    first - 1 + r: row 0's reduction is made once and repeated.
+    """
     hit = np.logical_or.reduce(stops, axis=1)
+    low = np.minimum.reduce(np.where(stops, x, np.inf), axis=1)
+    high = np.maximum.reduce(np.where(stops, x, -np.inf), axis=1)
+    if first > 1:
+        reps = np.ones(len(hit), dtype=int)
+        reps[0] = first
+        hit, low, high = (np.repeat(a, reps) for a in (hit, low, high))
     anchors = hit.nonzero()[0]
-    return (anchors, np.full(len(anchors), j),
-            np.minimum.reduce(np.where(stops, x, np.inf), axis=1)[hit],
-            np.maximum.reduce(np.where(stops, x, -np.inf), axis=1)[hit])
+    return anchors, np.full(len(anchors), j), low[hit], high[hit]
 
 
 def _sorted_rows(parts: list, dt: float) -> np.ndarray:
@@ -237,8 +248,10 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
     without kinc is the sweep's: its rows i < j are max(E + f dt, L), so
     their increments are 0.0 off the stop set, and only anchor j's
     increments are rebuilt from the previous rows and reduced.  A
-    replayed layer's kinc is reduced row by row.  Returns
-    (ConsistencyReport, mass per anchor).
+    replayed layer's kinc is reduced row by row.  Anchors are read by
+    first and last row only (rows[:-1] step to the layer below, the last
+    row is anchor j), so a shared-row layer steps its shared row and
+    anchor j's.  Returns (ConsistencyReport, mass per anchor).
     """
     N = lat.n_steps
     probs = lat.probs  # E[Y(t_j)] = probs[j] @ Y(t_j), as lat.layer_expect
@@ -253,11 +266,13 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
             fdt = layer.fdt
             stops = _stops(layer.rows, barrier)
             identical = identical and _same_as_anchor0(stops)
-            own = _rule_step(own, j + 1, stops, fdt, barrier)
-            rest = own if identical else _rule_step(rest, j + 1, stops[0], fdt, barrier)
+            own = _rule_step(own[:-1], stops, fdt, barrier)
+            # anchor 0's flags for every row, so a shared-row layer keeps two
+            rest = own if identical else _rule_step(
+                rest[:-1], np.broadcast_to(stops[0], stops.shape), fdt, barrier)
             if layer.kinc is None:
                 fdt_j = fdt[-1:] if np.ndim(fdt) == 2 else fdt  # anchor j's running terms
-                _mass_step(worst[j:], increments(prev[j: j + 1], fdt_j, barrier), stops[j:])
+                _mass_step(worst[j:], increments(prev[-2:-1], fdt_j, barrier), stops[-1:])
             else:
                 _mass_step(worst, layer.kinc, stops)
         prev = layer.rows
@@ -275,8 +290,9 @@ def stream_solve(lat: Lattice, layers: Iterable[Layer]) -> tuple:
     """Diagonal and frontier rows of the sweep's layers j = N .. 0.
 
     Keeps each layer's diagonal and frontier reduction, and sorts the
-    rows anchor-major at the end.  Returns (y_diag, largest last update
-    of the per-node equations, rows).
+    rows anchor-major at the end.  A shared-row layer's shared stop row
+    is reduced once, and its columns repeated for anchors 0..j-1.
+    Returns (y_diag, largest last update of the per-node equations, rows).
     """
     N = lat.n_steps
     y_diag = [None] * (N + 1)
@@ -286,5 +302,6 @@ def stream_solve(lat: Lattice, layers: Iterable[Layer]) -> tuple:
         j = layer.j
         y_diag[j] = layer.v
         largest_update = max(largest_update, layer.update)
-        parts.append(_frontier_part(j, _stops(layer.rows, layer.barrier), lat.x[j]))
+        rows = layer.rows
+        parts.append(_frontier_part(j, _stops(rows, layer.barrier), lat.x[j], j + 2 - len(rows)))
     return y_diag, largest_update, _sorted_rows(parts, lat.grid.dt)

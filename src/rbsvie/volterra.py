@@ -16,6 +16,12 @@ with window dt and an exact inner solve.  sweep runs it and hands out
 each layer's (anchors x nodes) arrays as soon as they are made, so a
 consumer that reads them in the sweep's order, j = N .. 0, holds one
 layer at a time; solve collects them into a Solution's per-layer lists.
+When neither the driver nor the terminal reads the anchor
+(InstanceSpec.anchor_free), anchors 0..j-1 step the same numbers through
+the same operations, and the sweep steps one shared row for them: its
+layers hold that row and anchor j's settled v (see Layer), O(N) values
+instead of O(N^2), and the consumers read anchors only by first and
+last row.
 The martingale coefficients z are made only when asked for: a driver
 that reads no z (DriverSpec.depends_on_z False) is stepped on read-only
 zeros, as in the Monte Carlo engine.  The sweep makes no reflection
@@ -32,7 +38,7 @@ snell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,15 +136,18 @@ def _non_finite(i: int, j: int) -> VolterraError:
                          f"check instance parameters")
 
 
-def check_finite(rows: np.ndarray, j: int) -> None:
-    """Rows are anchors 0.. on layer j; the first non-finite one is named.
+def check_finite(rows: np.ndarray, j: int, shared: bool = False) -> None:
+    """Rows are anchors 0.. on layer j, or with shared a shared-row layer
+    (see Layer), whose row 0 is anchor 0 and last row anchor j; the first
+    non-finite one is named.
 
     One pass tests the whole layer; only a failing layer is scanned row
     by row for the anchor to name.
     """
     finite = np.isfinite(rows)
     if not np.logical_and.reduce(finite, axis=None):
-        raise _non_finite(int(np.argmax(~finite.all(axis=1))), j)
+        i = int(np.argmax(~finite.all(axis=1)))
+        raise _non_finite(j if shared and i == len(rows) - 1 else i, j)
 
 
 def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
@@ -174,13 +183,15 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
     raise NoConvergence(max_iters, last, where=f"anchor {j}, layer {j}")
 
 
-def terminal_rows(spec: InstanceSpec, grid: TimeGrid, x_N) -> tuple:
+def terminal_rows(spec: InstanceSpec, grid: TimeGrid, x_N, shared: bool = False) -> tuple:
     """(anchor_t, rows): grid.times as a column of anchor times, and every
-    anchor's terminal row on x_N."""
+    anchor's terminal row on x_N; with shared only anchor 0's row, which
+    anchors 0..N-1 share, and anchor N's."""
     anchor_t = grid.times[:, None]
-    rows = np.empty((len(anchor_t), len(x_N)))
-    for i in range(len(anchor_t)):
-        rows[i] = spec.terminal(grid.t(i), x_N)
+    anchors = (0, grid.n_steps) if shared else range(len(anchor_t))
+    rows = np.empty((len(anchors), len(x_N)))
+    for r, i in enumerate(anchors):
+        rows[r] = spec.terminal(grid.t(i), x_N)
     return anchor_t, rows
 
 
@@ -231,6 +242,16 @@ class Layer:
     values and z, kinc, fdt and barrier are None.  The lattice sweep
     writes into no layer after handing it out; the Monte Carlo engine
     reuses its z buffer.
+
+    The sweep of an anchor-free instance hands out shared-row layers,
+    told apart by len(rows) < j + 1: rows[0] is the row anchors 0..j-1
+    share and rows[-1] anchor j's v, kept apart because the per-node
+    equation may end on a last-bit cycle that the explicit step does not
+    repeat; z holds one row for all anchors 0..j, and fdt one row or
+    less.  Layer 0 has the one row of anchor 0 either way.  Consumers
+    index anchors by first and last row in both forms: the step to layer
+    j - 1 reads rows[:-1], anchors 0..j-1, and rows[-1] is anchor j.
+    per_anchor lays a shared-row layer out per anchor.
     """
 
     j: int
@@ -249,59 +270,87 @@ def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndar
     """Layer j of the backward sweep, from the one-step operator's output.
 
     e and z are the conditional expectations and martingale coefficients
-    of anchors 0..j's layer-(j+1) values, one row per anchor; the engines
+    of anchors 0..j's layer-(j+1) values, one row per anchor, or one
+    shared row for them all on an anchor-free instance; the engines
     differ only in the operator that makes them (lattice midpoint or
     regression projection).  anchor_t is the column of anchor times.
-    Anchor j's row settles its per-state equation, then every row steps
-    with the diagonal frozen at the settled v.  The rows overwrite e.
-    The layer carries z when keep_z.
+    Anchor j's row, the last, settles its per-state equation, then every
+    row steps with the diagonal frozen at the settled v.  The rows
+    overwrite e; the settled v replaces the last row, or is appended
+    after the shared row (see Layer).  The layer carries z when keep_z.
     """
     barrier = np.asarray(spec.obstacle(s, x), dtype=float)
-    v, update = _settle_diagonal(spec, s, x, e[j], z[j], barrier, dt, j, max_iters)
-    rows, fdt = step_rows(spec, anchor_t[: j + 1], s, x, v, e, z, barrier, dt, j)
-    rows[j] = v
-    check_finite(rows, j)
+    v, update = _settle_diagonal(spec, s, x, e[-1], z[-1], barrier, dt, j, max_iters)
+    rows, fdt = step_rows(spec, anchor_t[: len(e)], s, x, v, e, z, barrier, dt, j)
+    shared = len(rows) <= j
+    if shared:
+        rows = np.concatenate((rows, v[None]))
+    else:
+        rows[-1] = v
+    check_finite(rows, j, shared)
     return Layer(j, rows, v, z if keep_z else None, fdt=fdt, barrier=barrier, update=update)
 
 
 def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False):
     """Yield the sweep's layers j = N .. 0 (see the module docstring).
 
-    Each layer carries its martingale coefficients only with z;
-    otherwise Layer.z is None, and Layer.kinc always is.  The
-    coefficients are made anyway when the driver reads them; a driver
-    that reads no z is stepped on read-only zeros.  Before the first
-    layer the driver is probed with all N + 1 anchor times against layer
-    N - 1's N nodes, the one layer where the two axes differ in length:
-    a driver that folds the anchor axis into the node axis passes every
-    sweep layer's shape test and would be solved on wrong values.  Each
-    later layer is made from the one before, which the consumer may keep
-    or drop.
+    The layers of an anchor-free instance are shared-row layers (see
+    Layer), which start from two terminal rows.  Each layer carries its
+    martingale coefficients only with z; otherwise Layer.z is None, and
+    Layer.kinc always is.  The coefficients are made anyway when the
+    driver reads them; a driver that reads no z is stepped on read-only
+    zeros.  Before the first layer of a full sweep the driver is probed
+    with all N + 1 anchor times against layer N - 1's N nodes, the one
+    layer where the two axes differ in length: a driver that folds the
+    anchor axis into the node axis passes every sweep layer's shape test
+    and would be solved on wrong values.  A shared-row sweep passes one
+    anchor time on every layer, which no fold can misplace, and skips the
+    probe and its (N + 1) x N arrays.  Each later layer is made from the
+    one before, which the consumer may keep or drop.
     """
     grid = lat.grid
     N = lat.n_steps
-    anchor_t, rows = terminal_rows(spec, grid, lat.x[N])
-    check_finite(rows, N)
-    reason = anchor_axis_defect(spec, anchor_t, lat.x[N - 1])
+    shared = spec.anchor_free
+    anchor_t, rows = terminal_rows(spec, grid, lat.x[N], shared)
+    check_finite(rows, N, shared)
+    reason = None if shared else anchor_axis_defect(spec, anchor_t, lat.x[N - 1])
     if reason is not None:
         raise _not_broadcast(reason, (N + 1, N), N - 1)
-    layer = Layer(N, rows, rows[N].copy())
+    layer = Layer(N, rows, rows[-1].copy())
     yield layer
     dt, two_sqrt_dt = grid.dt, 2.0 * grid.sqrt_dt
     zeros = None if z or spec.driver.depends_on_z else np.broadcast_to(0.0, (N, N))
     for j in range(N - 1, -1, -1):
-        nxt = layer.rows[: j + 1]  # anchors 0..j on layer j + 1
+        nxt = layer.rows[:-1]  # anchors 0..j on layer j + 1, or their shared row
         e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
         zj = (nxt[:, 1:] - nxt[:, :-1]) / two_sqrt_dt if zeros is None \
-            else zeros[: j + 1, : j + 1]
+            else zeros[: len(nxt), : j + 1]
         layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, zj, dt, j, max_iters, z)
         yield layer
+
+
+def per_anchor(layer: Layer) -> Layer:
+    """The layer with one row per anchor 0..j in rows and z.
+
+    A shared-row layer's rows become a new array that repeats the shared
+    row for anchors 0..j-1 above v, and its one z row a read-only
+    np.broadcast_to view; fdt is left as it is, and broadcasts to one row
+    per anchor.  A full layer comes back unchanged.
+    """
+    j, rows, z = layer.j, layer.rows, layer.z
+    if len(rows) <= j:
+        rows = np.empty((j + 1, j + 1))
+        rows[:-1], rows[-1] = layer.rows[0], layer.rows[-1]
+    if z is not None and len(z) <= j:
+        z = np.broadcast_to(z, (j + 1, j + 1))
+    return replace(layer, rows=rows, z=z)
 
 
 def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> Solution:
     """The sweep's layers collected into a Solution (see the module docstring).
 
-    kinc[j] is rebuilt by increments from the stored layer j + 1.
+    A shared-row layer is laid out per anchor by per_anchor.  kinc[j] is
+    rebuilt by increments from the stored layer j + 1.
     """
     cfg = cfg or PicardConfig()
     N = lat.n_steps
@@ -310,6 +359,7 @@ def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> 
     largest_update = 0.0
     for layer in sweep(lat, spec, cfg.max_iters, z=True):
         j = layer.j
+        layer = per_anchor(layer)
         y_diag[j], ytilde[j] = layer.v, layer.rows
         largest_update = max(largest_update, layer.update)
         if j < N:

@@ -666,9 +666,9 @@ def test_infeasible_request_exits_one_without_artifacts(tmp_path, body, flags, c
 @pytest.mark.parametrize("command", ["solve", "stop", "compare"])
 def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command, capsys,
                                                               monkeypatch):
-    # N = 100000 needs about 1.1e12 bytes of lattice, diagonals, solve's
-    # frontier and layer arrays while the sweep streams: refused before the
-    # lattice is built or --out is made
+    # N = 100000 needs about 3.2e11 bytes of lattice, diagonals and solve's
+    # frontier while the sweep streams american_put's shared-row layers:
+    # refused before the lattice is built or --out is made
     def no_lattice(*args):
         raise AssertionError("lattice built")
     monkeypatch.setattr(cli, "build_lattice", no_lattice)
@@ -678,18 +678,49 @@ def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command,
     solutions = 2 if command == "compare" else 1
     assert _run(command, *("--config", cfg) * solutions, "--out", str(out)) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    need = _streamed_bytes(n, solutions, frontier=command == "solve")
+    need = _streamed_bytes(n, solutions, frontier=command == "solve", layer_rows=2)
     assert "config error:" in err and f"needs {need} bytes" in err
     assert "bytes of physical memory" in err
     assert not out.exists()
 
 
-def _streamed_bytes(n, solutions, frontier):
+def _streamed_bytes(n, solutions, frontier, layer_rows):
     # the lattice's w, x and probs, each diagonal and solve's four frontier
-    # columns hold (N+1)(N+2)/2 floats each
+    # columns hold (N+1)(N+2)/2 floats each, the layer arrays layer_rows x
+    # (N+1), and solve's frontier sort, after the layers, FRONTIER_SORT per row
     triangle = (n + 1) * (n + 2) // 2
     return 8 * ((3 + solutions + 4 * frontier) * triangle
-                + cli.LAYER_ARRAYS * (n + 1) ** 2)
+                + max(cli.LAYER_ARRAYS * layer_rows * (n + 1),
+                      cli.FRONTIER_SORT * frontier * triangle))
+
+
+@pytest.mark.parametrize("command, names", [
+    ("solve", ("american_put",)), ("stop", ("linear_z",)), ("stop", ("hyperbolic_discount",)),
+    ("compare", ("american_put", "american_put")),
+    ("compare", ("american_put", "hyperbolic_discount")),
+])
+def test_memory_gate_counts_shared_rows_of_anchor_free_instances(tmp_path, command, names,
+                                                                 monkeypatch):
+    # an anchor-free sweep holds two rows per layer array: at N = 9000 stop
+    # needs about 1.3e9 bytes, not 9.1e9 with (N+1)^2 layer arrays, and
+    # solve is bounded by its frontier sort; a pair counts its wider sweep.
+    # The gate's count is read through a stub that stops the command
+    # before anything is allocated
+    seen = []
+
+    def stop_here(what, need):
+        seen.append(need)
+        raise cli.ConfigError("stopped at the gate")
+    monkeypatch.setattr(cli, "_check_fits", stop_here)
+    n = 9000
+    cfgs = [_cfg(tmp_path, f"[instance]\nname = {name}\n\n[grid]\nN = {n}\n", f"{k}.ini")
+            for k, name in enumerate(names)]
+    args = [a for cfg in cfgs for a in ("--config", cfg)]
+    assert _run(command, *args, "--out", str(tmp_path / "out")) == cli.EXIT_CONFIG
+    rows = n + 1 if "hyperbolic_discount" in names else 2
+    assert seen == [_streamed_bytes(n, len(names), command == "solve", rows)]
+    if rows == 2:
+        assert seen[0] < _streamed_bytes(n, len(names), command == "solve", n + 1) / 1.3
 
 
 def test_mc_paths_beyond_memory_exit_one_before_any_work(tmp_path, capsys, monkeypatch):
@@ -727,7 +758,16 @@ def test_solve_traced_peak_within_its_memory_gate(tmp_path):
     n = 400
     cfg = _cfg(tmp_path, f"[instance]\nname = hyperbolic_discount\n\n[grid]\nN = {n}\n")
     peak = _traced_peak("solve", "--config", cfg, "--out", str(tmp_path / "out"))
-    assert peak <= _streamed_bytes(n, 1, frontier=True), peak
+    assert peak <= _streamed_bytes(n, 1, frontier=True, layer_rows=n + 1), peak
+
+
+@pytest.mark.parametrize("command, n", [("solve", 200), ("stop", 400)])
+def test_anchor_free_traced_peak_within_its_memory_gate(tmp_path, command, n):
+    # the shared-row sweep's gate counts two rows per layer array; at these
+    # N the lattice and solve's frontier outweigh the reports' O(N) objects
+    cfg = _cfg(tmp_path, f"[instance]\nname = linear_z\n\n[grid]\nN = {n}\n")
+    peak = _traced_peak(command, "--config", cfg, "--out", str(tmp_path / "out"))
+    assert peak <= _streamed_bytes(n, 1, frontier=command == "solve", layer_rows=2), peak
 
 
 @pytest.mark.parametrize("command", ["solve", "stop"])

@@ -227,3 +227,53 @@ def test_declared_free_drivers_that_ignore_the_argument_pass(params):
     spec = catalog_instance("american_put", params)
     assert spec.driver.depends_on_y == (params["rate"] > 0)
     assert verify_assumptions(spec, n_steps=20).ok
+
+
+@pytest.mark.parametrize("name, params, free", [
+    ("american_put", {}, True),
+    ("linear_z", {}, True),
+    ("zero_driver_flat", {}, True),
+    ("hyperbolic_discount", {}, False),
+    ("hyperbolic_discount", {"rho0": 0.0}, True),
+    ("hyperbolic_discount", {"kappa": 0.0}, True),
+    ("custom_affine", {}, False),
+    ("custom_affine", {"t_coef": 0.0}, True),
+])
+def test_anchor_declarations_hold(name, params, free):
+    # the catalog terminals never read the anchor; the drivers read it
+    # only through a nonzero discount slope or t coefficient
+    spec = catalog_instance(name, params)
+    assert not spec.terminal.depends_on_anchor
+    assert spec.driver.depends_on_anchor == (not free) and spec.anchor_free == free
+    assert verify_assumptions(spec, n_steps=20).ok
+    assert shift_terminal(spec, 0.1).anchor_free == free
+    assert shift_driver(spec, 0.1).anchor_free == free
+
+
+def test_driver_declared_free_of_the_anchor_that_reads_it_reported():
+    # the sweep would step every anchor on anchor 0's driver
+    base = catalog_instance("hyperbolic_discount")
+    liar = replace(base, driver=replace(base.driver, depends_on_anchor=False))
+    report = verify_assumptions(liar, n_steps=20)
+    assert [v.kind for v in report.violations] == ["dependence"]
+    assert "driver declared depends_on_anchor=False" in report.violations[0].detail
+    t, tp, s, x, y, z = report.violations[0].witness
+    assert t != tp and liar.driver(t, s, x, y, z) != liar.driver(tp, s, x, y, z)
+
+
+def test_terminal_declared_free_of_the_anchor_that_reads_it_reported():
+    # the sweep would hand anchor 0's terminal row to anchors 1..N-1
+    base = catalog_instance("linear_z")
+    liar = replace(base, terminal=TerminalSpec(name="x+t", fn=lambda t, x: x + t,
+                                               depends_on_anchor=False))
+    assert liar.anchor_free
+    report = verify_assumptions(liar, n_steps=20)
+    assert [v.kind for v in report.violations] == ["dependence"]
+    assert report.violations[0].detail == (
+        "terminal declared depends_on_anchor=False differs at anchor 1 from anchor 0 "
+        "at terminal node 0")
+    assert report.violations[0].witness == (1, 0)
+    # declared honestly, the same terminal passes and keeps the sweep's full rows
+    honest = replace(liar, terminal=replace(liar.terminal, depends_on_anchor=True))
+    assert verify_assumptions(honest, n_steps=20).ok and not honest.anchor_free
+    assert shift_terminal(liar, 0.5).terminal.depends_on_anchor is False

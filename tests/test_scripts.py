@@ -62,6 +62,37 @@ def test_ab_pairs_summary_on_fixed_numbers():
         summarize([1.0], [1.0, 2.0])
 
 
+def test_ab_pairs_extracts_both_sides_as_siblings(tmp_path):
+    # the change side is the working tree's tracked files, uncommitted and
+    # staged edits included; the base side is the commit's files
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "gone.txt").write_text("old\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=repo, check=True, capture_output=True)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")
+    (repo / "gone.txt").unlink()
+    (repo / "new.txt").write_text("staged\n")
+    git("add", "new.txt")
+    (repo / "stray.txt").write_text("untracked\n")
+    sides = tmp_path / "sides"
+    sides.mkdir()
+    base, change = _script("ab_pairs").extract_sides(repo, "HEAD", sides)
+    assert base.parent == change.parent == sides and base != change
+    assert (base / "pkg" / "mod.py").read_text() == "X = 1\n"
+    assert (change / "pkg" / "mod.py").read_text() == "X = 2\n"
+    assert (base / "gone.txt").exists() and not (change / "gone.txt").exists()
+    assert not (base / "new.txt").exists() and (change / "new.txt").read_text() == "staged\n"
+    assert not (change / "stray.txt").exists() and not (change / ".git").exists()
+
+
 def test_ab_pairs_seed_ranges():
     assert _script("ab_pairs").parse_seeds("701-703,9") == [701, 702, 703, 9]
 

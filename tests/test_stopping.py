@@ -29,7 +29,7 @@ from rbsvie.stopping import (
     stream_solve,
 )
 from rbsvie.snell import diagonal_frontier, solve_global
-from rbsvie.volterra import Layer, PicardConfig, increments, solve, sweep
+from rbsvie.volterra import Layer, PicardConfig, increments, per_anchor, solve, sweep
 
 
 def _solved(name, N, tol=1e-12, overrides=None):
@@ -309,17 +309,21 @@ def test_stopping_layer_matches_per_anchor_reference(name, n_steps):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_streamed_reports_equal_the_stored_replay(name, n_steps):
     # the commands' live consumers against the same steps replayed over a
-    # stored solution's fields; the replay rebuilds every live layer
+    # stored solution's fields; the replay rebuilds every live layer, laid
+    # out per anchor (the live layers of an anchor-free instance hold a
+    # shared row), and fdt compared with one row per anchor
     spec = catalog_instance(name)
     lat = spec.lattice(n_steps)
     sol = solve(lat, spec, PicardConfig())
     replayed = list(_replay(lat, spec, sol))
-    live = list(sweep(lat, spec, 200, z=True))
+    live = [per_anchor(layer) for layer in sweep(lat, spec, 200, z=True)]
     assert [layer.j for layer in replayed] == [layer.j for layer in live]
     for a, b in zip(replayed, live):
         for field in ("rows", "v", "z", "fdt", "barrier"):
             x, y = getattr(a, field), getattr(b, field)
             assert (x is None) == (y is None), (field, a.j)
+            if field == "fdt" and x is not None:
+                x, y = (np.broadcast_to(f, (a.j + 1, a.j + 1)) for f in (x, y))
             if x is not None:
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), (field, a.j)
         assert b.kinc is None
@@ -382,3 +386,41 @@ def test_streamed_mass_reads_anchor_js_own_row(data):
     assert mass.tobytes() == ref_mass.tobytes()
     assert _bits(rep.j_own) == _bits(ref.j_own) == _bits(j_own)
     assert _bits(rep.j_restarted) == _bits(ref.j_restarted) == _bits(j_rest)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_streamed_reports_read_shared_rows_as_their_per_anchor_layout(data):
+    # hand-built shared-row layers: the shared row is max(E + f dt, L) of
+    # the row before, and anchor j's row sits above or on L by drawn
+    # offsets, so its stop row may differ from the shared one and the
+    # restarted induction part from the own one.  Both reports read them
+    # as they read the same layers laid out per anchor
+    N = data.draw(st.integers(1, 6), label="N")
+    lat = catalog_instance("american_put").lattice(N)
+    top = data.draw(arrays(float, (2, N + 1), elements=_VALUES), label="terminal")
+    layers = [Layer(N, top, top[-1].copy())]
+    prev = top
+    for j in range(N - 1, -1, -1):
+        n = j + 1
+        shape = data.draw(st.sampled_from([(1, n), (n,), (1, 1), ()]), label="fdt")
+        fdt = data.draw(arrays(float, shape, elements=_VALUES), label="fdt values")
+        fdt = float(fdt) if shape == () else fdt
+        barrier = data.draw(arrays(float, (n,), elements=_VALUES), label="L")
+        shared = np.maximum(0.5 * (prev[:1, 1:] + prev[:1, :-1]) + fdt, barrier)
+        v = barrier + data.draw(arrays(float, (n,), elements=st.sampled_from([0.0, 1e-12, 0.5])),
+                                label="v above L")
+        rows = np.concatenate((shared, v[None])) if j else v[None]
+        layers.append(Layer(j, rows, v, fdt=fdt, barrier=barrier))
+        prev = rows
+    full = [per_anchor(layer) for layer in layers]
+    rep, mass = stream_report(lat, layers)
+    ref, ref_mass = stream_report(lat, full)
+    for field in ("e_y", "j_own", "j_restarted", "gap"):
+        assert _bits(getattr(rep, field)) == _bits(getattr(ref, field)), field
+    assert rep.frontiers_identical == ref.frontiers_identical
+    assert mass.tobytes() == ref_mass.tobytes()
+    (y, update, rows), (y_ref, update_ref, rows_ref) = \
+        stream_solve(lat, layers), stream_solve(lat, full)
+    assert [a.tobytes() for a in y] == [a.tobytes() for a in y_ref]
+    assert rows.shape == rows_ref.shape and rows.tobytes() == rows_ref.tobytes()

@@ -12,10 +12,13 @@ from hypothesis import given, settings, strategies as st
 from rbsvie.instances import (
     CATALOG_NAMES,
     DriverSpec,
+    InstanceSpec,
     ObstacleSpec,
     TerminalSpec,
     broadcast_defect,
+    brownian_dynamics,
     catalog_instance,
+    geometric_dynamics,
 )
 from rbsvie.snell import (
     constant_diagonal,
@@ -29,7 +32,7 @@ from rbsvie.snell import (
     solve_slice,
     zero_diagonal,
 )
-from rbsvie.stopping import inconsistency_report, stream_solve
+from rbsvie.stopping import inconsistency_report, stream_report, stream_solve
 from rbsvie.volterra import (
     SETTLE_RTOL,
     NoConvergence,
@@ -38,6 +41,7 @@ from rbsvie.volterra import (
     _broadcasts,
     _settle_diagonal,
     check_finite,
+    per_anchor,
     solve,
     sweep,
 )
@@ -306,6 +310,32 @@ def test_lean_sweep_layers_equal_the_full_sweep(name, params, n_steps):
         assert any(np.any(z != 0.0) for z in seen_lean)
     else:
         assert all(not np.any(z) for z in seen_lean)
+    # an anchor-free instance's shared-row layers, laid out per anchor, are
+    # the layers of the same instance declared anchor-coupled
+    assert len(full[0].rows) == (2 if base.anchor_free else n_steps + 1)
+    _assert_same_layers(full, list(sweep(lat, _anchor_coupled(base), 200, z=True)))
+
+
+def _anchor_coupled(spec):
+    """spec with its driver and terminal declared to read the anchor."""
+    return replace(spec, driver=replace(spec.driver, depends_on_anchor=True),
+                   terminal=replace(spec.terminal, depends_on_anchor=True))
+
+
+def _assert_same_layers(got, want):
+    """got's layers laid out per anchor equal want's bit for bit; fdt is
+    compared with one row per anchor, as it broadcasts."""
+    assert [a.j for a in got] == [b.j for b in want]
+    for a, b in zip(got, want):
+        a, n = per_anchor(a), a.j + 1
+        for field in ("rows", "v", "z", "fdt", "barrier"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None) == (y is None), (field, a.j)
+            if field == "fdt" and x is not None:
+                x, y = np.broadcast_to(x, (n, n)), np.broadcast_to(y, (n, n))
+            if x is not None:
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), (field, a.j)
+        assert a.update.hex() == b.update.hex(), a.j
 
 
 def test_sweep_rejects_driver_that_does_not_broadcast_over_anchors():
@@ -506,3 +536,143 @@ def test_lattice_y0_converges_at_first_order(name):
     diffs = np.diff(y0)
     ratios = diffs[:-1] / diffs[1:]
     assert np.all(np.abs(ratios - 2.0) <= 0.2), (name, y0, ratios)
+
+
+def _sweep_outcome(lat, spec, max_iters):
+    """(layers, None) of the whole sweep, or (None, (error type, text))."""
+    try:
+        return list(sweep(lat, spec, max_iters, z=True)), None
+    except (VolterraError, NoConvergence) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _anchor_free_instance(draw):
+    """An anchor-free instance drawn from affine and Lipschitz drivers,
+    terminals and obstacles; its per-node equation contracts, runs near a
+    slope of one (last-bit cycles), or does not settle within budget."""
+    n = draw(st.integers(1, 10), label="N")
+    horizon = draw(st.sampled_from([0.5, 1.0, 2.0]), label="horizon")
+    dt = horizon / n
+    regime = draw(st.sampled_from(["contract", "near_one", "expand"]), label="regime")
+    slope_dt = draw({"contract": st.floats(-1.0, 0.8), "near_one": st.floats(0.85, 0.97),
+                     "expand": st.floats(1.05, 2.0)}[regime], label="y slope x dt")
+    a = slope_dt / dt
+    b, c, d = (draw(st.floats(-1.0, 1.0), label=k) for k in ("z", "x", "const"))
+    reads_z = b != 0.0 and draw(st.booleans(), label="reads z")
+    if draw(st.booleans(), label="affine"):
+        def fn(t, s, x, y, z):
+            return a * y + (b * z if reads_z else 0.0) + c * x + d
+    else:
+        def fn(t, s, x, y, z):
+            return (a * np.maximum(y, 0.5 * y) + (b * np.abs(z) if reads_z else 0.0)
+                    + c * np.sin(x) + d * s)
+    driver = DriverSpec(name="drawn", fn=fn, lipschitz=abs(a) + abs(b),
+                        depends_on_z=reads_z, depends_on_anchor=False)
+    k0, k1 = draw(st.floats(-1.0, 1.0), label="terminal"), draw(st.floats(-2.0, 2.0))
+    terminal = TerminalSpec(name="drawn", fn=lambda t, x: k0 + k1 * np.abs(x - 0.5),
+                            depends_on_anchor=False)
+    g0, g1, g2 = (draw(st.floats(-1.0, 1.0), label="obstacle") for _ in range(3))
+    obstacle = ObstacleSpec(name="drawn", fn=lambda u, x: g0 + g1 * x + g2 * u)
+    dynamics = draw(st.sampled_from([brownian_dynamics(0.0, 1.0),
+                                     geometric_dynamics(1.0, 0.3)]), label="dynamics")
+    spec = InstanceSpec(label="drawn", driver=driver, terminal=terminal, obstacle=obstacle,
+                        dynamics=dynamics, x0=float(dynamics(0.0, 0.0)), horizon=horizon)
+    max_iters = draw(st.sampled_from([2, 40, 1000]), label="max_iters")
+    return spec, n, max_iters
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_anchor_free_sweep_equals_the_anchor_coupled_sweep(data):
+    # every shared-row layer, laid out per anchor, and the two streamed
+    # reports equal the full sweep's of the same instance declared
+    # anchor-coupled, bit for bit; a sweep that fails fails with the
+    # same error text
+    spec, n, max_iters = _anchor_free_instance(data.draw)
+    coupled = _anchor_coupled(spec)
+    lat = spec.lattice(n)
+    with np.errstate(all="ignore"):
+        got, got_err = _sweep_outcome(lat, spec, max_iters)
+        want, want_err = _sweep_outcome(lat, coupled, max_iters)
+    assert got_err == want_err
+    if got is None:
+        return
+    assert len(got[0].rows) == min(2, n + 1)
+    _assert_same_layers(got, want)
+    rep, mass = stream_report(lat, got)
+    ref, ref_mass = stream_report(lat, want)
+    for field in ("anchor_times", "e_y", "j_own", "j_restarted", "gap"):
+        assert _bits(getattr(rep, field)) == _bits(getattr(ref, field)), field
+    assert rep.frontiers_identical == ref.frontiers_identical
+    assert mass.tobytes() == ref_mass.tobytes()
+    (y, update, rows), (y_ref, update_ref, rows_ref) = \
+        stream_solve(lat, got), stream_solve(lat, want)
+    assert [a.tobytes() for a in y] == [a.tobytes() for a in y_ref]
+    assert update.hex() == update_ref.hex()
+    assert rows.shape == rows_ref.shape and rows.tobytes() == rows_ref.tobytes()
+
+
+def test_shared_row_layer_keeps_a_last_bit_cycles_v_apart():
+    # at a y-slope of 0.9 / dt the per-node equation ends on a last-bit
+    # cycle on every layer, and the explicit step from the settled v lands
+    # a last bit away from it: the shared row and v differ, and both are
+    # the anchor-coupled sweep's rows
+    base = catalog_instance("zero_driver_flat")
+    n = 8
+    a = 0.9 * n
+    spec = replace(base, driver=DriverSpec(
+        name="near_one", fn=lambda t, s, x, y, z: a * y + 0.3 * x + 1.0, lipschitz=a,
+        depends_on_z=False, depends_on_anchor=False))
+    lat = spec.lattice(n)
+    got = list(sweep(lat, spec, 1000, z=True))
+    assert all(layer.update > 0.0 for layer in got[1:])
+    assert all(layer.rows[0].tobytes() != layer.v.tobytes() for layer in got[1:-1])
+    _assert_same_layers(got, list(sweep(lat, _anchor_coupled(spec), 1000, z=True)))
+
+
+def _nan_terminal(t, x):
+    return np.where(np.asarray(x) > 0.5, np.nan, x)
+
+
+@pytest.mark.parametrize("fault, text", [
+    ("terminal", "non-finite value at anchor 0, layer 10"),
+    ("obstacle", "non-finite value at anchor 5, layer 5"),
+    ("driver", "non-finite value at anchor 9, layer 9"),
+    ("no_convergence", "anchor 9, layer 9: fixed point did not settle within 50 iterations"),
+])
+def test_anchor_free_failures_name_the_full_sweeps_anchor_and_layer(fault, text):
+    # a NaN put into an anchor-free instance, or an equation that does not
+    # settle, names the anchor and layer the full sweep of the same
+    # instance declared anchor-coupled names
+    spec = catalog_instance("zero_driver_flat")
+    if fault == "terminal":
+        spec = replace(spec, terminal=replace(spec.terminal, fn=_nan_terminal))
+    elif fault == "obstacle":
+        spec = replace(spec, obstacle=ObstacleSpec(name="wall", fn=lambda u, x: np.where(
+            (abs(u - 0.5) < 1e-9) & (np.asarray(x) > 0), np.nan, -1.0)))
+    else:
+        slope = 20.0 * 10 if fault == "no_convergence" else 0.0
+        spec = replace(spec, driver=replace(spec.driver, fn=lambda t, s, x, y, z: np.where(
+            (np.asarray(x) > 2.5) & (fault == "driver"), np.nan, slope * y)))
+    assert spec.anchor_free
+    lat = spec.lattice(10)
+    got = _sweep_outcome(lat, spec, 50)[1]
+    want = _sweep_outcome(lat, _anchor_coupled(spec), 50)[1]
+    assert got == want and text in got[1]
+
+
+def test_check_finite_names_a_shared_row_layers_last_row_anchor_j():
+    rows = np.zeros((2, 8))
+    check_finite(rows, 7, shared=True)
+    rows[1, 3] = np.nan
+    with pytest.raises(VolterraError, match="anchor 7, layer 7"):
+        check_finite(rows, 7, shared=True)
+    rows[0, 5] = np.inf
+    with pytest.raises(VolterraError, match="anchor 0, layer 7"):
+        check_finite(rows, 7, shared=True)
+    with pytest.raises(VolterraError, match="anchor 0, layer 0"):
+        check_finite(np.full((1, 1), np.nan), 0, shared=True)
