@@ -18,7 +18,7 @@ import time
 from rbsvie import mc
 from rbsvie.instances import CATALOG_NAMES, catalog_instance
 from rbsvie.stopping import stream_solve
-from rbsvie.volterra import PicardConfig, sweep
+from rbsvie.volterra import MAX_ITERS, sweep
 
 
 def main():
@@ -37,7 +37,7 @@ def main():
     for name in CATALOG_NAMES:
         spec = catalog_instance(name)
         lat = spec.lattice(args.n_steps)
-        y_diag, _, _ = stream_solve(lat, sweep(lat, spec, PicardConfig().max_iters))
+        y_diag, _, _ = stream_solve(lat, sweep(lat, spec, MAX_ITERS))
         y0 = float(y_diag[0][0])
         t0 = time.perf_counter()
         bundle = mc.simulate(lat.grid, spec, args.n_paths, seed=args.seed)

@@ -13,13 +13,13 @@ import argparse
 
 from rbsvie.instances import catalog_instance
 from rbsvie.stopping import stream_report
-from rbsvie.volterra import PicardConfig, sweep
+from rbsvie.volterra import MAX_ITERS, sweep
 
 
 def report(name, n_steps, every):
     spec = catalog_instance(name)
     lat = spec.lattice(n_steps)
-    rep, _ = stream_report(lat, sweep(lat, spec, PicardConfig().max_iters))
+    rep, _ = stream_report(lat, sweep(lat, spec, MAX_ITERS))
     print(f"\n{name}: frontiers identical = {rep.frontiers_identical}, "
           f"max gap = {rep.max_gap:.3e}")
     print(f"{'t_i':>8s} {'E[Y(t_i)]':>12s} {'J(own)':>12s} {'J(time-0)':>12s} {'gap':>12s}")

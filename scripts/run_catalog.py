@@ -7,7 +7,7 @@ import argparse
 
 from rbsvie.instances import CATALOG_NAMES, catalog_instance
 from rbsvie.stopping import stream_solve
-from rbsvie.volterra import PicardConfig, sweep
+from rbsvie.volterra import MAX_ITERS, sweep
 
 
 def main():
@@ -19,7 +19,7 @@ def main():
     for name in CATALOG_NAMES:
         spec = catalog_instance(name)
         lat = spec.lattice(args.n_steps)
-        y_diag, update, rows = stream_solve(lat, sweep(lat, spec, PicardConfig().max_iters))
+        y_diag, update, rows = stream_solve(lat, sweep(lat, spec, MAX_ITERS))
         print(f"{name:24s} {y_diag[0][0]:14.8f} {update:14.3e} {len(rows):10d}")
 
 

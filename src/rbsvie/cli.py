@@ -31,7 +31,7 @@ from rbsvie.instances import (CATALOG_NAMES, InstanceError, catalog_instance,
                               verify_assumptions)
 from rbsvie.oracle import MAX_RULE_NODES, best_rule, interior_node_count
 from rbsvie.stopping import stream_report, stream_solve
-from rbsvie.volterra import NoConvergence, PicardConfig, VolterraError, solve, sweep
+from rbsvie.volterra import MAX_ITERS, NoConvergence, VolterraError, per_anchor, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -63,7 +63,7 @@ class RunConfig:
     instance_name: str
     instance_params: dict = field(default_factory=dict)
     n_steps: int = 50
-    max_iters: int = 200
+    max_iters: int = MAX_ITERS
     n_paths: int = 100_000
     seed: int = 20260825
     basis_degree: int = 8
@@ -196,9 +196,18 @@ def _build(cfg: RunConfig, max_n=None):
 # the stop report's previous-layer rows, flags and two rule inductions,
 # and their temporaries (the sweep makes no reflection increments)
 LAYER_ARRAYS = 12
-# floats per frontier row that solve's sort adds once the layers are gone:
-# the concatenated columns, their stacked and sorted copies and the order
-FRONTIER_SORT = 13
+# floats per frontier row that solve's sort holds besides the four frontier
+# columns once the layers are gone: the joined columns, the order, and one
+# sorted column and its product with dt
+FRONTIER_SORT = 7
+# entries per layer that solve's float -> string table may reach before it
+# is emptied (see _write_solve)
+STRING_TABLE = 4
+# bytes per layer of the Python objects beside the floats: the per-layer
+# array headers of the lattice, each diagonal and the frontier parts, the
+# stop report's per-anchor floats, and solve's string table, at most
+# STRING_TABLE + 1 entries per layer of a float, its repr and a dict slot
+LAYER_OBJECTS = 4096
 
 
 def _check_fits(what: str, need: int) -> None:
@@ -213,13 +222,15 @@ def _lattice(grid: TimeGrid, specs: tuple, frontier: bool = False):
     each of specs in turn fits in memory: the lattice's three node
     arrays, each solution's diagonal and, with frontier, the four
     frontier columns (one row at most per anchor and layer), (N+1)(N+2)/2
-    floats each, and the larger of the widest sweep's LAYER_ARRAYS layer
-    arrays and the frontier sort's FRONTIER_SORT floats per row."""
+    floats each, the larger of the widest sweep's LAYER_ARRAYS layer
+    arrays and the frontier sort's FRONTIER_SORT floats per row, and
+    LAYER_OBJECTS bytes per layer."""
     n = grid.n_steps
     triangle = (n + 1) * (n + 2) // 2
     layer_rows = max(2 if spec.anchor_free else n + 1 for spec in specs)
     need = 8 * ((3 + len(specs) + 4 * frontier) * triangle
-                + max(LAYER_ARRAYS * layer_rows * (n + 1), FRONTIER_SORT * frontier * triangle))
+                + max(LAYER_ARRAYS * layer_rows * (n + 1), FRONTIER_SORT * frontier * triangle)
+                ) + LAYER_OBJECTS * (n + 1)
     _check_fits(f"the streamed working set at N={n}", need)
     return build_lattice(grid, specs[0].x0, specs[0].dynamics)
 
@@ -262,11 +273,14 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write("{\n  " + ",\n  ".join(items) + "\n}\n")
 
 
-def _strs(values: list, known: dict) -> list:
+def _strs(values: list, known: dict, cap: int) -> list:
     """repr of each float in values, read from the float -> string table
     known where it holds the value; the table gains the others except
     zeros, since 0.0 == -0.0 would share a key: each zero goes through
-    repr and keeps its sign."""
+    repr and keeps its sign.  A table of more than cap entries is emptied
+    first."""
+    if len(known) > cap:
+        known.clear()
     strs = list(map(known.get, values))
     if all(strs):
         return strs
@@ -290,17 +304,23 @@ def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) 
 
     The files are byte-equal to json.dump of payload plus "y_diag" (indent=2,
     sort_keys=True, then a newline) and to csv.writer(lineterminator="\n"),
-    which formats floats with repr, over the rows.  Each diagonal value,
-    anchor time and distinct node state goes through repr once; the JSON
-    block and both CSVs share the strings.  times are the anchor times
-    t_0..t_N.  The lattice passes y_diag and states as one node array per
-    anchor; the MC engine passes one mean per anchor and states=None, which
-    leaves node and state empty.  f_rows is either engine's (rows, 4)
-    frontier array.  The solvers reject non-finite values, so every float
-    prints as repr.
+    which formats floats with repr, over the rows.  Each diagonal value
+    goes through repr once, and the JSON block and y_diag.csv share the
+    strings.  Anchor times, node states and frontier values are read from
+    one float -> string table of at most STRING_TABLE (N + 1) entries
+    before a call to _strs adds up to N + 1: it holds every state of a
+    Brownian lattice, whose layers repeat states two apart, and the
+    recent frontier values, which repeat across anchors, while a
+    geometric lattice's distinct states pass through.  times are the
+    anchor times t_0..t_N.  The lattice passes y_diag and states as one
+    node array per anchor; the MC engine passes one mean per anchor and
+    states=None, which leaves node and state empty.  f_rows is either
+    engine's (rows, 4) frontier array.  The solvers reject non-finite
+    values, so every float prints as repr.
     """
     known = {}  # float -> string, for the states and the frontier columns
-    t_str = _strs(times, known)
+    cap = STRING_TABLE * len(times)
+    t_str = _strs(times, known, cap)
     head, _, tail = json.dumps({**payload, "y_diag": None}, indent=2,
                                sort_keys=True).partition('"y_diag": null')
     with open(out / "solution.json", "w") as js, \
@@ -315,7 +335,7 @@ def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) 
             js.write("[")
             k_str = [str(k) for k in range(len(times))]
             for i, (t, x, y) in enumerate(zip(t_str, states, y_diag)):
-                xs = _strs(x.tolist(), known)
+                xs = _strs(x.tolist(), known, cap)
                 ys = list(map(repr, y.tolist()))
                 js.write(("," if i else "") + "\n    " + _json_floats(ys, "    "))
                 lead = t + ","
@@ -325,7 +345,7 @@ def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) 
     with open(out / "frontier.csv", "w", newline="") as fc:
         fc.write("anchor_time,time,critical_state_low,critical_state_high\n")
         for start in range(0, len(f_rows), step):
-            cols = [_strs(c, known) for c in f_rows[start: start + step].T.tolist()]
+            cols = [_strs(c, known, cap) for c in f_rows[start: start + step].T.tolist()]
             fc.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
@@ -346,7 +366,7 @@ def cmd_solve(args) -> int:
         payload = {"y0": float(y_diag[0][0])}
     else:
         bundle = mc.simulate(grid, spec, cfg.n_paths, cfg.seed)
-        sol = mc.solve_mc(bundle, spec, basis, PicardConfig(max_iters=cfg.max_iters))
+        sol = mc.solve_mc(bundle, spec, basis, cfg.max_iters)
         f_rows, residuals = sol.frontier_rows, sol.residual_history
         # mc rows estimate the mean diagonal: no lattice node applies
         y_diag, states = sol.e_y_diag, None
@@ -384,13 +404,15 @@ def cmd_oracle_check(args) -> int:
     lat = _lattice(grid, (spec,))
     out = _out_dir(args, cfg)
 
-    sol = solve(lat, spec, PicardConfig(max_iters=cfg.max_iters))
+    y_diag, z = [None] * (n + 1), [None] * (n + 1)
+    for layer in sweep(lat, spec, cfg.max_iters, z=True):
+        y_diag[layer.j], z[layer.j] = layer.v, per_anchor(layer).z
     deviations = []
     for i in range(n + 1):
-        zrow = [sol.z[j][i] for j in range(i, n)]
+        zrow = [z[j][i] for j in range(i, n)]
         for k in range(i + 1):
-            _, val = best_rule(lat, spec, i, k, sol.y_diag, zrow)
-            solver = float(sol.y_diag[i][k])
+            _, val = best_rule(lat, spec, i, k, y_diag, zrow)
+            solver = float(y_diag[i][k])
             deviations.append({
                 "anchor": i,
                 "node": k,
@@ -433,7 +455,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"pair rejected: {exc}")
     out = _out_dir(args, cfg_lo)
 
-    report = check_comparison(lat, pair, PicardConfig(max_iters=cfg_lo.max_iters))
+    report = check_comparison(lat, pair, cfg_lo.max_iters)
     _write_json(out / "report.json", {
         "command": "compare",
         "low": spec_lo.label,

@@ -5,11 +5,13 @@ terminal map, driver and obstacle are ordered pointwise; the solved
 values then inherit the order.  Construction of an OrderedPair gates
 the hypothesis: when drivers read y and neither is nondecreasing in y,
 the pair must differ only in the driver, by an additive constant (the
-shift families used throughout the tests), or both instances must
-ignore the anchor, so that the system is a reflected BSDE, for which
-comparison needs no monotonicity.  The solved-value check is empirical
-either way: sweep both, compare every diagonal node.  The monotone approximation
-scheme of the comparison theorem is a reference, in snell.
+shift families used throughout the tests), or both instances must be
+declared anchor-free (InstanceSpec.anchor_free, which
+instances.verify_assumptions checks), so that the system is a reflected
+BSDE, for which comparison needs no monotonicity.  The solved-value
+check is empirical either way: sweep both, compare every diagonal node.
+The monotone approximation scheme of the comparison theorem is a
+reference, in snell.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from rbsvie.grid import Lattice
 from rbsvie.instances import InstanceSpec
-from rbsvie.volterra import PicardConfig, sweep
+from rbsvie.volterra import MAX_ITERS, sweep
 
 PAIR_ATOL = 1e-12       # slack of the data order in OrderedPair.build
 ORDER_TOLERANCE = 1e-9  # largest max(Y_lo - Y_hi) check_comparison calls ordered
@@ -36,13 +38,9 @@ _PROBE_YZ = [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 0.0),
              (0.3, -0.7), (-0.6, 0.2)]
 
 
-def _probe_anchors(lat: Lattice) -> range:
-    return range(0, lat.n_steps + 1, max(1, lat.n_steps // 8))
-
-
 def _probes(lat: Lattice, box_yz):
     """(t, s, x, y, z): probed anchors, their layers' nodes and each (y, z)."""
-    for i in _probe_anchors(lat):
+    for i in range(0, lat.n_steps + 1, max(1, lat.n_steps // 8)):
         for j in range(i, lat.n_steps):
             for y, z in box_yz:
                 yield lat.grid.t(i), lat.grid.t(j), lat.x[j], y, z
@@ -67,15 +65,6 @@ def _check_finite(gap: np.ndarray, where: str) -> None:
     bad = np.flatnonzero(~np.isfinite(gap))
     if bad.size:
         raise CompareError(f"non-finite {where}, node {int(bad[0])}")
-
-
-def _ignores_anchor(spec: InstanceSpec, lat: Lattice) -> bool:
-    """Whether driver and terminal read at every probed anchor as at anchor 0."""
-    xN = lat.x[lat.n_steps]
-    return (all(np.array_equal(spec.terminal(lat.grid.t(i), xN), spec.terminal(0.0, xN))
-                for i in _probe_anchors(lat))
-            and all(np.array_equal(spec.driver(t, s, x, y, z), spec.driver(0.0, s, x, y, z))
-                    for t, s, x, y, z in _probes(lat, _PROBE_YZ)))
 
 
 @dataclass(frozen=True)
@@ -141,11 +130,11 @@ class OrderedPair:
             # other datum moved on an anchor-coupled instance can reverse
             # the order through the diagonal
             shift = witnesses <= {"driver"} and gmax - gmin <= 1e-10
-            if not (shift or (_ignores_anchor(lo, lat) and _ignores_anchor(hi, lat))):
+            if not (shift or (lo.anchor_free and hi.anchor_free)):
                 raise CompareError(
                     "comparison hypothesis not met: drivers read y, neither is "
                     "nondecreasing in y, the pair differs by more than a constant "
-                    "driver shift, and an instance reads the anchor")
+                    "driver shift, and an instance is not declared anchor-free")
         return cls(lo=lo, hi=hi, witnesses=tuple(sorted(witnesses)))
 
 
@@ -180,15 +169,14 @@ def _pad(lohi: tuple, frac: float) -> tuple:
 
 
 def check_comparison(lat: Lattice, pair: OrderedPair,
-                     cfg: PicardConfig | None = None) -> ComparisonReport:
+                     max_iters: int = MAX_ITERS) -> ComparisonReport:
     """Sweep both instances, one layer held at a time, and compare every
-    diagonal node.
+    diagonal node; max_iters bounds each per-node equation.
 
     Also recheck the driver ordering on the solved (y, z) ranges padded
     by RANGE_PAD of their width, the region the discrete comparison
     actually exercises.
     """
-    max_iters = (cfg or PicardConfig()).max_iters
     y_lo, ya, za = _diagonal_and_ranges(lat, pair.lo, max_iters)
     y_hi, yb, zb = _diagonal_and_ranges(lat, pair.hi, max_iters)
 

@@ -41,8 +41,8 @@ import numpy as np
 from rbsvie.grid import TimeGrid
 from rbsvie.instances import InstanceSpec
 from rbsvie.stopping import _frontier_part, _sorted_rows, _stops
-from rbsvie.volterra import (NoConvergence, PicardConfig, VolterraError,
-                             check_finite, step_layer, step_rows, terminal_rows)
+from rbsvie.volterra import (MAX_ITERS, NoConvergence, VolterraError, check_finite,
+                             step_layer, step_rows, terminal_rows)
 
 BLOCK_SIZE = 65536
 # paths per block of the bootstrap's weighted sums; a block stays in cache
@@ -288,14 +288,13 @@ def working_set_bytes(n_steps: int, n_paths: int, basis: RegressionBasis) -> int
 
 
 def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
-             cfg: PicardConfig | None = None, n_bootstrap: int = N_BOOTSTRAP) -> MCSolution:
+             max_iters: int = MAX_ITERS, n_bootstrap: int = N_BOOTSTRAP) -> MCSolution:
     """One backward pass over the layers (see the module docstring).
 
-    cfg.max_iters bounds each per-path equation.  A non-finite row raises
+    max_iters bounds each per-path equation.  A non-finite row raises
     MCError, an equation that does not settle NoConvergence; both name
     the anchor and layer.
     """
-    cfg = cfg or PicardConfig()
     grid = bundle.grid
     N = grid.n_steps
     n = bundle.n_paths
@@ -337,7 +336,7 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
                                    bundle.dw[j], dt)
             e, z = vals[: j + 1], zrows[: j + 1]
             proj.project(e, z if fit_z else None)
-            layer = step_layer(spec, anchor_t, s, x_j, e, z, dt, j, cfg.max_iters)
+            layer = step_layer(spec, anchor_t, s, x_j, e, z, dt, j, max_iters)
             v, barrier = layer.v, layer.barrier
             largest_update = max(largest_update, layer.update)
             e_y_diag[j] = float(v.mean())

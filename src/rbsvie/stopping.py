@@ -144,10 +144,6 @@ def evaluate_J(lat: Lattice, spec: InstanceSpec, sol: Solution, i: int,
             return lat.layer_expect(i, vals[0])
 
 
-def expected_y(lat: Lattice, sol: Solution, i: int) -> float:
-    return float(lat.layer_expect(i, sol.y_diag[i]))
-
-
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Per-anchor payoffs of the own rule versus the restarted anchor-0 rule.
@@ -223,9 +219,18 @@ def _frontier_part(j: int, stops: np.ndarray, x: np.ndarray, first: int = 1) -> 
 
 
 def _sorted_rows(parts: list, dt: float) -> np.ndarray:
-    """The parts' frontier rows, anchor-major and then by time (see the module docstring)."""
-    i, j, low, high = (np.concatenate(p) for p in zip(*parts))
-    return np.column_stack((i * dt, j * dt, low, high))[np.lexsort((j, i))]
+    """The parts' frontier rows, anchor-major and then by time (see the module docstring).
+
+    Empties parts once their columns are joined, and gathers each sorted
+    column straight into the result.
+    """
+    cols = [np.concatenate(p) for p in zip(*parts)]
+    parts.clear()
+    order = np.lexsort((cols[1], cols[0]))  # by anchor, then by layer
+    rows = np.empty((len(order), 4))
+    for c, col in enumerate(cols):
+        rows[:, c] = col[order] * dt if c < 2 else col[order]
+    return rows
 
 
 def frontier_rows(lat: Lattice, spec: InstanceSpec, sol: Solution) -> np.ndarray:

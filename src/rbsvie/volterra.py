@@ -15,7 +15,9 @@ This is the paper's construction that pastes short windows together,
 with window dt and an exact inner solve.  sweep runs it and hands out
 each layer's (anchors x nodes) arrays as soon as they are made, so a
 consumer that reads them in the sweep's order, j = N .. 0, holds one
-layer at a time; solve collects them into a Solution's per-layer lists.
+layer at a time; every command consumes it so.  solve collects the
+layers into a Solution's per-layer lists, the stored reference that the
+tests replay and compare.
 When neither the driver nor the terminal reads the anchor
 (InstanceSpec.anchor_free), anchors 0..j-1 step the same numbers through
 the same operations, and the sweep steps one shared row for them: its
@@ -47,6 +49,8 @@ from rbsvie.instances import InstanceSpec, anchor_axis_defect
 
 # relative size of a last-bit cycle the per-node equation may end on
 SETTLE_RTOL = 1e-14
+# default bound on the iterations of each per-node equation
+MAX_ITERS = 200
 
 
 class VolterraError(ValueError):
@@ -72,7 +76,7 @@ class PicardConfig:
     sweep and the passes of the Picard reference (snell.solve_global).
     """
 
-    max_iters: int = 200
+    max_iters: int = MAX_ITERS
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -278,7 +282,10 @@ def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndar
     row steps with the diagonal frozen at the settled v.  The rows
     overwrite e; the settled v replaces the last row, or is appended
     after the shared row (see Layer).  The layer carries z when keep_z.
+    A max_iters below 1 is a VolterraError.
     """
+    if max_iters < 1:
+        raise VolterraError("max_iters must be >= 1")
     barrier = np.asarray(spec.obstacle(s, x), dtype=float)
     v, update = _settle_diagonal(spec, s, x, e[-1], z[-1], barrier, dt, j, max_iters)
     rows, fdt = step_rows(spec, anchor_t[: len(e)], s, x, v, e, z, barrier, dt, j)

@@ -226,7 +226,7 @@ def test_criterion_06_comparison_and_monotone_scheme(specs):
 def test_criterion_07_rule_value_identity_and_dominance(specs, solved50):
     # J(t_i, own rule) equals E[Y(t_i)] at every anchor (N=50), and at
     # N=4 no enumerable rule beats the solver by more than 1e-10
-    from rbsvie.stopping import evaluate_J, expected_y
+    from rbsvie.stopping import evaluate_J
 
     worst_id = 0.0
     for name, (lat, sol) in solved50.items():
@@ -234,7 +234,7 @@ def test_criterion_07_rule_value_identity_and_dominance(specs, solved50):
         frontier = extract_frontier(sol, lat, spec)
         for i in range(51):
             j_own = evaluate_J(lat, spec, sol, i, frontier.rule(i))
-            worst_id = max(worst_id, abs(j_own - expected_y(lat, sol, i)))
+            worst_id = max(worst_id, abs(j_own - lat.layer_expect(i, sol.y_diag[i])))
     assert worst_id <= 1e-9, f"identity error {worst_id:.3e}"
 
     min_slack = np.inf

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -15,7 +18,7 @@ from rbsvie.grid import TimeGrid, build_lattice
 from rbsvie.instances import CATALOG_NAMES, DriverSpec, catalog_instance
 from rbsvie.snell import flatness_defect, solve_slice
 from rbsvie.stopping import frontier_rows
-from rbsvie.volterra import PicardConfig, solve
+from rbsvie.volterra import solve
 
 
 def _cfg(tmp_path, body, name="run.ini"):
@@ -231,7 +234,7 @@ def test_mc_artifacts_render_the_in_memory_solution(tmp_path):
     grid = TimeGrid(spec.horizon, rc.n_steps)
     sol = mc.solve_mc(mc.simulate(grid, spec, rc.n_paths, rc.seed), spec,
                       mc.RegressionBasis(rc.basis_family, rc.basis_degree),
-                      PicardConfig(max_iters=rc.max_iters))
+                      rc.max_iters)
     f_rows = sol.frontier_rows
     payload = {
         "y_diag": sol.e_y_diag,
@@ -666,9 +669,10 @@ def test_infeasible_request_exits_one_without_artifacts(tmp_path, body, flags, c
 @pytest.mark.parametrize("command", ["solve", "stop", "compare"])
 def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command, capsys,
                                                               monkeypatch):
-    # N = 100000 needs about 3.2e11 bytes of lattice, diagonals and solve's
-    # frontier while the sweep streams american_put's shared-row layers:
-    # refused before the lattice is built or --out is made
+    # N = 100000 needs 1.6e11 (stop) to 6.0e11 (solve) bytes of lattice,
+    # diagonals and solve's frontier and its sort while the sweep streams
+    # american_put's shared-row layers: refused before the lattice is built
+    # or --out is made
     def no_lattice(*args):
         raise AssertionError("lattice built")
     monkeypatch.setattr(cli, "build_lattice", no_lattice)
@@ -687,11 +691,12 @@ def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command,
 def _streamed_bytes(n, solutions, frontier, layer_rows):
     # the lattice's w, x and probs, each diagonal and solve's four frontier
     # columns hold (N+1)(N+2)/2 floats each, the layer arrays layer_rows x
-    # (N+1), and solve's frontier sort, after the layers, FRONTIER_SORT per row
+    # (N+1), and solve's frontier sort, after the layers, FRONTIER_SORT per
+    # row; the Python objects add LAYER_OBJECTS bytes per layer
     triangle = (n + 1) * (n + 2) // 2
     return 8 * ((3 + solutions + 4 * frontier) * triangle
                 + max(cli.LAYER_ARRAYS * layer_rows * (n + 1),
-                      cli.FRONTIER_SORT * frontier * triangle))
+                      cli.FRONTIER_SORT * frontier * triangle)) + cli.LAYER_OBJECTS * (n + 1)
 
 
 @pytest.mark.parametrize("command, names", [
@@ -761,11 +766,17 @@ def test_solve_traced_peak_within_its_memory_gate(tmp_path):
     assert peak <= _streamed_bytes(n, 1, frontier=True, layer_rows=n + 1), peak
 
 
-@pytest.mark.parametrize("command, n", [("solve", 200), ("stop", 400)])
-def test_anchor_free_traced_peak_within_its_memory_gate(tmp_path, command, n):
-    # the shared-row sweep's gate counts two rows per layer array; at these
-    # N the lattice and solve's frontier outweigh the reports' O(N) objects
-    cfg = _cfg(tmp_path, f"[instance]\nname = linear_z\n\n[grid]\nN = {n}\n")
+@pytest.mark.parametrize("command, name, n", [
+    pytest.param("solve", "linear_z", 200, id="solve-200"),
+    pytest.param("stop", "linear_z", 200, id="stop-200"),
+    pytest.param("stop", "linear_z", 400, id="stop-400"),
+    # a stop row on nearly every (anchor, layer), and a geometric lattice
+    # whose node states all differ, each formatted for the CSVs
+    ("solve", "american_put", 200), ("solve", "american_put", 400),
+])
+def test_anchor_free_traced_peak_within_its_memory_gate(tmp_path, command, name, n):
+    # the shared-row sweep's gate counts two rows per layer array
+    cfg = _cfg(tmp_path, f"[instance]\nname = {name}\n\n[grid]\nN = {n}\n")
     peak = _traced_peak(command, "--config", cfg, "--out", str(tmp_path / "out"))
     assert peak <= _streamed_bytes(n, 1, frontier=command == "solve", layer_rows=2), peak
 
@@ -894,3 +905,50 @@ n_paths = 500
     err = capsys.readouterr().err
     assert "config error: mc" in err and "anchor 0, layer 4" in err
     assert not (out / "solution.json").exists()
+
+
+_STORED_LAYER_GUARD = '''
+import sys
+from rbsvie import stopping, volterra
+
+
+def refuse(name):
+    def stub(*args, **kwargs):
+        raise AssertionError(f"a command called {name}")
+    return stub
+
+
+volterra.solve = refuse("volterra.solve")
+volterra.PicardConfig = refuse("volterra.PicardConfig")
+for name in ("extract_frontier", "frontier_rows", "evaluate_J", "inconsistency_report",
+             "premature_increment_mass", "_replay"):
+    setattr(stopping, name, refuse(f"stopping.{name}"))
+
+from rbsvie.cli import main  # noqa: E402
+
+tmp = sys.argv[1]
+cfgs = []
+for k, strike in enumerate(("0.9", "1.0")):
+    cfgs.append(f"{tmp}/{k}.ini")
+    with open(cfgs[-1], "w") as fh:
+        fh.write(f"[instance]\\nname = american_put\\nstrike = {strike}\\n\\n"
+                 f"[grid]\\nN = 4\\n\\n[mc]\\nn_paths = 400\\n")
+runs = [["solve"], ["solve", "--engine", "mc"], ["stop"], ["oracle-check"],
+        ["verify-assumptions"], ["compare", "--config", cfgs[0]]]
+for k, run in enumerate(runs):
+    rc = main([*run, "--config", cfgs[1], "--out", f"{tmp}/out{k}"])
+    assert rc == 0, (run, rc)
+'''
+
+
+def test_commands_never_touch_the_stored_solution_layer(tmp_path):
+    # every command streams volterra.sweep: with the stored solve, its
+    # PicardConfig and stopping's stored-solution reports replaced by stubs
+    # that raise before rbsvie.cli is imported, each still exits 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", _STORED_LAYER_GUARD, str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr

@@ -122,6 +122,25 @@ def test_hypothesis_gate_blocks_unrelated_decreasing_drivers():
         OrderedPair.build(lo, hi, base.lattice(16))
 
 
+def test_hypothesis_gate_reads_the_anchor_free_declaration():
+    # a strike pair moves terminal and obstacle of a y-decreasing driver:
+    # the gate admits it only for instances declared anchor-free, which
+    # verify_assumptions checks, and no longer probes the data for it
+    from dataclasses import replace
+    declared = (catalog_instance("american_put", {"strike": 0.9}),
+                catalog_instance("american_put"))
+    assert all(spec.anchor_free for spec in declared)
+    lat = declared[0].lattice(12)
+    pair = OrderedPair.build(*declared, lat)
+    assert pair.witnesses == ("obstacle", "terminal")
+    undeclared = [replace(spec, driver=replace(spec.driver, depends_on_anchor=True),
+                          terminal=replace(spec.terminal, depends_on_anchor=True))
+                  for spec in declared]
+    for lo, hi in (undeclared, (declared[0], undeclared[1]), (undeclared[0], declared[1])):
+        with pytest.raises(CompareError, match="hypothesis"):
+            OrderedPair.build(lo, hi, lat)
+
+
 def test_obstacle_shift_alone_can_reverse_order():
     # the monotonicity hypothesis is not decorative: with a y-decreasing
     # driver, lowering only the obstacle lowers the diagonal, raises the

@@ -239,8 +239,10 @@ def test_no_convergence_raises():
     bundle = mc.simulate(grid, spec, 2_000, seed=4)
     with pytest.raises(NoConvergence) as exc:
         mc.solve_mc(bundle, spec, mc.RegressionBasis(),
-                    cfg=PicardConfig(max_iters=1))
+                    max_iters=1)
     assert "mc" in str(exc.value)
+    with pytest.raises(mc.MCError, match="mc max_iters must be >= 1"):
+        mc.solve_mc(bundle, spec, mc.RegressionBasis(), max_iters=0)
 
 
 def test_metadata_records_generator_and_settings():

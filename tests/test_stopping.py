@@ -20,7 +20,6 @@ from rbsvie.stopping import (
     StoppingError,
     _replay,
     evaluate_J,
-    expected_y,
     extract_frontier,
     frontier_rows,
     inconsistency_report,
@@ -189,7 +188,7 @@ def test_stop_at_horizon_rule_pays_expected_terminal():
         j = evaluate_J(lat, spec, sol, i, fr.rule(i))
         expect = float(lat.layer_expect(10, spec.terminal(lat.grid.t(i), lat.x[10])))
         assert abs(j - expect) < 1e-13
-        assert abs(expected_y(lat, sol, i) - j) < 1e-13
+        assert abs(lat.layer_expect(i, sol.y_diag[i]) - j) < 1e-13
 
 
 def test_rule_start_mismatch_rejected():
@@ -204,7 +203,7 @@ def test_rule_value_needs_stored_fields():
     lat = spec.lattice(20)
     full = solve(lat, spec, PicardConfig())
     rule = extract_frontier(full, lat, spec).rule(0)
-    assert abs(evaluate_J(lat, spec, full, 0, rule) - expected_y(lat, full, 0)) < 1e-12
+    assert abs(evaluate_J(lat, spec, full, 0, rule) - lat.layer_expect(0, full.y_diag[0])) < 1e-12
 
 
 # Per-anchor reference for the stopping layer: anchor-major flag tuples,
@@ -288,7 +287,7 @@ def test_stopping_layer_matches_per_anchor_reference(name, n_steps):
     assert _bits(rep.j_own) == _bits(j_own)
     assert _bits(rep.j_restarted) == _bits(j_rest)
     assert _bits(rep.gap) == _bits(a - b for a, b in zip(j_own, j_rest))
-    assert _bits(rep.e_y) == _bits(expected_y(lat, sol, i) for i in range(N + 1))
+    assert _bits(rep.e_y) == _bits(lat.layer_expect(i, sol.y_diag[i]) for i in range(N + 1))
     assert rep.frontiers_identical == all(flags[0][i:] == flags[i] for i in range(1, N + 1))
     assert _bits(evaluate_J(lat, spec, sol, i, fr.rule(i)) for i in range(N + 1)) == \
         _bits(j_own)

@@ -53,6 +53,12 @@ def test_config_validation():
         solve_global(spec.lattice(2), spec, tolerance=0.0)
     with pytest.raises(VolterraError):
         PicardConfig(max_iters=0)
+    # the commands pass the bound as an int; below 1 it is a config error
+    # on the first stepped layer, not a NoConvergence after no iteration
+    for name in ("american_put", "hyperbolic_discount"):
+        spec = catalog_instance(name)
+        with pytest.raises(VolterraError, match="max_iters"):
+            list(sweep(spec.lattice(2), spec, 0))
 
 
 def test_zero_driver_solved_in_one_pass():
