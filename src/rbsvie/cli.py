@@ -208,6 +208,10 @@ STRING_TABLE = 4
 # stop report's per-anchor floats, and solve's string table, at most
 # STRING_TABLE + 1 entries per layer of a float, its repr and a dict slot
 LAYER_OBJECTS = 4096
+# bytes the first command in a process allocates whatever N is: the modules
+# it imports on first use (argparse's gettext and locale, configparser,
+# json) and the parser; about 241 KB at N = 1, bounded with a margin
+FIRST_CALL = 327680
 
 
 def _check_fits(what: str, need: int) -> None:
@@ -223,14 +227,14 @@ def _lattice(grid: TimeGrid, specs: tuple, frontier: bool = False):
     arrays, each solution's diagonal and, with frontier, the four
     frontier columns (one row at most per anchor and layer), (N+1)(N+2)/2
     floats each, the larger of the widest sweep's LAYER_ARRAYS layer
-    arrays and the frontier sort's FRONTIER_SORT floats per row, and
-    LAYER_OBJECTS bytes per layer."""
+    arrays and the frontier sort's FRONTIER_SORT floats per row,
+    LAYER_OBJECTS bytes per layer and FIRST_CALL bytes once."""
     n = grid.n_steps
     triangle = (n + 1) * (n + 2) // 2
     layer_rows = max(2 if spec.anchor_free else n + 1 for spec in specs)
     need = 8 * ((3 + len(specs) + 4 * frontier) * triangle
                 + max(LAYER_ARRAYS * layer_rows * (n + 1), FRONTIER_SORT * frontier * triangle)
-                ) + LAYER_OBJECTS * (n + 1)
+                ) + LAYER_OBJECTS * (n + 1) + FIRST_CALL
     _check_fits(f"the streamed working set at N={n}", need)
     return build_lattice(grid, specs[0].x0, specs[0].dynamics)
 

@@ -20,14 +20,16 @@ evaluate_J) feed them the layers _replay rebuilds from its fields.
 The streamed reports index anchors only by first and last row, so they
 read the sweep's shared-row layers of an anchor-free instance (see
 volterra.Layer) as they read full ones: their flags, inductions and
-frontier reductions then hold one shared row and anchor j's.
+frontier parts then hold one shared row and anchor j's.
 
 Both engines report a strategy as frontier rows: one float64 array of
 shape (rows, 4) holding anchor time, time, and the smallest and largest
 stopped state, one row per (anchor, layer) with a nonempty stop region,
 anchor-major.  _stops decides which nodes stop and _frontier_part and
 _sorted_rows reduce them to rows, for the lattice here and for one
-anchor-0 row per path in the regression Monte Carlo engine.
+anchor-0 row per path in the regression Monte Carlo engine; on the
+lattice's sorted states _frontier_part scans the flags instead of
+reducing the states.
 """
 
 from __future__ import annotations
@@ -201,15 +203,38 @@ def premature_increment_mass(lat: Lattice, spec: InstanceSpec, sol: Solution) ->
     return stream_report(lat, _replay(lat, spec, sol))[1]
 
 
+def _nondecreasing(x: np.ndarray) -> bool:
+    """Whether the states x never decrease, with no tie of 0.0 and -0.0,
+    whose bits a reduction may take either way."""
+    if (x[:-1] < x[1:]).all():
+        return True
+    if not (x[:-1] <= x[1:]).all():
+        return False
+    zeros = np.signbit(x[x == 0.0])
+    return bool(zeros.all() or not zeros.any())
+
+
 def _frontier_part(j: int, stops: np.ndarray, x: np.ndarray, first: int = 1) -> tuple:
     """(anchor, layer, low, high) columns of layer j's nonempty stop regions.
 
     Row 0 of stops stands for anchors 0..first-1 and row r > 0 for anchor
-    first - 1 + r: row 0's reduction is made once and repeated.
+    first - 1 + r: row 0 is read once and its columns repeated.  On
+    nondecreasing states, as every lattice layer's are, a layer without a
+    stop flag has no parts, and a row's low and high are the states of
+    its first and last flag, found by one scan of the flags from each
+    end.  Other states, such as a Monte Carlo path cloud, are reduced
+    under masks.  Both give the same bits.
     """
-    hit = np.logical_or.reduce(stops, axis=1)
-    low = np.minimum.reduce(np.where(stops, x, np.inf), axis=1)
-    high = np.maximum.reduce(np.where(stops, x, -np.inf), axis=1)
+    if _nondecreasing(x):
+        if not stops.any():
+            return np.empty(0, dtype=np.intp), np.full(0, j), x[:0], x[:0]
+        lo = stops.argmax(axis=1)  # each row's first flag, or 0 without one
+        hit = stops[np.arange(len(stops)), lo]
+        low, high = x[lo], x[stops.shape[1] - 1 - stops[:, ::-1].argmax(axis=1)]
+    else:
+        hit = np.logical_or.reduce(stops, axis=1)
+        low = np.minimum.reduce(np.where(stops, x, np.inf), axis=1)
+        high = np.maximum.reduce(np.where(stops, x, -np.inf), axis=1)
     if first > 1:
         reps = np.ones(len(hit), dtype=int)
         reps[0] = first
@@ -294,9 +319,12 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
 def stream_solve(lat: Lattice, layers: Iterable[Layer]) -> tuple:
     """Diagonal and frontier rows of the sweep's layers j = N .. 0.
 
-    Keeps each layer's diagonal and frontier reduction, and sorts the
-    rows anchor-major at the end.  A shared-row layer's shared stop row
-    is reduced once, and its columns repeated for anchors 0..j-1.
+    Keeps each layer's diagonal and frontier part, and sorts the rows
+    anchor-major at the end.  The lattice's states increase along each
+    layer, so _frontier_part reads each row's low and high off its first
+    and last stop flag, and a layer without a flag adds no rows after
+    one scan.  A shared-row layer's shared stop row is read once, and
+    its columns repeated for anchors 0..j-1.
     Returns (y_diag, largest last update of the per-node equations, rows).
     """
     N = lat.n_steps

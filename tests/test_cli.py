@@ -692,11 +692,13 @@ def _streamed_bytes(n, solutions, frontier, layer_rows):
     # the lattice's w, x and probs, each diagonal and solve's four frontier
     # columns hold (N+1)(N+2)/2 floats each, the layer arrays layer_rows x
     # (N+1), and solve's frontier sort, after the layers, FRONTIER_SORT per
-    # row; the Python objects add LAYER_OBJECTS bytes per layer
+    # row; the Python objects add LAYER_OBJECTS bytes per layer, and the
+    # first command in a process FIRST_CALL bytes
     triangle = (n + 1) * (n + 2) // 2
     return 8 * ((3 + solutions + 4 * frontier) * triangle
                 + max(cli.LAYER_ARRAYS * layer_rows * (n + 1),
-                      cli.FRONTIER_SORT * frontier * triangle)) + cli.LAYER_OBJECTS * (n + 1)
+                      cli.FRONTIER_SORT * frontier * triangle)) + cli.LAYER_OBJECTS * (n + 1) \
+        + cli.FIRST_CALL
 
 
 @pytest.mark.parametrize("command, names", [
@@ -779,6 +781,48 @@ def test_anchor_free_traced_peak_within_its_memory_gate(tmp_path, command, name,
     cfg = _cfg(tmp_path, f"[instance]\nname = {name}\n\n[grid]\nN = {n}\n")
     peak = _traced_peak(command, "--config", cfg, "--out", str(tmp_path / "out"))
     assert peak <= _streamed_bytes(n, 1, frontier=command == "solve", layer_rows=2), peak
+
+
+_FIRST_CALL_PEAK = '''
+import sys
+import tracemalloc
+from rbsvie import cli
+
+command, name, tmp = sys.argv[1:]
+seen = []
+check_fits = cli._check_fits
+
+
+def record(what, need):
+    seen.append(need)
+    check_fits(what, need)
+
+
+cli._check_fits = record
+with open(f"{tmp}/run.ini", "w") as fh:
+    fh.write(f"[instance]\\nname = {name}\\n\\n[grid]\\nN = 25\\n")
+tracemalloc.start()
+assert cli.main([command, "--config", f"{tmp}/run.ini", "--out", f"{tmp}/out"]) == 0
+print(tracemalloc.get_traced_memory()[1], *seen)
+'''
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("command", ["solve", "stop"])
+def test_first_command_in_a_process_traced_peak_within_its_memory_gate(tmp_path, command,
+                                                                       name):
+    # the first cli.main call in a fresh process imports modules and builds
+    # its parser, about 241 KB whatever N is: at N = 25 that outweighs the
+    # layer terms, and the gate's FIRST_CALL term counts it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", _FIRST_CALL_PEAK, command, name, str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
+    peak, need = (int(v) for v in res.stdout.split()[-2:])
+    assert peak <= need, (peak, need)
 
 
 @pytest.mark.parametrize("command", ["solve", "stop"])

@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ("run_catalog.py", ["--n-steps", "8"], "stop rows"),
     ("replanning_gaps.py", ["--n-steps", "8", "--every", "2"], "J(time-0)"),
     ("mc_crosscheck.py", ["--n-steps", "4", "--n-paths", "2000"], "lattice y0"),
+    ("scaling.py", ["--instances", "american_put", "--commands", "solve,stop", "--n", "4",
+                    "--repeat", "1"], '"best_s"'),
 ])
 def test_script_runs(script, args, header):
     env = dict(os.environ)

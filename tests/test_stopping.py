@@ -18,7 +18,10 @@ from rbsvie.oracle import StoppingRule, enumerate_rules, payoff_of_rule
 from rbsvie.stopping import (
     ConsistencyReport,
     StoppingError,
+    _frontier_part,
+    _nondecreasing,
     _replay,
+    _stops,
     evaluate_J,
     extract_frontier,
     frontier_rows,
@@ -423,3 +426,69 @@ def test_streamed_reports_read_shared_rows_as_their_per_anchor_layout(data):
         stream_solve(lat, layers), stream_solve(lat, full)
     assert [a.tobytes() for a in y] == [a.tobytes() for a in y_ref]
     assert rows.shape == rows_ref.shape and rows.tobytes() == rows_ref.tobytes()
+
+
+def _reduced_part(j, stops, x, first=1):
+    # _frontier_part's masked reductions, as it made them on every layer
+    # before the sorted-state scan
+    hit = np.logical_or.reduce(stops, axis=1)
+    low = np.minimum.reduce(np.where(stops, x, np.inf), axis=1)
+    high = np.maximum.reduce(np.where(stops, x, -np.inf), axis=1)
+    if first > 1:
+        reps = np.ones(len(hit), dtype=int)
+        reps[0] = first
+        hit, low, high = (np.repeat(a, reps) for a in (hit, low, high))
+    anchors = hit.nonzero()[0]
+    return anchors, np.full(len(anchors), j), low[hit], high[hit]
+
+
+def _assert_same_part(part, ref):
+    assert len(part) == len(ref) == 4
+    for got, want in zip(part, ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# ties, signed zeros, infinities and NaN among the drawn states
+_STATES = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.25, np.inf, np.nan]),
+                    st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_frontier_scan_equals_the_masked_reductions(data):
+    # drawn states, sorted or not, and stop masks with empty rows, empty
+    # layers, single rows and a shared row 0 standing for several anchors
+    n = data.draw(st.integers(1, 9), label="nodes")
+    x = data.draw(arrays(float, (n,), elements=_STATES), label="states")
+    if data.draw(st.booleans(), label="sorted"):
+        x = np.sort(x)
+    rows = data.draw(st.integers(1, 6), label="rows")
+    stops = data.draw(arrays(bool, (rows, n)), label="stops")
+    stops[data.draw(arrays(bool, (rows,)), label="empty rows")] = False
+    if data.draw(st.booleans(), label="empty layer"):
+        stops[:] = False
+    first = data.draw(st.integers(1, 4), label="first")
+    j = data.draw(st.integers(0, 50), label="layer")
+
+    ascending = bool(np.all(x[:-1] <= x[1:]))
+    zeros = x[x == 0.0]
+    mixed_zeros = np.signbit(zeros).any() and not np.signbit(zeros).all()
+    # unsorted states, and a tie of 0.0 with -0.0, take the reductions
+    assert _nondecreasing(x) == (ascending and not mixed_zeros)
+    _assert_same_part(_frontier_part(j, stops, x, first), _reduced_part(j, stops, x, first))
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 50])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_frontier_scan_on_every_sweep_layer(name, n_steps):
+    # every lattice layer's states are nondecreasing, so the sweep's layers,
+    # shared-row ones included, take the scan and give the reductions' bits
+    spec = catalog_instance(name)
+    lat = spec.lattice(n_steps)
+    for layer in sweep(lat, spec, 200):
+        j, x = layer.j, lat.x[layer.j]
+        assert _nondecreasing(x)
+        stops = _stops(layer.rows, layer.barrier)
+        first = j + 2 - len(layer.rows)
+        _assert_same_part(_frontier_part(j, stops, x, first), _reduced_part(j, stops, x, first))
