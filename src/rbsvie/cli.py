@@ -128,14 +128,14 @@ def load_config(path: str) -> RunConfig:
 
     cfg = RunConfig(instance_name=name, instance_params=params)
 
-    horizon = _get_float(cp, "grid", "t")
+    horizon = _get_float(cp, "grid", "T")
     if horizon is not None:
         if horizon <= 0:
             raise ConfigError(f"grid.T must be positive, got {horizon}")
         if "horizon" in params:
             raise ConfigError("specify the horizon once: either grid.T or instance.horizon")
         params["horizon"] = horizon
-    n = _get_int(cp, "grid", "n")
+    n = _get_int(cp, "grid", "N")
     if n is not None:
         if n < 1:
             raise ConfigError(f"grid.N must be >= 1, got {n}")
@@ -223,16 +223,16 @@ def _check_fits(what: str, need: int) -> None:
 
 def _lattice(grid: TimeGrid, specs: tuple, frontier: bool = False):
     """The lattice of specs[0], once the streamed working set of sweeping
-    each of specs in turn fits in memory: the lattice's three node
-    arrays, each solution's diagonal and, with frontier, the four
-    frontier columns (one row at most per anchor and layer), (N+1)(N+2)/2
-    floats each, the larger of the widest sweep's LAYER_ARRAYS layer
+    each of specs in turn fits in memory: the lattice's two node arrays
+    (states and probabilities), each solution's diagonal and, with
+    frontier, the four frontier columns (one row at most per anchor and
+    layer), (N+1)(N+2)/2 floats each, the larger of the widest sweep's LAYER_ARRAYS layer
     arrays and the frontier sort's FRONTIER_SORT floats per row,
     LAYER_OBJECTS bytes per layer and FIRST_CALL bytes once."""
     n = grid.n_steps
     triangle = (n + 1) * (n + 2) // 2
     layer_rows = max(2 if spec.anchor_free else n + 1 for spec in specs)
-    need = 8 * ((3 + len(specs) + 4 * frontier) * triangle
+    need = 8 * ((2 + len(specs) + 4 * frontier) * triangle
                 + max(LAYER_ARRAYS * layer_rows * (n + 1), FRONTIER_SORT * frontier * triangle)
                 ) + LAYER_OBJECTS * (n + 1) + FIRST_CALL
     _check_fits(f"the streamed working set at N={n}", need)

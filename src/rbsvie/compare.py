@@ -67,6 +67,21 @@ def _check_finite(gap: np.ndarray, where: str) -> None:
         raise CompareError(f"non-finite {where}, node {int(bad[0])}")
 
 
+def _data_differ(lo_vals, hi_vals, datum: str, where: str, node: str) -> bool:
+    """Whether lo's datum values differ from hi's beyond PAIR_ATOL at
+    where; a non-finite gap, or lo above hi beyond it, is a CompareError
+    naming the node."""
+    a = np.asarray(lo_vals, dtype=float)
+    b = np.asarray(hi_vals, dtype=float)
+    bad = a - b
+    _check_finite(bad, f"{datum} gap at {where}")
+    if float(bad.max()) > PAIR_ATOL:
+        k = int(np.argmax(bad))
+        raise CompareError(f"{datum} order violated at {where}, {node} {k}: "
+                           f"lo={a[k]:.6g} > hi={b[k]:.6g}")
+    return float(np.max(np.abs(bad))) > PAIR_ATOL
+
+
 @dataclass(frozen=True)
 class OrderedPair:
     """A lattice-verified ordered pair of instances (lo below hi).
@@ -90,30 +105,14 @@ class OrderedPair:
         xN = lat.x[N]
         for i in range(N + 1):
             t = grid.t(i)
-            a = np.asarray(lo.terminal(t, xN), dtype=float)
-            b = np.asarray(hi.terminal(t, xN), dtype=float)
-            bad = a - b
-            _check_finite(bad, f"terminal gap at anchor {i}")
-            if float(bad.max()) > PAIR_ATOL:
-                k = int(np.argmax(bad))
-                raise CompareError(
-                    f"terminal order violated at anchor {i}, terminal node {k}: "
-                    f"lo={a[k]:.6g} > hi={b[k]:.6g}")
-            if float(np.max(np.abs(bad))) > PAIR_ATOL:
+            if _data_differ(lo.terminal(t, xN), hi.terminal(t, xN), "terminal",
+                            f"anchor {i}", "terminal node"):
                 witnesses.add("terminal")
 
         for j in range(N + 1):
-            u = grid.t(j)
-            a = np.asarray(lo.obstacle(u, lat.x[j]), dtype=float)
-            b = np.asarray(hi.obstacle(u, lat.x[j]), dtype=float)
-            bad = a - b
-            _check_finite(bad, f"obstacle gap at layer {j}")
-            if float(bad.max()) > PAIR_ATOL:
-                k = int(np.argmax(bad))
-                raise CompareError(
-                    f"obstacle order violated at layer {j}, node {k}: "
-                    f"lo={a[k]:.6g} > hi={b[k]:.6g}")
-            if float(np.max(np.abs(bad))) > PAIR_ATOL:
+            u, x = grid.t(j), lat.x[j]
+            if _data_differ(lo.obstacle(u, x), hi.obstacle(u, x), "obstacle",
+                            f"layer {j}", "node"):
                 witnesses.add("obstacle")
 
         gmin, gmax = _driver_gap_stats(lo, hi, lat, _PROBE_YZ)

@@ -1,15 +1,16 @@
 """Uniform time grid and recombining binomial lattice.
 
 The lattice carries a symmetric random walk approximation of Brownian
-motion: at layer j the walk takes values w[j][k] = (2k - j) * sqrt(dt)
-for k = 0..j, with up-probability 1/2.  One step of the walk supports an
+motion: at layer j the walk takes values w_k = (2k - j) * sqrt(dt) for
+k = 0..j, with up-probability 1/2.  One step of the walk supports an
 exact martingale representation
 
     next[k'] = cond_expect[k] + martingale_coeff[k] * dW,   dW = +-sqrt(dt),
 
 which is what the backward solvers build on.  State processes are layered
 on top through a dynamics map x = dyn(t, w) evaluated nodewise, so the
-state inherits the recombining structure.
+state inherits the recombining structure; the lattice keeps the states
+and node probabilities, not the walk.
 """
 
 from __future__ import annotations
@@ -62,15 +63,14 @@ class Lattice:
     Attributes
     ----------
     grid : TimeGrid
-    w : list of arrays, w[j][k] = (2k - j) * sqrt(dt), k = 0..j
-    x : list of arrays, state values dyn(t_j, w[j][k]) nodewise
+    x : list of arrays, state values dyn(t_j, (2k - j) sqrt(dt)) at
+        the walk's nodes k = 0..j
     probs : list of arrays, probs[j][k] = P(node (j,k)) = C(j,k) / 2^j
 
     Node values are read-only after construction.
     """
 
     grid: TimeGrid
-    w: list = field(repr=False)
     x: list = field(repr=False)
     probs: list = field(repr=False)
 
@@ -89,6 +89,9 @@ class Lattice:
 def build_lattice(grid: TimeGrid, x0: float, dyn) -> Lattice:
     """Build the lattice and evaluate the state dynamics nodewise.
 
+    Each layer's walk values are made only to evaluate dyn on them; the
+    lattice keeps the states and probabilities.
+
     Parameters
     ----------
     grid : TimeGrid
@@ -102,7 +105,7 @@ def build_lattice(grid: TimeGrid, x0: float, dyn) -> Lattice:
         raise GridError(f"x0 must be finite, got {x0}")
     sq, dt = grid.sqrt_dt, grid.dt
     two_k = 2 * np.arange(grid.n_steps + 1)
-    w, x, probs = [], [], []
+    x, probs = [], []
     p_prev = None
     for j in range(grid.n_steps + 1):
         wj = (two_k[: j + 1] - j) * sq
@@ -118,16 +121,14 @@ def build_lattice(grid: TimeGrid, x0: float, dyn) -> Lattice:
             pj = np.empty(j + 1)
             np.add(half[:-1], half[1:], out=pj[1:-1])
             pj[0], pj[-1] = half[0], half[-1]
-        wj.setflags(write=False)
         xj.setflags(write=False)
         pj.setflags(write=False)
-        w.append(wj)
         x.append(xj)
         probs.append(pj)
         p_prev = pj
     if abs(x[0][0] - x0) > 1e-12 * max(1.0, abs(x0)):
         raise GridError(f"dyn(0, 0) = {x[0][0]} does not match x0 = {x0}")
-    return Lattice(grid=grid, w=w, x=x, probs=probs)
+    return Lattice(grid=grid, x=x, probs=probs)
 
 
 def cond_expect(next_values: np.ndarray) -> np.ndarray:

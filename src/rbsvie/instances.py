@@ -429,13 +429,15 @@ class AssumptionReport:
 
 
 def broadcast_defect(got: tuple, shape: tuple) -> str | None:
-    """Why a result of shape got does not broadcast to shape, or None."""
-    try:
-        if np.broadcast_shapes(got, shape) == shape:
-            return None
-    except ValueError as exc:
-        return str(exc)
-    return f"result shape {got}"
+    """Why a result of shape got does not broadcast to shape, or None: it
+    does when each trailing dimension of got is 1 or shape's."""
+    lead = len(shape) - len(got)
+    if lead < 0:
+        return f"result shape {got}"
+    for a, b in zip(got, shape[lead:]):
+        if a != 1 and a != b:
+            return f"result shape {got}"
+    return None
 
 
 def anchor_axis_defect(spec: InstanceSpec, anchor_t: np.ndarray, x: np.ndarray) -> str | None:

@@ -15,8 +15,9 @@ on a layer at once, as the solver's sweep does.  Every report reads the
 layers in the sweep's order, j = N .. 0, so each is a per-layer step:
 stream_report and stream_solve take them straight from volterra.sweep
 and hold one layer at a time, and the functions on a stored Solution
-(frontier_rows, inconsistency_report, premature_increment_mass,
-evaluate_J) feed them the layers _replay rebuilds from its fields.
+(frontier_rows, inconsistency_report, evaluate_J) feed them the layers
+_replay rebuilds from its fields; premature_increment_mass reduces the
+stored increments against the stored stop regions.
 The streamed reports index anchors only by first and last row, so they
 read the sweep's shared-row layers of an anchor-free instance (see
 volterra.Layer) as they read full ones: their flags, inductions and
@@ -115,6 +116,8 @@ def _replay(lat: Lattice, spec: InstanceSpec, sol: Solution):
     The running terms are recomputed from the stored diagonal and
     martingale coefficients by the sweep's own call, and the barrier from
     the obstacle, so a sweep's solution replays to its layers bit for bit.
+    The stored increments are not replayed: premature_increment_mass
+    reads them.
     """
     N = lat.n_steps
     grid = lat.grid
@@ -123,7 +126,7 @@ def _replay(lat: Lattice, spec: InstanceSpec, sol: Solution):
     for j in range(N - 1, -1, -1):
         v, z = sol.y_diag[j], sol.z[j]
         fdt = running_terms(spec, anchor_t[: j + 1], grid.t(j), lat.x[j], v, z, grid.dt, j)
-        yield Layer(j, sol.ytilde[j], v, z, sol.kinc[j], fdt, _obstacle(lat, spec, j))
+        yield Layer(j, sol.ytilde[j], v, z, fdt, _obstacle(lat, spec, j))
 
 
 def evaluate_J(lat: Lattice, spec: InstanceSpec, sol: Solution, i: int,
@@ -196,11 +199,14 @@ def premature_increment_mass(lat: Lattice, spec: InstanceSpec, sol: Solution) ->
     Zero at anchor i certifies that the reflection term cannot accrue
     along any path before that anchor's rule stops: increments live only
     where the envelope is pinned to the obstacle, and those nodes are
-    stop nodes.  Every row of the stored kinc is reduced, so fields that
-    are not the sweep's own, such as the Picard reference's, are checked
-    in full.
+    stop nodes.  Every row of the stored kinc is reduced against
+    extract_frontier's stop regions, so fields that are not the sweep's
+    own, such as the Picard reference's, are checked in full.
     """
-    return stream_report(lat, _replay(lat, spec, sol))[1]
+    worst = np.zeros(lat.n_steps + 1)
+    for kinc, stops in zip(sol.kinc, extract_frontier(sol, lat, spec).layers):
+        _mass_step(worst, kinc, stops)
+    return worst
 
 
 def _nondecreasing(x: np.ndarray) -> bool:
@@ -274,14 +280,12 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
     running terms, E[Y(t_j)] and the mass; only the previous layer's
     rows are kept.  While every anchor's stop row equals anchor 0's, the
     restarted induction steps the same values on the same flags as the
-    own one, so it is the own one until the rows first differ.  A layer
-    without kinc is the sweep's: its rows i < j are max(E + f dt, L), so
-    their increments are 0.0 off the stop set, and only anchor j's
-    increments are rebuilt from the previous rows and reduced.  A
-    replayed layer's kinc is reduced row by row.  Anchors are read by
-    first and last row only (rows[:-1] step to the layer below, the last
-    row is anchor j), so a shared-row layer steps its shared row and
-    anchor j's.  Returns (ConsistencyReport, mass per anchor).
+    own one, so it is the own one until the rows first differ.  The
+    sweep's rows i < j are max(E + f dt, L), so their increments are 0.0
+    off the stop set, and only anchor j's increments are rebuilt from
+    the previous rows and reduced.  Anchors are read by first and last
+    row only (rows[:-1] step to the layer below, the last row is anchor
+    j), so a shared-row layer steps its shared row and anchor j's.  Returns (ConsistencyReport, mass per anchor).
     """
     N = lat.n_steps
     probs = lat.probs  # E[Y(t_j)] = probs[j] @ Y(t_j), as lat.layer_expect
@@ -300,11 +304,8 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
             # anchor 0's flags for every row, so a shared-row layer keeps two
             rest = own if identical else _rule_step(
                 rest[:-1], np.broadcast_to(stops[0], stops.shape), fdt, barrier)
-            if layer.kinc is None:
-                fdt_j = fdt[-1:] if np.ndim(fdt) == 2 else fdt  # anchor j's running terms
-                _mass_step(worst[j:], increments(prev[-2:-1], fdt_j, barrier), stops[-1:])
-            else:
-                _mass_step(worst, layer.kinc, stops)
+            fdt_j = fdt[-1:] if np.ndim(fdt) == 2 else fdt  # anchor j's running terms
+            _mass_step(worst[j:], increments(prev[-2:-1], fdt_j, barrier), stops[-1:])
         prev = layer.rows
         e_y[j] = float(p @ layer.v)
         j_own[j] = p @ own[-1]

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from rbsvie.grid import Lattice, TimeGrid
-from rbsvie.instances import InstanceSpec, anchor_axis_defect
+from rbsvie.instances import InstanceSpec, anchor_axis_defect, broadcast_defect
 
 # relative size of a last-bit cycle the per-node equation may end on
 SETTLE_RTOL = 1e-14
@@ -109,25 +109,13 @@ class Solution:
     residual_history: list
 
 
-def _broadcasts(got: tuple, shape: tuple) -> bool:
-    """Whether a result of shape got broadcasts to shape: each trailing
-    dimension of got is 1 or shape's."""
-    lead = len(shape) - len(got)
-    if lead < 0:
-        return False
-    for a, b in zip(got, shape[lead:]):
-        if a != 1 and a != b:
-            return False
-    return True
-
-
 def _driver_rows(spec: InstanceSpec, t, s: float, x, y, z, shape: tuple,
                  j: int) -> np.ndarray:
     """Driver values that broadcast to shape; a mismatch names the layer."""
     f = np.asarray(spec.driver(t, s, x, y, z), dtype=float)
-    if f.shape == shape or _broadcasts(f.shape, shape):
+    if f.shape == shape or broadcast_defect(f.shape, shape) is None:
         return f
-    raise _not_broadcast(f"result shape {f.shape}", shape, j)
+    raise _not_broadcast(broadcast_defect(f.shape, shape), shape, j)
 
 
 def _not_broadcast(reason: str, shape: tuple, j: int) -> VolterraError:
@@ -240,12 +228,11 @@ class Layer:
     equal to rows[j]; z[i] is anchor i's martingale coefficients, None
     unless asked for, fdt the running terms f(t_i, t_j, x, v, z[i]) dt
     and barrier the obstacle L(t_j, x); update is the last update of the
-    per-node equation.  kinc[i], anchor i's reflection increments, is
-    set only on the layers stopping replays from a stored Solution; the
-    sweep leaves it None.  On the terminal layer N, rows are the terminal
-    values and z, kinc, fdt and barrier are None.  The lattice sweep
-    writes into no layer after handing it out; the Monte Carlo engine
-    reuses its z buffer.
+    per-node equation.  A layer holds no reflection increments: increments
+    rebuilds them from the layer's fdt and barrier and the rows of layer
+    j + 1.  On the terminal layer N, rows are the terminal values and z,
+    fdt and barrier are None.  The lattice sweep writes into no layer
+    after handing it out; the Monte Carlo engine reuses its z buffer.
 
     The sweep of an anchor-free instance hands out shared-row layers,
     told apart by len(rows) < j + 1: rows[0] is the row anchors 0..j-1
@@ -262,7 +249,6 @@ class Layer:
     rows: np.ndarray
     v: np.ndarray
     z: np.ndarray | None = None
-    kinc: np.ndarray | None = None
     fdt: np.ndarray | None = None
     barrier: np.ndarray | None = None
     update: float = 0.0
@@ -304,7 +290,7 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False):
     The layers of an anchor-free instance are shared-row layers (see
     Layer), which start from two terminal rows.  Each layer carries its
     martingale coefficients only with z; otherwise Layer.z is None, and
-    Layer.kinc always is.  The coefficients are made anyway when the
+    no layer holds increments.  The coefficients are made anyway when the
     driver reads them; a driver that reads no z is stepped on read-only
     zeros.  Before the first layer of a full sweep the driver is probed
     with all N + 1 anchor times against layer N - 1's N nodes, the one

@@ -388,28 +388,38 @@ def test_verify_assumptions_flags_a_driver_that_folds_the_anchor_axis(tmp_path, 
     assert "(anchors, nodes) = (11, 6)" in rep["violations"][0]["detail"]
 
 
-@pytest.mark.parametrize("body", [
-    "[instance]\nname = nonexistent\n",
-    "[instance]\nname = american_put\nstrike = abc\n",
-    "[instance]\nname = american_put\nwidth = 2\n",
-    "[instance]\nname = american_put\n\n[gird]\nN = 5\n",
-    "[instance]\nname = american_put\n\n[grid]\nN = 0\n",
-    "[instance]\nname = american_put\n\n[grid]\nradius = 3\n",
-    "[instance]\nname = american_put\n\n[picard]\nmode = sideways\n",
-    "[instance]\nname = american_put\n\n[picard]\ntolerance = 0\n",
-    "[instance]\nname = american_put\nhorizon = 2\n\n[grid]\nT = 1\n",
-    "[grid]\nN = 5\n",
-    "[instance]\nname = american_put\n\n[mc]\nseed = -1\n",
-    "[instance]\nname = american_put\n\n[mc]\nbasis_family = spline\n",
-    "[instance]\nname = american_put\n\n[mc]\nbasis_degree = 0\n",
-    "[instance]\nname = american_put\n\n[mc]\nn_paths = 10\n",
+@pytest.mark.parametrize("body, message", [
+    ("[instance]\nname = nonexistent\n", "unknown instance 'nonexistent'"),
+    ("[instance]\nname = american_put\nstrike = abc\n",
+     "instance.strike must be a number, got 'abc'"),
+    ("[instance]\nname = american_put\nwidth = 2\n", "unknown parameters"),
+    ("[instance]\nname = american_put\n\n[gird]\nN = 5\n", "unknown config section [gird]"),
+    ("[instance]\nname = american_put\n\n[grid]\nN = 0\n", "grid.N must be >= 1, got 0"),
+    # the grid keys are named as documented, not as configparser stores them
+    ("[instance]\nname = american_put\n\n[grid]\nN = 1.5\n",
+     "grid.N must be an integer, got '1.5'"),
+    ("[instance]\nname = american_put\n\n[grid]\nT = x\n", "grid.T must be a number, got 'x'"),
+    ("[instance]\nname = american_put\n\n[grid]\nradius = 3\n", "unknown key grid.radius"),
+    ("[instance]\nname = american_put\n\n[picard]\nmode = sideways\n",
+     "picard.mode must be global or windowed"),
+    ("[instance]\nname = american_put\n\n[picard]\ntolerance = 0\n",
+     "picard.tolerance must be positive"),
+    ("[instance]\nname = american_put\nhorizon = 2\n\n[grid]\nT = 1\n",
+     "either grid.T or instance.horizon"),
+    ("[grid]\nN = 5\n", "config needs an [instance] section"),
+    ("[instance]\nname = american_put\n\n[mc]\nseed = -1\n", "mc.seed must be >= 0"),
+    ("[instance]\nname = american_put\n\n[mc]\nbasis_family = spline\n",
+     "unknown basis family 'spline'"),
+    ("[instance]\nname = american_put\n\n[mc]\nbasis_degree = 0\n", "degree must be >= 1"),
+    ("[instance]\nname = american_put\n\n[mc]\nn_paths = 10\n", "mc.n_paths must be >= 20"),
 ])
-def test_malformed_config_exits_one_without_artifacts(tmp_path, body, capsys):
+def test_malformed_config_exits_one_without_artifacts(tmp_path, body, message, capsys):
     out = tmp_path / "out"
     cfg = _cfg(tmp_path, body + f"\n[output]\ndir = {out}\n")
     assert _run("solve", "--config", cfg) == cli.EXIT_CONFIG
     assert not out.exists()
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
 
 
 def test_missing_config_file_exits_one(tmp_path):
@@ -669,7 +679,7 @@ def test_infeasible_request_exits_one_without_artifacts(tmp_path, body, flags, c
 @pytest.mark.parametrize("command", ["solve", "stop", "compare"])
 def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command, capsys,
                                                               monkeypatch):
-    # N = 100000 needs 1.6e11 (stop) to 6.0e11 (solve) bytes of lattice,
+    # N = 100000 needs 1.2e11 (stop) to 5.6e11 (solve) bytes of lattice,
     # diagonals and solve's frontier and its sort while the sweep streams
     # american_put's shared-row layers: refused before the lattice is built
     # or --out is made
@@ -689,13 +699,13 @@ def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command,
 
 
 def _streamed_bytes(n, solutions, frontier, layer_rows):
-    # the lattice's w, x and probs, each diagonal and solve's four frontier
+    # the lattice's x and probs, each diagonal and solve's four frontier
     # columns hold (N+1)(N+2)/2 floats each, the layer arrays layer_rows x
     # (N+1), and solve's frontier sort, after the layers, FRONTIER_SORT per
     # row; the Python objects add LAYER_OBJECTS bytes per layer, and the
     # first command in a process FIRST_CALL bytes
     triangle = (n + 1) * (n + 2) // 2
-    return 8 * ((3 + solutions + 4 * frontier) * triangle
+    return 8 * ((2 + solutions + 4 * frontier) * triangle
                 + max(cli.LAYER_ARRAYS * layer_rows * (n + 1),
                       cli.FRONTIER_SORT * frontier * triangle)) + cli.LAYER_OBJECTS * (n + 1) \
         + cli.FIRST_CALL
@@ -709,7 +719,7 @@ def _streamed_bytes(n, solutions, frontier, layer_rows):
 def test_memory_gate_counts_shared_rows_of_anchor_free_instances(tmp_path, command, names,
                                                                  monkeypatch):
     # an anchor-free sweep holds two rows per layer array: at N = 9000 stop
-    # needs about 1.3e9 bytes, not 9.1e9 with (N+1)^2 layer arrays, and
+    # needs about 1.0e9 bytes, not 8.8e9 with (N+1)^2 layer arrays, and
     # solve is bounded by its frontier sort; a pair counts its wider sweep.
     # The gate's count is read through a stub that stops the command
     # before anything is allocated

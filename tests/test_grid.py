@@ -37,19 +37,20 @@ def test_time_grid_rejects_bad_params():
 
 
 def test_lattice_walk_values_n2():
-    # N=2, T=1: layer 2 walk values are (-2, 0, 2) * sqrt(0.5)
+    # N=2, T=1: layer 2 walk values are (-2, 0, 2) * sqrt(0.5), the states
+    # of identity dynamics
     lat = build_lattice(TimeGrid(1.0, 2), x0=0.0, dyn=identity_dyn)
     s = math.sqrt(0.5)
-    assert np.allclose(lat.w[2], [-2 * s, 0.0, 2 * s], atol=0, rtol=0)
+    assert np.allclose(lat.x[2], [-2 * s, 0.0, 2 * s], atol=0, rtol=0)
     for j in range(3):
-        assert np.array_equal(lat.x[j], lat.w[j])
+        assert np.array_equal(lat.x[j], (2 * np.arange(j + 1) - j) * s)
 
 
 def test_lattice_single_step():
     lat = build_lattice(TimeGrid(1.0, 1), x0=0.0, dyn=identity_dyn)
-    assert lat.w[0].shape == (1,)
-    assert lat.w[1].shape == (2,)
-    assert np.allclose(lat.w[1], [-1.0, 1.0])
+    assert lat.x[0].shape == (1,)
+    assert lat.x[1].shape == (2,)
+    assert np.allclose(lat.x[1], [-1.0, 1.0])
 
 
 def test_lattice_geometric_top_node():
@@ -68,7 +69,7 @@ def test_lattice_geometric_top_node():
 def test_node_count_recombines():
     n = 7
     lat = build_lattice(TimeGrid(1.0, n), x0=0.0, dyn=identity_dyn)
-    total = sum(len(layer) for layer in lat.w)
+    total = sum(len(layer) for layer in lat.x)
     assert total == (n + 1) * (n + 2) // 2
 
 
@@ -98,7 +99,9 @@ def test_build_lattice_matches_the_plain_layer_loop(dyn, n_steps):
     grid = TimeGrid(horizon=1.3, n_steps=n_steps)
     lat = build_lattice(grid, float(dyn(0.0, np.zeros(1))[0]), dyn)
     ref = _reference_layers(grid, dyn)
-    for got, want in zip((lat.w, lat.x, lat.probs), ref):
+    # the walk values are the states of identity dynamics
+    walk = build_lattice(grid, 0.0, identity_dyn).x
+    for got, want in zip((walk, lat.x, lat.probs), ref):
         assert len(got) == len(want) == n_steps + 1
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -114,7 +117,7 @@ def test_probabilities_are_binomial():
 def test_lattice_nodes_immutable():
     lat = build_lattice(TimeGrid(1.0, 3), x0=0.0, dyn=identity_dyn)
     with pytest.raises(ValueError):
-        lat.w[1][0] = 99.0
+        lat.x[1][0] = 99.0
 
 
 def test_build_lattice_rejects_mismatched_x0():
