@@ -194,7 +194,9 @@ def _build(cfg: RunConfig, max_n=None):
 # (N + 1) x (N + 1), or 2 x (N + 1) on an anchor-free instance's shared-row
 # layers: the sweep's rows, expectations, coefficients and running terms,
 # the stop report's previous-layer rows, flags and two rule inductions,
-# and their temporaries (the sweep makes no reflection increments)
+# and their temporaries (the sweep makes no reflection increments, the
+# rule inductions step in place and the mass check reduces one row, so
+# the report holds fewer temporaries than this bound leaves room for)
 LAYER_ARRAYS = 12
 # floats per frontier row that solve's sort holds besides the four frontier
 # columns once the layers are gone: the joined columns, the order, and one

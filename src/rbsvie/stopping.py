@@ -105,9 +105,21 @@ def _rule_step(nxt: np.ndarray, stop, fdt, barrier) -> np.ndarray:
 
     Stopped nodes collect the obstacle, continuation nodes the one-step
     conditional expectation plus the running term fdt; stop is one row
-    per anchor or one row for all.
+    per anchor, one row for all, or a rule's flags (any array-like).
+    The values 0.5 (nxt[:, 1:] + nxt[:, :-1]) + fdt are made in one new
+    array, stepped in place, and the obstacle is copied onto their
+    stopped nodes.  Flags with more rows than nxt, a shared-row layer's
+    two rows over its one shared row, take np.where instead, which gives
+    the result their rows.
     """
-    return np.where(stop, barrier, 0.5 * (nxt[:, 1:] + nxt[:, :-1]) + fdt)
+    out = nxt[:, 1:] + nxt[:, :-1]
+    out *= 0.5
+    out += fdt
+    stop = np.asarray(stop)
+    if stop.ndim == 2 and len(stop) > len(out):
+        return np.where(stop, barrier, out)
+    np.copyto(out, barrier, where=stop)
+    return out
 
 
 def _replay(lat: Lattice, spec: InstanceSpec, sol: Solution):
@@ -280,12 +292,18 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
     running terms, E[Y(t_j)] and the mass; only the previous layer's
     rows are kept.  While every anchor's stop row equals anchor 0's, the
     restarted induction steps the same values on the same flags as the
-    own one, so it is the own one until the rows first differ.  The
-    sweep's rows i < j are max(E + f dt, L), so their increments are 0.0
-    off the stop set, and only anchor j's increments are rebuilt from
-    the previous rows and reduced.  Anchors are read by first and last
-    row only (rows[:-1] step to the layer below, the last row is anchor
-    j), so a shared-row layer steps its shared row and anchor j's.  Returns (ConsistencyReport, mass per anchor).
+    own one, so it is the own one, and its payoff the own one's, until
+    the rows first differ; after that a full layer steps it on anchor
+    0's one flag row, which broadcasts.  The sweep's rows i < j are
+    max(E + f dt, L), so their increments are 0.0 off the stop set, and
+    only anchor j's increments are rebuilt from the previous rows, zeroed
+    on its stop nodes in place and reduced to one float, which raises
+    anchor j's mass if it is larger; the increments are max(., 0), so no
+    absolute value is taken.
+    Anchors are read by first and last row only (rows[:-1] step to the
+    layer below, the last row is anchor j), so a shared-row layer steps
+    its shared row and anchor j's, and its restarted induction keeps both
+    rows.  Returns (ConsistencyReport, mass per anchor).
     """
     N = lat.n_steps
     probs = lat.probs  # E[Y(t_j)] = probs[j] @ Y(t_j), as lat.layer_expect
@@ -301,15 +319,21 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
             stops = _stops(layer.rows, barrier)
             identical = identical and _same_as_anchor0(stops)
             own = _rule_step(own[:-1], stops, fdt, barrier)
-            # anchor 0's flags for every row, so a shared-row layer keeps two
+            # anchor 0's flags for every row: one row that broadcasts on a
+            # full layer, both rows on a shared-row layer, which keeps two
             rest = own if identical else _rule_step(
-                rest[:-1], np.broadcast_to(stops[0], stops.shape), fdt, barrier)
+                rest[:-1], stops[:1] if len(rest) - 1 == len(stops)
+                else np.broadcast_to(stops[0], stops.shape), fdt, barrier)
             fdt_j = fdt[-1:] if np.ndim(fdt) == 2 else fdt  # anchor j's running terms
-            _mass_step(worst[j:], increments(prev[-2:-1], fdt_j, barrier), stops[-1:])
+            inc = increments(prev[-2:-1], fdt_j, barrier)[0]
+            np.copyto(inc, 0.0, where=stops[-1])
+            mass = np.maximum.reduce(inc)
+            if mass > worst[j]:
+                worst[j] = mass
         prev = layer.rows
         e_y[j] = float(p @ layer.v)
         j_own[j] = p @ own[-1]
-        j_rest[j] = p @ rest[-1]
+        j_rest[j] = j_own[j] if rest is own else p @ rest[-1]
     rep = ConsistencyReport(
         anchor_times=tuple(lat.grid.times.tolist()), e_y=tuple(e_y),
         j_own=tuple(j_own.tolist()), j_restarted=tuple(j_rest.tolist()),

@@ -148,29 +148,39 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
 
     Iterates from max(e, L) until an update changes nothing, or until
     the updates stop shrinking within SETTLE_RTOL (1 + |v|): a last-bit
-    cycle.  Returns (v, last update).  A non-finite start max(e, L)
-    makes the first iterate non-finite on the same node, which is
-    raised after that iterate's driver call.  From a finite start, the
-    update's reduction is the finiteness test: a NaN or infinity in an
-    iterate makes the update NaN or infinite, and only then is the
+    cycle.  Returns (v, last update, fdt): fdt is the last iteration's
+    f(t_j, t_j, x, ., z) dt when its iterate and v are bitwise equal, so
+    that it is the running term at v itself and max(e + fdt, L) is v bit
+    for bit, and None otherwise (a last-bit cycle, or an update of 0.0
+    between 0.0 and -0.0).  Only the first driver call is tested for its
+    shape; later iterates have the same shape.  A non-finite start
+    max(e, L) makes the first iterate non-finite on the same node, which
+    is raised after that iterate's driver call.  From a finite start,
+    the update's reduction is the finiteness test: a NaN or infinity in
+    an iterate makes the update NaN or infinite, and only then is the
     iterate tested value by value, since the difference of two finite
     iterates may overflow to infinity.
     """
     v = np.maximum(e, barrier)
+    f = _driver_rows(spec, s, s, x, v, z, v.shape, j)
     if not np.logical_and.reduce(np.isfinite(v)):
-        _driver_rows(spec, s, s, x, v, z, v.shape, j)
         raise _non_finite(j, j)
     d = np.empty_like(v)
     last = np.inf
-    for _ in range(max_iters):
-        nxt = np.maximum(e + _driver_rows(spec, s, s, x, v, z, v.shape, j) * dt, barrier)
+    for it in range(max_iters):
+        if it:
+            f = np.asarray(spec.driver(s, s, x, v, z), dtype=float)
+        fdt = f * dt
+        nxt = np.maximum(e + fdt, barrier)
         step = float(np.maximum.reduce(np.abs(np.subtract(nxt, v, out=d), out=d)))
         if not math.isfinite(step) and not np.logical_and.reduce(np.isfinite(nxt)):
             raise _non_finite(j, j)
+        if step == 0.0:
+            return nxt, step, fdt if nxt.tobytes() == v.tobytes() else None
         v = nxt
-        if step == 0.0 or (step >= last and step <= SETTLE_RTOL * (
-                1.0 + float(np.maximum.reduce(np.abs(v, out=d))))):
-            return v, step
+        if step >= last and step <= SETTLE_RTOL * (
+                1.0 + float(np.maximum.reduce(np.abs(v, out=d)))):
+            return v, step, None
         last = step
     raise NoConvergence(max_iters, last, where=f"anchor {j}, layer {j}")
 
@@ -239,10 +249,12 @@ class Layer:
     share and rows[-1] anchor j's v, kept apart because the per-node
     equation may end on a last-bit cycle that the explicit step does not
     repeat; z holds one row for all anchors 0..j, and fdt one row or
-    less.  Layer 0 has the one row of anchor 0 either way.  Consumers
-    index anchors by first and last row in both forms: the step to layer
-    j - 1 reads rows[:-1], anchors 0..j-1, and rows[-1] is anchor j.
-    per_anchor lays a shared-row layer out per anchor.
+    less.  Where the equation settled exactly, the explicit step would
+    give v bit for bit, so that layer is [v, v] and its fdt the settle's
+    last running terms.  Layer 0 has the one row of anchor 0 either way.
+    Consumers index anchors by first and last row in both forms: the
+    step to layer j - 1 reads rows[:-1], anchors 0..j-1, and rows[-1] is
+    anchor j.  per_anchor lays a shared-row layer out per anchor.
     """
 
     j: int
@@ -267,20 +279,27 @@ def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndar
     Anchor j's row, the last, settles its per-state equation, then every
     row steps with the diagonal frozen at the settled v.  The rows
     overwrite e; the settled v replaces the last row, or is appended
-    after the shared row (see Layer).  The layer carries z when keep_z.
-    A max_iters below 1 is a VolterraError.
+    after the shared row (see Layer).  A shared row whose equation
+    settled exactly is not stepped: it steps e[-1] on the running terms
+    of the settle's last iteration, so it is v and the layer [v, v].
+    The layer carries z when keep_z.  A max_iters below 1 is a
+    VolterraError.
     """
     if max_iters < 1:
         raise VolterraError("max_iters must be >= 1")
     barrier = np.asarray(spec.obstacle(s, x), dtype=float)
-    v, update = _settle_diagonal(spec, s, x, e[-1], z[-1], barrier, dt, j, max_iters)
-    rows, fdt = step_rows(spec, anchor_t[: len(e)], s, x, v, e, z, barrier, dt, j)
-    shared = len(rows) <= j
-    if shared:
-        rows = np.concatenate((rows, v[None]))
+    v, update, fdt = _settle_diagonal(spec, s, x, e[-1], z[-1], barrier, dt, j, max_iters)
+    shared = len(e) <= j
+    if shared and fdt is not None:
+        # the shared row steps e[-1] on the settle's last running terms: it is v
+        rows = np.concatenate((v[None], v[None]))
     else:
-        rows[-1] = v
-    check_finite(rows, j, shared)
+        rows, fdt = step_rows(spec, anchor_t[: len(e)], s, x, v, e, z, barrier, dt, j)
+        if shared:
+            rows = np.concatenate((rows, v[None]))
+        else:
+            rows[-1] = v
+        check_finite(rows, j, shared)
     return Layer(j, rows, v, z if keep_z else None, fdt=fdt, barrier=barrier, update=update)
 
 

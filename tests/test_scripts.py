@@ -99,6 +99,21 @@ def test_ab_pairs_seed_ranges():
     assert _script("ab_pairs").parse_seeds("701-703,9") == [701, 702, 703, 9]
 
 
+def test_ab_commands_pairs_tiny_rounds_of_two_workers():
+    # both workers import this tree's src: every paired command writes the
+    # same artifacts, none fails, and the round adds up its commands
+    script = _script("ab_commands")
+    runs = script.pair_rounds({"base": ROOT, "change": ROOT}, ["stop-report"], 2, 3, "tiny")
+    assert [len(runs["stop-report"][side]) for side in ("base", "change")] == [2, 2]
+    rows = script.summary(runs)
+    assert [row["command"] for row in rows] == \
+        ["0-stop-american_put", "1-stop-hyperbolic_discount", script.ROUND]
+    for row in rows:
+        assert row["pairs"] == 2 and row["same_artifacts"] and row["failed"] == 0
+        assert row["ratio"] > 0.0 and 0 <= row["wins"] <= 2
+    assert rows[-1]["base"][1] == pytest.approx(rows[0]["base"][1] + rows[1]["base"][1])
+
+
 _ARTIFACTS = {
     "solve": {"solution.json", "y_diag.csv", "frontier.csv"},
     "solve-mc": {"solution.json", "y_diag.csv", "frontier.csv"},

@@ -32,6 +32,7 @@ from rbsvie.snell import (
     solve_slice,
     zero_diagonal,
 )
+from rbsvie import volterra
 from rbsvie.stopping import inconsistency_report, stream_report, stream_solve
 from rbsvie.volterra import (
     SETTLE_RTOL,
@@ -42,6 +43,7 @@ from rbsvie.volterra import (
     check_finite,
     per_anchor,
     solve,
+    step_rows,
     sweep,
 )
 
@@ -389,7 +391,7 @@ def _outcome(settle, spec, e, z, barrier, dt, max_iters):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         try:
-            v, step = settle(spec, 0.25, 0.5 * e, e, z, barrier, dt, 3, max_iters)
+            v, step = settle(spec, 0.25, 0.5 * e, e, z, barrier, dt, 3, max_iters)[:2]
             got = v.dtype, v.shape, v.tobytes(), step
         except (VolterraError, NoConvergence) as exc:
             extra = ((exc.iterations, exc.last_residual) if isinstance(exc, NoConvergence)
@@ -469,10 +471,21 @@ def test_settle_loop_endings():
     # non-finite start or iterate, and an update that overflows
     e, z = np.linspace(-1.0, 1.0, 7), np.zeros(7)
     flat = SimpleNamespace(driver=lambda t, s, x, y, z: np.zeros_like(y))
-    assert _settle_diagonal(flat, 0.0, e, e, z, -1.0, 0.1, 0, 5)[1] == 0.0
+    v, step, fdt = _settle_diagonal(flat, 0.0, e, e, z, -1.0, 0.1, 0, 5)
+    assert step == 0.0 and fdt.tobytes() == np.zeros(7).tobytes()
+    assert np.maximum(e + fdt, -1.0).tobytes() == v.tobytes()
     near = SimpleNamespace(driver=lambda t, s, x, y, z: 0.9 / 0.1 * y + 1.0)
-    _, step = _settle_diagonal(near, 0.0, e, e, z, np.full(7, -1.0), 0.1, 0, 400)
-    assert 0.0 < step <= SETTLE_RTOL * 100.0
+    _, step, fdt = _settle_diagonal(near, 0.0, e, e, z, np.full(7, -1.0), 0.1, 0, 400)
+    assert 0.0 < step <= SETTLE_RTOL * 100.0 and fdt is None
+    # an update of 0.0 from -0.0 to 0.0 settles, but its iterates differ
+    # in their bits, so no running terms are returned; from -0.0 to -0.0
+    # they are
+    neg = np.full(3, -0.0)
+    for f, same in ((0.0, False), (-0.0, True)):
+        signed = SimpleNamespace(driver=lambda t, s, x, y, z, f=f: np.full_like(y, f))
+        v, step, fdt = _settle_diagonal(signed, 0.0, neg, neg, neg, -np.inf, 0.1, 0, 5)
+        assert step == 0.0 and (fdt is not None) == same
+        assert np.signbit(v).all() == same
     grow = SimpleNamespace(driver=lambda t, s, x, y, z: 2.0 / 0.1 * y)
     with pytest.raises(NoConvergence, match="anchor 4, layer 4"):
         _settle_diagonal(grow, 0.0, e, e + 1.0, z, 0.0, 0.1, 4, 50)
@@ -667,11 +680,23 @@ def test_anchor_coupled_sweep_equals_the_policy_envelope_and_picard(data):
     assert gap <= 2 * tol, gap
 
 
-def test_shared_row_layer_keeps_a_last_bit_cycles_v_apart():
+def _spied_sweep(monkeypatch, lat, spec, max_iters):
+    """The sweep's layers, and the layers j on which step_layer called step_rows."""
+    stepped = []
+
+    def spy(spec, t, s, x, v, e, z, barrier, dt, j):
+        stepped.append(j)
+        return step_rows(spec, t, s, x, v, e, z, barrier, dt, j)
+    monkeypatch.setattr(volterra, "step_rows", spy)
+    return list(sweep(lat, spec, max_iters, z=True)), stepped
+
+
+def test_shared_row_layer_keeps_a_last_bit_cycles_v_apart(monkeypatch):
     # at a y-slope of 0.9 / dt the per-node equation ends on a last-bit
-    # cycle on every layer, and the explicit step from the settled v lands
-    # a last bit away from it: the shared row and v differ, and both are
-    # the anchor-coupled sweep's rows
+    # cycle on every layer, so every layer steps its rows explicitly, and
+    # the explicit step from the settled v lands a last bit away from it:
+    # the shared row and v differ, and both are the anchor-coupled sweep's
+    # rows
     base = catalog_instance("zero_driver_flat")
     n = 8
     a = 0.9 * n
@@ -679,10 +704,33 @@ def test_shared_row_layer_keeps_a_last_bit_cycles_v_apart():
         name="near_one", fn=lambda t, s, x, y, z: a * y + 0.3 * x + 1.0, lipschitz=a,
         depends_on_z=False, depends_on_anchor=False))
     lat = spec.lattice(n)
-    got = list(sweep(lat, spec, 1000, z=True))
+    got, stepped = _spied_sweep(monkeypatch, lat, spec, 1000)
     assert all(layer.update > 0.0 for layer in got[1:])
+    assert stepped == list(range(n - 1, -1, -1))
     assert all(layer.rows[0].tobytes() != layer.v.tobytes() for layer in got[1:-1])
     _assert_same_layers(got, list(sweep(lat, _anchor_coupled(spec), 1000, z=True)))
+
+
+def test_shared_row_layer_of_an_exact_settle_takes_no_explicit_step(monkeypatch):
+    # american_put's per-node equation settles exactly on its shared-row
+    # layers: they are [v, v] with the settle's last running terms, and
+    # step_rows from the same inputs gives those rows and terms bit for bit
+    spec = catalog_instance("american_put")
+    n = 40
+    lat = spec.lattice(n)
+    got, stepped = _spied_sweep(monkeypatch, lat, spec, 200)
+    exact = [layer.j for layer in got[1:-1] if layer.update == 0.0]
+    assert len(exact) == n - 1 and not set(exact) & set(stepped)
+    anchor_t = lat.grid.times[:, None]
+    for above, layer in zip(got, got[1:-1]):
+        j, nxt = layer.j, above.rows[:-1]
+        e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
+        rows, fdt = step_rows(spec, anchor_t[:1], j * lat.grid.dt, lat.x[j], layer.v, e,
+                              layer.z, layer.barrier, lat.grid.dt, j)
+        assert layer.rows.shape == (2, j + 1)
+        assert layer.rows.tobytes() == np.concatenate((rows, layer.v[None])).tobytes()
+        assert np.broadcast_to(layer.fdt, (1, j + 1)).tobytes() == \
+            np.broadcast_to(fdt, (1, j + 1)).tobytes(), j
 
 
 def _nan_terminal(t, x):
