@@ -6,7 +6,8 @@
 Extracts the base commit's committed files (git archive, default HEAD,
 the parent of an uncommitted change) and this tree's tracked files as
 they stand, uncommitted edits included, into sibling directories of one
-temporary directory, so neither side runs from a different place.  Then
+temporary directory, both written file by file by the same routine, so
+neither side runs from a different place or from differently made files.  Then
 runs ``perfbench/run.py --trace 0`` once per seed and workload in both
 copies, alternating which side runs first.  For each
 end-to-end metric of BENCHMARK.json, and for the printed clock median,
@@ -20,11 +21,12 @@ range.  Run it on seeds not used while writing the change.
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -82,22 +84,45 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
-def extract_sides(root: Path, base: str, tmp: Path) -> tuple:
-    """(base, change): sibling directories under tmp holding the committed
-    files of root's commit base and root's tracked files as they stand in
-    its working tree; a tracked file deleted there is left out."""
-    sides = tmp / "base", tmp / "change"
-    for side in sides:
-        side.mkdir()
-    archive = subprocess.run(["git", "archive", base], cwd=root, check=True,
+def _write_files(dest: Path, files) -> None:
+    """Write (name, bytes, executable) entries under dest, mode 0755 or 0644."""
+    for name, data, executable in files:
+        path = dest / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+        path.chmod(0o755 if executable else 0o644)
+
+
+def _committed_files(root: Path, rev: str):
+    """(name, bytes, executable) of each regular file of root's commit rev."""
+    archive = subprocess.run(["git", "archive", rev], cwd=root, check=True,
                              capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(sides[0])], input=archive, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        for member in tar:
+            if member.isfile():
+                yield member.name, tar.extractfile(member).read(), bool(member.mode & 0o111)
+
+
+def _working_files(root: Path):
+    """(name, bytes, executable) of each tracked file of root's working tree
+    as it stands; a tracked file deleted there is left out."""
     tracked = subprocess.run(["git", "ls-files", "-z"], cwd=root, check=True,
                              capture_output=True).stdout.decode()
     for name in filter(None, tracked.split("\0")):
-        if (root / name).is_file():
-            (sides[1] / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(root / name, sides[1] / name)
+        path = root / name
+        if path.is_file():
+            yield name, path.read_bytes(), bool(path.stat().st_mode & 0o111)
+
+
+def extract_sides(root: Path, base: str, tmp: Path) -> tuple:
+    """(base, change): sibling directories under tmp holding the committed
+    files of root's commit base and root's tracked files as they stand in
+    its working tree, both written by one routine, so that on a clean tree
+    the two hold the same names, bytes and mode bits."""
+    sides = tmp / "base", tmp / "change"
+    for side, files in zip(sides, (_committed_files(root, base), _working_files(root))):
+        side.mkdir()
+        _write_files(side, files)
     return sides
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
@@ -391,8 +392,7 @@ def cmd_solve(args) -> int:
         "residual_history": [float(r) for r in residuals],
         "frontier": {"n_rows": len(f_rows)},
     })
-    times = [grid.t(i) for i in range(grid.n_steps + 1)]
-    _write_solve(out, payload, times, y_diag, states, f_rows)
+    _write_solve(out, payload, grid.times.tolist(), y_diag, states, f_rows)
     print(f"solved {spec.label} (engine={args.engine}, N={grid.n_steps}): "
           f"y0={payload['y0']:.10g}; wrote {out}")
     return EXIT_OK
@@ -549,7 +549,9 @@ def cmd_verify_assumptions(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rbsvie argument parser, built once per process (see main)."""
     parser = argparse.ArgumentParser(
         prog="rbsvie",
         description="Lattice and Monte Carlo solvers for reflected "
@@ -590,9 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand on argv (default sys.argv[1:]) and return its exit code.
+
+    The parser is built on the first call in a process and reused by every
+    later one (build_parser is cached); nothing is built at import.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # keep exit 2 reserved for solver non-convergence
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG

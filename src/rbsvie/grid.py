@@ -67,7 +67,8 @@ class Lattice:
         the walk's nodes k = 0..j
     probs : list of arrays, probs[j][k] = P(node (j,k)) = C(j,k) / 2^j
 
-    Node values are read-only after construction.
+    build_lattice makes each list's layers read-only views of one flat
+    node triangle (see there).
     """
 
     grid: TimeGrid
@@ -86,11 +87,19 @@ class Lattice:
         return float(np.dot(self.probs[j], values))
 
 
+# nodes per dynamics call at most, unless one layer alone has more: whole
+# layers are evaluated a block at a time, which bounds the temporaries
+BLOCK_NODES = 4096
+
+
 def build_lattice(grid: TimeGrid, x0: float, dyn) -> Lattice:
     """Build the lattice and evaluate the state dynamics nodewise.
 
-    Each layer's walk values are made only to evaluate dyn on them; the
-    lattice keeps the states and probabilities.
+    The states and the probabilities are each kept in one flat triangle of
+    (N+1)(N+2)/2 nodes, layer j at offsets j(j+1)/2 .. (j+1)(j+2)/2, and
+    the lattice hands out layer j as a read-only view of it.  The walk
+    values are made only to evaluate dyn on them, one call per block of
+    whole layers of at most BLOCK_NODES nodes.
 
     Parameters
     ----------
@@ -99,36 +108,49 @@ def build_lattice(grid: TimeGrid, x0: float, dyn) -> Lattice:
         Initial state; dyn must satisfy dyn(0, 0) == x0.
     dyn : callable
         Vectorized map (t, w_array) -> x_array giving the state as a
-        function of time and the Brownian coordinate (feedback form).
+        function of time and the Brownian coordinate (feedback form).  t is
+        an array of node times, t_j on each node of layer j, which
+        broadcasts against w; each value equals the one the layer alone
+        would be given, bit for bit.
     """
     if not np.isfinite(x0):
         raise GridError(f"x0 must be finite, got {x0}")
-    sq, dt = grid.sqrt_dt, grid.dt
-    two_k = 2 * np.arange(grid.n_steps + 1)
-    x, probs = [], []
-    p_prev = None
-    for j in range(grid.n_steps + 1):
-        wj = (two_k[: j + 1] - j) * sq
-        xj = np.asarray(dyn(j * dt, wj), dtype=float)
-        if xj.shape != wj.shape:
+    n, sq = grid.n_steps, grid.sqrt_dt
+    layers = np.arange(n + 1)
+    start = np.append(0, np.cumsum(layers + 1))  # layer j's first node, and the end
+    # node k of layer j sits at flat index i = start_j + k, where the walk is
+    # (2k - j) sqrt(dt) = (2i - lead_j) sqrt(dt), the same integer times sqrt(dt)
+    lead = 2 * start[:-1] + layers
+    times = grid.times
+    x = np.empty(start[-1])
+    lo = 0
+    while lo <= n:  # layers lo..hi-1, at least one
+        hi = max(lo + 1, int(np.searchsorted(start, start[lo] + BLOCK_NODES, "right")) - 1)
+        a, b = start[lo], start[hi]
+        width = layers[lo:hi] + 1
+        w = (np.arange(2 * a, 2 * b, 2) - np.repeat(lead[lo:hi], width)) * sq
+        xb = np.asarray(dyn(np.repeat(times[lo:hi], width), w), dtype=float)
+        if xb.shape != w.shape:
             raise GridError("dynamics map must return one state value per node")
-        if not np.logical_and.reduce(np.isfinite(xj)):
-            raise GridError(f"dynamics produced non-finite state at layer {j}")
-        if j == 0:
-            pj = np.ones(1)
-        else:  # pj[k] = (p_prev[k - 1] + p_prev[k]) / 2, one end term at each edge
-            half = 0.5 * p_prev
-            pj = np.empty(j + 1)
-            np.add(half[:-1], half[1:], out=pj[1:-1])
-            pj[0], pj[-1] = half[0], half[-1]
-        xj.setflags(write=False)
-        pj.setflags(write=False)
-        x.append(xj)
-        probs.append(pj)
-        p_prev = pj
-    if abs(x[0][0] - x0) > 1e-12 * max(1.0, abs(x0)):
-        raise GridError(f"dyn(0, 0) = {x[0][0]} does not match x0 = {x0}")
-    return Lattice(grid=grid, x=x, probs=probs)
+        finite = np.isfinite(xb)
+        if not np.logical_and.reduce(finite):
+            bad = int(np.searchsorted(start, a + np.argmin(finite), "right")) - 1
+            raise GridError(f"dynamics produced non-finite state at layer {bad}")
+        x[a:b] = xb
+        lo = hi
+    bounds = start.tolist()
+    probs = np.empty(bounds[-1])
+    probs[0] = 1.0
+    half = np.zeros(n + 2)
+    for j in range(1, n + 1):
+        np.multiply(probs[bounds[j - 1]: bounds[j]], 0.5, out=half[1: j + 1])
+        np.add(half[: j + 1], half[1: j + 2], out=probs[bounds[j]: bounds[j + 1]])
+    if abs(x[0] - x0) > 1e-12 * max(1.0, abs(x0)):
+        raise GridError(f"dyn(0, 0) = {x[0]} does not match x0 = {x0}")
+    x.setflags(write=False)
+    probs.setflags(write=False)
+    spans = list(zip(bounds, bounds[1:]))
+    return Lattice(grid=grid, x=[x[i:k] for i, k in spans], probs=[probs[i:k] for i, k in spans])
 
 
 def cond_expect(next_values: np.ndarray) -> np.ndarray:

@@ -87,6 +87,14 @@ class ObstacleSpec:
 
 @dataclass(frozen=True)
 class DynamicsSpec:
+    """State map x = dyn(t, w) of time and the walk coordinate.
+
+    t may be a scalar or an array of node times that broadcasts against w:
+    grid.build_lattice passes every node's layer time with a block of whole
+    layers.  The map must be elementwise, so that a node's state does not
+    depend on which other nodes share its call.
+    """
+
     name: str
     fn: Callable  # (t, w) -> x
 

@@ -188,12 +188,17 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
 def terminal_rows(spec: InstanceSpec, grid: TimeGrid, x_N, shared: bool = False) -> tuple:
     """(anchor_t, rows): grid.times as a column of anchor times, and every
     anchor's terminal row on x_N; with shared only anchor 0's row, which
-    anchors 0..N-1 share, and anchor N's."""
+    anchors 0..N-1 share, and anchor N's.  A terminal that reads no anchor
+    (TerminalSpec.depends_on_anchor False) is called once, at t_0, and its
+    row copied into every row; otherwise once per anchor, at t(i)."""
     anchor_t = grid.times[:, None]
     anchors = (0, grid.n_steps) if shared else range(len(anchor_t))
     rows = np.empty((len(anchors), len(x_N)))
-    for r, i in enumerate(anchors):
-        rows[r] = spec.terminal(grid.t(i), x_N)
+    if spec.terminal.depends_on_anchor:
+        for r, i in enumerate(anchors):
+            rows[r] = spec.terminal(grid.t(i), x_N)
+    else:
+        rows[:] = spec.terminal(grid.t(0), x_N)
     return anchor_t, rows
 
 

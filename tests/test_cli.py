@@ -53,6 +53,44 @@ dir = {out}
     assert sol["y0"] == sol["y_diag"][0][0]
 
 
+def test_one_parser_serves_every_command_in_a_process(tmp_path, capsys):
+    # the parser is built on the first call and reused: each call still
+    # dispatches its own subcommand, --config does not collect values across
+    # calls (compare needs exactly two), and a bad argv leaves it usable
+    lo = _cfg(tmp_path, "[instance]\nname = american_put\nstrike = 0.9\n\n[grid]\nN = 6\n",
+              name="lo.ini")
+    hi = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 6\n", name="hi.ini")
+    cli.build_parser.cache_clear()
+    runs = [(("solve", "--config", hi), ["frontier.csv", "solution.json", "y_diag.csv"]),
+            (("compare", "--config", lo, "--config", hi), ["report.json"]),
+            (("no-such-command",), None),
+            (("solve", "--max-n"), None),
+            (("compare", "--config", lo, "--config", hi), ["report.json"]),
+            (("stop", "--config", hi), ["inconsistency.json"])]
+    for k, (argv, artifacts) in enumerate(runs):
+        out = tmp_path / f"out{k}"
+        code = _run(*argv, "--out", str(out))
+        if artifacts is None:
+            assert code == cli.EXIT_CONFIG and not out.exists(), argv
+        else:
+            assert code == cli.EXIT_OK, argv
+            assert sorted(p.name for p in out.iterdir()) == artifacts, argv
+    assert "invalid choice" in capsys.readouterr().err
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(runs) - 1)
+
+
+def test_importing_the_cli_builds_no_parser():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", "from rbsvie import cli; "
+                          "print(cli.build_parser.cache_info().currsize)"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0 and res.stdout.split() == ["0"], res.stdout + res.stderr
+
+
 def test_solution_json_roundtrip_passes_slice_audit(tmp_path):
     out = tmp_path / "out"
     cfg = _cfg(tmp_path, f"""[instance]

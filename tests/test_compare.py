@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rbsvie.compare import (
+    MAX_SHIFT,
     RANGE_PAD,
     CompareError,
     ComparisonReport,
@@ -249,6 +250,26 @@ def test_every_accepted_pair_solves_ordered(data):
         assume(False)
     for i, (a, b) in enumerate(zip(solve(lat, lo).y_diag, solve(lat, hi).y_diag)):
         assert np.all(a <= b + 1e-12), (i, float(np.max(a - b)))
+
+
+SHIFTS = {"terminal": shift_terminal, "obstacle": shift_obstacle, "driver": shift_driver}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_pair_raised_on_the_lo_side_is_rejected_naming_the_datum(data):
+    # lo is hi with one datum raised by c > 0 everywhere: the gate must
+    # refuse the pair, and say which datum breaks the order
+    name = data.draw(st.sampled_from(NAMES), label="instance")
+    params = {key: data.draw(st.sampled_from(values), label=key)
+              for key, values in PAIR_PARAMS[name].items()}
+    datum = data.draw(st.sampled_from(sorted(SHIFTS)), label="datum")
+    c = data.draw(st.floats(1e-9, MAX_SHIFT, exclude_min=True, exclude_max=True), label="c")
+    n = data.draw(st.integers(1, 12), label="N")
+    hi = catalog_instance(name, params)
+    lo = SHIFTS[datum](hi, c)
+    with pytest.raises(CompareError, match=f"^{datum} order violated"):
+        OrderedPair.build(lo, hi, hi.lattice(n))
 
 
 def test_obstacle_downshift_keeps_lo_below():

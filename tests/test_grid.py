@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbsvie.grid import (
+    BLOCK_NODES,
     GridError,
     Lattice,
     TimeGrid,
@@ -25,6 +26,13 @@ def test_time_grid_basics():
     assert g.t(0) == 0.0
     assert g.t(4) == 1.0
     assert np.allclose(g.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@pytest.mark.parametrize("horizon, n_steps", [(1.0, 7), (1.3, 100), (0.7, 1100), (3.0, 999)])
+def test_times_are_bitwise_the_layer_times(horizon, n_steps):
+    # solve writes grid.times.tolist() as the anchor times
+    g = TimeGrid(horizon, n_steps)
+    assert g.times.tolist() == [g.t(i) for i in range(n_steps + 1)]
 
 
 def test_time_grid_rejects_bad_params():
@@ -91,7 +99,8 @@ def _reference_layers(grid, dyn):
     return w, x, probs
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 50, 400])
+# N = 1100: 606,651 nodes in 165 dynamics blocks of 1 to 90 whole layers
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 50, 400, 1100])
 @pytest.mark.parametrize("dyn", [brownian_dynamics(0.1, 0.7),
                                  geometric_dynamics(1.0, 0.3, mu=0.05)],
                          ids=["brownian", "geometric"])
@@ -131,6 +140,31 @@ def test_build_lattice_rejects_nonfinite_dynamics():
 
     with pytest.raises(GridError):
         build_lattice(TimeGrid(1.0, 2), x0=0.0, dyn=bad)
+
+
+@pytest.mark.parametrize("first", [97, 150, 151])
+@pytest.mark.parametrize("node", ["low", "high"])
+def test_nonfinite_state_names_the_first_bad_layer_in_a_later_block(first, node):
+    # layers 97.. start past the first block; a NaN on the lowest or the
+    # highest node of every layer from first on is reported at first
+    grid = TimeGrid(1.0, 200)
+    assert (first * (first + 1)) // 2 > BLOCK_NODES
+
+    def bad(t, w):
+        edge = w < 0 if node == "low" else w > 0
+        return np.where((t >= grid.t(first)) & edge & (np.abs(w) >= first * grid.sqrt_dt
+                                                       * (1 - 1e-12)), np.nan, w)
+
+    with pytest.raises(GridError, match=f"non-finite state at layer {first}$"):
+        build_lattice(grid, x0=0.0, dyn=bad)
+
+
+def test_build_lattice_rejects_a_block_result_of_the_wrong_shape():
+    def short(t, w):
+        return np.asarray(w)[:-1] if np.size(w) > 1 else w
+
+    with pytest.raises(GridError, match="one state value per node"):
+        build_lattice(TimeGrid(1.0, 3), x0=0.0, dyn=short)
 
 
 def test_cond_expect_midpoint():

@@ -95,6 +95,39 @@ def test_ab_pairs_extracts_both_sides_as_siblings(tmp_path):
     assert not (change / "stray.txt").exists() and not (change / ".git").exists()
 
 
+def test_ab_pairs_writes_both_sides_of_a_clean_tree_alike(tmp_path):
+    # with nothing uncommitted the two sides differ in nothing a file
+    # system records per file but times: names, bytes and mode bits
+    repo = tmp_path / "repo"
+    (repo / "pkg" / "deep").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "pkg" / "deep" / "data.bin").write_bytes(bytes(range(256)) * 3)
+    (repo / "run.sh").write_text("#!/bin/sh\necho hi\n")
+    (repo / "run.sh").chmod(0o775)
+    (repo / "note.txt").write_text("plain\n")
+    (repo / "note.txt").chmod(0o664)
+    (repo / "stray.txt").write_text("untracked\n")
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "pkg", "run.sh", "note.txt"], cwd=repo, check=True)
+    subprocess.run(["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com",
+                    "-c", "commit.gpgsign=false", "commit", "-q", "-m", "base"],
+                   cwd=repo, check=True)
+    sides = tmp_path / "sides"
+    sides.mkdir()
+
+    def listing(side):
+        return sorted((str(p.relative_to(side)), p.read_bytes(), p.stat().st_mode)
+                      for p in side.rglob("*") if p.is_file())
+    base, change = _script("ab_pairs").extract_sides(repo, "HEAD", sides)
+    files = listing(base)
+    assert [name for name, _, _ in files] == ["note.txt", "pkg/deep/data.bin", "pkg/mod.py",
+                                              "run.sh"]
+    assert files == listing(change)
+    assert {name: oct(mode & 0o777) for name, _, mode in files} == {
+        "note.txt": "0o644", "pkg/deep/data.bin": "0o644", "pkg/mod.py": "0o644",
+        "run.sh": "0o755"}
+
+
 def test_ab_pairs_seed_ranges():
     assert _script("ab_pairs").parse_seeds("701-703,9") == [701, 702, 703, 9]
 

@@ -267,6 +267,31 @@ def test_anchor_dependent_terminal_reaches_every_anchor():
     assert inconsistency_report(lat, spec, sol).max_identity_error <= 1e-12
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["full", "shared"])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_anchor_free_terminal_rows_equal_one_call_per_anchor(name, shared):
+    # a terminal declared anchor-free is called once, at t_0; one declared
+    # anchor-coupled once per row, at the row's anchor time
+    base = catalog_instance(name)
+    n = 9
+    lat = base.lattice(n)
+    x_N = lat.x[n]
+    anchors = (0, n) if shared else range(n + 1)
+    want = np.array([base.terminal(lat.grid.t(i), x_N) for i in anchors])
+    for coupled in (False, True):
+        calls = []
+
+        def counting(t, x, _f=base.terminal.fn):
+            calls.append(t)
+            return _f(t, x)
+        spec = replace(base, terminal=replace(base.terminal, fn=counting,
+                                              depends_on_anchor=coupled))
+        anchor_t, rows = volterra.terminal_rows(spec, lat.grid, x_N, shared)
+        assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes(), coupled
+        assert calls == ([lat.grid.t(i) for i in anchors] if coupled else [0.0])
+        assert anchor_t.tobytes() == lat.grid.times[:, None].tobytes()
+
+
 def test_sweep_record_and_diagonal_only_mode():
     spec = catalog_instance("hyperbolic_discount")
     lat = spec.lattice(30)
