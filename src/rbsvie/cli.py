@@ -452,6 +452,8 @@ def cmd_compare(args) -> int:
     cfg_hi = load_config(args.config[1])
     if cfg_lo.n_steps != cfg_hi.n_steps:
         raise ConfigError("compare needs both configs on the same grid.N")
+    if cfg_lo.max_iters != cfg_hi.max_iters:
+        raise ConfigError("compare needs both configs on the same picard.max_iters")
     spec_lo, grid = _build(cfg_lo, args.max_n)
     spec_hi, _ = _build(cfg_hi, args.max_n)
     lat = _lattice(grid, (spec_lo, spec_hi))

@@ -590,6 +590,25 @@ def test_compare_needs_two_configs(tmp_path, capsys):
     assert "two --config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lo_iters, hi_iters, code", [
+    (20, 2000, cli.EXIT_CONFIG), (2000, 20, cli.EXIT_CONFIG), (2000, 2000, cli.EXIT_OK)])
+def test_compare_needs_both_configs_on_one_max_iters(tmp_path, capsys, lo_iters, hi_iters, code):
+    # at rho0 = 95 and N = 100 the per-node equation needs more than 20
+    # iterations, so a sweep bounded by either side's cap alone would pass or
+    # fail with the order of the configs; differing caps are refused first
+    out = tmp_path / "out"
+    lo, hi = (_cfg(tmp_path, "[instance]\nname = hyperbolic_discount\nrho0 = 95\n\n"
+                             f"[grid]\nN = 100\n\n[picard]\nmax_iters = {iters}\n",
+                   name=f"{side}.ini")
+              for side, iters in (("lo", lo_iters), ("hi", hi_iters)))
+    assert _run("compare", "--config", lo, "--config", hi, "--out", str(out)) == code
+    if code == cli.EXIT_CONFIG:
+        assert "same picard.max_iters" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert json.loads((out / "report.json").read_text())["ordered"]
+
+
 def test_stop_reports_hyperbolic_inconsistency(tmp_path):
     out = tmp_path / "out"
     cfg = _cfg(tmp_path, f"""[instance]

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rbsvie.compare import (
     MAX_SHIFT,
+    ORDER_TOLERANCE,
     RANGE_PAD,
     CompareError,
     ComparisonReport,
@@ -230,7 +231,8 @@ PAIR_PARAMS = {
 @given(data=st.data())
 def test_every_accepted_pair_solves_ordered(data):
     # the comparison theorem on the lattice: whatever pair the gate admits,
-    # the lo sweep stays below the hi sweep at every node
+    # the lo sweep stays below the hi sweep at every node, and
+    # check_comparison reports that order with the solved largest difference
     name = data.draw(st.sampled_from(NAMES), label="instance")
     lo_params, hi_params = {}, {}
     for key, values in PAIR_PARAMS[name].items():
@@ -245,11 +247,15 @@ def test_every_accepted_pair_solves_ordered(data):
         hi = shift_driver(hi, shift)
     lat = lo.lattice(n)
     try:
-        OrderedPair.build(lo, hi, lat)
+        pair = OrderedPair.build(lo, hi, lat)
     except CompareError:
         assume(False)
-    for i, (a, b) in enumerate(zip(solve(lat, lo).y_diag, solve(lat, hi).y_diag)):
-        assert np.all(a <= b + 1e-12), (i, float(np.max(a - b)))
+    diffs = [float(np.max(a - b)) for a, b in zip(solve(lat, lo).y_diag, solve(lat, hi).y_diag)]
+    for i, d in enumerate(diffs):
+        assert d <= 1e-12, (i, d)
+    rep = check_comparison(lat, pair)
+    assert rep.ordered and rep.witness is None
+    assert rep.max_diff <= ORDER_TOLERANCE and rep.max_diff == max(diffs)
 
 
 SHIFTS = {"terminal": shift_terminal, "obstacle": shift_obstacle, "driver": shift_driver}

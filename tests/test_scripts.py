@@ -15,8 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
     ("run_catalog.py", ["--n-steps", "8"], "stop rows"),
     ("replanning_gaps.py", ["--n-steps", "8", "--every", "2"], "J(time-0)"),
     ("mc_crosscheck.py", ["--n-steps", "4", "--n-paths", "2000"], "lattice y0"),
-    ("scaling.py", ["--instances", "american_put", "--commands", "solve,stop", "--n", "4",
-                    "--repeat", "1"], '"best_s"'),
 ])
 def test_script_runs(script, args, header):
     env = dict(os.environ)
@@ -136,7 +134,8 @@ def test_ab_commands_pairs_tiny_rounds_of_two_workers():
     # both workers import this tree's src: every paired command writes the
     # same artifacts, none fails, and the round adds up its commands
     script = _script("ab_commands")
-    runs = script.pair_rounds({"base": ROOT, "change": ROOT}, ["stop-report"], 2, 3, "tiny")
+    plans = script.make_plans(["stop-report"], 3, "tiny", [], [], [])
+    runs = script.pair_rounds({"base": ROOT, "change": ROOT}, plans, 2)
     assert [len(runs["stop-report"][side]) for side in ("base", "change")] == [2, 2]
     rows = script.summary(runs)
     assert [row["command"] for row in rows] == \
@@ -145,6 +144,38 @@ def test_ab_commands_pairs_tiny_rounds_of_two_workers():
         assert row["pairs"] == 2 and row["same_artifacts"] and row["failed"] == 0
         assert row["ratio"] > 0.0 and 0 <= row["wins"] <= 2
     assert rows[-1]["base"][1] == pytest.approx(rows[0]["base"][1] + rows[1]["base"][1])
+
+
+def test_ab_commands_times_whole_commands_per_instance_and_n():
+    # one plan per command at N = 4, each in two fresh workers of this tree:
+    # one row each, no round row, and each side's peak RSS read on close
+    script = _script("ab_commands")
+    plans = script.make_plans([], 1, "full", ["american_put"], ["stop", "solve"], [4])
+    assert list(plans) == ["stop-american_put-N4", "solve-american_put-N4"]
+    runs = script.pair_rounds({"base": ROOT, "change": ROOT}, plans, 2)
+    assert all(run["code"] == 0 for r in runs.values() for side in ("base", "change")
+               for rnd in r[side] for run in rnd)
+    rows = script.summary(runs)
+    assert [(row["plan"], row["command"]) for row in rows] == [
+        ("stop-american_put-N4", "0-stop-american_put"),
+        ("solve-american_put-N4", "0-solve-american_put")]
+    for row in rows:
+        assert row["pairs"] == 2 and row["same_artifacts"] and row["failed"] == 0
+        assert row["best"]["base"] <= row["base"][0] and row["best"]["change"] <= row["change"][0]
+        assert row["maxrss_mb"]["base"] > 0.0 and row["maxrss_mb"]["change"] > 0.0
+
+
+@pytest.mark.parametrize("args", [["--instances", "nosuch"], ["--commands", "mc"],
+                                  ["--rounds", "0"], ["--n", "0"]])
+def test_ab_commands_rejects_bad_options_before_extracting(monkeypatch, args):
+    script = _script("ab_commands")
+
+    def extract_sides(*_):
+        raise AssertionError("extracted before the options were checked")
+    monkeypatch.setattr(script, "extract_sides", extract_sides)
+    with pytest.raises(SystemExit) as exc:
+        script.main(args)
+    assert exc.value.code == 2
 
 
 _ARTIFACTS = {
