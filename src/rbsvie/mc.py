@@ -15,7 +15,11 @@ bounds it).  The bootstrap weights are multinomial path counts, stored
 in the smallest unsigned type that holds n_paths and cast to float
 block by block where they are read.  Each layer's design is written
 once, as contiguous basis rows, and its projector is freed before the
-next layer's design is built.  A driver declared free of z
+next layer's design is built; its pwlinear knots are read off the sorted
+states with np.quantile's own arithmetic.  Each layer refits every
+bootstrap replicate in one pass over the paths and one batched solve,
+with each right-hand-side product on basis.dim rows, the shape a refit
+of basis.dim replicates at a time gives it.  A driver declared free of z
 (DriverSpec.depends_on_z False, which instances.verify_assumptions
 checks) gets read-only zeros for z, and no z is fitted for it.  None of
 this changes a float operation or the shape of a matrix product: the
@@ -34,6 +38,7 @@ their last bits).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,11 +138,34 @@ class RegressionBasis:
             for k in range(2, self.dim):
                 np.multiply(rows[k - 1], u, out=rows[k])
             return rows.T
-        # the same order statistics as np.quantile(u): a sorted copy partitions faster
-        qs = np.quantile(np.sort(u), np.linspace(0.0, 1.0, self.degree + 2)[1:-1])
+        qs = _knots(np.sort(u), np.linspace(0.0, 1.0, self.degree + 2)[1:-1])
         for k, q in enumerate(qs, 2):
             np.maximum(np.subtract(u, q, out=rows[k]), 0.0, out=rows[k])
         return rows.T
+
+
+def _knots(s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.quantile(s, q) for sorted s, step for step ("linear"): the
+    virtual index (n - 1) q, its floor, and numpy's two-sided lerp between
+    the neighbouring order statistics (b - (b - a)(1 - t) where t >= 0.5),
+    without the call's copy and partition.  Equal bit for bit on states
+    without -0.0, such as (x - mean) / sd (np.quantile's partition may
+    swap -0.0 and 0.0, which compare equal)."""
+    vi = (len(s) - 1) * q
+    lo = np.floor(vi)
+    t = vi - lo
+    i = lo.astype(np.intp)
+    a, b = s[i], s[np.minimum(i + 1, len(s) - 1)]
+    diff = b - a
+    out = a + diff * t
+    hi = t >= 0.5
+    out[hi] = (b - diff * (1 - t))[hi]
+    return out
+
+
+@functools.cache
+def _triu(d: int) -> tuple:
+    return np.triu_indices(d)
 
 
 class _LayerProjector:
@@ -193,7 +221,7 @@ class _LayerProjector:
         """
         bt = self.bt
         d, n = bt.shape
-        up, lo = np.triu_indices(d)
+        up, lo = _triu(d)
         kr = np.empty((len(up), min(KR_BLOCK, n)))
         half = np.zeros((len(up), len(wts)))
         for c in range(0, n, KR_BLOCK):
@@ -209,16 +237,39 @@ class _LayerProjector:
         grams[:, lo, up] = half.T
         return grams
 
-    def project_weighted(self, grams: np.ndarray, wts: np.ndarray,
-                         vals: np.ndarray, z: np.ndarray | None) -> None:
-        """project, with row r of vals regressed under the path counts wts[r]."""
-        m, d = len(vals), len(self.bt)
+    def refit_weighted(self, grams: np.ndarray, wts: np.ndarray, reps: np.ndarray,
+                       rows: int) -> np.ndarray:
+        """Coefficients of every row of reps regressed under its path counts
+        wts[r] and gram grams[r], (len(reps), 2, d) as _fit reads them.
+
+        One pass over blocks of KR_BLOCK paths forms every row's counts
+        times values in one multiply, and accumulates the right-hand sides
+        by GEMMs on slices of `rows` rows; then one batched solve covers
+        every gram.  The slices keep each product's shape, and so its bits,
+        equal to a refit `rows` replicates at a time: solve_mc passes
+        basis.dim, not the projector's own d, which is 1 on layer 0.  A
+        singular gram (a resample that drops too many paths) raises
+        MCError naming the first such replicate.
+        """
+        m, d = len(reps), len(self.bt)
         rhs = np.zeros((m, 2 * d))
-        for c in range(0, vals.shape[1], KR_BLOCK):
+        for c in range(0, reps.shape[1], KR_BLOCK):
             cols = slice(c, c + KR_BLOCK)
-            rhs += (wts[:, cols] * vals[:, cols]) @ self.bbt[:, cols].T
+            prod = wts[:, cols] * reps[:, cols]
+            bbt = self.bbt[:, cols].T
+            for lo in range(0, m, rows):
+                rhs[lo:lo + rows] += prod[lo:lo + rows] @ bbt
         rhs = rhs.reshape(m, 2, d).transpose(0, 2, 1)
-        self._fit(np.linalg.solve(grams, rhs).transpose(0, 2, 1), vals, z)
+        try:
+            return np.linalg.solve(grams, rhs).transpose(0, 2, 1)
+        except np.linalg.LinAlgError:
+            for r in range(m):
+                try:
+                    np.linalg.solve(grams[r], rhs[r])
+                except np.linalg.LinAlgError:
+                    raise MCError(f"bootstrap replicate {r}: singular weighted gram, "
+                                  "basis too rich for the resampled paths") from None
+            raise
 
 
 @dataclass
@@ -279,7 +330,8 @@ def working_set_bytes(n_steps: int, n_paths: int, basis: RegressionBasis) -> int
     reads no z, which gets read-only zeros instead.  The bootstrap's
     blocks of KR_BLOCK paths add float rows that do not grow with the
     path count: the design's Khatri-Rao products, dim (dim + 1) / 2 of
-    them, and the counts cast to float, N_BOOTSTRAP.
+    them, and the counts cast to float or, later, the counts times the
+    replicates, N_BOOTSTRAP.
     """
     d = basis.dim
     count = np.min_scalar_type(n_paths).itemsize
@@ -293,7 +345,9 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
 
     max_iters bounds each per-path equation.  A non-finite row raises
     MCError, an equation that does not settle NoConvergence; both name
-    the anchor and layer.
+    the anchor and layer.  A degenerate state cloud or a rank-deficient
+    or singular regression raises MCError naming the layer (and, for a
+    bootstrap gram, the replicate).
     """
     grid = bundle.grid
     N = grid.n_steps
@@ -342,20 +396,23 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
             e_y_diag[j] = float(v.mean())
             record(j, x_j, layer.rows[0], barrier)
             del layer  # its running terms are (anchors x paths): free them before the bootstrap
-            # anchor-0 bootstrap refits, diagonal frozen at v, basis.dim at a time
-            grams = proj.weighted_grams(wts)
+            # anchor-0 bootstrap refits, diagonal frozen at v: one refit of
+            # every replicate, then fits and steps basis.dim rows at a time
+            coef = proj.refit_weighted(proj.weighted_grams(wts), wts, reps, basis.dim)
             for lo in range(0, n_bootstrap, basis.dim):
                 blk = slice(lo, lo + basis.dim)
                 rb = reps[blk]
                 zb = zrep[: len(rb)]
-                proj.project_weighted(grams[blk], wts[blk], rb, zb if fit_z else None)
+                proj._fit(coef[blk], rb, zb if fit_z else None)
                 step_rows(spec, 0.0, s, x_j, v, rb, zb, barrier, dt, j)
-            del proj, grams  # before the next layer's design is built
+            del proj, coef  # before the next layer's design is built
     except NoConvergence as exc:
         raise NoConvergence(exc.iterations, exc.last_residual,
                             where=f"mc {exc.where}") from None
     except VolterraError as exc:
         raise MCError(f"mc {exc}") from None
+    except MCError as exc:
+        raise MCError(f"mc layer {j}: {exc}") from None
 
     return MCSolution(
         y0=float(vals[0, 0]),

@@ -210,7 +210,24 @@ seed = 11
     assert all(r["node_index"] == "" and r["state"] == "" for r in rows)
 
 
-Y_HEADER = ("anchor_time", "node_index", "state", "y")
+@pytest.mark.parametrize("family, message", [
+    ("pwlinear", "mc layer 9: bootstrap replicate 13: singular weighted gram"),
+    ("polynomial", "mc layer 2: rank-deficient regression"),
+])
+def test_mc_regression_failure_exits_one_naming_the_layer(tmp_path, capsys, family, message):
+    # 40 paths pass the n_paths >= 2 dim check for 17 columns, but a
+    # resample or the path cloud itself leaves a gram singular
+    cfg = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 10\n\n"
+                         "[mc]\nn_paths = 40\nseed = 1\n"
+                         f"basis_family = {family}\nbasis_degree = 15\n")
+    assert _run("solve", "--config", cfg, "--engine", "mc",
+                "--out", str(tmp_path / "out")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+
+
+Y_HEADER =("anchor_time", "node_index", "state", "y")
 F_HEADER = ("anchor_time", "time", "critical_state_low", "critical_state_high")
 
 

@@ -108,8 +108,9 @@ def test_degenerate_cloud_raises():
         obstacle=ObstacleSpec(name="none", fn=lambda u, x: np.asarray(x) - 10.0),
         dynamics=flat, x0=1.0, horizon=1.0)
     bundle = mc.simulate(TimeGrid(1.0, 3), spec, 100, seed=2)
-    with pytest.raises(mc.MCError, match="rank|degenerate"):
+    with pytest.raises(mc.MCError, match="rank|degenerate") as exc:
         mc.solve_mc(bundle, spec, mc.RegressionBasis("polynomial", 2))
+    assert str(exc.value).startswith("mc layer 2: degenerate state cloud")
 
 
 def test_needs_enough_paths_for_basis():
@@ -498,17 +499,10 @@ def _pinned_solve(bundle, spec, basis, n_bootstrap):
             [float(r) for r in reps[:, 0]], e_y_diag, margin, _sorted_rows(parts, dt))
 
 
-@pytest.mark.parametrize("seed", [3, 8])
-@pytest.mark.parametrize("family", ["pwlinear", "polynomial"])
-@pytest.mark.parametrize("name", ["american_put", "hyperbolic_discount",
-                                  "custom_affine", "linear_z"])
-def test_engine_matches_its_pinned_float64_copy_bit_for_bit(name, family, seed):
-    # count-typed weights, in-place designs and no z fit for z-free drivers
-    # (american_put, hyperbolic_discount) keep every float operation
+def _assert_matches_pinned(name, family, seed, n_steps, n_paths, n_boot):
     spec = catalog_instance(name)
-    bundle = mc.simulate(TimeGrid(spec.horizon, 6), spec, 2_000, seed=seed)
+    bundle = mc.simulate(TimeGrid(spec.horizon, n_steps), spec, n_paths, seed=seed)
     basis = mc.RegressionBasis(family)
-    n_boot = 12  # more than one block of basis.dim replicates
     sol = mc.solve_mc(bundle, spec, basis, n_bootstrap=n_boot)
     y0, y0_se, reps, e_y_diag, margin, rows = _pinned_solve(bundle, spec, basis, n_boot)
     assert sol.y0 == y0
@@ -517,3 +511,71 @@ def test_engine_matches_its_pinned_float64_copy_bit_for_bit(name, family, seed):
     assert sol.e_y_diag == e_y_diag
     assert sol.floor_margin == margin
     assert sol.frontier_rows.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("family", ["pwlinear", "polynomial"])
+@pytest.mark.parametrize("name", ["american_put", "hyperbolic_discount",
+                                  "custom_affine", "linear_z"])
+def test_engine_matches_its_pinned_float64_copy_bit_for_bit(name, family, seed):
+    # count-typed weights, in-place designs, no z fit for z-free drivers
+    # (american_put, hyperbolic_discount), knots without np.quantile and one
+    # refit pass for every replicate keep every float operation; 12
+    # replicates are more than one block of basis.dim
+    _assert_matches_pinned(name, family, seed, 6, 2_000, 12)
+
+
+@pytest.mark.parametrize("family", ["pwlinear", "polynomial"])
+@pytest.mark.parametrize("name", ["american_put", "custom_affine"])
+def test_engine_matches_its_pinned_copy_at_the_benchmark_shape(name, family):
+    # the mc-crosscheck workload's sizes: 48 replicates are four full blocks
+    # of basis.dim plus a short one, 5000 paths four KR_BLOCK blocks plus a
+    # short one; american_put fits no z, custom_affine does
+    _assert_matches_pinned(name, family, 11, 25, 5_000, mc.N_BOOTSTRAP)
+
+
+@pytest.mark.parametrize("n", [2, 3, 13, 400, 777, 5000, 100_000])
+def test_knots_equal_np_quantile(n):
+    rng = np.random.default_rng(n)
+    clouds = [np.sort(rng.normal(size=n)),
+              # ties; + 0.0 clears the -0.0 that rounding leaves, which
+              # np.quantile's partition may swap with 0.0 (a state cloud
+              # (x - mean) / sd holds no -0.0)
+              np.sort(np.round(rng.normal(size=n), 1) + 0.0),
+              np.sort(rng.integers(0, 3, size=n).astype(float))]
+    # (n - 1) q exact on an integer, a half or a quarter for every n
+    dyadic = np.arange(1, 16) / 16.0
+    for s in clouds:
+        for q in [np.linspace(0.0, 1.0, degree + 2)[1:-1] for degree in range(1, 16)] + [dyadic]:
+            got, want = mc._knots(s, q), np.quantile(s, q)
+            assert got.tobytes() == want.tobytes(), (n, q)
+
+
+def test_bootstrap_refits_every_replicate_in_one_solve_per_layer(monkeypatch):
+    real, shapes = np.linalg.solve, []
+
+    def spy(a, b):
+        if np.ndim(a) == 3:
+            shapes.append(np.shape(a))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    spec = catalog_instance("american_put")
+    N, basis = 6, mc.RegressionBasis()
+    bundle = mc.simulate(TimeGrid(spec.horizon, N), spec, 2_000, seed=3)
+    mc.solve_mc(bundle, spec, basis)
+    d = basis.dim
+    assert shapes == [(mc.N_BOOTSTRAP, d, d)] * (N - 1) + [(mc.N_BOOTSTRAP, 1, 1)]
+
+
+@pytest.mark.parametrize("family, message", [
+    # a resample keeps about two thirds of the 40 paths, too few for 17 columns
+    ("pwlinear", "mc layer 9: bootstrap replicate 13: singular weighted gram"),
+    ("polynomial", "mc layer 2: rank-deficient regression"),
+])
+def test_regression_failures_name_the_layer(family, message):
+    spec = catalog_instance("american_put")
+    bundle = mc.simulate(TimeGrid(spec.horizon, 10), spec, 40, seed=1)
+    with pytest.raises(mc.MCError) as exc:
+        mc.solve_mc(bundle, spec, mc.RegressionBasis(family, 15))
+    assert str(exc.value).startswith(message)
