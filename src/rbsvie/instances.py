@@ -38,7 +38,11 @@ class DriverSpec:
     |f(t',s,..) - f(t,s,..)| <= holder_const * |t'-t|**holder_alpha for
     |y|, |z| <= 1; alpha may not exceed 1/2.  ``depends_on_anchor`` False
     declares that f never reads its first argument, the anchor t (see
-    InstanceSpec.anchor_free).
+    InstanceSpec.anchor_free).  ``nonincreasing_in_y`` True declares that
+    f's float value never rises as y rises, all else fixed; the lattice
+    sweep then settles its per-node equation on a certified secant
+    (volterra._settle_diagonal).  ``monotone_in_y`` declares the other
+    direction, nondecreasing, for the comparison gate.
     """
 
     name: str
@@ -50,6 +54,7 @@ class DriverSpec:
     depends_on_z: bool = True
     monotone_in_y: bool = False
     depends_on_anchor: bool = True
+    nonincreasing_in_y: bool = False
 
     def __post_init__(self):
         if self.lipschitz < 0 or not np.isfinite(self.lipschitz):
@@ -198,6 +203,7 @@ def _american_put(p: dict) -> InstanceSpec:
         depends_on_z=False,
         monotone_in_y=rate == 0,
         depends_on_anchor=False,
+        nonincreasing_in_y=True,
     )
     payoff = lambda u, x: np.maximum(strike - x, 0.0)
     return InstanceSpec(
@@ -239,6 +245,7 @@ def _hyperbolic_discount(p: dict) -> InstanceSpec:
         depends_on_z=False,
         monotone_in_y=rho0 == 0,
         depends_on_anchor=rho0 != 0 and kappa != 0,
+        nonincreasing_in_y=True,
     )
     return InstanceSpec(
         label="hyperbolic_discount",
@@ -264,6 +271,7 @@ def _zero_driver_flat(p: dict) -> InstanceSpec:
         depends_on_z=False,
         monotone_in_y=True,
         depends_on_anchor=False,
+        nonincreasing_in_y=True,
     )
     return InstanceSpec(
         label="zero_driver_flat",
@@ -294,6 +302,7 @@ def _linear_z(p: dict) -> InstanceSpec:
         depends_on_z=a != 0,
         monotone_in_y=b >= 0,
         depends_on_anchor=False,
+        nonincreasing_in_y=b <= 0,
     )
     return InstanceSpec(
         label="linear_z",
@@ -331,6 +340,7 @@ def _custom_affine(p: dict) -> InstanceSpec:
         depends_on_z=z_coef != 0,
         monotone_in_y=y_coef >= 0,
         depends_on_anchor=t_coef != 0,
+        nonincreasing_in_y=y_coef <= 0,
     )
     return InstanceSpec(
         label="custom_affine",
@@ -376,16 +386,16 @@ def catalog_instance(name: str, overrides: Optional[dict] = None) -> InstanceSpe
 
 
 def shift_driver(spec: InstanceSpec, c: float) -> InstanceSpec:
-    """Instance with driver f + c.  Slopes and dependence flags unchanged."""
+    """Instance with driver f + c.  Every declaration carries over: f + c
+    has f's slopes and dependence, and adding c keeps f's monotonicity in
+    y, nonincreasing_in_y included."""
     base = spec.driver
 
     def fn(t, s, x, y, z, _f=base.fn, _c=c):
         return _f(t, s, x, y, z) + _c
 
-    driver = replace(base, name=f"{base.name}+{c}", fn=fn,
-                     depends_on_y=base.depends_on_y,
-                     depends_on_z=base.depends_on_z)
-    return replace(spec, label=f"{spec.label}[f+{c}]", driver=driver)
+    return replace(spec, label=f"{spec.label}[f+{c}]",
+                   driver=replace(base, name=f"{base.name}+{c}", fn=fn))
 
 
 def shift_terminal(spec: InstanceSpec, c: float) -> InstanceSpec:
@@ -488,6 +498,11 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
       (exhaustive; the first other row is reported).  The Monte Carlo
       engine fits no z for a z-free driver, and the lattice sweep keeps
       one shared row for the anchors of an anchor-free instance.
+    * monotonicity: a driver declared nonincreasing in y does not rise
+      from f(t,s,x,y,z) to f(t,s,x,y',z), on the Lipschitz samples'
+      pairs (y, y') with one more driver call and no more draws; the
+      first sample that rises is reported.  The lattice sweep settles
+      such a driver's per-node equation on a secant.
 
     Report-only: violations are collected, never raised.
     """
@@ -539,6 +554,7 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
     free = [arg for arg, reads in (("y", spec.driver.depends_on_y),
                                    ("z", spec.driver.depends_on_z)) if not reads]
     t_free = not spec.driver.depends_on_anchor
+    falls = spec.driver.nonincreasing_in_y  # until a sample rises with y
     for m in range(samples):
         j, k = all_nodes[idx[m]]
         x = float(lat.x[j][k])
@@ -587,6 +603,16 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
                     f"driver declared depends_on_{arg}=False changes from {f0:.6g} "
                     f"to {f1:.6g} as {arg} moves",
                     (t, s, x, y, z, *moved),
+                ))
+        if falls:
+            fy = float(spec.driver(t, s, x, yp, z))
+            if (fy - f0) * (yp - y) > 0.0:
+                falls = False
+                violations.append(Violation(
+                    "monotonicity",
+                    f"driver declared nonincreasing_in_y=True rises from {f0:.6g} "
+                    f"to {fy:.6g} as y moves from {y:.6g} to {yp:.6g}",
+                    (t, s, x, y, z, yp),
                 ))
 
     for j in (0, n_steps // 2, n_steps):

@@ -9,6 +9,10 @@ it builds layer j's projector once, projects every anchor row 0..j in
 one multi-RHS solve, settles anchor j's per-path equation
 v = max(E + f(t_j, t_j, x, v, z) dt, L), steps anchors 0..j, and steps
 the bootstrap replicates of anchor 0 with the diagonal frozen at v.
+The per-path equation is settled by the plain loop, also for a driver
+declared nonincreasing in y: most Monte Carlo layers end on a last-bit
+cycle, where the lattice sweep's secant finds no exact fixed point and
+only adds driver calls.
 
 The working set is kept to what the sweep reads (working_set_bytes
 bounds it).  The bootstrap weights are multinomial path counts, stored

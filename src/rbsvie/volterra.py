@@ -7,7 +7,9 @@ from the layer-(j+1) rows of anchors 0..j:
 
     E, z     one-step expectations and martingale coefficients, all rows
     Y(t_j)   per node, the solution of v = max(E + f(t_j, t_j, x, v, z) dt, L)
-             on anchor j's row, found by fixed-point iteration
+             on anchor j's row, found by fixed-point iteration; for a
+             driver declared nonincreasing in y, by a secant step that
+             is kept only where it lands on an exact fixed point
     rows     max(E + f(t_i, t_j, x, Y(t_j), z) dt, L) for every anchor
              i <= j at once, the driver broadcast over an anchor axis
 
@@ -32,9 +34,11 @@ layer's inputs, for solve's stored field and for the one row of each
 layer on which they can be nonzero off the stop set, anchor j's own.
 step_layer is everything after the one-step operator; the regression
 Monte Carlo engine (mc.solve_mc) calls it on its projections, so the
-two engines differ only in how E and z are made.  The global Picard
-iteration the sweep is checked against lives in the reference module,
-snell.
+two engines differ only in how E and z are made, and in that only the
+lattice sweep asks for the secant (see _settle_diagonal): the Monte
+Carlo equations mostly end on last-bit cycles, where it cannot help.
+The global Picard iteration the sweep is checked against lives in the
+reference module, snell.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ from rbsvie.instances import InstanceSpec, anchor_axis_defect, broadcast_defect
 SETTLE_RTOL = 1e-14
 # default bound on the iterations of each per-node equation
 MAX_ITERS = 200
+# driver calls the secant makes from its candidate: most often the first
+# certifies it, and otherwise the second lands on the exact fixed point
+SECANT_CALLS = 2
 
 
 class VolterraError(ValueError):
@@ -143,7 +150,7 @@ def check_finite(rows: np.ndarray, j: int, shared: bool = False) -> None:
 
 
 def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
-                     j: int, max_iters: int) -> tuple:
+                     j: int, max_iters: int, *, nonincreasing: bool = False) -> tuple:
     """Anchor j on its own layer: v = max(e + f(t_j, t_j, x, v, z) dt, L) per node.
 
     Iterates from max(e, L) until an update changes nothing, or until
@@ -160,6 +167,15 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
     an iterate makes the update NaN or infinite, and only then is the
     iterate tested value by value, since the difference of two finite
     iterates may overflow to infinity.
+
+    With nonincreasing (the driver is declared nonincreasing in y, see
+    DriverSpec.nonincreasing_in_y) the map v -> max(e + f dt, L) is
+    nonincreasing node by node in floats, so it has at most one exact
+    fixed point.  At the loop's second driver call _secant tries to reach
+    that point in fewer calls; a point it returns is the one the loop
+    ends on whenever the loop ends exactly, with the same update 0.0 and
+    fdt.  Otherwise the loop goes on as if the secant had not run, so its
+    values, errors and NoConvergence fields are the loop's.
     """
     v = np.maximum(e, barrier)
     f = _driver_rows(spec, s, s, x, v, z, v.shape, j)
@@ -171,7 +187,16 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
         if it:
             f = np.asarray(spec.driver(s, s, x, v, z), dtype=float)
         fdt = f * dt
-        nxt = np.maximum(e + fdt, barrier)
+        c = e + fdt
+        if nonincreasing and it < 2 and max_iters > 2:
+            if it == 0:
+                v0, c0 = v, c
+            else:
+                got = _secant(spec.driver, s, x, e, z, barrier, dt, v0, c0, v, c, fdt,
+                              max_iters - 2)
+                if got is not None:
+                    return got
+        nxt = np.maximum(c, barrier)
         step = float(np.maximum.reduce(np.abs(np.subtract(nxt, v, out=d), out=d)))
         if not math.isfinite(step) and not np.logical_and.reduce(np.isfinite(nxt)):
             raise _non_finite(j, j)
@@ -183,6 +208,49 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
             return v, step, None
         last = step
     raise NoConvergence(max_iters, last, where=f"anchor {j}, layer {j}")
+
+
+def _secant(driver, s: float, x, e, z, barrier, dt: float, v0, c0, v1, c1, fdt1,
+            calls: int) -> tuple | None:
+    """The exact fixed point of v -> max(e + f dt, L), or None.
+
+    v0 and v1 are the settle loop's first two iterates, c0 and c1 their
+    unclamped images e + f dt, and fdt1 the running terms at v1.  Per
+    node, the secant through (v0, c0) and (v1, c1) has slope
+    m = (c1 - c0) / (v1 - v0), in (-inf, 0] for a nonincreasing map, and
+    crosses the diagonal at r = v1 + (c1 - v1) / (1 - m).  The candidate
+    is the map's image of r read off the secant,
+    max(e + (fdt1 + (c1 - v1) m / (1 - m)), L): it adds e to the running
+    terms last, as the map does, so it rounds as the map rounds and is
+    most often the exact fixed point itself.  A node whose two iterates
+    are equal, where m / (1 - m) is 0 / 0, takes 0 there and so v1's
+    image, v1.  The map is then applied at most min(calls, SECANT_CALLS)
+    times.  Returns (v, 0.0, fdt) once an iterate and its image are
+    bitwise equal and finite: an exact fixed point, with fdt the running
+    terms at v.  The arithmetic and these driver calls run with numpy's
+    floating-point warnings off, since a candidate that overflows or is
+    NaN is dropped, not reported: the loop reports what it meets on its
+    own iterates.
+    """
+    with np.errstate(all="ignore"):
+        d = v1 - v0
+        dc = c1 - c0
+        u = np.divide(dc, np.subtract(d, dc, out=d), out=dc)  # m / (1 - m)
+        np.fmin(u, 0.0, out=u)
+        w = np.subtract(c1, v1)
+        w *= u
+        w += fdt1
+        w += e
+        np.maximum(w, barrier, out=w)
+        for _ in range(min(calls, SECANT_CALLS)):
+            fdt = np.asarray(driver(s, s, x, w, z), dtype=float) * dt
+            nxt = np.maximum(e + fdt, barrier)
+            if nxt.tobytes() == w.tobytes():
+                if np.logical_and.reduce(np.isfinite(w)):
+                    return w, 0.0, fdt
+                return None
+            w = nxt
+    return None
 
 
 def terminal_rows(spec: InstanceSpec, grid: TimeGrid, x_N, shared: bool = False) -> tuple:
@@ -273,7 +341,7 @@ class Layer:
 
 def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndarray,
                z: np.ndarray, dt: float, j: int, max_iters: int,
-               keep_z: bool = True) -> Layer:
+               keep_z: bool = True, *, nonincreasing: bool = False) -> Layer:
     """Layer j of the backward sweep, from the one-step operator's output.
 
     e and z are the conditional expectations and martingale coefficients
@@ -287,13 +355,16 @@ def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndar
     after the shared row (see Layer).  A shared row whose equation
     settled exactly is not stepped: it steps e[-1] on the running terms
     of the settle's last iteration, so it is v and the layer [v, v].
-    The layer carries z when keep_z.  A max_iters below 1 is a
-    VolterraError.
+    The layer carries z when keep_z.  nonincreasing lets the settle
+    try its secant (see _settle_diagonal); the sweep passes the driver's
+    declaration, the Monte Carlo engine nothing.  A max_iters below 1 is
+    a VolterraError.
     """
     if max_iters < 1:
         raise VolterraError("max_iters must be >= 1")
     barrier = np.asarray(spec.obstacle(s, x), dtype=float)
-    v, update, fdt = _settle_diagonal(spec, s, x, e[-1], z[-1], barrier, dt, j, max_iters)
+    v, update, fdt = _settle_diagonal(spec, s, x, e[-1], z[-1], barrier, dt, j, max_iters,
+                                      nonincreasing=nonincreasing)
     shared = len(e) <= j
     if shared and fdt is not None:
         # the shared row steps e[-1] on the settle's last running terms: it is v
@@ -323,7 +394,9 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False):
     and would be solved on wrong values.  A shared-row sweep passes one
     anchor time on every layer, which no fold can misplace, and skips the
     probe and its (N + 1) x N arrays.  Each later layer is made from the
-    one before, which the consumer may keep or drop.
+    one before, which the consumer may keep or drop.  A driver declared
+    nonincreasing in y (DriverSpec.nonincreasing_in_y) is settled with
+    the secant.
     """
     grid = lat.grid
     N = lat.n_steps
@@ -337,12 +410,14 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False):
     yield layer
     dt, two_sqrt_dt = grid.dt, 2.0 * grid.sqrt_dt
     zeros = None if z or spec.driver.depends_on_z else np.broadcast_to(0.0, (N, N))
+    nonincreasing = spec.driver.nonincreasing_in_y
     for j in range(N - 1, -1, -1):
         nxt = layer.rows[:-1]  # anchors 0..j on layer j + 1, or their shared row
         e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
         zj = (nxt[:, 1:] - nxt[:, :-1]) / two_sqrt_dt if zeros is None \
             else zeros[: len(nxt), : j + 1]
-        layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, zj, dt, j, max_iters, z)
+        layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, zj, dt, j, max_iters, z,
+                           nonincreasing=nonincreasing)
         yield layer
 
 

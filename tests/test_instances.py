@@ -261,6 +261,41 @@ def test_driver_declared_free_of_the_anchor_that_reads_it_reported():
     assert t != tp and liar.driver(t, s, x, y, z) != liar.driver(tp, s, x, y, z)
 
 
+@pytest.mark.parametrize("name, params, falls", [
+    ("american_put", {}, True),
+    ("hyperbolic_discount", {}, True),
+    ("zero_driver_flat", {}, True),
+    ("linear_z", {}, False),
+    ("linear_z", {"b": 0.0}, True),
+    ("linear_z", {"b": -0.5}, True),
+    ("custom_affine", {}, False),
+    ("custom_affine", {"y_coef": -0.3}, True),
+])
+def test_nonincreasing_declarations_hold(name, params, falls):
+    # the catalog declares a driver nonincreasing in y exactly where its
+    # y slope is at most 0; f + c keeps the declaration
+    spec = catalog_instance(name, params)
+    assert spec.driver.nonincreasing_in_y == falls
+    assert shift_driver(spec, 0.1).driver.nonincreasing_in_y == falls
+    assert verify_assumptions(spec, n_steps=20).ok
+
+
+def test_driver_declared_nonincreasing_that_rises_reported():
+    # the sweep would settle a rising driver on the secant, whose exact
+    # fixed point need not be the loop's
+    base = catalog_instance("custom_affine", {"y_coef": 0.2})
+    liar = replace(base, driver=replace(base.driver, nonincreasing_in_y=True))
+    report = verify_assumptions(liar, n_steps=20)
+    assert [v.kind for v in report.violations] == ["monotonicity"]
+    assert "declared nonincreasing_in_y=True rises" in report.violations[0].detail
+    t, s, x, y, z, yp = report.violations[0].witness
+    assert (liar.driver(t, s, x, yp, z) - liar.driver(t, s, x, y, z)) * (yp - y) > 0
+    # the check draws nothing: its samples are the honest report's
+    honest = verify_assumptions(base, n_steps=20)
+    assert (report.lipschitz_ratio, report.holder_ratio) == \
+        (honest.lipschitz_ratio, honest.holder_ratio) and honest.ok
+
+
 def test_terminal_declared_free_of_the_anchor_that_reads_it_reported():
     # the sweep would hand anchor 0's terminal row to anchors 1..N-1
     base = catalog_instance("linear_z")

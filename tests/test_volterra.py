@@ -403,10 +403,11 @@ def _settle_reference(spec, s, x, e, z, barrier, dt, j, max_iters):
             raise VolterraError(f"non-finite value at anchor {j}, layer {j}; "
                                 f"check instance parameters")
         step = float(np.max(np.abs(nxt - v)))
-        v = nxt
+        v, prev = nxt, v
         if step == 0.0 or (step >= last
                            and step <= SETTLE_RTOL * (1.0 + float(np.max(np.abs(v))))):
-            return v, step
+            # third: whether the loop ended exactly, on bitwise-equal iterates
+            return v, step, step == 0.0 and v.tobytes() == prev.tobytes()
         last = step
     raise NoConvergence(max_iters, last, where=f"anchor {j}, layer {j}")
 
@@ -530,6 +531,157 @@ def test_settle_loop_endings():
     with np.errstate(over="ignore"), pytest.raises(NoConvergence) as exc:
         _settle_diagonal(SimpleNamespace(driver=swing), 0.0, e, e * 0.0, z, -np.inf, 1.0, 0, 3)
     assert (exc.value.iterations, exc.value.last_residual, len(calls)) == (3, np.inf, 3)
+
+
+def _settle_outcome(settle, spec, e, z, barrier, dt, max_iters, **kw):
+    """(v, update, third), third an array as bytes (the settle's fdt), or
+    (error type, text, NoConvergence fields)."""
+    try:
+        v, step, third = settle(spec, 0.25, 0.5 * e, e, z, barrier, dt, 3, max_iters, **kw)
+    except (VolterraError, NoConvergence) as exc:
+        extra = ((exc.iterations, exc.last_residual) if isinstance(exc, NoConvergence)
+                 else ())
+        return type(exc), str(exc), extra
+    return v, step, third.tobytes() if isinstance(third, np.ndarray) else third
+
+
+@settings(max_examples=500, deadline=None)
+@given(slope_dt=st.floats(-1.2, 0.0), dt=st.sampled_from([0.01, 0.1, 0.5]),
+       n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), b=st.floats(-2.0, 2.0),
+       barrier_kind=st.sampled_from(["array", "scalar", "none"]),
+       max_iters=st.integers(1, 400),
+       inject=st.one_of(st.none(), st.tuples(
+           st.sampled_from(["e", "barrier", "driver"]), st.integers(0, 23), _EDGES,
+           st.floats(-6.0, 6.0))))
+def test_secant_settle_returns_the_loops_exact_fixed_point(
+        slope_dt, dt, n, seed, b, barrier_kind, max_iters, inject):
+    # on drivers nonincreasing in y, the secant path returns the loop's
+    # v, update 0.0 and fdt bit for bit wherever the loop ends exactly;
+    # elsewhere it returns what the loop returns, or an exact finite fixed
+    # point certified within max_iters driver calls, as close to the loop's
+    # last-bit cycle as the cycle's own tolerance.  A non-finite value is
+    # injected in e, in L, or in the driver wherever y exceeds a level on
+    # one node, so that the driver stays a pure function of its arguments
+    rng = np.random.default_rng(seed)
+    e = rng.uniform(-5.0, 5.0, n)
+    z = rng.uniform(-1.0, 1.0, n)
+    barrier = {"array": rng.uniform(-6.0, 2.0, n), "scalar": np.asarray(rng.uniform(-6.0, 2.0)),
+               "none": np.full(n, -np.inf)}[barrier_kind]
+    a = slope_dt / dt
+    where, node, bad, above = inject or (None, 0, 0.0, 0.0)
+    node %= n
+    if where == "e":
+        e[node] = bad
+    elif where == "barrier":
+        barrier = np.broadcast_to(barrier, (n,)).copy()
+        barrier[node] = bad
+    calls = [0]
+
+    def f(t, s, x, y, z):
+        calls[0] += 1
+        out = a * y + b * z + 0.3 * x - 0.1
+        if where == "driver" and y[node] > above:
+            out[node] = bad
+        return out
+    spec = SimpleNamespace(driver=f)
+
+    with np.errstate(all="ignore"):
+        want = _settle_outcome(_settle_reference, spec, e, z, barrier, dt, max_iters)
+        loop_calls, calls[0] = calls[0], 0
+        got = _settle_outcome(_settle_diagonal, spec, e, z, barrier, dt, max_iters,
+                              nonincreasing=True)
+    settled = [isinstance(out[0], np.ndarray) for out in (want, got)]
+    if settled[0] and want[2]:
+        # the loop ended exactly: the same v, update 0.0 and fdt
+        v = want[0]
+        assert settled[1] and got[0].tobytes() == v.tobytes() and got[1] == 0.0
+        assert got[2] == (np.asarray(f(0.25, 0.25, 0.5 * e, v, z)) * dt).tobytes()
+        return
+    if settled == [True, True]:
+        same = got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+    else:
+        same = settled == [False, False] and got == want
+    if same:
+        assert calls[0] <= loop_calls + max(max_iters - 2, 0)
+        return
+    # an exact finite fixed point, certified within max_iters driver calls
+    assert settled[1]
+    v, step, fdt = got
+    assert step == 0.0 and np.isfinite(v).all() and calls[0] <= max_iters
+    f_v = np.asarray(f(0.25, 0.25, 0.5 * e, v, z)) * dt
+    assert fdt == f_v.tobytes() and np.maximum(e + f_v, barrier).tobytes() == v.tobytes()
+    if settled[0]:
+        # the loop ended on a last-bit cycle around that point
+        w = want[0]
+        assert np.max(np.abs(v - w)) <= 2 * SETTLE_RTOL * (1.0 + np.max(np.abs(w)))
+    else:
+        # the loop ran out of iterations, or met the injected value on an
+        # iterate away from the fixed point
+        assert want[0] in (NoConvergence, VolterraError)
+
+
+def test_secant_settle_certifies_only_an_exact_fixed_point():
+    # a contracting affine driver settles exactly in fewer calls than the
+    # loop, also on a node whose first two iterates are equal (e = 1,
+    # where f = 0); a budget of one or two calls and candidates the driver
+    # makes NaN leave the loop's own result, and a stiff layer the loop
+    # cannot settle may settle on the secant, exactly
+    e, z = np.linspace(-1.0, 1.0, 7), np.zeros(7)
+    calls = []
+
+    def affine(t, s, x, y, z):
+        calls.append(None)
+        return 1.0 - y
+    spec = SimpleNamespace(driver=affine)
+    loop = _settle_diagonal(spec, 0.0, e, e, z, -0.5, 0.1, 0, 200)
+    loop_calls, calls[:] = len(calls), []
+    got = _settle_diagonal(spec, 0.0, e, e, z, -0.5, 0.1, 0, 200, nonincreasing=True)
+    assert loop[1] == 0.0 and len(calls) < loop_calls
+    assert [a.tobytes() for a in got[::2]] == [a.tobytes() for a in loop[::2]]
+    assert got[1] == 0.0
+    for max_iters in (1, 2):
+        want = _settle_outcome(_settle_diagonal, spec, e, z, -0.5, 0.1, max_iters)
+        assert _settle_outcome(_settle_diagonal, spec, e, z, -0.5, 0.1, max_iters,
+                               nonincreasing=True) == want
+    # NaN wherever y leaves [-1, 1]: every candidate of this expanding map
+    # is refused and the loop raises its own error
+    wild = SimpleNamespace(driver=lambda t, s, x, y, z: np.where(
+        np.abs(y) > 1.0, np.nan, -12.0 * y))
+    want = _settle_outcome(_settle_diagonal, wild, e, z, -np.inf, 0.1, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _settle_outcome(_settle_diagonal, wild, e, z, -np.inf, 0.1, 50,
+                              nonincreasing=True)
+    assert got == want and want[0] is VolterraError
+    # y-slope -1.5 per dt: the loop swings and runs out of iterations; the
+    # secant lands on (0.3 + 0.1) / 2.5 and certifies it
+    stiff = SimpleNamespace(driver=lambda t, s, x, y, z: 1.0 - 15.0 * y)
+    one = np.array([0.3])
+    with pytest.raises(NoConvergence):
+        _settle_diagonal(stiff, 0.0, one, one, z[:1], -0.5, 0.1, 0, 200)
+    v, step, fdt = _settle_diagonal(stiff, 0.0, one, one, z[:1], -0.5, 0.1, 0, 200,
+                                    nonincreasing=True)
+    assert v.tolist() == [0.16] and step == 0.0
+    assert np.maximum(one + fdt, -0.5).tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_discount", "american_put"])
+def test_drained_sweep_settles_on_the_secant(name):
+    # the secant path, not a silent fall back to the loop: at N = 100 a
+    # drained sweep calls the driver at most 5 N times (the secant makes
+    # 408 and 301 calls, the loop alone 901 and 592)
+    spec = catalog_instance(name)
+    calls = [0]
+
+    def counted(*args, fn=spec.driver.fn):
+        calls[0] += 1
+        return fn(*args)
+    spec = replace(spec, driver=replace(spec.driver, fn=counted))
+    assert spec.driver.nonincreasing_in_y
+    n = 100
+    for _ in sweep(spec.lattice(n), spec, 200):
+        pass
+    assert calls[0] <= 5 * n
 
 
 def _first_bad_anchor_reference(rows, j):
