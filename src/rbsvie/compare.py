@@ -3,9 +3,11 @@
 Two instances sharing the same state dynamics are ordered when their
 terminal map, driver and obstacle are ordered pointwise; the solved
 values then inherit the order.  Construction of an OrderedPair gates
-the hypothesis: when drivers read y and neither is nondecreasing in y,
-the pair must differ only in the driver, by an additive constant (the
-shift families used throughout the tests), or both instances must be
+the hypothesis: unless a driver is declared nondecreasing in y or free
+of it (DriverSpec.y_sign 1 or 0, which instances.verify_assumptions
+checks), the pair must differ only in the driver, by an additive
+constant (the shift families used throughout the tests), or both
+instances must be
 declared anchor-free (InstanceSpec.anchor_free, which
 instances.verify_assumptions checks), so that the system is a reflected
 BSDE, for which comparison needs no monotonicity.  The solved-value
@@ -123,17 +125,16 @@ class OrderedPair:
         if max(abs(gmin), abs(gmax)) > PAIR_ATOL:
             witnesses.add("driver")
 
-        reads_y = lo.driver.depends_on_y or hi.driver.depends_on_y
-        if reads_y and not (lo.driver.monotone_in_y or hi.driver.monotone_in_y):
+        if not (lo.driver.y_sign in (0, 1) or hi.driver.y_sign in (0, 1)):
             # a constant driver shift keeps both y-couplings identical; any
             # other datum moved on an anchor-coupled instance can reverse
             # the order through the diagonal
             shift = witnesses <= {"driver"} and gmax - gmin <= 1e-10
             if not (shift or (lo.anchor_free and hi.anchor_free)):
                 raise CompareError(
-                    "comparison hypothesis not met: drivers read y, neither is "
-                    "nondecreasing in y, the pair differs by more than a constant "
-                    "driver shift, and an instance is not declared anchor-free")
+                    "comparison hypothesis not met: no driver is declared y_sign 0 "
+                    "or 1, the pair differs by more than a constant driver shift, "
+                    "and an instance is not declared anchor-free")
         return cls(lo=lo, hi=hi, witnesses=tuple(sorted(witnesses)))
 
 
@@ -207,8 +208,9 @@ def random_ordered_pairs(names, lat_by_name, n_pairs: int, seed: int = 4242):
 
     Terminal and driver move up on the hi side; the obstacle moves down
     on the lo side, which never breaks the terminal-domination
-    requirement of either member.  Instances whose driver decreases in y
-    only receive driver shifts: moving the obstacle alone on such an
+    requirement of either member.  Instances whose driver is not declared
+    nondecreasing in y or free of it (DriverSpec.y_sign 1 or 0) only
+    receive driver shifts: moving the obstacle alone on such an
     instance can genuinely reverse the solution order (lowering the
     obstacle lowers the diagonal, which raises the driver term at other
     anchors), so those pairs fall outside what ordering guarantees.
@@ -224,7 +226,7 @@ def random_ordered_pairs(names, lat_by_name, n_pairs: int, seed: int = 4242):
         name = names[int(rng.integers(len(names)))]
         base = catalog_instance(name)
         c = float(rng.uniform(0.0, MAX_SHIFT))
-        if base.driver.depends_on_y and not base.driver.monotone_in_y:
+        if base.driver.y_sign not in (0, 1):
             data = ("driver",)
         else:
             data = ("terminal", "driver", "obstacle")

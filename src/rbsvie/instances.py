@@ -38,11 +38,13 @@ class DriverSpec:
     |f(t',s,..) - f(t,s,..)| <= holder_const * |t'-t|**holder_alpha for
     |y|, |z| <= 1; alpha may not exceed 1/2.  ``depends_on_anchor`` False
     declares that f never reads its first argument, the anchor t (see
-    InstanceSpec.anchor_free).  ``nonincreasing_in_y`` True declares that
-    f's float value never rises as y rises, all else fixed; the lattice
-    sweep then settles its per-node equation on a certified secant
-    (volterra._settle_diagonal).  ``monotone_in_y`` declares the other
-    direction, nondecreasing, for the comparison gate.
+    InstanceSpec.anchor_free).  ``y_sign`` declares the sign of every
+    y-slope of f's float value, all else fixed: 0 when f reads no y, 1
+    when it never falls as y rises, -1 when it never rises, None when
+    undeclared.  The comparison gate and the monotone scheme trust 0 and
+    1 (compare.OrderedPair, snell.monotone_scheme); the lattice sweep
+    settles the per-node equation of a -1 driver on a certified secant
+    (volterra._settle_diagonal).
     """
 
     name: str
@@ -50,11 +52,9 @@ class DriverSpec:
     lipschitz: float
     holder_const: float = 0.0
     holder_alpha: float = 0.5
-    depends_on_y: bool = True
+    y_sign: int | None = None
     depends_on_z: bool = True
-    monotone_in_y: bool = False
     depends_on_anchor: bool = True
-    nonincreasing_in_y: bool = False
 
     def __post_init__(self):
         if self.lipschitz < 0 or not np.isfinite(self.lipschitz):
@@ -63,6 +63,9 @@ class DriverSpec:
             raise InstanceError(f"holder_alpha must lie in (0, 1/2], got {self.holder_alpha}")
         if self.holder_const < 0:
             raise InstanceError("holder_const must be >= 0")
+        if self.y_sign is not None and (isinstance(self.y_sign, bool)
+                                        or self.y_sign not in (-1, 0, 1)):
+            raise InstanceError(f"y_sign must be -1, 0, 1 or None, got {self.y_sign!r}")
 
     def __call__(self, t, s, x, y, z):
         return self.fn(t, s, x, y, z)
@@ -199,11 +202,9 @@ def _american_put(p: dict) -> InstanceSpec:
         fn=lambda t, s, x, y, z: -rate * y,
         lipschitz=rate,
         holder_const=0.0,
-        depends_on_y=rate > 0,
+        y_sign=-1 if rate > 0 else 0,
         depends_on_z=False,
-        monotone_in_y=rate == 0,
         depends_on_anchor=False,
-        nonincreasing_in_y=True,
     )
     payoff = lambda u, x: np.maximum(strike - x, 0.0)
     return InstanceSpec(
@@ -241,11 +242,9 @@ def _hyperbolic_discount(p: dict) -> InstanceSpec:
         # calibrated for |y| <= 1: |f(t',..) - f(t,..)| <= rho0 kappa |t'-t|
         holder_const=rho0 * kappa * math.sqrt(max(horizon, 1.0)),
         holder_alpha=0.5,
-        depends_on_y=rho0 > 0,
+        y_sign=-1 if rho0 > 0 else 0,
         depends_on_z=False,
-        monotone_in_y=rho0 == 0,
         depends_on_anchor=rho0 != 0 and kappa != 0,
-        nonincreasing_in_y=True,
     )
     return InstanceSpec(
         label="hyperbolic_discount",
@@ -267,11 +266,9 @@ def _zero_driver_flat(p: dict) -> InstanceSpec:
         name="zero",
         fn=lambda t, s, x, y, z: np.zeros_like(np.asarray(y, dtype=float)),
         lipschitz=0.0,
-        depends_on_y=False,
+        y_sign=0,
         depends_on_z=False,
-        monotone_in_y=True,
         depends_on_anchor=False,
-        nonincreasing_in_y=True,
     )
     return InstanceSpec(
         label="zero_driver_flat",
@@ -298,11 +295,9 @@ def _linear_z(p: dict) -> InstanceSpec:
         name=f"linear_z(a={a},b={b})",
         fn=lambda t, s, x, y, z: a * z + b * y,
         lipschitz=abs(a) + abs(b),
-        depends_on_y=b != 0,
+        y_sign=int(np.sign(b)),
         depends_on_z=a != 0,
-        monotone_in_y=b >= 0,
         depends_on_anchor=False,
-        nonincreasing_in_y=b <= 0,
     )
     return InstanceSpec(
         label="linear_z",
@@ -336,11 +331,9 @@ def _custom_affine(p: dict) -> InstanceSpec:
         lipschitz=abs(y_coef) + abs(z_coef),
         holder_const=abs(t_coef) * math.sqrt(max(horizon, 1.0)),
         holder_alpha=0.5,
-        depends_on_y=y_coef != 0,
+        y_sign=int(np.sign(y_coef)),
         depends_on_z=z_coef != 0,
-        monotone_in_y=y_coef >= 0,
         depends_on_anchor=t_coef != 0,
-        nonincreasing_in_y=y_coef <= 0,
     )
     return InstanceSpec(
         label="custom_affine",
@@ -387,8 +380,7 @@ def catalog_instance(name: str, overrides: Optional[dict] = None) -> InstanceSpe
 
 def shift_driver(spec: InstanceSpec, c: float) -> InstanceSpec:
     """Instance with driver f + c.  Every declaration carries over: f + c
-    has f's slopes and dependence, and adding c keeps f's monotonicity in
-    y, nonincreasing_in_y included."""
+    has f's slopes and dependence, and adding c keeps f's y_sign."""
     base = spec.driver
 
     def fn(t, s, x, y, z, _f=base.fn, _c=c):
@@ -490,19 +482,20 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
     * finiteness of f(t,s,x,0,0), xi and L on lattice nodes;
     * broadcasting: f with a column of anchor times against one layer's
       nodes has a result that broadcasts to (anchors, nodes);
-    * dependence: a driver declared free of y (depends_on_y False), of
-      z (depends_on_z False) or of the anchor t (depends_on_anchor
-      False) keeps its value, exactly, as that argument moves, sampled;
-      the first sample that moves it is reported.  A terminal declared
-      anchor-free gives every anchor's terminal row exactly anchor 0's
-      (exhaustive; the first other row is reported).  The Monte Carlo
-      engine fits no z for a z-free driver, and the lattice sweep keeps
-      one shared row for the anchors of an anchor-free instance.
-    * monotonicity: a driver declared nonincreasing in y does not rise
-      from f(t,s,x,y,z) to f(t,s,x,y',z), on the Lipschitz samples'
-      pairs (y, y') with one more driver call and no more draws; the
-      first sample that rises is reported.  The lattice sweep settles
-      such a driver's per-node equation on a secant.
+    * the y-sign: f(t,s,x,y',z) is compared with f(t,s,x,y,z) on the
+      Lipschitz samples' pairs (y, y'), with one more driver call and no
+      more draws.  A driver declared y_sign 0 keeps its value, exactly
+      (a dependence violation otherwise); one declared 1 or -1 does not
+      move against that sign (a monotonicity violation otherwise).  The
+      first sample that breaks the declaration is reported.
+    * dependence: a driver declared free of z (depends_on_z False) or of
+      the anchor t (depends_on_anchor False) keeps its value, exactly,
+      as that argument moves, sampled; the first sample that moves it is
+      reported.  A terminal declared anchor-free gives every anchor's
+      terminal row exactly anchor 0's (exhaustive; the first other row
+      is reported).  The Monte Carlo engine fits no z for a z-free
+      driver, and the lattice sweep keeps one shared row for the anchors
+      of an anchor-free instance.
 
     Report-only: violations are collected, never raised.
     """
@@ -550,11 +543,10 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
     cf = spec.driver.lipschitz
     c1 = spec.driver.holder_const
     alpha = spec.driver.holder_alpha
-    # arguments the driver declares it ignores, until a sample shows one read
-    free = [arg for arg, reads in (("y", spec.driver.depends_on_y),
-                                   ("z", spec.driver.depends_on_z)) if not reads]
+    # declarations still to check, until a sample breaks one
+    y_sign = spec.driver.y_sign
+    z_free = not spec.driver.depends_on_z
     t_free = not spec.driver.depends_on_anchor
-    falls = spec.driver.nonincreasing_in_y  # until a sample rises with y
     for m in range(samples):
         j, k = all_nodes[idx[m]]
         x = float(lat.x[j][k])
@@ -593,26 +585,27 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
                     f"to {fp:.6g} as the anchor t moves",
                     (t, tp, s, x, y, z),
                 ))
-        for arg in list(free):
-            moved = (yp, z) if arg == "y" else (y, zp)
-            f1 = float(spec.driver(t, s, x, *moved))
-            if f1 != f0:
-                free.remove(arg)
-                violations.append(Violation(
-                    "dependence",
-                    f"driver declared depends_on_{arg}=False changes from {f0:.6g} "
-                    f"to {f1:.6g} as {arg} moves",
-                    (t, s, x, y, z, *moved),
-                ))
-        if falls:
+        if y_sign is not None:
             fy = float(spec.driver(t, s, x, yp, z))
-            if (fy - f0) * (yp - y) > 0.0:
-                falls = False
+            broken = (fy != f0) if y_sign == 0 else (fy - f0) * (yp - y) * y_sign < 0.0
+            if broken:
+                moves = {0: "changes", 1: "falls", -1: "rises"}[y_sign]
                 violations.append(Violation(
-                    "monotonicity",
-                    f"driver declared nonincreasing_in_y=True rises from {f0:.6g} "
+                    "dependence" if y_sign == 0 else "monotonicity",
+                    f"driver declared y_sign={y_sign} {moves} from {f0:.6g} "
                     f"to {fy:.6g} as y moves from {y:.6g} to {yp:.6g}",
                     (t, s, x, y, z, yp),
+                ))
+                y_sign = None
+        if z_free:
+            fz = float(spec.driver(t, s, x, y, zp))
+            if fz != f0:
+                z_free = False
+                violations.append(Violation(
+                    "dependence",
+                    f"driver declared depends_on_z=False changes from {f0:.6g} "
+                    f"to {fz:.6g} as z moves",
+                    (t, s, x, y, z, y, zp),
                 ))
 
     for j in (0, n_steps // 2, n_steps):

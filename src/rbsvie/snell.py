@@ -287,10 +287,10 @@ def solve_global(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = No
     A pass is final when the largest entrywise change of the diagonal
     and z-field, and the expectation norm of that change (see e_norm),
     are both below tolerance; cfg.max_iters bounds the passes.  Returns
-    the last pass with its pass count and residuals.  Drivers with no
-    (y, z) dependence are solved in a single pass: the pass does not
-    read its input, so its output is already the fixed point, and the
-    recorded residual is zero.
+    the last pass with its pass count and residuals.  Drivers declared
+    free of y and z (y_sign 0, depends_on_z False) are solved in a single
+    pass: the pass does not read its input, so its output is already the
+    fixed point, and the recorded residual is zero.
     """
     if not tolerance > 0:
         raise VolterraError("tolerance must be positive")
@@ -300,7 +300,7 @@ def solve_global(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = No
     if len(U) != N + 1:
         raise VolterraError(f"init_diag needs {N + 1} layers")
 
-    if not (spec.driver.depends_on_y or spec.driver.depends_on_z):
+    if spec.driver.y_sign == 0 and not spec.driver.depends_on_z:
         return replace(phi_step(lat, spec, U), residual_history=[0.0])
 
     prev_z = None
@@ -436,12 +436,13 @@ def monotone_scheme(lat: Lattice, spec: InstanceSpec, n_max: int,
     resulting y-free reflected system (one pass of the fixed-point map,
     which resolves z internally).  The start is the full solution of the
     same instance with driver f + 1, which dominates every
-    iterate.  Requires a driver nondecreasing in y and a step fine
+    iterate.  Requires a driver declared nondecreasing in y or free of it
+    (DriverSpec.y_sign 1 or 0) and a step fine
     enough that the one-step map is monotone (|f_z| sqrt(dt) <= 1).
     """
     if n_max < 1:
         raise CompareError("n_max must be >= 1")
-    if spec.driver.depends_on_y and not spec.driver.monotone_in_y:
+    if spec.driver.y_sign not in (0, 1):
         raise CompareError("monotone scheme needs a driver nondecreasing in y")
     if spec.driver.lipschitz * lat.grid.sqrt_dt > 1.0:
         raise CompareError("grid too coarse for a monotone one-step map")

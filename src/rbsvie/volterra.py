@@ -168,8 +168,8 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
     iterate tested value by value, since the difference of two finite
     iterates may overflow to infinity.
 
-    With nonincreasing (the driver is declared nonincreasing in y, see
-    DriverSpec.nonincreasing_in_y) the map v -> max(e + f dt, L) is
+    With nonincreasing (the driver is declared nonincreasing in y,
+    DriverSpec.y_sign -1) the map v -> max(e + f dt, L) is
     nonincreasing node by node in floats, so it has at most one exact
     fixed point.  At the loop's second driver call _secant tries to reach
     that point in fewer calls; a point it returns is the one the loop
@@ -395,8 +395,8 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False):
     anchor time on every layer, which no fold can misplace, and skips the
     probe and its (N + 1) x N arrays.  Each later layer is made from the
     one before, which the consumer may keep or drop.  A driver declared
-    nonincreasing in y (DriverSpec.nonincreasing_in_y) is settled with
-    the secant.
+    nonincreasing in y (DriverSpec.y_sign -1) is settled with the secant;
+    one that reads no y keeps the loop, which settles it in two calls.
     """
     grid = lat.grid
     N = lat.n_steps
@@ -410,7 +410,7 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False):
     yield layer
     dt, two_sqrt_dt = grid.dt, 2.0 * grid.sqrt_dt
     zeros = None if z or spec.driver.depends_on_z else np.broadcast_to(0.0, (N, N))
-    nonincreasing = spec.driver.nonincreasing_in_y
+    nonincreasing = spec.driver.y_sign == -1
     for j in range(N - 1, -1, -1):
         nxt = layer.rows[:-1]  # anchors 0..j on layer j + 1, or their shared row
         e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])

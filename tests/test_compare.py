@@ -1,5 +1,7 @@
 """Ordered pairs, solved-value comparison, monotone scheme."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -79,11 +81,30 @@ def test_driver_shift_family_ordered():
 
 def test_z_only_driver_needs_no_hypothesis():
     base = catalog_instance("linear_z", {"b": 0.0})
-    assert not base.driver.depends_on_y
+    assert base.driver.y_sign == 0
     lat = base.lattice(30)
     pair = OrderedPair.build(base, shift_driver(base, 0.2), lat)
     rep = check_comparison(lat, pair)
     assert rep.ordered
+
+
+@pytest.mark.parametrize("sign, admitted", [(0, True), (1, True), (-1, False), (None, False)])
+def test_hypothesis_gate_reads_the_y_sign(sign, admitted):
+    # an obstacle pair on an anchor-coupled instance whose driver reads no
+    # y: the gate trusts a driver declared free of y or nondecreasing in
+    # it, and asks the other declarations for a constant driver shift
+    base = catalog_instance("custom_affine", {"y_coef": 0.0})
+    base = replace(base, driver=replace(base.driver, y_sign=sign))
+    assert not base.anchor_free
+    lat = base.lattice(20)
+    lo, hi = shift_obstacle(base, -0.1), base
+    if not admitted:
+        with pytest.raises(CompareError, match="hypothesis"):
+            OrderedPair.build(lo, hi, lat)
+        return
+    pair = OrderedPair.build(lo, hi, lat)
+    assert pair.witnesses == ("obstacle",)
+    assert check_comparison(lat, pair).ordered
 
 
 def test_reversed_pair_rejected_with_witness():
@@ -117,7 +138,6 @@ def test_hypothesis_gate_blocks_unrelated_decreasing_drivers():
     def steeper(t, s, x, y, z):
         return -0.8 / (1.0 + 1.0 * (s - t)) * y
 
-    from dataclasses import replace
     hi = replace(base, driver=replace(
         base.driver, fn=steeper, lipschitz=0.8, name="steeper"))
     with pytest.raises(CompareError, match="hypothesis"):
@@ -128,7 +148,6 @@ def test_hypothesis_gate_reads_the_anchor_free_declaration():
     # a strike pair moves terminal and obstacle of a y-decreasing driver:
     # the gate admits it only for instances declared anchor-free, which
     # verify_assumptions checks, and no longer probes the data for it
-    from dataclasses import replace
     declared = (catalog_instance("american_put", {"strike": 0.9}),
                 catalog_instance("american_put"))
     assert all(spec.anchor_free for spec in declared)
@@ -168,7 +187,6 @@ def test_hypothesis_gate_blocks_obstacle_only_pair_on_anchor_coupled_driver():
 
 def _nan_datum(base, datum):
     """base with one datum NaN at every node, the datum's other fields kept."""
-    from dataclasses import replace
     nan = lambda *args: np.full(np.shape(args[-1]), np.nan)
     return replace(base, **{datum: replace(getattr(base, datum), fn=nan, name="nan")})
 
@@ -192,7 +210,6 @@ def test_non_finite_data_gap_rejected(side, datum):
 def test_non_finite_driver_gap_on_solved_range_fails_driver_check():
     # hi's driver is lo's on the solved values and NaN from the padded top
     # of the y range up, so the sweeps agree and only the recheck sees it
-    from dataclasses import replace
     base = catalog_instance("american_put")
     lat = base.lattice(8)
     top = check_comparison(lat, OrderedPair(base, base, ())).y_range[1]

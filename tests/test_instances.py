@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbsvie.instances import (
     CATALOG_NAMES,
@@ -74,8 +75,7 @@ def test_linear_z_driver():
     spec = catalog_instance("linear_z", {"a": 0.4, "b": 0.0})
     assert float(spec.driver(0, 1, 0, 3.0, 2.0)) == pytest.approx(0.8)
     assert spec.driver.lipschitz == pytest.approx(0.4)
-    assert not spec.driver.depends_on_y
-    assert spec.driver.monotone_in_y
+    assert spec.driver.y_sign == 0
 
 
 def test_custom_affine_t_dependence():
@@ -215,17 +215,17 @@ def test_driver_declared_free_of_z_that_reads_z_reported():
 
 def test_driver_declared_free_of_y_that_reads_y_reported():
     base = catalog_instance("hyperbolic_discount")
-    liar = replace(base, driver=replace(base.driver, depends_on_y=False))
+    liar = replace(base, driver=replace(base.driver, y_sign=0))
     report = verify_assumptions(liar, n_steps=20)
     assert [v.kind for v in report.violations] == ["dependence"]
-    assert "depends_on_y=False" in report.violations[0].detail
+    assert "declared y_sign=0 changes" in report.violations[0].detail
 
 
 @pytest.mark.parametrize("params", [{"rate": 0.0}, {"rate": 0.05}])
 def test_declared_free_drivers_that_ignore_the_argument_pass(params):
     # rate 0 declares the put's discount free of y as well; -0.0 * y is 0
     spec = catalog_instance("american_put", params)
-    assert spec.driver.depends_on_y == (params["rate"] > 0)
+    assert spec.driver.y_sign == (-1 if params["rate"] > 0 else 0)
     assert verify_assumptions(spec, n_steps=20).ok
 
 
@@ -261,39 +261,70 @@ def test_driver_declared_free_of_the_anchor_that_reads_it_reported():
     assert t != tp and liar.driver(t, s, x, y, z) != liar.driver(tp, s, x, y, z)
 
 
-@pytest.mark.parametrize("name, params, falls", [
-    ("american_put", {}, True),
-    ("hyperbolic_discount", {}, True),
-    ("zero_driver_flat", {}, True),
-    ("linear_z", {}, False),
-    ("linear_z", {"b": 0.0}, True),
-    ("linear_z", {"b": -0.5}, True),
-    ("custom_affine", {}, False),
-    ("custom_affine", {"y_coef": -0.3}, True),
+@pytest.mark.parametrize("name, params, sign", [
+    ("american_put", {}, -1),
+    ("american_put", {"rate": 0.0}, 0),
+    ("hyperbolic_discount", {}, -1),
+    ("hyperbolic_discount", {"rho0": 0.0}, 0),
+    ("zero_driver_flat", {}, 0),
+    ("linear_z", {}, 1),
+    ("linear_z", {"b": 0.0}, 0),
+    ("linear_z", {"b": -0.5}, -1),
+    ("custom_affine", {}, 1),
+    ("custom_affine", {"y_coef": 0.0}, 0),
+    ("custom_affine", {"y_coef": -0.3}, -1),
 ])
-def test_nonincreasing_declarations_hold(name, params, falls):
-    # the catalog declares a driver nonincreasing in y exactly where its
-    # y slope is at most 0; f + c keeps the declaration
+def test_y_sign_declarations_hold(name, params, sign):
+    # the catalog declares the sign of its driver's y slope, 0 where it
+    # reads no y; f + c keeps the declaration
     spec = catalog_instance(name, params)
-    assert spec.driver.nonincreasing_in_y == falls
-    assert shift_driver(spec, 0.1).driver.nonincreasing_in_y == falls
+    assert spec.driver.y_sign == sign
+    assert shift_driver(spec, 0.1).driver.y_sign == sign
     assert verify_assumptions(spec, n_steps=20).ok
+
+
+def _assert_against_the_sign_reported(y_coef, sign, moves):
+    base = catalog_instance("custom_affine", {"y_coef": y_coef})
+    liar = replace(base, driver=replace(base.driver, y_sign=sign))
+    report = verify_assumptions(liar, n_steps=20)
+    assert [v.kind for v in report.violations] == ["monotonicity"]
+    assert f"declared y_sign={sign} {moves}" in report.violations[0].detail
+    t, s, x, y, z, yp = report.violations[0].witness
+    assert (liar.driver(t, s, x, yp, z) - liar.driver(t, s, x, y, z)) * (yp - y) * sign < 0
+    # the check draws nothing: its samples are the honest report's
+    honest = verify_assumptions(base, n_steps=20)
+    assert (report.lipschitz_ratio, report.holder_ratio) == \
+        (honest.lipschitz_ratio, honest.holder_ratio) and honest.ok
 
 
 def test_driver_declared_nonincreasing_that_rises_reported():
     # the sweep would settle a rising driver on the secant, whose exact
     # fixed point need not be the loop's
-    base = catalog_instance("custom_affine", {"y_coef": 0.2})
-    liar = replace(base, driver=replace(base.driver, nonincreasing_in_y=True))
-    report = verify_assumptions(liar, n_steps=20)
-    assert [v.kind for v in report.violations] == ["monotonicity"]
-    assert "declared nonincreasing_in_y=True rises" in report.violations[0].detail
-    t, s, x, y, z, yp = report.violations[0].witness
-    assert (liar.driver(t, s, x, yp, z) - liar.driver(t, s, x, y, z)) * (yp - y) > 0
-    # the check draws nothing: its samples are the honest report's
-    honest = verify_assumptions(base, n_steps=20)
-    assert (report.lipschitz_ratio, report.holder_ratio) == \
-        (honest.lipschitz_ratio, honest.holder_ratio) and honest.ok
+    _assert_against_the_sign_reported(0.2, -1, "rises")
+
+
+def test_driver_declared_nondecreasing_that_falls_reported():
+    # the comparison gate and the monotone scheme would trust it
+    _assert_against_the_sign_reported(-0.2, 1, "falls")
+
+
+@settings(max_examples=60, deadline=None)
+@given(y_coef=st.sampled_from([-0.5, -0.1, 0.0, 0.1, 0.5]),
+       sign=st.sampled_from([-1, 0, 1, None]))
+def test_a_y_sign_declaration_passes_iff_it_is_sound(y_coef, sign):
+    base = catalog_instance("custom_affine", {"y_coef": y_coef})
+    report = verify_assumptions(replace(base, driver=replace(base.driver, y_sign=sign)),
+                                n_steps=20)
+    sound = {None: True, 0: y_coef == 0, 1: y_coef >= 0, -1: y_coef <= 0}[sign]
+    assert report.ok == sound
+    if not sound:
+        assert report.violations[0].kind == ("dependence" if sign == 0 else "monotonicity")
+
+
+@pytest.mark.parametrize("sign", [2, -2, 0.5, True, "1"])
+def test_y_sign_outside_its_four_values_rejected(sign):
+    with pytest.raises(InstanceError, match="y_sign"):
+        DriverSpec(name="f", fn=lambda t, s, x, y, z: y, lipschitz=1.0, y_sign=sign)
 
 
 def test_terminal_declared_free_of_the_anchor_that_reads_it_reported():

@@ -103,7 +103,7 @@ def test_degenerate_cloud_raises():
     spec = InstanceSpec(
         label="pinned",
         driver=DriverSpec(name="zero", fn=lambda t, s, x, y, z: 0.0 * np.asarray(x),
-                          lipschitz=0.0, depends_on_y=False, depends_on_z=False),
+                          lipschitz=0.0, y_sign=0, depends_on_z=False),
         terminal=TerminalSpec(name="id", fn=lambda t, x: np.asarray(x, dtype=float)),
         obstacle=ObstacleSpec(name="none", fn=lambda u, x: np.asarray(x) - 10.0),
         dynamics=flat, x0=1.0, horizon=1.0)

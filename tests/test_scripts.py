@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args, header", [
-    ("run_catalog.py", ["--n-steps", "8"], "stop rows"),
+    ("run_catalog.py", ["--n-steps", "8"], "driver calls"),
     ("replanning_gaps.py", ["--n-steps", "8", "--every", "2"], "J(time-0)"),
     ("mc_crosscheck.py", ["--n-steps", "4", "--n-paths", "2000"], "lattice y0"),
 ])

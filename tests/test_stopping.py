@@ -46,8 +46,7 @@ def _flat_pinned_instance():
     # everywhere, so every anchor stops immediately
     ten = lambda u, x: np.full_like(np.asarray(x, dtype=float), 10.0)
     driver = DriverSpec(name="zero", fn=lambda t, s, x, y, z: np.zeros_like(np.asarray(y, dtype=float)),
-                        lipschitz=0.0, depends_on_y=False, depends_on_z=False,
-                        monotone_in_y=True)
+                        lipschitz=0.0, y_sign=0, depends_on_z=False)
     return InstanceSpec(label="pinned", driver=driver,
                         terminal=TerminalSpec(name="ten", fn=ten),
                         obstacle=ObstacleSpec(name="ten", fn=ten),

@@ -373,7 +373,7 @@ def _assert_same_layers(got, want):
 def test_sweep_rejects_driver_that_does_not_broadcast_over_anchors():
     base = catalog_instance("linear_z")
     flat = DriverSpec(name="flattening", fn=lambda t, s, x, y, z: 0.1 * np.ravel(z),
-                      lipschitz=0.1, depends_on_y=False)
+                      lipschitz=0.1, y_sign=0)
     spec = replace(base, driver=flat)
     lat = spec.lattice(6)
     with pytest.raises(VolterraError, match="layer 5"):
@@ -665,23 +665,67 @@ def test_secant_settle_certifies_only_an_exact_fixed_point():
     assert np.maximum(one + fdt, -0.5).tobytes() == v.tobytes()
 
 
-@pytest.mark.parametrize("name", ["hyperbolic_discount", "american_put"])
-def test_drained_sweep_settles_on_the_secant(name):
-    # the secant path, not a silent fall back to the loop: at N = 100 a
-    # drained sweep calls the driver at most 5 N times (the secant makes
-    # 408 and 301 calls, the loop alone 901 and 592)
-    spec = catalog_instance(name)
+def _counted(spec, **declared):
+    """(spec with its driver's calls counted and declared replaced, [calls])."""
     calls = [0]
 
     def counted(*args, fn=spec.driver.fn):
         calls[0] += 1
         return fn(*args)
-    spec = replace(spec, driver=replace(spec.driver, fn=counted))
-    assert spec.driver.nonincreasing_in_y
+    return replace(spec, driver=replace(spec.driver, fn=counted, **declared)), calls
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_discount", "american_put"])
+def test_drained_sweep_settles_on_the_secant(name):
+    # the secant path, not a silent fall back to the loop: at N = 100 a
+    # drained sweep calls the driver at most 5 N times (the secant makes
+    # 408 and 301 calls, the loop alone 901 and 592)
+    spec, calls = _counted(catalog_instance(name))
+    assert spec.driver.y_sign == -1
     n = 100
     for _ in sweep(spec.lattice(n), spec, 200):
         pass
     assert calls[0] <= 5 * n
+
+
+@pytest.mark.parametrize("name, params, want", [
+    ("hyperbolic_discount", {}, 408),
+    ("american_put", {}, 301),
+    ("custom_affine", {}, 800),
+    ("linear_z", {}, 728),
+    ("linear_z", {"b": 0.0}, 201),
+    ("custom_affine", {"y_coef": 0.0}, 301),
+])
+def test_driver_calls_per_drained_sweep(name, params, want):
+    # at N = 100: the secant on y_sign -1, the loop otherwise; a y-free
+    # driver settles in two loop calls per layer where the secant would
+    # take three (301 and 401 on the last two)
+    spec, calls = _counted(catalog_instance(name, params))
+    for _ in sweep(spec.lattice(100), spec, 200):
+        pass
+    assert calls[0] == want
+
+
+@pytest.mark.parametrize("name, params", [
+    ("linear_z", {"b": 0.0}),
+    ("custom_affine", {"y_coef": 0.0}),
+    ("custom_affine", {"y_coef": 0.0, "t_coef": 0.0}),
+    ("american_put", {"rate": 0.0}),
+    ("hyperbolic_discount", {"rho0": 0.0}),
+    ("zero_driver_flat", {}),
+])
+def test_y_free_driver_settles_by_the_loop_with_the_secants_bits(name, params):
+    # a driver that reads no y is also nonincreasing in y: declared -1 it
+    # takes the secant, which returns the loop's bits in no fewer calls
+    base = catalog_instance(name, params)
+    assert base.driver.y_sign == 0
+    for n in (1, 2, 5, 9, 50, 100):
+        lat = base.lattice(n)
+        loop, loop_calls = _counted(base)
+        secant, secant_calls = _counted(base, y_sign=-1)
+        got, want = list(sweep(lat, loop, 200)), list(sweep(lat, secant, 200))
+        assert loop_calls[0] <= secant_calls[0], (n, loop_calls, secant_calls)
+        _assert_same_reports(lat, got, want)
 
 
 def _first_bad_anchor_reference(rows, j):
@@ -751,6 +795,21 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _assert_same_reports(lat, got, want):
+    """Both streamed reports of the layer lists got and want are equal, bit for bit."""
+    rep, mass = stream_report(lat, got)
+    ref, ref_mass = stream_report(lat, want)
+    for field in ("anchor_times", "e_y", "j_own", "j_restarted", "gap"):
+        assert _bits(getattr(rep, field)) == _bits(getattr(ref, field)), field
+    assert rep.frontiers_identical == ref.frontiers_identical
+    assert mass.tobytes() == ref_mass.tobytes()
+    (y, update, rows), (y_ref, update_ref, rows_ref) = \
+        stream_solve(lat, got), stream_solve(lat, want)
+    assert [a.tobytes() for a in y] == [a.tobytes() for a in y_ref]
+    assert update.hex() == update_ref.hex()
+    assert rows.shape == rows_ref.shape and rows.tobytes() == rows_ref.tobytes()
+
+
 def _drawn_instance(draw, anchored=False):
     """An instance drawn from affine and Lipschitz drivers, terminals and
     obstacles; its per-node equation contracts, runs near a slope of one
@@ -811,17 +870,7 @@ def test_anchor_free_sweep_equals_the_anchor_coupled_sweep(data):
         return
     assert len(got[0].rows) == min(2, n + 1)
     _assert_same_layers(got, want)
-    rep, mass = stream_report(lat, got)
-    ref, ref_mass = stream_report(lat, want)
-    for field in ("anchor_times", "e_y", "j_own", "j_restarted", "gap"):
-        assert _bits(getattr(rep, field)) == _bits(getattr(ref, field)), field
-    assert rep.frontiers_identical == ref.frontiers_identical
-    assert mass.tobytes() == ref_mass.tobytes()
-    (y, update, rows), (y_ref, update_ref, rows_ref) = \
-        stream_solve(lat, got), stream_solve(lat, want)
-    assert [a.tobytes() for a in y] == [a.tobytes() for a in y_ref]
-    assert update.hex() == update_ref.hex()
-    assert rows.shape == rows_ref.shape and rows.tobytes() == rows_ref.tobytes()
+    _assert_same_reports(lat, got, want)
 
 
 @settings(max_examples=100, deadline=None)
