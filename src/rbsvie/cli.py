@@ -22,13 +22,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from rbsvie import mc
 from rbsvie.compare import CompareError, OrderedPair, check_comparison
 from rbsvie.grid import GridError, TimeGrid, build_lattice
-from rbsvie.instances import (CATALOG_NAMES, InstanceError, catalog_instance,
+from rbsvie.instances import (CATALOG_NAMES, InstanceError, InstanceSpec, catalog_instance,
                               verify_assumptions)
 from rbsvie.oracle import MAX_RULE_NODES, best_rule, interior_node_count
 from rbsvie.stopping import stream_report, stream_solve
@@ -53,7 +53,7 @@ class VerificationFailure(RuntimeError):
 _SECTIONS = {
     "instance": None,  # name plus free-form numeric parameters
     "grid": {"t", "n"},
-    "picard": {"tolerance", "max_iters", "mode", "delta"},
+    "picard": {"max_iters", "mode"},
     "mc": {"n_paths", "seed", "basis_degree", "basis_family"},
     "output": {"dir"},
 }
@@ -61,39 +61,41 @@ _SECTIONS = {
 
 @dataclass
 class RunConfig:
-    instance_name: str
-    instance_params: dict = field(default_factory=dict)
-    n_steps: int = 50
-    max_iters: int = MAX_ITERS
-    n_paths: int = 100_000
-    seed: int = 20260825
-    basis_degree: int = 8
-    basis_family: str = "pwlinear"
-    out_dir: str | None = None
+    spec: InstanceSpec
+    grid: TimeGrid
+    basis: mc.RegressionBasis
+    instance_params: dict
+    max_iters: int
+    n_paths: int
+    seed: int
+    out_dir: str | None
 
 
-def _get_float(cp, section, key, default=None):
-    if not cp.has_option(section, key):
-        return default
-    try:
-        return float(cp.get(section, key))
-    except ValueError:
-        raise ConfigError(f"{section}.{key} must be a number, got '{cp.get(section, key)}'")
-
-
-def _get_int(cp, section, key, default=None):
+def _get(cp, section, key, kind, default=None):
+    """section.key read as kind (float or int), default where it is unset."""
     if not cp.has_option(section, key):
         return default
     raw = cp.get(section, key)
     try:
-        val = int(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key} must be an integer, got '{raw}'")
-    return val
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{section}.{key} must be {what}, got '{raw}'")
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse and fully validate an INI run config.
+def _capped(grid: TimeGrid, max_n) -> TimeGrid:
+    """grid with at most max_n steps (the --max-n flag; None leaves it)."""
+    if max_n is None:
+        return grid
+    if max_n < 1:
+        raise ConfigError(f"--max-n must be >= 1, got {max_n}")
+    return TimeGrid(grid.horizon, min(grid.n_steps, max_n))
+
+
+def load_config(path: str, max_n) -> RunConfig:
+    """Parse and fully validate an INI run config into what the commands
+    run: the instance, its grid with at most max_n steps (None: grid.N),
+    and the Monte Carlo basis.
 
     Raises ConfigError on anything unexpected; nothing is written before
     validation succeeds.
@@ -125,70 +127,46 @@ def load_config(path: str) -> RunConfig:
     for key in cp.options("instance"):
         if key == "name":
             continue
-        params[key] = _get_float(cp, "instance", key)
+        params[key] = _get(cp, "instance", key, float)
 
-    cfg = RunConfig(instance_name=name, instance_params=params)
-
-    horizon = _get_float(cp, "grid", "T")
+    horizon = _get(cp, "grid", "T", float)
     if horizon is not None:
         if horizon <= 0:
             raise ConfigError(f"grid.T must be positive, got {horizon}")
         if "horizon" in params:
             raise ConfigError("specify the horizon once: either grid.T or instance.horizon")
         params["horizon"] = horizon
-    n = _get_int(cp, "grid", "N")
-    if n is not None:
-        if n < 1:
-            raise ConfigError(f"grid.N must be >= 1, got {n}")
-        cfg.n_steps = n
+    n = _get(cp, "grid", "N", int, 50)
+    if n < 1:
+        raise ConfigError(f"grid.N must be >= 1, got {n}")
 
-    cfg.max_iters = _get_int(cp, "picard", "max_iters", cfg.max_iters)
-    if cfg.max_iters < 1:
+    max_iters = _get(cp, "picard", "max_iters", int, MAX_ITERS)
+    if max_iters < 1:
         raise ConfigError("picard.max_iters must be >= 1")
-    # tolerance, mode and delta configured the retired Picard loops; old
-    # files still validate, and neither backward sweep reads them
-    tolerance = _get_float(cp, "picard", "tolerance")
-    if tolerance is not None and not tolerance > 0:
-        raise ConfigError(f"picard.tolerance must be positive, got {tolerance}")
-    if cp.has_option("picard", "mode"):
-        mode = cp.get("picard", "mode")
-        if mode not in ("global", "windowed"):
-            raise ConfigError(f"picard.mode must be global or windowed, got '{mode}'")
-    delta = _get_float(cp, "picard", "delta")
-    if delta is not None and not delta > 0:
-        raise ConfigError(f"picard.delta must be positive, got {delta}")
+    # perfbench/workloads.py still writes mode = global; the key goes once it stops
+    mode = cp.get("picard", "mode", fallback="global")
+    if mode != "global":
+        raise ConfigError(f"picard.mode must be global, got '{mode}'")
 
-    cfg.n_paths = _get_int(cp, "mc", "n_paths", cfg.n_paths)
-    cfg.seed = _get_int(cp, "mc", "seed", cfg.seed)
-    if cfg.seed < 0:
-        raise ConfigError(f"mc.seed must be >= 0, got {cfg.seed}")
-    cfg.basis_degree = _get_int(cp, "mc", "basis_degree", cfg.basis_degree)
-    if cp.has_option("mc", "basis_family"):
-        cfg.basis_family = cp.get("mc", "basis_family")
+    n_paths = _get(cp, "mc", "n_paths", int, 100_000)
+    seed = _get(cp, "mc", "seed", int, 20260825)
+    if seed < 0:
+        raise ConfigError(f"mc.seed must be >= 0, got {seed}")
+    degree = _get(cp, "mc", "basis_degree", int, 8)
     try:
-        dim = mc.RegressionBasis(cfg.basis_family, cfg.basis_degree).dim
+        basis = mc.RegressionBasis(cp.get("mc", "basis_family", fallback="pwlinear"), degree)
     except mc.MCError as exc:
         raise ConfigError(f"mc basis: {exc}")
-    if cfg.n_paths < 2 * dim:
-        raise ConfigError(f"mc.n_paths must be >= {2 * dim} for a {dim}-column "
-                          f"basis, got {cfg.n_paths}")
-
-    if cp.has_option("output", "dir"):
-        cfg.out_dir = cp.get("output", "dir")
+    if n_paths < 2 * basis.dim:
+        raise ConfigError(f"mc.n_paths must be >= {2 * basis.dim} for a {basis.dim}-column "
+                          f"basis, got {n_paths}")
 
     try:
-        catalog_instance(name, dict(params))
+        spec = catalog_instance(name, dict(params))
     except InstanceError as exc:
         raise ConfigError(str(exc))
-    return cfg
-
-
-def _build(cfg: RunConfig, max_n=None):
-    if max_n is not None and max_n < 1:
-        raise ConfigError(f"--max-n must be >= 1, got {max_n}")
-    spec = catalog_instance(cfg.instance_name, dict(cfg.instance_params))
-    n = cfg.n_steps if max_n is None else min(cfg.n_steps, max_n)
-    return spec, TimeGrid(spec.horizon, n)
+    return RunConfig(spec, _capped(TimeGrid(spec.horizon, n), max_n), basis, params,
+                     max_iters, n_paths, seed, cp.get("output", "dir", fallback=None))
 
 
 # layer arrays a command holds at once while the sweep streams, each
@@ -224,27 +202,37 @@ def _check_fits(what: str, need: int) -> None:
                           f"of physical memory")
 
 
-def _lattice(grid: TimeGrid, specs: tuple, frontier: bool = False):
-    """The lattice of specs[0], once the streamed working set of sweeping
-    each of specs in turn fits in memory: the lattice's two node arrays
-    (states and probabilities), each solution's diagonal and, with
-    frontier, the four frontier columns (one row at most per anchor and
-    layer), (N+1)(N+2)/2 floats each, the larger of the widest sweep's LAYER_ARRAYS layer
-    arrays and the frontier sort's FRONTIER_SORT floats per row,
+def _working_set(n: int, diagonals: int, layer_rows: int, frontier: bool) -> int:
+    """Bytes a command holds at N = n: the lattice's two node arrays
+    (states and probabilities), the diagonals and, with frontier, the four
+    frontier columns (one row at most per anchor and layer), (N+1)(N+2)/2
+    floats each, the larger of LAYER_ARRAYS layer arrays of layer_rows x
+    (N+1) and the frontier sort's FRONTIER_SORT floats per row,
     LAYER_OBJECTS bytes per layer and FIRST_CALL bytes once."""
-    n = grid.n_steps
     triangle = (n + 1) * (n + 2) // 2
-    layer_rows = max(2 if spec.anchor_free else n + 1 for spec in specs)
-    need = 8 * ((2 + len(specs) + 4 * frontier) * triangle
+    return 8 * ((2 + diagonals + 4 * frontier) * triangle
                 + max(LAYER_ARRAYS * layer_rows * (n + 1), FRONTIER_SORT * frontier * triangle)
                 ) + LAYER_OBJECTS * (n + 1) + FIRST_CALL
-    _check_fits(f"the streamed working set at N={n}", need)
+
+
+def _lattice(grid: TimeGrid, specs: tuple, frontier: bool = False):
+    """The lattice of specs[0], once the streamed working set of sweeping
+    each of specs in turn fits in memory: one diagonal per spec, and the
+    widest sweep's layer arrays, 2 rows on an anchor-free instance's
+    shared-row layers and N + 1 otherwise."""
+    n = grid.n_steps
+    layer_rows = max(2 if spec.anchor_free else n + 1 for spec in specs)
+    _check_fits(f"the streamed working set at N={n}",
+                _working_set(n, len(specs), layer_rows, frontier))
     return build_lattice(grid, specs[0].x0, specs[0].dynamics)
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
     out = Path(args.out or cfg.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out}: {exc.strerror}")
     return out
 
 
@@ -357,14 +345,13 @@ def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) 
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config[0])
-    spec, grid = _build(cfg, args.max_n)
+    cfg = load_config(args.config[0], args.max_n)
+    spec, grid = cfg.spec, cfg.grid
     if args.engine == "lattice":
         lat = _lattice(grid, (spec,), frontier=True)
     else:
-        basis = mc.RegressionBasis(cfg.basis_family, cfg.basis_degree)
         _check_fits(f"the Monte Carlo working set of {cfg.n_paths} paths at N={grid.n_steps}",
-                    mc.working_set_bytes(grid.n_steps, cfg.n_paths, basis))
+                    mc.working_set_bytes(grid.n_steps, cfg.n_paths, cfg.basis))
     out = _out_dir(args, cfg)
 
     if args.engine == "lattice":
@@ -373,7 +360,7 @@ def cmd_solve(args) -> int:
         payload = {"y0": float(y_diag[0][0])}
     else:
         bundle = mc.simulate(grid, spec, cfg.n_paths, cfg.seed)
-        sol = mc.solve_mc(bundle, spec, basis, cfg.max_iters)
+        sol = mc.solve_mc(bundle, spec, cfg.basis, cfg.max_iters)
         f_rows, residuals = sol.frontier_rows, sol.residual_history
         # mc rows estimate the mean diagonal: no lattice node applies
         y_diag, states = sol.e_y_diag, None
@@ -399,8 +386,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    cfg = load_config(args.config[0])
-    spec, grid = _build(cfg, args.max_n)
+    cfg = load_config(args.config[0], args.max_n)
+    spec, grid = cfg.spec, cfg.grid
     n = grid.n_steps
     worst = interior_node_count(n, 0)
     if worst > MAX_RULE_NODES:
@@ -448,14 +435,14 @@ def cmd_oracle_check(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.config) != 2:
         raise ConfigError("compare needs exactly two --config files (low, high)")
-    cfg_lo = load_config(args.config[0])
-    cfg_hi = load_config(args.config[1])
-    if cfg_lo.n_steps != cfg_hi.n_steps:
+    # both configs' own grid.N are compared before --max-n caps the grid
+    cfg_lo = load_config(args.config[0], None)
+    cfg_hi = load_config(args.config[1], None)
+    if cfg_lo.grid.n_steps != cfg_hi.grid.n_steps:
         raise ConfigError("compare needs both configs on the same grid.N")
     if cfg_lo.max_iters != cfg_hi.max_iters:
         raise ConfigError("compare needs both configs on the same picard.max_iters")
-    spec_lo, grid = _build(cfg_lo, args.max_n)
-    spec_hi, _ = _build(cfg_hi, args.max_n)
+    spec_lo, spec_hi, grid = cfg_lo.spec, cfg_hi.spec, _capped(cfg_lo.grid, args.max_n)
     lat = _lattice(grid, (spec_lo, spec_hi))
     try:
         pair = OrderedPair.build(spec_lo, spec_hi, lat)
@@ -488,8 +475,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stop(args) -> int:
-    cfg = load_config(args.config[0])
-    spec, grid = _build(cfg, args.max_n)
+    cfg = load_config(args.config[0], args.max_n)
+    spec, grid = cfg.spec, cfg.grid
     lat = _lattice(grid, (spec,))
     out = _out_dir(args, cfg)
 
@@ -526,11 +513,13 @@ def cmd_stop(args) -> int:
 
 
 def cmd_verify_assumptions(args) -> int:
-    cfg = load_config(args.config[0])
-    spec, grid = _build(cfg, args.max_n)
+    cfg = load_config(args.config[0], args.max_n)
+    # the lattice and the anchor-axis probe, anchors 0..N against layer N // 2
+    n = cfg.grid.n_steps
+    _check_fits(f"the lattice and driver probe at N={n}", _working_set(n, 0, n // 2 + 1, False))
     out = _out_dir(args, cfg)
 
-    rep = verify_assumptions(spec, n_steps=grid.n_steps)
+    rep = verify_assumptions(cfg.spec, n_steps=n)
     _write_json(out / "report.json", {
         "command": "verify-assumptions",
         "instance": rep.instance,
@@ -544,7 +533,7 @@ def cmd_verify_assumptions(args) -> int:
         ],
     })
     status = "ok" if rep.ok else f"{len(rep.violations)} violation(s)"
-    print(f"verify-assumptions {spec.label}: {status}; wrote {out / 'report.json'}")
+    print(f"verify-assumptions {cfg.spec.label}: {status}; wrote {out / 'report.json'}")
     if not rep.ok:
         raise VerificationFailure(
             "; ".join(v.detail for v in rep.violations[:3]))

@@ -536,8 +536,11 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
                 (i, k),
             ))
 
-    all_nodes = [(j, k) for j in range(n_steps + 1) for k in range(j + 1)]
-    idx = rng.integers(0, len(all_nodes), size=samples)
+    # node f of the (N+1)(N+2)/2, counted layer by layer: layer j starts at j(j+1)/2
+    flat = rng.integers(0, (n_steps + 1) * (n_steps + 2) // 2, size=samples)
+    starts = np.arange(n_steps + 1) * np.arange(1, n_steps + 2) // 2
+    layers = np.searchsorted(starts, flat, side="right") - 1
+    nodes = zip(layers.tolist(), (flat - starts[layers]).tolist())
     lip_max = 0.0
     hol_max = 0.0
     cf = spec.driver.lipschitz
@@ -547,8 +550,7 @@ def verify_assumptions(spec: InstanceSpec, n_steps: int = 50, samples: int = 400
     y_sign = spec.driver.y_sign
     z_free = not spec.driver.depends_on_z
     t_free = not spec.driver.depends_on_anchor
-    for m in range(samples):
-        j, k = all_nodes[idx[m]]
+    for m, (j, k) in enumerate(nodes):
         x = float(lat.x[j][k])
         t, tp = sorted(rng.uniform(0.0, T, size=2))
         s = rng.uniform(tp, T)

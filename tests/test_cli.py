@@ -284,12 +284,9 @@ def test_mc_artifacts_render_the_in_memory_solution(tmp_path):
                          "[mc]\nn_paths = 1500\nseed = 5\n")
     assert _run("solve", "--config", cfg, "--engine", "mc",
                 "--out", str(tmp_path / "out")) == cli.EXIT_OK
-    rc = cli.load_config(cfg)
-    spec = catalog_instance(rc.instance_name)
-    grid = TimeGrid(spec.horizon, rc.n_steps)
-    sol = mc.solve_mc(mc.simulate(grid, spec, rc.n_paths, rc.seed), spec,
-                      mc.RegressionBasis(rc.basis_family, rc.basis_degree),
-                      rc.max_iters)
+    rc = cli.load_config(cfg, None)
+    spec, grid = rc.spec, rc.grid
+    sol = mc.solve_mc(mc.simulate(grid, spec, rc.n_paths, rc.seed), spec, rc.basis, rc.max_iters)
     f_rows = sol.frontier_rows
     payload = {
         "y_diag": sol.e_y_diag,
@@ -456,9 +453,15 @@ def test_verify_assumptions_flags_a_driver_that_folds_the_anchor_axis(tmp_path, 
     ("[instance]\nname = american_put\n\n[grid]\nT = x\n", "grid.T must be a number, got 'x'"),
     ("[instance]\nname = american_put\n\n[grid]\nradius = 3\n", "unknown key grid.radius"),
     ("[instance]\nname = american_put\n\n[picard]\nmode = sideways\n",
-     "picard.mode must be global or windowed"),
-    ("[instance]\nname = american_put\n\n[picard]\ntolerance = 0\n",
-     "picard.tolerance must be positive"),
+     "picard.mode must be global, got 'sideways'"),
+    # the retired Picard loops' keys and mode
+    ("[instance]\nname = american_put\n\n[picard]\nmode = windowed\n",
+     "picard.mode must be global, got 'windowed'"),
+    ("[instance]\nname = american_put\n\n[picard]\ntolerance = 0.1\n",
+     "unknown key picard.tolerance"),
+    ("[instance]\nname = american_put\n\n[picard]\ndelta = 0.25\n", "unknown key picard.delta"),
+    ("[instance]\nname = american_put\n\n[picard]\ndelta = -1\n", "unknown key picard.delta"),
+    ("[instance]\nname = american_put\n\n[picard]\ndelta = 0\n", "unknown key picard.delta"),
     ("[instance]\nname = american_put\nhorizon = 2\n\n[grid]\nT = 1\n",
      "either grid.T or instance.horizon"),
     ("[grid]\nN = 5\n", "config needs an [instance] section"),
@@ -700,73 +703,98 @@ dir = {out}
     assert "verification failure" in capsys.readouterr().err
 
 
-def test_windowed_mode_through_config(tmp_path):
-    # old configs that chose the retired windowed driver still run, and
-    # give the same diagonal as global ones: the sweep reads neither key
-    body = """[instance]
-name = american_put
-
-[grid]
-N = 24
-
-[picard]
-mode = {mode}
-{extra}"""
-    outs = {}
-    for mode, extra in (("windowed", "delta = 0.25\n"), ("global", "")):
-        outs[mode] = tmp_path / mode
-        cfg = _cfg(tmp_path, body.format(mode=mode, extra=extra), name=f"{mode}.ini")
-        assert _run("solve", "--config", cfg, "--out", str(outs[mode])) == cli.EXIT_OK
-    assert (outs["windowed"] / "y_diag.csv").read_bytes() == \
-        (outs["global"] / "y_diag.csv").read_bytes()
-    sol = json.loads((outs["windowed"] / "solution.json").read_text())
-    assert len(sol["residual_history"]) == 1 and sol["residual_history"][0] <= 1e-14
-
-
-@pytest.mark.parametrize("engine", ["lattice", "mc"])
-def test_picard_tolerance_is_accepted_and_ignored(tmp_path, engine):
-    # both sweeps are exact, so a loose tolerance changes no output byte
-    body = "[instance]\nname = linear_z\n\n[grid]\nN = 8\n\n[mc]\nn_paths = 2000\n{extra}"
-    outs = []
-    for k, extra in enumerate(("", "\n[picard]\ntolerance = 0.1\n")):
-        outs.append(tmp_path / f"run{k}")
-        cfg = _cfg(tmp_path, body.format(extra=extra), name=f"run{k}.ini")
-        assert _run("solve", "--config", cfg, "--engine", engine,
-                    "--out", str(outs[k])) == cli.EXIT_OK
-    for name in ("solution.json", "y_diag.csv", "frontier.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-
-@pytest.mark.parametrize("body, flags", [
-    ("[picard]\ndelta = -1\n", ()),
-    ("[picard]\ndelta = 0\n", ()),
-    ("", ("--max-n", "0")),
-])
-def test_infeasible_request_exits_one_without_artifacts(tmp_path, body, flags, capsys):
+def test_infeasible_request_exits_one_without_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
-    cfg = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 8\n\n" + body)
-    assert _run("solve", "--config", cfg, "--out", str(out), *flags) == cli.EXIT_CONFIG
-    assert "config error:" in capsys.readouterr().err
+    cfg = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 8\n")
+    assert _run("solve", "--config", cfg, "--out", str(out), "--max-n", "0") == cli.EXIT_CONFIG
+    assert "config error: --max-n must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "stop", "compare"])
+@pytest.mark.parametrize("below", ["", "x"])
+@pytest.mark.parametrize("command", ["solve", "oracle-check", "compare", "stop",
+                                     "verify-assumptions"])
+def test_out_that_cannot_be_a_directory_exits_one(tmp_path, command, below, capsys):
+    # --out names an existing file, or a path below one
+    cfg = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 4\n")
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / below if below else afile
+    solutions = 2 if command == "compare" else 1
+    before = sorted(tmp_path.rglob("*"))
+    assert _run(command, *("--config", cfg) * solutions, "--out", str(out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: cannot make the output directory {out}" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("n_lo, n_hi, max_n, code", [
+    (50, 60, None, cli.EXIT_CONFIG), (50, 60, "5", cli.EXIT_CONFIG),
+    (50, 50, None, cli.EXIT_OK), (50, 50, "5", cli.EXIT_OK)])
+def test_compare_needs_both_configs_on_one_grid_n(tmp_path, capsys, n_lo, n_hi, max_n, code):
+    # each config's own grid.N is compared, whatever --max-n caps the grid to
+    out = tmp_path / "out"
+    lo, hi = (_cfg(tmp_path, f"[instance]\nname = american_put\nstrike = {strike}\n\n"
+                             f"[grid]\nN = {n}\n", name=f"{side}.ini")
+              for side, strike, n in (("lo", 0.9, n_lo), ("hi", 1.0, n_hi)))
+    flags = ("--max-n", max_n) if max_n else ()
+    assert _run("compare", "--config", lo, "--config", hi, "--out", str(out), *flags) == code
+    if code == cli.EXIT_CONFIG:
+        assert "config error: compare needs both configs on the same grid.N" in \
+            capsys.readouterr().err
+        assert not out.exists()
+    else:
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["ordered"] and rep["n_steps"] == int(max_n or n_lo)
+
+
+def test_each_config_is_built_once_per_command(tmp_path, monkeypatch):
+    # load_config builds the instance and the basis that the command runs
+    built = []
+
+    def counting(name, real):
+        def make(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        return make
+    monkeypatch.setattr(cli, "catalog_instance", counting("instance", cli.catalog_instance))
+    monkeypatch.setattr(mc, "RegressionBasis", counting("basis", mc.RegressionBasis))
+    lo = _cfg(tmp_path, "[instance]\nname = american_put\nstrike = 0.9\n\n[grid]\nN = 4\n\n"
+                        "[mc]\nn_paths = 400\n", name="lo.ini")
+    hi = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 4\n\n"
+                        "[mc]\nn_paths = 400\n", name="hi.ini")
+    runs = [("solve",), ("solve", "--engine", "mc"), ("oracle-check",), ("stop",),
+            ("verify-assumptions",), ("compare", "--config", lo)]
+    for k, run in enumerate(runs):
+        built.clear()
+        assert _run(*run, "--config", hi, "--out", str(tmp_path / f"out{k}")) == cli.EXIT_OK
+        configs = 2 if run[0] == "compare" else 1
+        assert sorted(built) == ["basis"] * configs + ["instance"] * configs, run
+
+
+@pytest.mark.parametrize("command", ["solve", "stop", "compare", "verify-assumptions"])
 def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command, capsys,
                                                               monkeypatch):
-    # N = 100000 needs 1.2e11 (stop) to 5.6e11 (solve) bytes of lattice,
-    # diagonals and solve's frontier and its sort while the sweep streams
-    # american_put's shared-row layers: refused before the lattice is built
-    # or --out is made
-    def no_lattice(*args):
+    # N = 100000 needs 1.2e11 (stop) to 5.6e11 (solve, and verify-assumptions'
+    # lattice and anchor-axis probe) bytes of lattice, diagonals and solve's
+    # frontier and its sort while the sweep streams american_put's shared-row
+    # layers: refused before the lattice is built or --out is made
+    def refuse(*args, **kwargs):
         raise AssertionError("lattice built")
-    monkeypatch.setattr(cli, "build_lattice", no_lattice)
+    monkeypatch.setattr(cli, "build_lattice", refuse)
+    monkeypatch.setattr(cli, "verify_assumptions", refuse)
     out = tmp_path / "out"
     n = 100000
     cfg = _cfg(tmp_path, f"[instance]\nname = american_put\n\n[grid]\nN = {n}\n")
     solutions = 2 if command == "compare" else 1
     assert _run(command, *("--config", cfg) * solutions, "--out", str(out)) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    need = _streamed_bytes(n, solutions, frontier=command == "solve", layer_rows=2)
+    if command == "verify-assumptions":
+        # no diagonal; the probe's arrays are (N + 1) x (N // 2 + 1)
+        need = _streamed_bytes(n, 0, frontier=False, layer_rows=n // 2 + 1)
+    else:
+        need = _streamed_bytes(n, solutions, frontier=command == "solve", layer_rows=2)
     assert "config error:" in err and f"needs {need} bytes" in err
     assert "bytes of physical memory" in err
     assert not out.exists()
@@ -850,6 +878,13 @@ def test_solve_traced_peak_within_its_memory_gate(tmp_path):
     cfg = _cfg(tmp_path, f"[instance]\nname = hyperbolic_discount\n\n[grid]\nN = {n}\n")
     peak = _traced_peak("solve", "--config", cfg, "--out", str(tmp_path / "out"))
     assert peak <= _streamed_bytes(n, 1, frontier=True, layer_rows=n + 1), peak
+
+
+def test_verify_assumptions_traced_peak_within_its_memory_gate(tmp_path):
+    n = 600
+    cfg = _cfg(tmp_path, f"[instance]\nname = hyperbolic_discount\n\n[grid]\nN = {n}\n")
+    peak = _traced_peak("verify-assumptions", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert peak <= _streamed_bytes(n, 0, frontier=False, layer_rows=n // 2 + 1), peak
 
 
 @pytest.mark.parametrize("command, name, n", [
