@@ -13,7 +13,10 @@ not depend on where it ran.  Its exit code and
 console output are written to console.txt beside its artifacts.  Prints
 one `sha256  path` line per file (configs, console.txt and artifacts),
 sorted by path, then `manifest <sha256>` over those lines: two trees
-that print the same manifest wrote the same bytes.
+that print the same manifest wrote the same bytes.  The BLAS thread
+setting follows the hash (OPENBLAS_NUM_THREADS and OMP_NUM_THREADS as
+set, or "default"): the Monte Carlo artifacts' last bits depend on the
+thread count OpenBLAS runs, so two manifests compare only at one setting.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from rbsvie.instances import CATALOG_NAMES
 SEED = 7
 N_PATHS = 5000
 ORACLE_MAX_N = 5
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def parse_ns(text: str) -> list:
@@ -99,6 +103,12 @@ def manifest(root: Path) -> list:
             for p in files]
 
 
+def blas_threads() -> str:
+    """The BLAS thread variables set in the environment, or "default"."""
+    return " ".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS
+                    if var in os.environ) or "default"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=parse_ns, required=True, help="comma-separated N values")
@@ -107,7 +117,8 @@ def main(argv=None):
         run_all(Path(tmp), args.n)
         lines = manifest(Path(tmp))
     print("\n".join(lines))
-    print(f"manifest {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
+    print(f"manifest {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}  "
+          f"BLAS threads: {blas_threads()}")
 
 
 if __name__ == "__main__":

@@ -193,6 +193,12 @@ LAYER_OBJECTS = 4096
 # it imports on first use (argparse's gettext and locale, configparser,
 # json) and the parser; about 241 KB at N = 1, bounded with a margin
 FIRST_CALL = 327680
+# (N + 1) x (N // 2 + 1) arrays verify-assumptions' anchor-axis probe holds:
+# its z, the driver's result, a temporary (linear_z's a * z) and one more
+PROBE_ARRAYS = 4
+# bytes numpy.random takes when verify-assumptions first draws in a process,
+# about 1.04 MB at its peak, bounded with a margin
+RANDOM_FIRST_USE = 1310720
 
 
 def _check_fits(what: str, need: int) -> None:
@@ -514,9 +520,10 @@ def cmd_stop(args) -> int:
 
 def cmd_verify_assumptions(args) -> int:
     cfg = load_config(args.config[0], args.max_n)
-    # the lattice and the anchor-axis probe, anchors 0..N against layer N // 2
+    # the lattice's two node triangles and the probe, anchors 0..N on layer N // 2
     n = cfg.grid.n_steps
-    _check_fits(f"the lattice and driver probe at N={n}", _working_set(n, 0, n // 2 + 1, False))
+    need = 8 * ((n + 1) * (n + 2) + PROBE_ARRAYS * (n + 1) * (n // 2 + 1))
+    _check_fits(f"the lattice and driver probe at N={n}", need + FIRST_CALL + RANDOM_FIRST_USE)
     out = _out_dir(args, cfg)
 
     rep = verify_assumptions(cfg.spec, n_steps=n)

@@ -7,10 +7,11 @@ exact martingale representation
 
     next[k'] = cond_expect[k] + martingale_coeff[k] * dW,   dW = +-sqrt(dt),
 
-which is what the backward solvers build on.  State processes are layered
-on top through a dynamics map x = dyn(t, w) evaluated nodewise, so the
-state inherits the recombining structure; the lattice keeps the states
-and node probabilities, not the walk.
+which is what the backward solvers build on, every row of a layer in one
+call.  State processes are layered on top through a dynamics map
+x = dyn(t, w) evaluated nodewise, so the state inherits the recombining
+structure; the lattice keeps the states and node probabilities, not the
+walk.
 """
 
 from __future__ import annotations
@@ -154,25 +155,28 @@ def build_lattice(grid: TimeGrid, x0: float, dyn) -> Lattice:
 
 
 def cond_expect(next_values: np.ndarray) -> np.ndarray:
-    """One-step conditional expectation, layer j+1 -> layer j.
+    """One-step conditional expectation, layer j+1 -> layer j, on the last axis.
 
-    With up-probability 1/2, E[v(j+1) | node (j,k)] = (v[k+1] + v[k]) / 2.
+    With up-probability 1/2, E[v(j+1) | node (j,k)] = (v[k+1] + v[k]) / 2,
+    the sum halved in place, for every row of a layer at once.
     """
     v = np.asarray(next_values, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise GridError(f"need a layer of at least 2 node values, got shape {v.shape}")
-    return 0.5 * (v[1:] + v[:-1])
+    if v.ndim == 0 or v.shape[-1] < 2:
+        raise GridError(f"need rows of at least 2 node values, got shape {v.shape}")
+    e = v[..., 1:] + v[..., :-1]
+    e *= 0.5
+    return e
 
 
 def martingale_coeff(next_values: np.ndarray, sqrt_dt: float) -> np.ndarray:
-    """Exact one-step martingale representation coefficient.
+    """Exact one-step martingale representation coefficient, on the last axis.
 
     z[k] = (v[k+1] - v[k]) / (2 sqrt(dt)) reproduces v at layer j+1 from
     cond_expect at layer j and the walk increment +-sqrt(dt) exactly.
     """
     v = np.asarray(next_values, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise GridError(f"need a layer of at least 2 node values, got shape {v.shape}")
+    if v.ndim == 0 or v.shape[-1] < 2:
+        raise GridError(f"need rows of at least 2 node values, got shape {v.shape}")
     if sqrt_dt <= 0.0:
         raise GridError("sqrt_dt must be positive")
-    return (v[1:] - v[:-1]) / (2.0 * sqrt_dt)
+    return (v[..., 1:] - v[..., :-1]) / (2.0 * sqrt_dt)

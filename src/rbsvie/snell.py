@@ -14,7 +14,9 @@ The y-argument of the driver is the frozen diagonal U supplied by the
 caller; the z-argument is the martingale coefficient of the slice being
 built, which makes the scheme explicit in z.  The production backward
 sweep (volterra.sweep) runs the same scheme for all anchors of a layer
-at once, with U the diagonal already solved on that layer.  kinc holds
+at once, with U the diagonal already solved on that layer, through the
+same grid.cond_expect and grid.martingale_coeff; the per-node loop of
+snell_by_policy_envelope is their independent check.  kinc holds
 the per-step increments of the reflection term, so K(t_i, t_j) = sum of
 kinc over i <= j' < j along a path.  Where kinc > 0 the value sits
 exactly on the obstacle, giving the discrete Skorohod flatness identity

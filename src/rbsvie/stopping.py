@@ -29,8 +29,8 @@ stopped state, one row per (anchor, layer) with a nonempty stop region,
 anchor-major.  _stops decides which nodes stop and _frontier_part and
 _sorted_rows reduce them to rows, for the lattice here and for one
 anchor-0 row per path in the regression Monte Carlo engine; on the
-lattice's sorted states _frontier_part scans the flags instead of
-reducing the states.
+lattice's strictly increasing states _frontier_part scans the flags
+instead of reducing the states.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rbsvie.grid import Lattice
+from rbsvie.grid import Lattice, cond_expect
 from rbsvie.instances import InstanceSpec
 from rbsvie.oracle import StoppingRule
 from rbsvie.volterra import Layer, Solution, increments, running_terms
@@ -106,14 +106,13 @@ def _rule_step(nxt: np.ndarray, stop, fdt, barrier) -> np.ndarray:
     Stopped nodes collect the obstacle, continuation nodes the one-step
     conditional expectation plus the running term fdt; stop is one row
     per anchor, one row for all, or a rule's flags (any array-like).
-    The values 0.5 (nxt[:, 1:] + nxt[:, :-1]) + fdt are made in one new
-    array, stepped in place, and the obstacle is copied onto their
-    stopped nodes.  Flags with more rows than nxt, a shared-row layer's
-    two rows over its one shared row, take np.where instead, which gives
-    the result their rows.
+    The values grid.cond_expect(nxt) + fdt, the sweep's operator, are
+    made in one new array, stepped in place, and the obstacle is copied
+    onto their stopped nodes.  Flags with more rows than nxt, a shared-row
+    layer's two rows over its one shared row, take np.where instead,
+    which gives the result their rows.
     """
-    out = nxt[:, 1:] + nxt[:, :-1]
-    out *= 0.5
+    out = cond_expect(nxt)
     out += fdt
     stop = np.asarray(stop)
     if stop.ndim == 2 and len(stop) > len(out):
@@ -221,29 +220,18 @@ def premature_increment_mass(lat: Lattice, spec: InstanceSpec, sol: Solution) ->
     return worst
 
 
-def _nondecreasing(x: np.ndarray) -> bool:
-    """Whether the states x never decrease, with no tie of 0.0 and -0.0,
-    whose bits a reduction may take either way."""
-    if (x[:-1] < x[1:]).all():
-        return True
-    if not (x[:-1] <= x[1:]).all():
-        return False
-    zeros = np.signbit(x[x == 0.0])
-    return bool(zeros.all() or not zeros.any())
-
-
 def _frontier_part(j: int, stops: np.ndarray, x: np.ndarray, first: int = 1) -> tuple:
     """(anchor, layer, low, high) columns of layer j's nonempty stop regions.
 
     Row 0 of stops stands for anchors 0..first-1 and row r > 0 for anchor
     first - 1 + r: row 0 is read once and its columns repeated.  On
-    nondecreasing states, as every lattice layer's are, a layer without a
-    stop flag has no parts, and a row's low and high are the states of
-    its first and last flag, found by one scan of the flags from each
-    end.  Other states, such as a Monte Carlo path cloud, are reduced
-    under masks.  Both give the same bits.
+    strictly increasing states, every lattice layer's (sigma > 0), a layer
+    without a stop flag has no parts, and a row's low and high are the
+    states of its first and last flag, found by one scan of the flags from
+    each end.  Other states, ties included, such as a Monte Carlo path
+    cloud, are reduced under masks.  Both give the same bits.
     """
-    if _nondecreasing(x):
+    if (x[:-1] < x[1:]).all():
         if not stops.any():
             return np.empty(0, dtype=np.intp), np.full(0, j), x[:0], x[:0]
         lo = stops.argmax(axis=1)  # each row's first flag, or 0 without one
@@ -319,11 +307,9 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
             stops = _stops(layer.rows, barrier)
             identical = identical and _same_as_anchor0(stops)
             own = _rule_step(own[:-1], stops, fdt, barrier)
-            # anchor 0's flags for every row: one row that broadcasts on a
-            # full layer, both rows on a shared-row layer, which keeps two
+            # anchor 0's flags over every row, on full and shared-row layers alike
             rest = own if identical else _rule_step(
-                rest[:-1], stops[:1] if len(rest) - 1 == len(stops)
-                else np.broadcast_to(stops[0], stops.shape), fdt, barrier)
+                rest[:-1], np.broadcast_to(stops[0], stops.shape), fdt, barrier)
             fdt_j = fdt[-1:] if np.ndim(fdt) == 2 else fdt  # anchor j's running terms
             inc = increments(prev[-2:-1], fdt_j, barrier)[0]
             np.copyto(inc, 0.0, where=stops[-1])
@@ -345,10 +331,10 @@ def stream_solve(lat: Lattice, layers: Iterable[Layer]) -> tuple:
     """Diagonal and frontier rows of the sweep's layers j = N .. 0.
 
     Keeps each layer's diagonal and frontier part, and sorts the rows
-    anchor-major at the end.  The lattice's states increase along each
-    layer, so _frontier_part reads each row's low and high off its first
-    and last stop flag, and a layer without a flag adds no rows after
-    one scan.  A shared-row layer's shared stop row is read once, and
+    anchor-major at the end.  The lattice's states increase strictly
+    along each layer, so _frontier_part reads each row's low and high off
+    its first and last stop flag, and a layer without a flag adds no rows
+    after one scan.  A shared-row layer's shared stop row is read once, and
     its columns repeated for anchors 0..j-1.
     Returns (y_diag, largest last update of the per-node equations, rows).
     """

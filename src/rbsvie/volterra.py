@@ -5,7 +5,7 @@ layers j >= i, so the discrete system is triangular in the anchor index
 and one backward pass over the layers solves it exactly.  At layer j,
 from the layer-(j+1) rows of anchors 0..j:
 
-    E, z     one-step expectations and martingale coefficients, all rows
+    E, z     grid.cond_expect and grid.martingale_coeff of all rows at once
     Y(t_j)   per node, the solution of v = max(E + f(t_j, t_j, x, v, z) dt, L)
              on anchor j's row, found by fixed-point iteration; for a
              driver declared nonincreasing in y, by a secant step that
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rbsvie.grid import Lattice, TimeGrid
+from rbsvie.grid import Lattice, TimeGrid, cond_expect, martingale_coeff
 from rbsvie.instances import InstanceSpec, anchor_axis_defect, broadcast_defect
 
 # relative size of a last-bit cycle the per-node equation may end on
@@ -135,10 +135,10 @@ def _non_finite(i: int, j: int) -> VolterraError:
                          f"check instance parameters")
 
 
-def check_finite(rows: np.ndarray, j: int, shared: bool = False) -> None:
-    """Rows are anchors 0.. on layer j, or with shared a shared-row layer
-    (see Layer), whose row 0 is anchor 0 and last row anchor j; the first
-    non-finite one is named.
+def check_finite(rows: np.ndarray, j: int) -> None:
+    """Rows of layer j, anchors 0..j or a shared-row layer's (see Layer):
+    row i < len(rows) - 1 is anchor i and the last row anchor j in both
+    forms; the first non-finite one is named.
 
     One pass tests the whole layer; only a failing layer is scanned row
     by row for the anchor to name.
@@ -146,7 +146,7 @@ def check_finite(rows: np.ndarray, j: int, shared: bool = False) -> None:
     finite = np.isfinite(rows)
     if not np.logical_and.reduce(finite, axis=None):
         i = int(np.argmax(~finite.all(axis=1)))
-        raise _non_finite(j if shared and i == len(rows) - 1 else i, j)
+        raise _non_finite(j if i == len(rows) - 1 else i, j)
 
 
 def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
@@ -291,14 +291,13 @@ def step_rows(spec: InstanceSpec, t, s: float, x, v, e: np.ndarray, z: np.ndarra
 def increments(nxt: np.ndarray, fdt, barrier) -> np.ndarray:
     """Reflection increments max(L - (E + f dt), 0) of the rows stepped from nxt.
 
-    nxt holds the rows' layer-(j+1) values and E is the lattice midpoint
-    0.5 (nxt[:, 1:] + nxt[:, :-1]), so these are the sweep's own
-    operations in its order, and its increments bit for bit.  Off the
-    stop set they vanish on every anchor row i < j of a sweep layer:
-    there rows = max(E + f dt, L) exceeds L by more than the stop
-    tolerance, so E + f dt does too.
+    nxt holds the rows' layer-(j+1) values and E is grid.cond_expect(nxt),
+    the sweep's own call, so these are its operations in its order and its
+    increments bit for bit.  Off the stop set they vanish on every anchor
+    row i < j of a sweep layer: there rows = max(E + f dt, L) exceeds L
+    by more than the stop tolerance, so E + f dt does too.
     """
-    e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
+    e = cond_expect(nxt)
     c = np.add(e, fdt, out=e)
     return np.maximum(np.subtract(barrier, c, out=c), 0.0, out=c)
 
@@ -375,7 +374,7 @@ def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndar
             rows = np.concatenate((rows, v[None]))
         else:
             rows[-1] = v
-        check_finite(rows, j, shared)
+        check_finite(rows, j)
     return Layer(j, rows, v, z if keep_z else None, fdt=fdt, barrier=barrier, update=update)
 
 
@@ -402,20 +401,19 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False):
     N = lat.n_steps
     shared = spec.anchor_free
     anchor_t, rows = terminal_rows(spec, grid, lat.x[N], shared)
-    check_finite(rows, N, shared)
+    check_finite(rows, N)
     reason = None if shared else anchor_axis_defect(spec, anchor_t, lat.x[N - 1])
     if reason is not None:
         raise _not_broadcast(reason, (N + 1, N), N - 1)
     layer = Layer(N, rows, rows[-1].copy())
     yield layer
-    dt, two_sqrt_dt = grid.dt, 2.0 * grid.sqrt_dt
+    dt, sqrt_dt = grid.dt, grid.sqrt_dt
     zeros = None if z or spec.driver.depends_on_z else np.broadcast_to(0.0, (N, N))
     nonincreasing = spec.driver.y_sign == -1
     for j in range(N - 1, -1, -1):
         nxt = layer.rows[:-1]  # anchors 0..j on layer j + 1, or their shared row
-        e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
-        zj = (nxt[:, 1:] - nxt[:, :-1]) / two_sqrt_dt if zeros is None \
-            else zeros[: len(nxt), : j + 1]
+        e = cond_expect(nxt)
+        zj = martingale_coeff(nxt, sqrt_dt) if zeros is None else zeros[: len(nxt), : j + 1]
         layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, zj, dt, j, max_iters, z,
                            nonincreasing=nonincreasing)
         yield layer

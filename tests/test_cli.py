@@ -776,10 +776,11 @@ def test_each_config_is_built_once_per_command(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["solve", "stop", "compare", "verify-assumptions"])
 def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command, capsys,
                                                               monkeypatch):
-    # N = 100000 needs 1.2e11 (stop) to 5.6e11 (solve, and verify-assumptions'
-    # lattice and anchor-axis probe) bytes of lattice, diagonals and solve's
-    # frontier and its sort while the sweep streams american_put's shared-row
-    # layers: refused before the lattice is built or --out is made
+    # N = 100000 needs 1.2e11 (stop) to 5.6e11 (solve) bytes of lattice,
+    # diagonals and solve's frontier and its sort while the sweep streams
+    # american_put's shared-row layers, and verify-assumptions 2.4e11 for
+    # its lattice and anchor-axis probe: refused before the lattice is built
+    # or --out is made
     def refuse(*args, **kwargs):
         raise AssertionError("lattice built")
     monkeypatch.setattr(cli, "build_lattice", refuse)
@@ -791,8 +792,7 @@ def test_stored_fields_beyond_memory_exit_one_before_any_work(tmp_path, command,
     assert _run(command, *("--config", cfg) * solutions, "--out", str(out)) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     if command == "verify-assumptions":
-        # no diagonal; the probe's arrays are (N + 1) x (N // 2 + 1)
-        need = _streamed_bytes(n, 0, frontier=False, layer_rows=n // 2 + 1)
+        need = _probe_bytes(n)
     else:
         need = _streamed_bytes(n, solutions, frontier=command == "solve", layer_rows=2)
     assert "config error:" in err and f"needs {need} bytes" in err
@@ -880,11 +880,24 @@ def test_solve_traced_peak_within_its_memory_gate(tmp_path):
     assert peak <= _streamed_bytes(n, 1, frontier=True, layer_rows=n + 1), peak
 
 
-def test_verify_assumptions_traced_peak_within_its_memory_gate(tmp_path):
-    n = 600
-    cfg = _cfg(tmp_path, f"[instance]\nname = hyperbolic_discount\n\n[grid]\nN = {n}\n")
-    peak = _traced_peak("verify-assumptions", "--config", cfg, "--out", str(tmp_path / "out"))
-    assert peak <= _streamed_bytes(n, 0, frontier=False, layer_rows=n // 2 + 1), peak
+def _probe_bytes(n):
+    # the lattice's x and probs, (N+1)(N+2)/2 floats each, PROBE_ARRAYS
+    # arrays of (N + 1) x (N // 2 + 1) floats, and the first call's modules,
+    # numpy.random among them
+    return 8 * ((n + 1) * (n + 2) + cli.PROBE_ARRAYS * (n + 1) * (n // 2 + 1)) \
+        + cli.FIRST_CALL + cli.RANDOM_FIRST_USE
+
+
+@pytest.mark.parametrize("name", ["american_put", "hyperbolic_discount"])
+def test_verify_assumptions_traced_peak_within_its_memory_gate(tmp_path, name):
+    # the probe holds a few arrays of its shape, not a sweep's layer arrays:
+    # the count bounds the traced peak and is at most three times it
+    for n in (400, 800, 1500):
+        cfg = _cfg(tmp_path, f"[instance]\nname = {name}\n\n[grid]\nN = {n}\n",
+                   name=f"{n}.ini")
+        peak = _traced_peak("verify-assumptions", "--config", cfg,
+                            "--out", str(tmp_path / str(n)))
+        assert peak <= _probe_bytes(n) <= 3 * peak, (n, peak)
 
 
 @pytest.mark.parametrize("command, name, n", [
@@ -927,12 +940,13 @@ print(tracemalloc.get_traced_memory()[1], *seen)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
-@pytest.mark.parametrize("command", ["solve", "stop"])
+@pytest.mark.parametrize("command", ["solve", "stop", "verify-assumptions"])
 def test_first_command_in_a_process_traced_peak_within_its_memory_gate(tmp_path, command,
                                                                        name):
     # the first cli.main call in a fresh process imports modules and builds
     # its parser, about 241 KB whatever N is: at N = 25 that outweighs the
-    # layer terms, and the gate's FIRST_CALL term counts it
+    # layer terms, and the gate's FIRST_CALL term counts it.  verify-assumptions
+    # also imports numpy.random, about 1.04 MB, which RANDOM_FIRST_USE counts
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"),

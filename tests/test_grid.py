@@ -180,10 +180,23 @@ def test_martingale_coeff_unit_slope():
 
 
 def test_layer_ops_reject_scalars():
-    with pytest.raises(GridError):
-        cond_expect(np.array([1.0]))
-    with pytest.raises(GridError):
-        martingale_coeff(np.array([1.0]), sqrt_dt=0.5)
+    for bad in (np.array([1.0]), np.float64(1.0), np.zeros((3, 1))):
+        with pytest.raises(GridError):
+            cond_expect(bad)
+        with pytest.raises(GridError):
+            martingale_coeff(bad, sqrt_dt=0.5)
+
+
+@given(rows=st.integers(1, 5), vals=st.lists(st.floats(-50, 50), min_size=2, max_size=40),
+       sqdt=st.floats(0.05, 2.0))
+def test_layer_ops_step_every_row_as_its_own_layer(rows, vals, sqdt):
+    # a layer of anchor rows steps along its last axis, each row's bits
+    # those of the row stepped alone
+    v = np.array([vals[r:] + vals[:r] for r in range(rows)])
+    for op in (cond_expect, lambda a: martingale_coeff(a, sqdt)):
+        got = op(v)
+        assert got.shape == (rows, len(vals) - 1)
+        assert got.tobytes() == np.concatenate([op(row) for row in v]).tobytes()
 
 
 @given(

@@ -188,7 +188,7 @@ _ARTIFACTS = {
 }
 
 
-def test_artifact_manifest_repeats_and_lists_every_command(capsys):
+def test_artifact_manifest_repeats_and_lists_every_command(capsys, monkeypatch):
     script = _script("artifact_manifest")
     printed = []
     for _ in range(2):
@@ -197,6 +197,15 @@ def test_artifact_manifest_repeats_and_lists_every_command(capsys):
     assert printed[0] == printed[1]
     *lines, last = printed[0]
     assert last.startswith("manifest ") and len(last.split()[1]) == 64
+    # the BLAS thread setting follows the hash
+    assert last.endswith(f"  BLAS threads: {script.blas_threads()}")
+    for var in script.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert script.blas_threads() == "default"
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert script.blas_threads() == "OMP_NUM_THREADS=2"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert script.blas_threads() == "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=2"
     listed = {line.split("  ", 1)[1] for line in lines}
     runs = script.commands([1, 3])
     assert len(runs) == 2 * (5 * len(script.CATALOG_NAMES) + 1) + 2 * len(script.CATALOG_NAMES)

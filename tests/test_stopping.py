@@ -19,8 +19,8 @@ from rbsvie.stopping import (
     ConsistencyReport,
     StoppingError,
     _frontier_part,
-    _nondecreasing,
     _replay,
+    _rule_step,
     _stops,
     evaluate_J,
     extract_frontier,
@@ -476,8 +476,14 @@ def test_frontier_scan_equals_the_masked_reductions(data):
     # layers, single rows and a shared row 0 standing for several anchors
     n = data.draw(st.integers(1, 9), label="nodes")
     x = data.draw(arrays(float, (n,), elements=_STATES), label="states")
-    if data.draw(st.booleans(), label="sorted"):
+    order = data.draw(st.sampled_from(["unsorted", "sorted", "strict"]), label="order")
+    if order == "sorted":
         x = np.sort(x)
+    elif order == "strict":
+        # distinct states without NaN, sorted: the states the scan takes
+        x = np.unique(np.where(np.isnan(x), 0.5, x))
+        n = len(x)
+        assert (x[:-1] < x[1:]).all()
     rows = data.draw(st.integers(1, 6), label="rows")
     stops = data.draw(arrays(bool, (rows, n)), label="stops")
     stops[data.draw(arrays(bool, (rows,)), label="empty rows")] = False
@@ -486,24 +492,56 @@ def test_frontier_scan_equals_the_masked_reductions(data):
     first = data.draw(st.integers(1, 4), label="first")
     j = data.draw(st.integers(0, 50), label="layer")
 
-    ascending = bool(np.all(x[:-1] <= x[1:]))
-    zeros = x[x == 0.0]
-    mixed_zeros = np.signbit(zeros).any() and not np.signbit(zeros).all()
-    # unsorted states, and a tie of 0.0 with -0.0, take the reductions
-    assert _nondecreasing(x) == (ascending and not mixed_zeros)
+    # strictly increasing states take the scan; unsorted ones, ties (0.0
+    # with -0.0 among them) and NaN take the reductions
     _assert_same_part(_frontier_part(j, stops, x, first), _reduced_part(j, stops, x, first))
 
 
 @pytest.mark.parametrize("n_steps", [1, 7, 50])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_frontier_scan_on_every_sweep_layer(name, n_steps):
-    # every lattice layer's states are nondecreasing, so the sweep's layers,
+    # every lattice layer's states increase strictly, so the sweep's layers,
     # shared-row ones included, take the scan and give the reductions' bits
     spec = catalog_instance(name)
     lat = spec.lattice(n_steps)
     for layer in sweep(lat, spec, 200):
         j, x = layer.j, lat.x[layer.j]
-        assert _nondecreasing(x)
+        assert (x[:-1] < x[1:]).all(), j
         stops = _stops(layer.rows, layer.barrier)
         first = j + 2 - len(layer.rows)
         _assert_same_part(_frontier_part(j, stops, x, first), _reduced_part(j, stops, x, first))
+
+
+# finite values of every size and signed zeros: sums near the float limit
+# overflow to infinity
+_STEP_VALUES = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e308, 1e308))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_step_operator_equals_the_inline_midpoint(data):
+    # increments and the rule induction make E with grid.cond_expect, the
+    # sweep's own call; here E is the midpoint written out, on a full layer
+    # (one row per anchor) and a shared-row one (one shared row, whose
+    # flags may hold two rows), and both agree with it bit for bit
+    n = data.draw(st.integers(1, 8), label="nodes")
+    shared = data.draw(st.booleans(), label="shared-row layer")
+    rows = 1 if shared else n
+    nxt = data.draw(arrays(float, (rows, n + 1), elements=_STEP_VALUES), label="layer j + 1")
+    shape = data.draw(st.sampled_from([(rows, n), (1, n), (n,), ()]), label="fdt")
+    fdt = data.draw(arrays(float, shape, elements=_STEP_VALUES), label="fdt values")
+    fdt = float(fdt) if shape == () else fdt
+    barrier = data.draw(arrays(float, (n,), elements=_STEP_VALUES), label="L")
+
+    flags = data.draw(arrays(bool, (2 if shared else n, n)), label="flags")
+    stop = data.draw(st.sampled_from([
+        flags, flags[:1], np.broadcast_to(flags[0], flags.shape), flags[0],
+        tuple(flags[0].tolist())]), label="stop")
+
+    with np.errstate(over="ignore"):
+        want = np.maximum(barrier - (0.5 * (nxt[:, 1:] + nxt[:, :-1]) + fdt), 0.0)
+        got = increments(nxt, fdt, barrier)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        want = np.where(stop, barrier, 0.5 * (nxt[:, 1:] + nxt[:, :-1]) + fdt)
+        got = _rule_step(nxt, stop, fdt, barrier)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

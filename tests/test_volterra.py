@@ -736,14 +736,14 @@ def _first_bad_anchor_reference(rows, j):
 
 
 @settings(max_examples=200, deadline=None)
-@given(anchors=st.integers(1, 12), nodes=st.integers(1, 12), j=st.integers(0, 500),
-       seed=st.integers(0, 2**32 - 1),
+@given(nodes=st.integers(1, 12), j=st.integers(0, 11), seed=st.integers(0, 2**32 - 1),
        spots=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), _EDGES),
                       max_size=4))
-def test_check_finite_names_the_first_bad_anchor(anchors, nodes, j, seed, spots):
-    rows = np.random.default_rng(seed).normal(size=(anchors, nodes)) * 1e300
+def test_check_finite_names_the_first_bad_anchor(nodes, j, seed, spots):
+    # a full layer: anchors 0..j, whose last row is anchor j
+    rows = np.random.default_rng(seed).normal(size=(j + 1, nodes)) * 1e300
     for i, k, bad in spots:
-        rows[i % anchors, k % nodes] = bad
+        rows[i % (j + 1), k % nodes] = bad
     try:
         _first_bad_anchor_reference(rows, j)
     except VolterraError as exc:
@@ -992,12 +992,12 @@ def test_anchor_free_failures_name_the_full_sweeps_anchor_and_layer(fault, text)
 
 def test_check_finite_names_a_shared_row_layers_last_row_anchor_j():
     rows = np.zeros((2, 8))
-    check_finite(rows, 7, shared=True)
+    check_finite(rows, 7)
     rows[1, 3] = np.nan
     with pytest.raises(VolterraError, match="anchor 7, layer 7"):
-        check_finite(rows, 7, shared=True)
+        check_finite(rows, 7)
     rows[0, 5] = np.inf
     with pytest.raises(VolterraError, match="anchor 0, layer 7"):
-        check_finite(rows, 7, shared=True)
+        check_finite(rows, 7)
     with pytest.raises(VolterraError, match="anchor 0, layer 0"):
-        check_finite(np.full((1, 1), np.nan), 0, shared=True)
+        check_finite(np.full((1, 1), np.nan), 0)
