@@ -96,10 +96,9 @@ class Worker:
 
     def close(self) -> float:
         """Ends the worker; returns its ru_maxrss in MB."""
-        self.proc.stdin.close()
-        maxrss = self._reply()
-        self.proc.wait()
-        return maxrss
+        with self.proc:  # closes both pipes, then waits
+            self.proc.stdin.close()
+            return self._reply()
 
 
 def make_plans(names: list, seed: int, size: str, instances: list, kinds: list,
@@ -138,8 +137,8 @@ def pair_rounds(trees: dict, plans: dict, rounds: int) -> dict:
                 run["maxrss_mb"] = {side: workers[side].close() for side in SIDES}
             finally:
                 for worker in workers.values():
-                    worker.proc.kill()
-                    worker.proc.wait()
+                    with worker.proc:  # closes both pipes, then waits
+                        worker.proc.kill()
     return runs
 
 

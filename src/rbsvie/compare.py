@@ -6,9 +6,8 @@ values then inherit the order.  Construction of an OrderedPair gates
 the hypothesis: unless a driver is declared nondecreasing in y or free
 of it (DriverSpec.y_sign 1 or 0, which instances.verify_assumptions
 checks), the pair must differ only in the driver, by an additive
-constant (the shift families used throughout the tests), or both
-instances must be
-declared anchor-free (InstanceSpec.anchor_free, which
+constant (instances.shifted, which the tests use throughout), or both
+instances must be declared anchor-free (InstanceSpec.anchor_free, which
 instances.verify_assumptions checks), so that the system is a reflected
 BSDE, for which comparison needs no monotonicity.  The solved-value
 check is empirical either way: sweep both, compare every diagonal node.
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rbsvie.grid import Lattice
-from rbsvie.instances import InstanceSpec
+from rbsvie.instances import InstanceSpec, catalog_instance, shifted
 from rbsvie.volterra import MAX_ITERS, sweep
 
 PAIR_ATOL = 1e-12       # slack of the data order in OrderedPair.build
@@ -216,9 +215,6 @@ def random_ordered_pairs(names, lat_by_name, n_pairs: int, seed: int = 4242):
     anchors), so those pairs fall outside what ordering guarantees.
     Returns (catalog name, OrderedPair) tuples.
     """
-    from rbsvie.instances import (catalog_instance, shift_driver, shift_obstacle,
-                                  shift_terminal)
-
     rng = np.random.default_rng(seed)
     names = list(names)
     out = []
@@ -231,11 +227,9 @@ def random_ordered_pairs(names, lat_by_name, n_pairs: int, seed: int = 4242):
         else:
             data = ("terminal", "driver", "obstacle")
         datum = data[int(rng.integers(len(data)))]
-        if datum == "terminal":
-            lo, hi = base, shift_terminal(base, c)
-        elif datum == "driver":
-            lo, hi = base, shift_driver(base, c)
+        if datum == "obstacle":
+            lo, hi = shifted(base, datum, -c), base
         else:
-            lo, hi = shift_obstacle(base, -c), base
+            lo, hi = base, shifted(base, datum, c)
         out.append((name, OrderedPair.build(lo, hi, lat_by_name[name])))
     return out

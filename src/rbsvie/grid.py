@@ -130,7 +130,8 @@ def build_lattice(grid: TimeGrid, x0: float, dyn) -> Lattice:
         a, b = start[lo], start[hi]
         width = layers[lo:hi] + 1
         w = (np.arange(2 * a, 2 * b, 2) - np.repeat(lead[lo:hi], width)) * sq
-        xb = np.asarray(dyn(np.repeat(times[lo:hi], width), w), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite is refused below
+            xb = np.asarray(dyn(np.repeat(times[lo:hi], width), w), dtype=float)
         if xb.shape != w.shape:
             raise GridError("dynamics map must return one state value per node")
         finite = np.isfinite(xb)

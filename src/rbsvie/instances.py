@@ -173,27 +173,32 @@ def geometric_dynamics(x0: float, sigma: float, mu: float = 0.0) -> DynamicsSpec
 
 _FLOOR = -1.0e6  # effectively no obstacle
 
+# instance -> parameter -> (default, must be positive), in the order
+# catalog_instance checks them; every value must be finite
+_PARAMS = {
+    "american_put": {"strike": (1.0, True), "sigma": (0.2, True), "rate": (0.05, False),
+                     "x0": (1.0, True), "horizon": (1.0, True)},
+    "hyperbolic_discount": {"rho0": (0.5, False), "kappa": (1.0, False),
+                            "terminal_scale": (1.0, False), "obstacle_gap": (0.1, False),
+                            "sigma": (0.4, True), "x0": (0.1, False), "horizon": (1.0, True)},
+    "zero_driver_flat": {"x0": (0.0, False), "sigma": (1.0, True), "horizon": (1.0, True)},
+    "linear_z": {"a": (0.25, False), "b": (0.25, False), "obstacle_gap": (0.5, False),
+                 "x0": (0.0, False), "sigma": (1.0, True), "horizon": (1.0, True)},
+    "custom_affine": {"const": (0.0, False), "y_coef": (0.2, False), "z_coef": (0.2, False),
+                      "t_coef": (0.3, False), "obstacle_gap": (0.4, False),
+                      "x0": (1.0, True), "sigma": (0.3, True), "horizon": (1.0, True)},
+}
 
-def _finite_positive(val, key):
-    v = float(val)
-    if not np.isfinite(v) or v <= 0:
-        raise InstanceError(f"{key} must be finite and positive, got {val}")
-    return v
+_LINEAR_STATE = TerminalSpec(name="linear_state(scale=1.0)",
+                             fn=lambda t, x: np.asarray(x, dtype=float) + 0.0,
+                             depends_on_anchor=False)
 
 
-def _finite(val, key):
-    v = float(val)
-    if not np.isfinite(v):
-        raise InstanceError(f"{key} must be finite, got {val}")
-    return v
+def _linear_offset(gap: float) -> ObstacleSpec:
+    return ObstacleSpec(name=f"linear_offset(gap={gap})", fn=lambda u, x: x - gap)
 
 
-def _american_put(p: dict) -> InstanceSpec:
-    strike = _finite_positive(p.pop("strike", 1.0), "strike")
-    sigma = _finite_positive(p.pop("sigma", 0.2), "sigma")
-    rate = _finite(p.pop("rate", 0.05), "rate")
-    x0 = _finite_positive(p.pop("x0", 1.0), "x0")
-    horizon = _finite_positive(p.pop("horizon", 1.0), "horizon")
+def _american_put(strike, sigma, rate, x0, horizon) -> InstanceSpec:
     if rate < 0:
         raise InstanceError("rate must be >= 0")
 
@@ -219,14 +224,8 @@ def _american_put(p: dict) -> InstanceSpec:
     )
 
 
-def _hyperbolic_discount(p: dict) -> InstanceSpec:
-    rho0 = _finite(p.pop("rho0", 0.5), "rho0")
-    kappa = _finite(p.pop("kappa", 1.0), "kappa")
-    scale = _finite(p.pop("terminal_scale", 1.0), "terminal_scale")
-    gap = _finite(p.pop("obstacle_gap", 0.1), "obstacle_gap")
-    sigma = _finite_positive(p.pop("sigma", 0.4), "sigma")
-    x0 = _finite(p.pop("x0", 0.1), "x0")
-    horizon = _finite_positive(p.pop("horizon", 1.0), "horizon")
+def _hyperbolic_discount(rho0, kappa, terminal_scale, obstacle_gap, sigma, x0,
+                         horizon) -> InstanceSpec:
     if rho0 < 0 or kappa < 0:
         raise InstanceError("rho0 and kappa must be >= 0")
     # terminal_scale != 1 or obstacle_gap < 0 can break terminal domination;
@@ -249,19 +248,16 @@ def _hyperbolic_discount(p: dict) -> InstanceSpec:
     return InstanceSpec(
         label="hyperbolic_discount",
         driver=driver,
-        terminal=TerminalSpec(name=f"linear_state(scale={scale})", fn=lambda t, x: scale * x,
-                              depends_on_anchor=False),
-        obstacle=ObstacleSpec(name=f"linear_offset(gap={gap})", fn=lambda u, x: x - gap),
+        terminal=TerminalSpec(name=f"linear_state(scale={terminal_scale})",
+                              fn=lambda t, x: terminal_scale * x, depends_on_anchor=False),
+        obstacle=_linear_offset(obstacle_gap),
         dynamics=brownian_dynamics(x0, sigma),
         x0=x0,
         horizon=horizon,
     )
 
 
-def _zero_driver_flat(p: dict) -> InstanceSpec:
-    x0 = _finite(p.pop("x0", 0.0), "x0")
-    sigma = _finite_positive(p.pop("sigma", 1.0), "sigma")
-    horizon = _finite_positive(p.pop("horizon", 1.0), "horizon")
+def _zero_driver_flat(x0, sigma, horizon) -> InstanceSpec:
     driver = DriverSpec(
         name="zero",
         fn=lambda t, s, x, y, z: np.zeros_like(np.asarray(y, dtype=float)),
@@ -273,9 +269,7 @@ def _zero_driver_flat(p: dict) -> InstanceSpec:
     return InstanceSpec(
         label="zero_driver_flat",
         driver=driver,
-        terminal=TerminalSpec(name="linear_state(scale=1.0)",
-                              fn=lambda t, x: np.asarray(x, dtype=float) + 0.0,
-                              depends_on_anchor=False),
+        terminal=_LINEAR_STATE,
         obstacle=ObstacleSpec(name="floor(-1e6)", fn=lambda u, x: np.full_like(np.asarray(x, dtype=float), _FLOOR)),
         dynamics=brownian_dynamics(x0, sigma),
         x0=x0,
@@ -283,14 +277,7 @@ def _zero_driver_flat(p: dict) -> InstanceSpec:
     )
 
 
-def _linear_z(p: dict) -> InstanceSpec:
-    a = _finite(p.pop("a", 0.25), "a")
-    b = _finite(p.pop("b", 0.25), "b")
-    gap = _finite(p.pop("obstacle_gap", 0.5), "obstacle_gap")
-    x0 = _finite(p.pop("x0", 0.0), "x0")
-    sigma = _finite_positive(p.pop("sigma", 1.0), "sigma")
-    horizon = _finite_positive(p.pop("horizon", 1.0), "horizon")
-
+def _linear_z(a, b, obstacle_gap, x0, sigma, horizon) -> InstanceSpec:
     driver = DriverSpec(
         name=f"linear_z(a={a},b={b})",
         fn=lambda t, s, x, y, z: a * z + b * y,
@@ -302,26 +289,16 @@ def _linear_z(p: dict) -> InstanceSpec:
     return InstanceSpec(
         label="linear_z",
         driver=driver,
-        terminal=TerminalSpec(name="linear_state(scale=1.0)",
-                              fn=lambda t, x: np.asarray(x, dtype=float) + 0.0,
-                              depends_on_anchor=False),
-        obstacle=ObstacleSpec(name=f"linear_offset(gap={gap})", fn=lambda u, x: x - gap),
+        terminal=_LINEAR_STATE,
+        obstacle=_linear_offset(obstacle_gap),
         dynamics=brownian_dynamics(x0, sigma),
         x0=x0,
         horizon=horizon,
     )
 
 
-def _custom_affine(p: dict) -> InstanceSpec:
-    const = _finite(p.pop("const", 0.0), "const")
-    y_coef = _finite(p.pop("y_coef", 0.2), "y_coef")
-    z_coef = _finite(p.pop("z_coef", 0.2), "z_coef")
-    t_coef = _finite(p.pop("t_coef", 0.3), "t_coef")
-    gap = _finite(p.pop("obstacle_gap", 0.4), "obstacle_gap")
-    x0 = _finite_positive(p.pop("x0", 1.0), "x0")
-    sigma = _finite_positive(p.pop("sigma", 0.3), "sigma")
-    horizon = _finite_positive(p.pop("horizon", 1.0), "horizon")
-
+def _custom_affine(const, y_coef, z_coef, t_coef, obstacle_gap, x0, sigma,
+                   horizon) -> InstanceSpec:
     def fn(t, s, x, y, z):
         return const + y_coef * y + z_coef * z + t_coef * (s - t)
 
@@ -338,10 +315,8 @@ def _custom_affine(p: dict) -> InstanceSpec:
     return InstanceSpec(
         label="custom_affine",
         driver=driver,
-        terminal=TerminalSpec(name="linear_state(scale=1.0)",
-                              fn=lambda t, x: np.asarray(x, dtype=float) + 0.0,
-                              depends_on_anchor=False),
-        obstacle=ObstacleSpec(name=f"linear_offset(gap={gap})", fn=lambda u, x: x - gap),
+        terminal=_LINEAR_STATE,
+        obstacle=_linear_offset(obstacle_gap),
         dynamics=geometric_dynamics(x0, sigma, mu=0.0),
         x0=x0,
         horizon=horizon,
@@ -363,54 +338,47 @@ def catalog_instance(name: str, overrides: Optional[dict] = None) -> InstanceSpe
     """Build a named catalog instance, optionally overriding parameters.
 
     Unknown names and unknown or out-of-range parameters raise
-    InstanceError.
+    InstanceError: first the known parameters, in _PARAMS order, then
+    the instance's own range checks, then any unknown parameter.
     """
     if name not in _CATALOG:
         raise InstanceError(f"unknown instance '{name}'; known: {', '.join(CATALOG_NAMES)}")
-    params = dict(overrides or {})
-    spec = _CATALOG[name](params)
-    if params:
-        raise InstanceError(f"unknown parameters for '{name}': {', '.join(sorted(params))}")
+    given = dict(overrides or {})
+    values = {}
+    for key, (default, positive) in _PARAMS[name].items():
+        raw = given.pop(key, default)
+        v = float(raw)
+        if not np.isfinite(v) or (positive and v <= 0):
+            rule = "finite and positive" if positive else "finite"
+            raise InstanceError(f"{key} must be {rule}, got {raw}")
+        values[key] = v
+    spec = _CATALOG[name](**values)
+    if given:
+        raise InstanceError(f"unknown parameters for '{name}': {', '.join(sorted(given))}")
     return spec
 
 
 # ---------------------------------------------------------------------------
-# derived-instance helpers (used by the comparison machinery and tests)
+# derived instances (used by the comparison machinery and tests)
+
+_SHIFT_SYMBOLS = {"driver": "f", "terminal": "xi", "obstacle": "L"}
 
 
-def shift_driver(spec: InstanceSpec, c: float) -> InstanceSpec:
-    """Instance with driver f + c.  Every declaration carries over: f + c
-    has f's slopes and dependence, and adding c keeps f's y_sign."""
-    base = spec.driver
+def shifted(spec: InstanceSpec, datum: str, c: float) -> InstanceSpec:
+    """Instance with one datum ("driver", "terminal" or "obstacle") moved
+    by the constant c: f + c, xi + c or L + c.
 
-    def fn(t, s, x, y, z, _f=base.fn, _c=c):
-        return _f(t, s, x, y, z) + _c
+    Every declaration carries over: f + c has f's slopes, dependence and
+    y_sign, and xi + c xi's anchor declaration.  c >= 0 on the terminal,
+    or c <= 0 on the obstacle, keeps terminal domination.
+    """
+    symbol, base = _SHIFT_SYMBOLS[datum], getattr(spec, datum)
 
-    return replace(spec, label=f"{spec.label}[f+{c}]",
-                   driver=replace(base, name=f"{base.name}+{c}", fn=fn))
+    def fn(*args, _f=base.fn, _c=c):
+        return _f(*args) + _c
 
-
-def shift_terminal(spec: InstanceSpec, c: float) -> InstanceSpec:
-    """Instance with terminal xi + c (c >= 0 keeps the terminal above the
-    obstacle).  The anchor declaration is unchanged."""
-    base = spec.terminal
-
-    def fn(t, x, _f=base.fn, _c=c):
-        return _f(t, x) + _c
-
-    return replace(spec, label=f"{spec.label}[xi+{c}]",
-                   terminal=replace(base, name=f"{base.name}+{c}", fn=fn))
-
-
-def shift_obstacle(spec: InstanceSpec, c: float) -> InstanceSpec:
-    """Instance with obstacle L + c (use c <= 0 to preserve terminal domination)."""
-    base = spec.obstacle
-
-    def fn(u, x, _f=base.fn, _c=c):
-        return _f(u, x) + _c
-
-    return replace(spec, label=f"{spec.label}[L+{c}]",
-                   obstacle=ObstacleSpec(name=f"{base.name}+{c}", fn=fn))
+    return replace(spec, label=f"{spec.label}[{symbol}+{c}]",
+                   **{datum: replace(base, name=f"{base.name}+{c}", fn=fn)})
 
 
 # ---------------------------------------------------------------------------

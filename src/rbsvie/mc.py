@@ -96,8 +96,9 @@ def simulate(grid: TimeGrid, spec: InstanceSpec, n_paths: int, seed: int) -> Pat
         dw[:, lo:hi] = rng.normal(0.0, grid.sqrt_dt, size=(hi - lo, N)).T
     x = np.zeros((N + 1, n_paths))
     np.cumsum(dw, axis=0, out=x[1:])  # the walk W, mapped to the state layer by layer
-    for j in range(N + 1):
-        x[j] = spec.dynamics(grid.t(j), x[j])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is refused below
+        for j in range(N + 1):
+            x[j] = spec.dynamics(grid.t(j), x[j])
     if not np.all(np.isfinite(x)):
         raise MCError("state dynamics produced non-finite values")
     x.setflags(write=False)

@@ -40,7 +40,7 @@ import numpy as np
 
 from rbsvie.compare import CompareError
 from rbsvie.grid import Lattice, cond_expect, martingale_coeff
-from rbsvie.instances import InstanceSpec, shift_driver
+from rbsvie.instances import InstanceSpec, shifted
 from rbsvie.stopping import StoppingFrontier, _threshold
 from rbsvie.volterra import NoConvergence, PicardConfig, Solution, VolterraError, solve
 
@@ -449,7 +449,7 @@ def monotone_scheme(lat: Lattice, spec: InstanceSpec, n_max: int,
     if spec.driver.lipschitz * lat.grid.sqrt_dt > 1.0:
         raise CompareError("grid too coarse for a monotone one-step map")
 
-    prev = solve(lat, shift_driver(spec, 1.0), cfg)
+    prev = solve(lat, shifted(spec, "driver", 1.0), cfg)
     diags = [prev.y_diag]
     theta = theta_threshold(spec.driver.lipschitz, spec.horizon)
     increments = []

@@ -262,11 +262,12 @@ def terminal_rows(spec: InstanceSpec, grid: TimeGrid, x_N, shared: bool = False)
     anchor_t = grid.times[:, None]
     anchors = (0, grid.n_steps) if shared else range(len(anchor_t))
     rows = np.empty((len(anchors), len(x_N)))
-    if spec.terminal.depends_on_anchor:
-        for r, i in enumerate(anchors):
-            rows[r] = spec.terminal(grid.t(i), x_N)
-    else:
-        rows[:] = spec.terminal(grid.t(0), x_N)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse non-finite rows
+        if spec.terminal.depends_on_anchor:
+            for r, i in enumerate(anchors):
+                rows[r] = spec.terminal(grid.t(i), x_N)
+        else:
+            rows[:] = spec.terminal(grid.t(0), x_N)
     return anchor_t, rows
 
 

@@ -1020,6 +1020,7 @@ def test_lattice_built_only_where_read(tmp_path, monkeypatch):
     # an infinite terminal value reaches the sweep, which says where
     ("x0 = 1e308\nterminal_scale = 10\n", "anchor 0, layer 4"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the config error is the one report
 def test_grid_and_solver_errors_are_config_errors(tmp_path, params, message, capsys):
     out = tmp_path / "out"
     cfg = _cfg(tmp_path, "[instance]\nname = hyperbolic_discount\n" + params
@@ -1064,6 +1065,7 @@ n_paths = 500
     assert not (out / "solution.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mc_non_finite_row_exits_one_naming_anchor_and_layer(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _cfg(tmp_path, """[instance]

@@ -17,12 +17,7 @@ from rbsvie.compare import (
     check_comparison,
     random_ordered_pairs,
 )
-from rbsvie.instances import (
-    catalog_instance,
-    shift_driver,
-    shift_obstacle,
-    shift_terminal,
-)
+from rbsvie.instances import catalog_instance, shifted
 from rbsvie.snell import monotone_scheme, solve_global, theta_norm, theta_threshold
 from rbsvie.volterra import solve
 
@@ -73,7 +68,7 @@ def test_driver_shift_family_ordered():
     # admitted because the two drivers differ by a constant only
     base = catalog_instance("hyperbolic_discount")
     lat = base.lattice(40)
-    pair = OrderedPair.build(base, shift_driver(base, 0.1), lat)
+    pair = OrderedPair.build(base, shifted(base, "driver", 0.1), lat)
     assert pair.witnesses == ("driver",)
     rep = check_comparison(lat, pair)
     assert rep.ordered
@@ -83,7 +78,7 @@ def test_z_only_driver_needs_no_hypothesis():
     base = catalog_instance("linear_z", {"b": 0.0})
     assert base.driver.y_sign == 0
     lat = base.lattice(30)
-    pair = OrderedPair.build(base, shift_driver(base, 0.2), lat)
+    pair = OrderedPair.build(base, shifted(base, "driver", 0.2), lat)
     rep = check_comparison(lat, pair)
     assert rep.ordered
 
@@ -97,7 +92,7 @@ def test_hypothesis_gate_reads_the_y_sign(sign, admitted):
     base = replace(base, driver=replace(base.driver, y_sign=sign))
     assert not base.anchor_free
     lat = base.lattice(20)
-    lo, hi = shift_obstacle(base, -0.1), base
+    lo, hi = shifted(base, "obstacle", -0.1), base
     if not admitted:
         with pytest.raises(CompareError, match="hypothesis"):
             OrderedPair.build(lo, hi, lat)
@@ -119,7 +114,7 @@ def test_driver_order_violation_rejected():
     base = catalog_instance("linear_z")
     lat = base.lattice(10)
     with pytest.raises(CompareError, match="driver order"):
-        OrderedPair.build(shift_driver(base, 0.3), base, lat)
+        OrderedPair.build(shifted(base, "driver", 0.3), base, lat)
 
 
 def test_mismatched_dynamics_rejected():
@@ -133,7 +128,7 @@ def test_hypothesis_gate_blocks_unrelated_decreasing_drivers():
     # two y-decreasing drivers, ordered pointwise but with a y-varying gap:
     # neither the monotonicity hypothesis nor the constant-shift family applies
     base = catalog_instance("hyperbolic_discount")
-    lo = shift_driver(base, -1.0)
+    lo = shifted(base, "driver", -1.0)
 
     def steeper(t, s, x, y, z):
         return -0.8 / (1.0 + 1.0 * (s - t)) * y
@@ -169,7 +164,7 @@ def test_obstacle_shift_alone_can_reverse_order():
     # the pair is built past the gate, which rejects it
     base = catalog_instance("hyperbolic_discount")
     lat = base.lattice(20)
-    pair = OrderedPair(lo=shift_obstacle(base, -0.3), hi=base, witnesses=("obstacle",))
+    pair = OrderedPair(lo=shifted(base, "obstacle", -0.3), hi=base, witnesses=("obstacle",))
     rep = check_comparison(lat, pair)
     assert not rep.ordered
     assert rep.max_diff > 1e-6
@@ -182,7 +177,7 @@ def test_hypothesis_gate_blocks_obstacle_only_pair_on_anchor_coupled_driver():
     # strike pairs of test_strike_ordered_puts still pass it
     base = catalog_instance("hyperbolic_discount")
     with pytest.raises(CompareError, match="hypothesis"):
-        OrderedPair.build(shift_obstacle(base, -0.3), base, base.lattice(20))
+        OrderedPair.build(shifted(base, "obstacle", -0.3), base, base.lattice(20))
 
 
 def _nan_datum(base, datum):
@@ -261,7 +256,7 @@ def test_every_accepted_pair_solves_ordered(data):
     lo = catalog_instance(name, lo_params)
     hi = catalog_instance(name, hi_params)
     if shift:
-        hi = shift_driver(hi, shift)
+        hi = shifted(hi, "driver", shift)
     lat = lo.lattice(n)
     try:
         pair = OrderedPair.build(lo, hi, lat)
@@ -275,9 +270,6 @@ def test_every_accepted_pair_solves_ordered(data):
     assert rep.max_diff <= ORDER_TOLERANCE and rep.max_diff == max(diffs)
 
 
-SHIFTS = {"terminal": shift_terminal, "obstacle": shift_obstacle, "driver": shift_driver}
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_every_pair_raised_on_the_lo_side_is_rejected_naming_the_datum(data):
@@ -286,11 +278,11 @@ def test_every_pair_raised_on_the_lo_side_is_rejected_naming_the_datum(data):
     name = data.draw(st.sampled_from(NAMES), label="instance")
     params = {key: data.draw(st.sampled_from(values), label=key)
               for key, values in PAIR_PARAMS[name].items()}
-    datum = data.draw(st.sampled_from(sorted(SHIFTS)), label="datum")
+    datum = data.draw(st.sampled_from(("driver", "obstacle", "terminal")), label="datum")
     c = data.draw(st.floats(1e-9, MAX_SHIFT, exclude_min=True, exclude_max=True), label="c")
     n = data.draw(st.integers(1, 12), label="N")
     hi = catalog_instance(name, params)
-    lo = SHIFTS[datum](hi, c)
+    lo = shifted(hi, datum, c)
     with pytest.raises(CompareError, match=f"^{datum} order violated"):
         OrderedPair.build(lo, hi, hi.lattice(n))
 
@@ -298,7 +290,7 @@ def test_every_pair_raised_on_the_lo_side_is_rejected_naming_the_datum(data):
 def test_obstacle_downshift_keeps_lo_below():
     base = catalog_instance("custom_affine")
     lat = base.lattice(30)
-    pair = OrderedPair.build(shift_obstacle(base, -0.25), base, lat)
+    pair = OrderedPair.build(shifted(base, "obstacle", -0.25), base, lat)
     assert pair.witnesses == ("obstacle",)
     rep = check_comparison(lat, pair)
     assert rep.ordered
@@ -307,12 +299,12 @@ def test_obstacle_downshift_keeps_lo_below():
 def test_terminal_upshift_raises_hi():
     base = catalog_instance("linear_z")
     lat = base.lattice(30)
-    pair = OrderedPair.build(base, shift_terminal(base, 0.3), lat)
+    pair = OrderedPair.build(base, shifted(base, "terminal", 0.3), lat)
     rep = check_comparison(lat, pair)
     assert rep.ordered
     # the raised terminal must strictly raise the solution somewhere
     a = solve_global(lat, base, tolerance=1e-11)
-    b = solve_global(lat, shift_terminal(base, 0.3), tolerance=1e-11)
+    b = solve_global(lat, shifted(base, "terminal", 0.3), tolerance=1e-11)
     assert max(float(np.max(b.y_diag[i] - a.y_diag[i])) for i in range(31)) > 0.1
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rbsvie.instances import (
     CATALOG_NAMES,
+    _PARAMS,
     DriverSpec,
     InstanceError,
     InstanceSpec,
@@ -15,9 +17,7 @@ from rbsvie.instances import (
     brownian_dynamics,
     catalog_instance,
     geometric_dynamics,
-    shift_driver,
-    shift_obstacle,
-    shift_terminal,
+    shifted,
     verify_assumptions,
 )
 
@@ -103,6 +103,31 @@ def test_out_of_range_parameters_rejected():
         catalog_instance("hyperbolic_discount", {"rho0": -1.0})
 
 
+@pytest.mark.parametrize("name, key, positive", [
+    (name, key, positive) for name, params in _PARAMS.items()
+    for key, (_, positive) in params.items()])
+def test_every_catalog_parameter_refuses_values_out_of_range(name, key, positive):
+    rule = "finite and positive" if positive else "finite"
+    for v in [math.nan, math.inf, -math.inf] + ([0.0, -1.0] if positive else []):
+        message = f"^{re.escape(f'{key} must be {rule}, got {v}')}$"
+        with pytest.raises(InstanceError, match=message):
+            catalog_instance(name, {key: v})
+        # a bad known key is reported before an unknown one
+        with pytest.raises(InstanceError, match=message):
+            catalog_instance(name, {"nosuch": 1.0, key: v})
+
+
+def test_catalog_errors_come_known_keys_then_ranges_then_unknown_keys():
+    with pytest.raises(InstanceError, match="^horizon must be finite and positive"):
+        catalog_instance("american_put", {"rate": -0.1, "horizon": math.nan, "nosuch": 1})
+    with pytest.raises(InstanceError, match="^rate must be >= 0$"):
+        catalog_instance("american_put", {"rate": -0.1, "nosuch": 1})
+    with pytest.raises(InstanceError, match="^rho0 and kappa must be >= 0$"):
+        catalog_instance("hyperbolic_discount", {"kappa": -1.0, "nosuch": 1})
+    with pytest.raises(InstanceError, match="^unknown parameters for 'linear_z': nosuch, zz$"):
+        catalog_instance("linear_z", {"zz": 1, "nosuch": 1, "a": 0.5})
+
+
 def test_holder_alpha_above_half_rejected():
     with pytest.raises(InstanceError):
         DriverSpec(name="bad", fn=lambda t, s, x, y, z: 0.0, lipschitz=0.0, holder_alpha=0.75)
@@ -180,17 +205,26 @@ def test_driver_that_folds_the_anchor_axis_reported():
         assert verify_assumptions(base, n_steps=n).ok
 
 
-def test_shift_helpers_preserve_structure():
-    spec = catalog_instance("linear_z")
-    up = shift_driver(spec, 0.1)
-    assert float(up.driver(0, 1, 0, 0.0, 0.0)) == pytest.approx(0.1)
-    assert up.driver.lipschitz == spec.driver.lipschitz
-
-    hi = shift_terminal(spec, 0.2)
-    assert float(hi.terminal(0.0, np.array([1.0]))[0]) == pytest.approx(1.2)
-
-    lo = shift_obstacle(spec, -0.3)
-    assert float(lo.obstacle(0.0, np.array([1.0]))[0]) == pytest.approx(1.0 - 0.5 - 0.3)
+@pytest.mark.parametrize("c", [-0.3, 0.3])
+@pytest.mark.parametrize("datum, symbol", [("driver", "f"), ("terminal", "xi"),
+                                           ("obstacle", "L")])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_shift_helpers_preserve_structure(name, datum, symbol, c):
+    # the shifted datum is the base's plus c, bit for bit on lattice nodes;
+    # its declarations, the other data and the dynamics are the base's
+    spec = catalog_instance(name)
+    out = shifted(spec, datum, c)
+    base, moved = getattr(spec, datum), getattr(out, datum)
+    assert out.label == f"{spec.label}[{symbol}+{c}]"
+    assert moved.name == f"{base.name}+{c}"
+    assert replace(moved, name=base.name, fn=base.fn) == base
+    assert replace(out, label=spec.label, **{datum: base}) == spec
+    lat = spec.lattice(6)
+    for j in range(lat.n_steps + 1):
+        t, x = lat.grid.t(j), lat.x[j]
+        args = {"driver": (0.0, t, x, 0.5 - x, x / 3), "terminal": (t, lat.x[-1]),
+                "obstacle": (t, x)}[datum]
+        assert np.array_equal(moved(*args), np.asarray(base(*args), dtype=float) + c)
 
 
 def test_instance_lattice_roundtrip():
@@ -246,8 +280,8 @@ def test_anchor_declarations_hold(name, params, free):
     assert not spec.terminal.depends_on_anchor
     assert spec.driver.depends_on_anchor == (not free) and spec.anchor_free == free
     assert verify_assumptions(spec, n_steps=20).ok
-    assert shift_terminal(spec, 0.1).anchor_free == free
-    assert shift_driver(spec, 0.1).anchor_free == free
+    assert shifted(spec, "terminal", 0.1).anchor_free == free
+    assert shifted(spec, "driver", 0.1).anchor_free == free
 
 
 def test_driver_declared_free_of_the_anchor_that_reads_it_reported():
@@ -279,7 +313,7 @@ def test_y_sign_declarations_hold(name, params, sign):
     # reads no y; f + c keeps the declaration
     spec = catalog_instance(name, params)
     assert spec.driver.y_sign == sign
-    assert shift_driver(spec, 0.1).driver.y_sign == sign
+    assert shifted(spec, "driver", 0.1).driver.y_sign == sign
     assert verify_assumptions(spec, n_steps=20).ok
 
 
@@ -342,4 +376,4 @@ def test_terminal_declared_free_of_the_anchor_that_reads_it_reported():
     # declared honestly, the same terminal passes and keeps the sweep's full rows
     honest = replace(liar, terminal=replace(liar.terminal, depends_on_anchor=True))
     assert verify_assumptions(honest, n_steps=20).ok and not honest.anchor_free
-    assert shift_terminal(liar, 0.5).terminal.depends_on_anchor is False
+    assert shifted(liar, "terminal", 0.5).terminal.depends_on_anchor is False

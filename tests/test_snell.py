@@ -13,7 +13,7 @@ from rbsvie.instances import (
     InstanceSpec,
     ObstacleSpec,
     catalog_instance,
-    shift_obstacle,
+    shifted,
 )
 from rbsvie.snell import (
     NonFiniteValue,
@@ -163,7 +163,7 @@ def test_single_step_bellman():
 
 def test_raising_obstacle_raises_value():
     spec = catalog_instance("american_put")
-    hi = shift_obstacle(spec, 0.05)  # valid slice math even if xi < L(T) somewhere
+    hi = shifted(spec, "obstacle", 0.05)  # valid slice math even if xi < L(T) somewhere
     lat = spec.lattice(8)
     lo_sl = solve_slice(lat, spec, 0, zero_diag(8))
     hi_sl = solve_slice(lat, hi, 0, zero_diag(8))

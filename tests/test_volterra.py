@@ -130,7 +130,7 @@ def test_no_convergence_raises_with_context():
     assert exc.value.last_residual > 0
 
 
-def test_windowed_default_delta_respects_bound():
+def test_max_contraction_delta_respects_bound():
     # the paper's window length is the widest grid multiple within the
     # contraction bound; the sweep (window = dt) agrees with global Picard
     spec = catalog_instance("hyperbolic_discount")
