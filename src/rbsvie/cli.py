@@ -27,7 +27,7 @@ from pathlib import Path
 
 from rbsvie import mc
 from rbsvie.compare import CompareError, OrderedPair, check_comparison
-from rbsvie.grid import GridError, TimeGrid, build_lattice
+from rbsvie.grid import GridError, TimeGrid, build_lattice, martingale_coeff
 from rbsvie.instances import (CATALOG_NAMES, InstanceError, InstanceSpec, catalog_instance,
                               verify_assumptions)
 from rbsvie.oracle import MAX_RULE_NODES, best_rule, interior_node_count
@@ -403,9 +403,9 @@ def cmd_oracle_check(args) -> int:
     lat = _lattice(grid, (spec,))
     out = _out_dir(args, cfg)
 
-    y_diag, z = [None] * (n + 1), [None] * (n + 1)
-    for layer in sweep(lat, spec, cfg.max_iters, z=True):
-        y_diag[layer.j], z[layer.j] = layer.v, per_anchor(layer).z
+    layers = [per_anchor(layer) for layer in sweep(lat, spec, cfg.max_iters)][::-1]
+    y_diag = [layer.v for layer in layers]
+    z = [martingale_coeff(a.rows[:-1], grid.sqrt_dt) for a in layers[1:]]  # the sweep's z
     deviations = []
     for i in range(n + 1):
         zrow = [z[j][i] for j in range(i, n)]

@@ -10,9 +10,9 @@ constant (instances.shifted, which the tests use throughout), or both
 instances must be declared anchor-free (InstanceSpec.anchor_free, which
 instances.verify_assumptions checks), so that the system is a reflected
 BSDE, for which comparison needs no monotonicity.  The solved-value
-check is empirical either way: sweep both, compare every diagonal node.
-The monotone approximation scheme of the comparison theorem is a
-reference, in snell.
+check is empirical either way: sweep both, compare every diagonal node,
+and recheck the driver order on the solved (y, z) ranges, z as the sweep
+makes it.  The monotone scheme of the comparison theorem is in snell.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rbsvie.grid import Lattice
+from rbsvie.grid import Lattice, martingale_coeff
 from rbsvie.instances import InstanceSpec, catalog_instance, shifted
 from rbsvie.volterra import MAX_ITERS, sweep
 
@@ -152,11 +152,12 @@ def _diagonal_and_ranges(lat: Lattice, spec: InstanceSpec, max_iters: int) -> tu
     other layer array; the z range starts from 0."""
     y_diag = [None] * (lat.n_steps + 1)
     z_lo, z_hi = 0.0, 0.0
-    for layer in sweep(lat, spec, max_iters, z=True):
+    for layer in sweep(lat, spec, max_iters):
         y_diag[layer.j] = layer.v
-        if layer.z is not None:  # None on the terminal layer
-            z_lo = min(z_lo, float(layer.z.min()))
-            z_hi = max(z_hi, float(layer.z.max()))
+        if layer.j:  # layer j - 1's z, as the sweep makes it from this layer
+            z = martingale_coeff(layer.rows[:-1], lat.grid.sqrt_dt)
+            z_lo = min(z_lo, float(z.min()))
+            z_hi = max(z_hi, float(z.max()))
     y_range = (min(float(a.min()) for a in y_diag), max(float(a.max()) for a in y_diag))
     return y_diag, y_range, (z_lo, z_hi)
 

@@ -161,9 +161,13 @@ def geometric_dynamics(x0: float, sigma: float, mu: float = 0.0) -> DynamicsSpec
         raise InstanceError("sigma must be positive")
     if x0 <= 0:
         raise InstanceError("geometric dynamics needs x0 > 0")
+    try:
+        drift = mu - 0.5 * sigma**2
+    except OverflowError:  # a Python float power raises where numpy gives inf
+        raise InstanceError(f"sigma is too large: sigma**2 overflows, got {sigma}") from None
 
     def fn(t, w):
-        return x0 * np.exp((mu - 0.5 * sigma**2) * t + sigma * np.asarray(w, dtype=float))
+        return x0 * np.exp(drift * t + sigma * np.asarray(w, dtype=float))
 
     return DynamicsSpec(name=f"geometric(x0={x0},sigma={sigma},mu={mu})", fn=fn)
 

@@ -137,7 +137,7 @@ def _replay(lat: Lattice, spec: InstanceSpec, sol: Solution):
     for j in range(N - 1, -1, -1):
         v, z = sol.y_diag[j], sol.z[j]
         fdt = running_terms(spec, anchor_t[: j + 1], grid.t(j), lat.x[j], v, z, grid.dt, j)
-        yield Layer(j, sol.ytilde[j], v, z, fdt, _obstacle(lat, spec, j))
+        yield Layer(j, sol.ytilde[j], v, fdt=fdt, barrier=_obstacle(lat, spec, j))
 
 
 def evaluate_J(lat: Lattice, spec: InstanceSpec, sol: Solution, i: int,

@@ -26,12 +26,12 @@ the same operations, and the sweep steps one shared row for them: its
 layers hold that row and anchor j's settled v (see Layer), O(N) values
 instead of O(N^2), and the consumers read anchors only by first and
 last row.
-The martingale coefficients z are made only when asked for: a driver
-that reads no z (DriverSpec.depends_on_z False) is stepped on read-only
-zeros, as in the Monte Carlo engine.  The sweep makes no reflection
-increments max(L - E - f dt, 0): increments rebuilds them from a
-layer's inputs, for solve's stored field and for the one row of each
-layer on which they can be nonzero off the stop set, anchor j's own.
+A driver that reads no z (DriverSpec.depends_on_z False) is stepped on
+read-only zeros, as in the Monte Carlo engine.  No layer holds z or the
+reflection increments max(L - E - f dt, 0): a reader makes z from the
+rows of layer j + 1 as the sweep does, and increments rebuilds the
+increments, for solve's stored field and for anchor j's row, the one
+row on which they can be nonzero off the stop set.
 step_layer is everything after the one-step operator; the regression
 Monte Carlo engine (mc.solve_mc) calls it on its projections, so the
 two engines differ only in how E and z are made, and in that only the
@@ -44,7 +44,7 @@ reference module, snell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -97,9 +97,9 @@ class Solution:
     y_diag[i] is the layer-i array of diagonal values Y(t_i).  ytilde[j],
     z[j] and kinc[j] are (j + 1) x (j + 1) layer arrays, row i anchor
     i's envelope, martingale coefficients and reflection increments on
-    the layer-j nodes: the sweep's rows and z, and the increments of its
-    step rebuilt by increments; ytilde has layers 0..N, z and kinc
-    layers 0..N-1.  The reflection term is stored as per-step
+    the layer-j nodes: the sweep's rows, and z and the increments of its
+    step made from the rows of layer j + 1; ytilde has layers 0..N, z
+    and kinc layers 0..N-1.  The reflection term is stored as per-step
     increments, so the cumulative K(t_i, t_j) along a path is the sum of
     kinc over the visited nodes.
     For the sweep, residual_history holds one entry, the largest last
@@ -308,23 +308,23 @@ class Layer:
     """Layer j of the backward sweep, anchors 0..j over the layer-j nodes.
 
     rows[i] is anchor i's envelope and v the settled diagonal Y(t_j),
-    equal to rows[j]; z[i] is anchor i's martingale coefficients, None
-    unless asked for, fdt the running terms f(t_i, t_j, x, v, z[i]) dt
+    equal to rows[j]; fdt is the running terms f(t_i, t_j, x, v, z) dt
     and barrier the obstacle L(t_j, x); update is the last update of the
-    per-node equation.  A layer holds no reflection increments: increments
-    rebuilds them from the layer's fdt and barrier and the rows of layer
-    j + 1.  On the terminal layer N, rows are the terminal values and z,
-    fdt and barrier are None.  The lattice sweep writes into no layer
-    after handing it out; the Monte Carlo engine reuses its z buffer.
+    per-node equation.  A layer holds neither z, grid.martingale_coeff of
+    the rows of layer j + 1, nor reflection increments, which increments
+    rebuilds from those rows and the layer's fdt and barrier.  On the
+    terminal layer N, rows are the terminal values and fdt and barrier
+    are None; fdt, barrier and update are keyword-only.  The lattice
+    sweep writes into no layer after handing it out.
 
     The sweep of an anchor-free instance hands out shared-row layers,
     told apart by len(rows) < j + 1: rows[0] is the row anchors 0..j-1
     share and rows[-1] anchor j's v, kept apart because the per-node
     equation may end on a last-bit cycle that the explicit step does not
-    repeat; z holds one row for all anchors 0..j, and fdt one row or
-    less.  Where the equation settled exactly, the explicit step would
-    give v bit for bit, so that layer is [v, v] and its fdt the settle's
-    last running terms.  Layer 0 has the one row of anchor 0 either way.
+    repeat; fdt holds one row or less.  Where the equation settled
+    exactly, the explicit step would give v bit for bit, so that layer is
+    [v, v] and its fdt the settle's last running terms.  Layer 0 has the
+    one row of anchor 0 either way.
     Consumers index anchors by first and last row in both forms: the
     step to layer j - 1 reads rows[:-1], anchors 0..j-1, and rows[-1] is
     anchor j.  per_anchor lays a shared-row layer out per anchor.
@@ -333,15 +333,15 @@ class Layer:
     j: int
     rows: np.ndarray
     v: np.ndarray
-    z: np.ndarray | None = None
+    _: KW_ONLY
     fdt: np.ndarray | None = None
     barrier: np.ndarray | None = None
     update: float = 0.0
 
 
 def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndarray,
-               z: np.ndarray, dt: float, j: int, max_iters: int,
-               keep_z: bool = True, *, nonincreasing: bool = False) -> Layer:
+               z: np.ndarray, dt: float, j: int, max_iters: int, *,
+               nonincreasing: bool = False) -> Layer:
     """Layer j of the backward sweep, from the one-step operator's output.
 
     e and z are the conditional expectations and martingale coefficients
@@ -355,10 +355,9 @@ def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndar
     after the shared row (see Layer).  A shared row whose equation
     settled exactly is not stepped: it steps e[-1] on the running terms
     of the settle's last iteration, so it is v and the layer [v, v].
-    The layer carries z when keep_z.  nonincreasing lets the settle
-    try its secant (see _settle_diagonal); the sweep passes the driver's
-    declaration, the Monte Carlo engine nothing.  A max_iters below 1 is
-    a VolterraError.
+    nonincreasing lets the settle try its secant (see _settle_diagonal);
+    the sweep passes the driver's declaration, the Monte Carlo engine
+    nothing.  A max_iters below 1 is a VolterraError.
     """
     if max_iters < 1:
         raise VolterraError("max_iters must be >= 1")
@@ -376,24 +375,21 @@ def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndar
         else:
             rows[-1] = v
         check_finite(rows, j)
-    return Layer(j, rows, v, z if keep_z else None, fdt=fdt, barrier=barrier, update=update)
+    return Layer(j, rows, v, fdt=fdt, barrier=barrier, update=update)
 
 
-def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False):
+def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int):
     """Yield the sweep's layers j = N .. 0 (see the module docstring).
 
     The layers of an anchor-free instance are shared-row layers (see
-    Layer), which start from two terminal rows.  Each layer carries its
-    martingale coefficients only with z; otherwise Layer.z is None, and
-    no layer holds increments.  The coefficients are made anyway when the
-    driver reads them; a driver that reads no z is stepped on read-only
-    zeros.  Before the first layer of a full sweep the driver is probed
-    with all N + 1 anchor times against layer N - 1's N nodes, the one
-    layer where the two axes differ in length: a driver that folds the
-    anchor axis into the node axis passes every sweep layer's shape test
-    and would be solved on wrong values.  A shared-row sweep passes one
-    anchor time on every layer, which no fold can misplace, and skips the
-    probe and its (N + 1) x N arrays.  Each later layer is made from the
+    Layer), which start from two terminal rows.  Before the first layer
+    of a full sweep the driver is probed with all N + 1 anchor times
+    against layer N - 1's N nodes, the one layer where the two axes
+    differ in length: a driver that folds the anchor axis into the node
+    axis passes every sweep layer's shape test and would be solved on
+    wrong values.  A shared-row sweep passes one anchor time on every
+    layer, which no fold can misplace, and skips the probe and its
+    (N + 1) x N arrays.  Each later layer is made from the
     one before, which the consumer may keep or drop.  A driver declared
     nonincreasing in y (DriverSpec.y_sign -1) is settled with the secant;
     one that reads no y keeps the loop, which settles it in two calls.
@@ -409,52 +405,50 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int, *, z: bool = False):
     layer = Layer(N, rows, rows[-1].copy())
     yield layer
     dt, sqrt_dt = grid.dt, grid.sqrt_dt
-    zeros = None if z or spec.driver.depends_on_z else np.broadcast_to(0.0, (N, N))
+    zeros = None if spec.driver.depends_on_z else np.broadcast_to(0.0, (N, N))
     nonincreasing = spec.driver.y_sign == -1
     for j in range(N - 1, -1, -1):
         nxt = layer.rows[:-1]  # anchors 0..j on layer j + 1, or their shared row
         e = cond_expect(nxt)
         zj = martingale_coeff(nxt, sqrt_dt) if zeros is None else zeros[: len(nxt), : j + 1]
-        layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, zj, dt, j, max_iters, z,
+        layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, zj, dt, j, max_iters,
                            nonincreasing=nonincreasing)
         yield layer
 
 
 def per_anchor(layer: Layer) -> Layer:
-    """The layer with one row per anchor 0..j in rows and z.
+    """The layer with one row per anchor 0..j in rows.
 
     A shared-row layer's rows become a new array that repeats the shared
-    row for anchors 0..j-1 above v, and its one z row a read-only
-    np.broadcast_to view; fdt is left as it is, and broadcasts to one row
-    per anchor.  A full layer comes back unchanged.
+    row for anchors 0..j-1 above v; fdt is left as it is, and broadcasts
+    to one row per anchor.  A full layer comes back unchanged.
     """
-    j, rows, z = layer.j, layer.rows, layer.z
-    if len(rows) <= j:
-        rows = np.empty((j + 1, j + 1))
-        rows[:-1], rows[-1] = layer.rows[0], layer.rows[-1]
-    if z is not None and len(z) <= j:
-        z = np.broadcast_to(z, (j + 1, j + 1))
-    return replace(layer, rows=rows, z=z)
+    j = layer.j
+    if len(layer.rows) > j:
+        return layer
+    rows = np.empty((j + 1, j + 1))
+    rows[:-1], rows[-1] = layer.rows[0], layer.rows[-1]
+    return replace(layer, rows=rows)
 
 
 def solve(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None) -> Solution:
     """The sweep's layers collected into a Solution (see the module docstring).
 
-    A shared-row layer is laid out per anchor by per_anchor.  kinc[j] is
-    rebuilt by increments from the stored layer j + 1.
+    A shared-row layer is laid out per anchor by per_anchor.  z[j] and
+    kinc[j] are made from the stored layer j + 1 by the sweep's operations.
     """
     cfg = cfg or PicardConfig()
     N = lat.n_steps
     y_diag, ytilde = [None] * (N + 1), [None] * (N + 1)
-    z, kinc = [None] * N, [None] * N
+    kinc = [None] * N
     largest_update = 0.0
-    for layer in sweep(lat, spec, cfg.max_iters, z=True):
+    for layer in sweep(lat, spec, cfg.max_iters):
         j = layer.j
         layer = per_anchor(layer)
         y_diag[j], ytilde[j] = layer.v, layer.rows
         largest_update = max(largest_update, layer.update)
         if j < N:
-            z[j] = layer.z
             kinc[j] = increments(ytilde[j + 1][: j + 1], layer.fdt, layer.barrier)
+    z = [martingale_coeff(rows[:-1], lat.grid.sqrt_dt) for rows in ytilde[1:]]
     return Solution(y_diag, ytilde, z, kinc, iterations=1,
                     residual_history=[largest_update])

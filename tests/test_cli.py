@@ -1030,6 +1030,22 @@ def test_grid_and_solver_errors_are_config_errors(tmp_path, params, message, cap
     assert "config error:" in err and message in err
 
 
+@pytest.mark.parametrize("name", ["american_put", "custom_affine"])
+@pytest.mark.parametrize("argv", [("solve",), ("solve", "--engine", "mc"), ("stop",),
+                                  ("verify-assumptions",), ("oracle-check",), ("compare",)])
+def test_sigma_whose_square_overflows_is_a_config_error(tmp_path, name, argv, capsys):
+    # geometric dynamics square sigma once, when the instance is built: a
+    # Python float power raises OverflowError, which must not escape
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, f"[instance]\nname = {name}\nsigma = 1e200\n\n[grid]\nN = 4\n\n"
+                         "[mc]\nn_paths = 500\n")
+    configs = ("--config", cfg) * (2 if argv[0] == "compare" else 1)
+    assert _run(*argv, *configs, "--out", str(out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: sigma is too large: sigma**2 overflows, got 1e+200\n"
+    assert not out.exists()
+
+
 def test_inner_equation_failure_exits_two_naming_anchor_and_layer(tmp_path, capsys):
     # b dt = 2: anchor N-1's per-node map expands and cannot settle
     out = tmp_path / "out"

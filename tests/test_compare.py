@@ -18,7 +18,7 @@ from rbsvie.compare import (
     random_ordered_pairs,
 )
 from rbsvie.instances import catalog_instance, shifted
-from rbsvie.snell import monotone_scheme, solve_global, theta_norm, theta_threshold
+from rbsvie.snell import monotone_scheme, phi_step, solve_global, theta_norm, theta_threshold
 from rbsvie.volterra import solve
 
 NAMES = ("american_put", "hyperbolic_discount", "linear_z",
@@ -39,13 +39,21 @@ def test_identical_instances_trivially_ordered():
 @pytest.mark.parametrize("lo_name, lo_params, hi_params", [
     (name, {}, {}) for name in NAMES] + [("american_put", {"strike": 0.9}, {"strike": 1.0})])
 def test_z_range_spans_the_stored_z(lo_name, lo_params, hi_params, n_steps):
-    # the streamed comparison reads z from the sweep; its range must be the
-    # one over both solutions' stored z, from 0, padded by RANGE_PAD
+    # the streamed comparison makes z from the sweep's rows; its range must
+    # be the one over both solutions' z, from 0, padded by RANGE_PAD.  The z
+    # is the per-anchor slice solver's on the solved diagonal, which the
+    # stored solve's z equals bit for bit
     lo = catalog_instance(lo_name, lo_params)
     hi = catalog_instance(lo_name, hi_params)
     lat = lo.lattice(n_steps)
     rep = check_comparison(lat, OrderedPair.build(lo, hi, lat))
-    zs = [z for spec in (lo, hi) for z in solve(lat, spec).z]
+    zs = []
+    for spec in (lo, hi):
+        sol = solve(lat, spec)
+        ref = phi_step(lat, spec, sol.y_diag).z
+        assert [(z.shape, z.tobytes()) for z in sol.z] == \
+            [(z.shape, z.tobytes()) for z in ref]
+        zs += ref
     z_lo = min(0.0, min(float(z.min()) for z in zs))
     z_hi = max(0.0, max(float(z.max()) for z in zs))
     assert z_lo < z_hi

@@ -333,10 +333,10 @@ def test_streamed_reports_equal_the_stored_replay(name, n_steps):
     lat = spec.lattice(n_steps)
     sol = solve(lat, spec, PicardConfig())
     replayed = list(_replay(lat, spec, sol))
-    live = [per_anchor(layer) for layer in sweep(lat, spec, 200, z=True)]
+    live = [per_anchor(layer) for layer in sweep(lat, spec, 200)]
     assert [layer.j for layer in replayed] == [layer.j for layer in live]
     for a, b in zip(replayed, live):
-        for field in ("rows", "v", "z", "fdt", "barrier"):
+        for field in ("rows", "v", "fdt", "barrier"):
             x, y = getattr(a, field), getattr(b, field)
             assert (x is None) == (y is None), (field, a.j)
             if field == "fdt" and x is not None:

@@ -317,14 +317,15 @@ def _recording(spec, seen):
 @pytest.mark.parametrize("name, params", [(name, {}) for name in CATALOG_NAMES]
                          + [("linear_z", {"a": 0.0})])
 def test_lean_sweep_layers_equal_the_full_sweep(name, params, n_steps):
-    # the sweep without z makes the same layers, bit for bit, and
-    # hands a z-reading driver the same midpoint differences; only a
-    # driver declared z-free gets zeros
+    # a driver declared z-free is stepped on zeros and makes the same
+    # layers, bit for bit, as the same driver declared to read z, which is
+    # handed the midpoint differences; a z-reading driver gets them either way
     base = catalog_instance(name, params)
     lat = base.lattice(n_steps)
+    reads_z = replace(base, driver=replace(base.driver, depends_on_z=True))
     seen_lean, seen_full = [], []
     lean = list(sweep(lat, _recording(base, seen_lean), 200))
-    full = list(sweep(lat, _recording(base, seen_full), 200, z=True))
+    full = list(sweep(lat, _recording(reads_z, seen_full), 200))
     assert [a.j for a in lean] == [b.j for b in full]
     for a, b in zip(lean, full):
         for field in ("rows", "v", "fdt", "barrier"):
@@ -333,8 +334,6 @@ def test_lean_sweep_layers_equal_the_full_sweep(name, params, n_steps):
             if x is not None:
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), (field, a.j)
         assert a.update.hex() == b.update.hex()
-        assert a.z is None
-        assert (b.z is None) == (b.j == n_steps)
     assert len(seen_lean) == len(seen_full)
     if base.driver.depends_on_z:
         for a, b in zip(seen_lean, seen_full):
@@ -345,7 +344,7 @@ def test_lean_sweep_layers_equal_the_full_sweep(name, params, n_steps):
     # an anchor-free instance's shared-row layers, laid out per anchor, are
     # the layers of the same instance declared anchor-coupled
     assert len(full[0].rows) == (2 if base.anchor_free else n_steps + 1)
-    _assert_same_layers(full, list(sweep(lat, _anchor_coupled(base), 200, z=True)))
+    _assert_same_layers(full, list(sweep(lat, _anchor_coupled(reads_z), 200)))
 
 
 def _anchor_coupled(spec):
@@ -360,7 +359,7 @@ def _assert_same_layers(got, want):
     assert [a.j for a in got] == [b.j for b in want]
     for a, b in zip(got, want):
         a, n = per_anchor(a), a.j + 1
-        for field in ("rows", "v", "z", "fdt", "barrier"):
+        for field in ("rows", "v", "fdt", "barrier"):
             x, y = getattr(a, field), getattr(b, field)
             assert (x is None) == (y is None), (field, a.j)
             if field == "fdt" and x is not None:
@@ -786,7 +785,7 @@ def test_lattice_y0_converges_at_first_order(name):
 def _sweep_outcome(lat, spec, max_iters):
     """(layers, None) of the whole sweep, or (None, (error type, text))."""
     try:
-        return list(sweep(lat, spec, max_iters, z=True)), None
+        return list(sweep(lat, spec, max_iters)), None
     except (VolterraError, NoConvergence) as exc:
         return None, (type(exc), str(exc))
 
@@ -914,7 +913,7 @@ def _spied_sweep(monkeypatch, lat, spec, max_iters):
         stepped.append(j)
         return step_rows(spec, t, s, x, v, e, z, barrier, dt, j)
     monkeypatch.setattr(volterra, "step_rows", spy)
-    return list(sweep(lat, spec, max_iters, z=True)), stepped
+    return list(sweep(lat, spec, max_iters)), stepped
 
 
 def test_shared_row_layer_keeps_a_last_bit_cycles_v_apart(monkeypatch):
@@ -934,7 +933,7 @@ def test_shared_row_layer_keeps_a_last_bit_cycles_v_apart(monkeypatch):
     assert all(layer.update > 0.0 for layer in got[1:])
     assert stepped == list(range(n - 1, -1, -1))
     assert all(layer.rows[0].tobytes() != layer.v.tobytes() for layer in got[1:-1])
-    _assert_same_layers(got, list(sweep(lat, _anchor_coupled(spec), 1000, z=True)))
+    _assert_same_layers(got, list(sweep(lat, _anchor_coupled(spec), 1000)))
 
 
 def test_shared_row_layer_of_an_exact_settle_takes_no_explicit_step(monkeypatch):
@@ -951,8 +950,9 @@ def test_shared_row_layer_of_an_exact_settle_takes_no_explicit_step(monkeypatch)
     for above, layer in zip(got, got[1:-1]):
         j, nxt = layer.j, above.rows[:-1]
         e = 0.5 * (nxt[:, 1:] + nxt[:, :-1])
+        z = (nxt[:, 1:] - nxt[:, :-1]) / (2.0 * lat.grid.sqrt_dt)
         rows, fdt = step_rows(spec, anchor_t[:1], j * lat.grid.dt, lat.x[j], layer.v, e,
-                              layer.z, layer.barrier, lat.grid.dt, j)
+                              z, layer.barrier, lat.grid.dt, j)
         assert layer.rows.shape == (2, j + 1)
         assert layer.rows.tobytes() == np.concatenate((rows, layer.v[None])).tobytes()
         assert np.broadcast_to(layer.fdt, (1, j + 1)).tobytes() == \
