@@ -448,13 +448,16 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs both configs on the same grid.N")
     if cfg_lo.max_iters != cfg_hi.max_iters:
         raise ConfigError("compare needs both configs on the same picard.max_iters")
+    if (args.out is None and cfg_lo.out_dir and cfg_hi.out_dir
+            and Path(cfg_lo.out_dir) != Path(cfg_hi.out_dir)):
+        raise ConfigError("compare needs both configs on the same output.dir, or --out")
     spec_lo, spec_hi, grid = cfg_lo.spec, cfg_hi.spec, _capped(cfg_lo.grid, args.max_n)
     lat = _lattice(grid, (spec_lo, spec_hi))
     try:
         pair = OrderedPair.build(spec_lo, spec_hi, lat)
     except CompareError as exc:
         raise ConfigError(f"pair rejected: {exc}")
-    out = _out_dir(args, cfg_lo)
+    out = _out_dir(args, cfg_lo if cfg_lo.out_dir else cfg_hi)
 
     report = check_comparison(lat, pair, cfg_lo.max_iters)
     _write_json(out / "report.json", {

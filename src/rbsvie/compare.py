@@ -62,12 +62,6 @@ def _driver_gap_stats(lo: InstanceSpec, hi: InstanceSpec, lat: Lattice,
     return gmin, gmax
 
 
-def _check_finite(gap: np.ndarray, where: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(gap))
-    if bad.size:
-        raise CompareError(f"non-finite {where}, node {int(bad[0])}")
-
-
 def _data_differ(lo_vals, hi_vals, datum: str, where: str, node: str) -> bool:
     """Whether lo's datum values differ from hi's beyond PAIR_ATOL at
     where; a non-finite gap, or lo above hi beyond it, is a CompareError
@@ -75,7 +69,9 @@ def _data_differ(lo_vals, hi_vals, datum: str, where: str, node: str) -> bool:
     a = np.asarray(lo_vals, dtype=float)
     b = np.asarray(hi_vals, dtype=float)
     bad = a - b
-    _check_finite(bad, f"{datum} gap at {where}")
+    finite = np.isfinite(bad)
+    if not finite.all():
+        raise CompareError(f"non-finite {datum} gap at {where}, node {int(np.argmin(finite))}")
     if float(bad.max()) > PAIR_ATOL:
         k = int(np.argmax(bad))
         raise CompareError(f"{datum} order violated at {where}, {node} {k}: "

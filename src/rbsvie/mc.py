@@ -395,7 +395,7 @@ def solve_mc(bundle: PathBundle, spec: InstanceSpec, basis: RegressionBasis,
                                    bundle.dw[j], dt)
             e, z = vals[: j + 1], zrows[: j + 1]
             proj.project(e, z if fit_z else None)
-            layer = step_layer(spec, anchor_t, s, x_j, e, z, dt, j, max_iters)
+            layer = step_layer(spec, anchor_t, x_j, e, z, dt, j, max_iters)
             v, barrier = layer.v, layer.barrier
             largest_update = max(largest_update, layer.update)
             e_y_diag[j] = float(v.mean())

@@ -278,10 +278,6 @@ def e_norm(lat: Lattice, d_diag: list, d_z: list) -> float:
     return float(np.sqrt(total))
 
 
-def _sup(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
 def solve_global(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = None,
                  init_diag: list | None = None, *, tolerance: float = 1e-10) -> Solution:
     """Iterate full passes until the diagonal and z-field stop moving.
@@ -311,7 +307,7 @@ def solve_global(lat: Lattice, spec: InstanceSpec, cfg: PicardConfig | None = No
         sol = phi_step(lat, spec, U)
         d_diag = [a - b for a, b in zip(sol.y_diag, U)]
         d_z = sol.z if prev_z is None else [a - b for a, b in zip(sol.z, prev_z)]
-        sup_change = max(_sup(d) for d in d_diag + d_z)
+        sup_change = max(float(np.abs(d).max(initial=0.0)) for d in d_diag + d_z)
         res = e_norm(lat, d_diag, d_z)
         residuals.append(res)
         U = sol.y_diag

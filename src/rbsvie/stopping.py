@@ -75,10 +75,6 @@ class StoppingFrontier:
         return StoppingRule(start=i, flags=tuple(f[i] for f in self.layers[i:]))
 
 
-def _obstacle(lat: Lattice, spec: InstanceSpec, j: int) -> np.ndarray:
-    return np.asarray(spec.obstacle(lat.grid.t(j), lat.x[j]), dtype=float)
-
-
 def _stops(rows: np.ndarray, barrier) -> np.ndarray:
     """Stop flags of one layer: rows within STOP_TOLERANCE of the barrier,
     or every node on the terminal layer (barrier None)."""
@@ -89,8 +85,9 @@ def _stops(rows: np.ndarray, barrier) -> np.ndarray:
 
 def _threshold(lat: Lattice, spec: InstanceSpec, rows) -> StoppingFrontier:
     """Stop where rows[j], one row per anchor 0..j, is within STOP_TOLERANCE of L_j."""
-    N = lat.n_steps
-    layers = [_stops(rows[j], _obstacle(lat, spec, j)) for j in range(N)]
+    N, grid = lat.n_steps, lat.grid
+    layers = [_stops(rows[j], np.asarray(spec.obstacle(grid.t(j), lat.x[j]), dtype=float))
+              for j in range(N)]
     layers.append(_stops(rows[N], None))
     return StoppingFrontier(n_steps=N, layers=tuple(layers))
 
@@ -135,9 +132,10 @@ def _replay(lat: Lattice, spec: InstanceSpec, sol: Solution):
     anchor_t = grid.times[:, None]
     yield Layer(N, sol.ytilde[N], sol.y_diag[N])
     for j in range(N - 1, -1, -1):
-        v, z = sol.y_diag[j], sol.z[j]
-        fdt = running_terms(spec, anchor_t[: j + 1], grid.t(j), lat.x[j], v, z, grid.dt, j)
-        yield Layer(j, sol.ytilde[j], v, fdt=fdt, barrier=_obstacle(lat, spec, j))
+        s, x, v, z = grid.t(j), lat.x[j], sol.y_diag[j], sol.z[j]
+        fdt = running_terms(spec, anchor_t[: j + 1], s, x, v, z, grid.dt, z.shape, j)
+        yield Layer(j, sol.ytilde[j], v, fdt=fdt,
+                    barrier=np.asarray(spec.obstacle(s, x), dtype=float))
 
 
 def evaluate_J(lat: Lattice, spec: InstanceSpec, sol: Solution, i: int,
@@ -189,19 +187,9 @@ class ConsistencyReport:
         return self.max_gap > GAP_THRESHOLD
 
 
-def _same_as_anchor0(stops: np.ndarray) -> bool:
-    return bool(np.logical_and.reduce(stops == stops[0], axis=None))
-
-
 def inconsistency_report(lat: Lattice, spec: InstanceSpec, sol: Solution) -> ConsistencyReport:
     """stream_report's consistency report of a stored solution."""
     return stream_report(lat, _replay(lat, spec, sol))[0]
-
-
-def _mass_step(worst: np.ndarray, kinc: np.ndarray, stops: np.ndarray) -> None:
-    """Raise worst[i] to anchor i's largest increment off its stop nodes on one layer."""
-    rows = worst[: len(kinc)]
-    np.maximum(rows, np.maximum.reduce(np.where(stops, 0.0, np.abs(kinc)), axis=1), out=rows)
 
 
 def premature_increment_mass(lat: Lattice, spec: InstanceSpec, sol: Solution) -> np.ndarray:
@@ -216,7 +204,10 @@ def premature_increment_mass(lat: Lattice, spec: InstanceSpec, sol: Solution) ->
     """
     worst = np.zeros(lat.n_steps + 1)
     for kinc, stops in zip(sol.kinc, extract_frontier(sol, lat, spec).layers):
-        _mass_step(worst, kinc, stops)
+        # anchor i's largest increment off its stop nodes on this layer
+        rows = worst[: len(kinc)]
+        np.maximum(rows, np.maximum.reduce(np.where(stops, 0.0, np.abs(kinc)), axis=1),
+                   out=rows)
     return worst
 
 
@@ -305,7 +296,7 @@ def stream_report(lat: Lattice, layers: Iterable[Layer]) -> tuple:
         else:
             fdt = layer.fdt
             stops = _stops(layer.rows, barrier)
-            identical = identical and _same_as_anchor0(stops)
+            identical = identical and bool(np.logical_and.reduce(stops == stops[0], axis=None))
             own = _rule_step(own[:-1], stops, fdt, barrier)
             # anchor 0's flags over every row, on full and shared-row layers alike
             rest = own if identical else _rule_step(

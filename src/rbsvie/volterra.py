@@ -13,6 +13,10 @@ from the layer-(j+1) rows of anchors 0..j:
     rows     max(E + f(t_i, t_j, x, Y(t_j), z) dt, L) for every anchor
              i <= j at once, the driver broadcast over an anchor axis
 
+The running terms f dt of the first settle iterate and of the rows come
+from running_terms, the one call that checks the driver's result: values
+that do not broadcast to the layer's shape are a VolterraError naming
+the layer.
 This is the paper's construction that pastes short windows together,
 with window dt and an exact inner solve.  sweep runs it and hands out
 each layer's (anchors x nodes) arrays as soon as they are made, so a
@@ -32,11 +36,12 @@ reflection increments max(L - E - f dt, 0): a reader makes z from the
 rows of layer j + 1 as the sweep does, and increments rebuilds the
 increments, for solve's stored field and for anchor j's row, the one
 row on which they can be nonzero off the stop set.
-step_layer is everything after the one-step operator; the regression
-Monte Carlo engine (mc.solve_mc) calls it on its projections, so the
-two engines differ only in how E and z are made, and in that only the
-lattice sweep asks for the secant (see _settle_diagonal): the Monte
-Carlo equations mostly end on last-bit cycles, where it cannot help.
+step_layer is everything after the one-step operator, at t_j = j dt;
+the regression Monte Carlo engine (mc.solve_mc) calls it on its
+projections, so the two engines differ only in how E and z are made,
+and in that only the lattice sweep asks for the secant (see
+_settle_diagonal): the Monte Carlo equations mostly end on last-bit
+cycles, where it cannot help.
 The global Picard iteration the sweep is checked against lives in the
 reference module, snell.
 """
@@ -116,13 +121,19 @@ class Solution:
     residual_history: list
 
 
-def _driver_rows(spec: InstanceSpec, t, s: float, x, y, z, shape: tuple,
-                 j: int) -> np.ndarray:
-    """Driver values that broadcast to shape; a mismatch names the layer."""
-    f = np.asarray(spec.driver(t, s, x, y, z), dtype=float)
-    if f.shape == shape or broadcast_defect(f.shape, shape) is None:
-        return f
-    raise _not_broadcast(broadcast_defect(f.shape, shape), shape, j)
+def running_terms(spec: InstanceSpec, t, s: float, x, y, z, dt: float, shape: tuple,
+                  j: int) -> np.ndarray:
+    """f(t, s, x, y, z) dt, once it broadcasts to shape; a result that
+    does not is a VolterraError naming layer j.
+
+    The product is made before the test, which reads only its shape, so
+    that numpy may make it in place in the driver's unnamed result
+    instead of holding a second (anchors x nodes) array.
+    """
+    fdt = np.asarray(spec.driver(t, s, x, y, z), dtype=float) * dt
+    if fdt.shape == shape or broadcast_defect(fdt.shape, shape) is None:
+        return fdt
+    raise _not_broadcast(broadcast_defect(fdt.shape, shape), shape, j)
 
 
 def _not_broadcast(reason: str, shape: tuple, j: int) -> VolterraError:
@@ -178,15 +189,14 @@ def _settle_diagonal(spec: InstanceSpec, s: float, x, e, z, barrier, dt: float,
     values, errors and NoConvergence fields are the loop's.
     """
     v = np.maximum(e, barrier)
-    f = _driver_rows(spec, s, s, x, v, z, v.shape, j)
+    fdt = running_terms(spec, s, s, x, v, z, dt, v.shape, j)
     if not np.logical_and.reduce(np.isfinite(v)):
         raise _non_finite(j, j)
     d = np.empty_like(v)
     last = np.inf
     for it in range(max_iters):
         if it:
-            f = np.asarray(spec.driver(s, s, x, v, z), dtype=float)
-        fdt = f * dt
+            fdt = np.asarray(spec.driver(s, s, x, v, z), dtype=float) * dt
         c = e + fdt
         if nonincreasing and it < 2 and max_iters > 2:
             if it == 0:
@@ -271,12 +281,6 @@ def terminal_rows(spec: InstanceSpec, grid: TimeGrid, x_N, shared: bool = False)
     return anchor_t, rows
 
 
-def running_terms(spec: InstanceSpec, t, s: float, x, v, z: np.ndarray, dt: float,
-                  j: int) -> np.ndarray:
-    """f(t, s, x, v, z) dt, broadcastable to z's (anchors, nodes) shape."""
-    return _driver_rows(spec, t, s, x, v, z, z.shape, j) * dt
-
-
 def step_rows(spec: InstanceSpec, t, s: float, x, v, e: np.ndarray, z: np.ndarray,
               barrier, dt: float, j: int) -> tuple:
     """max(e + f(t, s, x, v, z) dt, L) row by row, written over e.
@@ -284,7 +288,7 @@ def step_rows(spec: InstanceSpec, t, s: float, x, v, e: np.ndarray, z: np.ndarra
     Returns (rows, running term f dt); increments rebuilds the rows'
     reflection increments from the same inputs.
     """
-    fdt = running_terms(spec, t, s, x, v, z, dt, j)
+    fdt = running_terms(spec, t, s, x, v, z, dt, e.shape, j)
     c = np.add(e, fdt, out=e)
     return np.maximum(c, barrier, out=c), fdt
 
@@ -339,16 +343,16 @@ class Layer:
     update: float = 0.0
 
 
-def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndarray,
-               z: np.ndarray, dt: float, j: int, max_iters: int, *,
-               nonincreasing: bool = False) -> Layer:
+def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, x, e: np.ndarray, z: np.ndarray,
+               dt: float, j: int, max_iters: int, *, nonincreasing: bool = False) -> Layer:
     """Layer j of the backward sweep, from the one-step operator's output.
 
     e and z are the conditional expectations and martingale coefficients
     of anchors 0..j's layer-(j+1) values, one row per anchor, or one
     shared row for them all on an anchor-free instance; the engines
     differ only in the operator that makes them (lattice midpoint or
-    regression projection).  anchor_t is the column of anchor times.
+    regression projection).  anchor_t is the column of anchor times; the
+    layer's own time is t_j = j dt, TimeGrid.t(j)'s product.
     Anchor j's row, the last, settles its per-state equation, then every
     row steps with the diagonal frozen at the settled v.  The rows
     overwrite e; the settled v replaces the last row, or is appended
@@ -361,6 +365,7 @@ def step_layer(spec: InstanceSpec, anchor_t: np.ndarray, s: float, x, e: np.ndar
     """
     if max_iters < 1:
         raise VolterraError("max_iters must be >= 1")
+    s = j * dt
     barrier = np.asarray(spec.obstacle(s, x), dtype=float)
     v, update, fdt = _settle_diagonal(spec, s, x, e[-1], z[-1], barrier, dt, j, max_iters,
                                       nonincreasing=nonincreasing)
@@ -411,7 +416,7 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int):
         nxt = layer.rows[:-1]  # anchors 0..j on layer j + 1, or their shared row
         e = cond_expect(nxt)
         zj = martingale_coeff(nxt, sqrt_dt) if zeros is None else zeros[: len(nxt), : j + 1]
-        layer = step_layer(spec, anchor_t, j * dt, lat.x[j], e, zj, dt, j, max_iters,
+        layer = step_layer(spec, anchor_t, lat.x[j], e, zj, dt, j, max_iters,
                            nonincreasing=nonincreasing)
         yield layer
 

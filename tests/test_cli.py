@@ -584,6 +584,31 @@ N = 12
     assert "terminal" in rep["ordering_witnesses"]
 
 
+@pytest.mark.parametrize("lo_dir, hi_dir, out, written", [
+    ("a", "b", None, None), (None, "b", None, "b"), ("a", "a", None, "a"),
+    ("a", "b", "c", "c")])
+def test_compare_writes_to_the_one_output_dir_its_configs_name(tmp_path, capsys, monkeypatch,
+                                                               lo_dir, hi_dir, out, written):
+    # --out wins; otherwise the directory either config names, and two
+    # different ones are refused before any work
+    monkeypatch.chdir(tmp_path)
+    lo, hi = (_cfg(tmp_path, f"[instance]\nname = american_put\nstrike = {strike}\n\n"
+                             f"[grid]\nN = 6\n" + (f"\n[output]\ndir = {d}\n" if d else ""),
+                   name=f"{side}.ini")
+              for side, strike, d in (("lo", 0.9, lo_dir), ("hi", 1.0, hi_dir)))
+    code = _run("compare", "--config", lo, "--config", hi, *(("--out", out) if out else ()))
+    made = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
+    if written is None:
+        assert code == cli.EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert made == []
+    else:
+        assert code == cli.EXIT_OK
+        assert made == [written]
+        assert json.loads((tmp_path / written / "report.json").read_text())["ordered"]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_compare_rejects_reversed_pair(tmp_path, capsys):
     lo = _cfg(tmp_path, "[instance]\nname = american_put\nstrike = 1.0\n\n[grid]\nN = 8\n", name="lo.ini")
     hi = _cfg(tmp_path, "[instance]\nname = american_put\nstrike = 0.9\n\n[grid]\nN = 8\n", name="hi.ini")
@@ -991,6 +1016,25 @@ def test_driver_that_folds_the_anchor_axis_exits_one_without_artifacts(tmp_path,
     assert _run(command, *("--config", cfg) * solutions, "--out", str(out)) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error:" in err and "layer 9" in err and "(anchors, nodes) = (11, 10)" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [("solve",), ("solve", "--engine", "mc"), ("stop",)])
+def test_driver_of_fixed_node_count_exits_one_without_artifacts(tmp_path, argv, capsys,
+                                                                 monkeypatch):
+    # american_put is anchor-free, so no anchor-axis probe runs: the per-layer
+    # shape check alone refuses 7 driver values on layer 11's nodes or paths
+    seven = DriverSpec(name="seven", fn=lambda t, s, x, y, z: np.full(7, -0.01),
+                       lipschitz=0.0, y_sign=0, depends_on_z=False, depends_on_anchor=False)
+    real = cli.catalog_instance
+    monkeypatch.setattr(cli, "catalog_instance",
+                        lambda name, params=None: replace(real(name, params), driver=seven))
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 12\n\n"
+                         "[mc]\nn_paths = 400\n")
+    assert _run(*argv, "--config", cfg, "--out", str(out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "driver at layer 11 does not broadcast" in err
     assert not out.exists() or not any(out.iterdir())
 
 

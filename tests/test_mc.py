@@ -164,6 +164,18 @@ def test_floor_margin_nonnegative_and_frontier_sane():
         assert lo <= hi
 
 
+def test_driver_of_fixed_node_count_is_an_mc_error_naming_the_layer():
+    # 7 driver values against layer 11's 400 paths: the per-layer shape check
+    # is the only test of the driver's result in solve_mc
+    seven = DriverSpec(name="seven", fn=lambda t, s, x, y, z: np.full(7, -0.01),
+                       lipschitz=0.0, y_sign=0, depends_on_z=False, depends_on_anchor=False)
+    spec = replace(catalog_instance("american_put"), driver=seven)
+    bundle = mc.simulate(TimeGrid(spec.horizon, 12), spec, 400, seed=3)
+    with pytest.raises(mc.MCError, match=r"mc driver at layer 11 does not broadcast to "
+                                         r"\(anchors, nodes\) = \(400,\)"):
+        mc.solve_mc(bundle, spec, mc.RegressionBasis(), n_bootstrap=4)
+
+
 def _bits(values):
     return [float(v).hex() for v in values]
 
@@ -175,7 +187,7 @@ def test_frontier_rows_match_a_per_layer_exercise_record(name, monkeypatch):
 
     def spy(*args, **kwargs):
         layer = real(*args, **kwargs)
-        seen[layer.j] = (args[3], layer.rows[0].copy(), layer.barrier)
+        seen[layer.j] = (args[2], layer.rows[0].copy(), layer.barrier)
         return layer
 
     monkeypatch.setattr(mc, "step_layer", spy)
@@ -484,7 +496,7 @@ def _pinned_solve(bundle, spec, basis, n_bootstrap):
                                 bundle.dw[j], dt)
         e, z = vals[: j + 1], zrows[: j + 1]
         proj.project(e, z)
-        layer = step_layer(spec, anchor_t, s, x_j, e, z, dt, j, 200)
+        layer = step_layer(spec, anchor_t, x_j, e, z, dt, j, 200)
         v, barrier = layer.v, layer.barrier
         e_y_diag[j] = float(v.mean())
         margin = min(margin, float((layer.rows[0] - barrier).min()))

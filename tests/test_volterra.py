@@ -379,6 +379,18 @@ def test_sweep_rejects_driver_that_does_not_broadcast_over_anchors():
         solve(lat, spec)
 
 
+def test_shared_row_sweep_refuses_a_driver_of_fixed_node_count():
+    # an anchor-free sweep runs no anchor-axis probe, so the per-layer shape
+    # check alone refuses 7 driver values on layer 11's 12 nodes
+    seven = DriverSpec(name="seven", fn=lambda t, s, x, y, z: np.full(7, -0.01),
+                       lipschitz=0.0, y_sign=0, depends_on_z=False, depends_on_anchor=False)
+    spec = replace(catalog_instance("american_put"), driver=seven)
+    assert spec.anchor_free
+    with pytest.raises(VolterraError, match=r"driver at layer 11 does not broadcast to "
+                                            r"\(anchors, nodes\) = \(12,\)"):
+        list(sweep(spec.lattice(12), spec, 200))
+
+
 def test_sweep_non_finite_value_names_anchor_and_layer():
     base = catalog_instance("zero_driver_flat")
     wall = ObstacleSpec(name="wall", fn=lambda u, x: np.where(
