@@ -52,7 +52,7 @@ class VerificationFailure(RuntimeError):
 
 _SECTIONS = {
     "instance": None,  # name plus free-form numeric parameters
-    "grid": {"t", "n"},
+    "grid": {"n"},
     "picard": {"max_iters", "mode"},
     "mc": {"n_paths", "seed", "basis_degree", "basis_family"},
     "output": {"dir"},
@@ -83,19 +83,10 @@ def _get(cp, section, key, kind, default=None):
         raise ConfigError(f"{section}.{key} must be {what}, got '{raw}'")
 
 
-def _capped(grid: TimeGrid, max_n) -> TimeGrid:
-    """grid with at most max_n steps (the --max-n flag; None leaves it)."""
-    if max_n is None:
-        return grid
-    if max_n < 1:
-        raise ConfigError(f"--max-n must be >= 1, got {max_n}")
-    return TimeGrid(grid.horizon, min(grid.n_steps, max_n))
-
-
-def load_config(path: str, max_n) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     """Parse and fully validate an INI run config into what the commands
-    run: the instance, its grid with at most max_n steps (None: grid.N),
-    and the Monte Carlo basis.
+    run: the instance, its grid of grid.N steps over the instance's
+    horizon, and the Monte Carlo basis.
 
     Raises ConfigError on anything unexpected; nothing is written before
     validation succeeds.
@@ -129,13 +120,6 @@ def load_config(path: str, max_n) -> RunConfig:
             continue
         params[key] = _get(cp, "instance", key, float)
 
-    horizon = _get(cp, "grid", "T", float)
-    if horizon is not None:
-        if horizon <= 0:
-            raise ConfigError(f"grid.T must be positive, got {horizon}")
-        if "horizon" in params:
-            raise ConfigError("specify the horizon once: either grid.T or instance.horizon")
-        params["horizon"] = horizon
     n = _get(cp, "grid", "N", int, 50)
     if n < 1:
         raise ConfigError(f"grid.N must be >= 1, got {n}")
@@ -165,7 +149,7 @@ def load_config(path: str, max_n) -> RunConfig:
         spec = catalog_instance(name, dict(params))
     except InstanceError as exc:
         raise ConfigError(str(exc))
-    return RunConfig(spec, _capped(TimeGrid(spec.horizon, n), max_n), basis, params,
+    return RunConfig(spec, TimeGrid(spec.horizon, n), basis, params,
                      max_iters, n_paths, seed, cp.get("output", "dir", fallback=None))
 
 
@@ -351,7 +335,7 @@ def _write_solve(out: Path, payload: dict, times: list, y_diag, states, f_rows) 
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config[0], args.max_n)
+    cfg = load_config(args.config[0])
     spec, grid = cfg.spec, cfg.grid
     if args.engine == "lattice":
         lat = _lattice(grid, (spec,), frontier=True)
@@ -392,14 +376,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    cfg = load_config(args.config[0], args.max_n)
+    cfg = load_config(args.config[0])
     spec, grid = cfg.spec, cfg.grid
     n = grid.n_steps
     worst = interior_node_count(n, 0)
     if worst > MAX_RULE_NODES:
         raise ConfigError(
             f"oracle-check needs at most {MAX_RULE_NODES} interior nodes; "
-            f"N={n} has {worst} (use N <= 5 or --max-n)")
+            f"N={n} has {worst} (use N <= 5)")
     lat = _lattice(grid, (spec,))
     out = _out_dir(args, cfg)
 
@@ -441,9 +425,8 @@ def cmd_oracle_check(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.config) != 2:
         raise ConfigError("compare needs exactly two --config files (low, high)")
-    # both configs' own grid.N are compared before --max-n caps the grid
-    cfg_lo = load_config(args.config[0], None)
-    cfg_hi = load_config(args.config[1], None)
+    cfg_lo = load_config(args.config[0])
+    cfg_hi = load_config(args.config[1])
     if cfg_lo.grid.n_steps != cfg_hi.grid.n_steps:
         raise ConfigError("compare needs both configs on the same grid.N")
     if cfg_lo.max_iters != cfg_hi.max_iters:
@@ -451,7 +434,7 @@ def cmd_compare(args) -> int:
     if (args.out is None and cfg_lo.out_dir and cfg_hi.out_dir
             and Path(cfg_lo.out_dir) != Path(cfg_hi.out_dir)):
         raise ConfigError("compare needs both configs on the same output.dir, or --out")
-    spec_lo, spec_hi, grid = cfg_lo.spec, cfg_hi.spec, _capped(cfg_lo.grid, args.max_n)
+    spec_lo, spec_hi, grid = cfg_lo.spec, cfg_hi.spec, cfg_lo.grid
     lat = _lattice(grid, (spec_lo, spec_hi))
     try:
         pair = OrderedPair.build(spec_lo, spec_hi, lat)
@@ -484,7 +467,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stop(args) -> int:
-    cfg = load_config(args.config[0], args.max_n)
+    cfg = load_config(args.config[0])
     spec, grid = cfg.spec, cfg.grid
     lat = _lattice(grid, (spec,))
     out = _out_dir(args, cfg)
@@ -522,7 +505,7 @@ def cmd_stop(args) -> int:
 
 
 def cmd_verify_assumptions(args) -> int:
-    cfg = load_config(args.config[0], args.max_n)
+    cfg = load_config(args.config[0])
     # the lattice's two node triangles and the probe, anchors 0..N on layer N // 2
     n = cfg.grid.n_steps
     need = 8 * ((n + 1) * (n + 2) + PROBE_ARRAYS * (n + 1) * (n // 2 + 1))
@@ -550,10 +533,16 @@ def cmd_verify_assumptions(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 as a bad config does
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The rbsvie argument parser, built once per process (see main)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rbsvie",
         description="Lattice and Monte Carlo solvers for reflected "
                     "backward stochastic Volterra equations.")
@@ -564,8 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="PATH", help="INI run config (repeatable where noted)")
         sp.add_argument("--out", default=None, metavar="DIR",
                         help="artifact directory (default: output.dir or cwd)")
-        sp.add_argument("--max-n", type=int, default=None, metavar="INT",
-                        help="cap the number of time steps")
 
     sp = sub.add_parser("solve", help="solve an instance and write artifacts")
     common(sp)
@@ -599,11 +586,10 @@ def main(argv=None) -> int:
     later one (build_parser is cached); nothing is built at import.
     """
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # keep exit 2 reserved for solver non-convergence
-        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # parse_args exits only on --help, with 0
+            return exc.code
         return args.fn(args)
     except (ConfigError, InstanceError, mc.MCError, VolterraError, GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

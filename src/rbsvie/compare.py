@@ -9,10 +9,12 @@ checks), the pair must differ only in the driver, by an additive
 constant (instances.shifted, which the tests use throughout), or both
 instances must be declared anchor-free (InstanceSpec.anchor_free, which
 instances.verify_assumptions checks), so that the system is a reflected
-BSDE, for which comparison needs no monotonicity.  The solved-value
-check is empirical either way: sweep both, compare every diagonal node,
-and recheck the driver order on the solved (y, z) ranges, z as the sweep
-makes it.  The monotone scheme of the comparison theorem is in snell.
+BSDE, for which comparison needs no monotonicity.  The driver order is
+probed with the drivers called as the sweep calls them, on columns of
+anchor times.  The solved-value check is empirical either way: sweep
+both, compare every diagonal node, and recheck the driver order on the
+solved (y, z) ranges, z as the sweep makes it.  The monotone scheme of
+the comparison theorem is in snell.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from rbsvie.grid import Lattice, martingale_coeff
 from rbsvie.instances import InstanceSpec, catalog_instance, shifted
-from rbsvie.volterra import MAX_ITERS, sweep
+from rbsvie.volterra import MAX_ITERS, check_anchor_axis, sweep
 
 PAIR_ATOL = 1e-12       # slack of the data order in OrderedPair.build
 ORDER_TOLERANCE = 1e-9  # largest max(Y_lo - Y_hi) check_comparison calls ordered
@@ -39,26 +41,27 @@ _PROBE_YZ = [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 0.0),
              (0.3, -0.7), (-0.6, 0.2)]
 
 
-def _probes(lat: Lattice, box_yz):
-    """(t, s, x, y, z): probed anchors, their layers' nodes and each (y, z)."""
-    for i in range(0, lat.n_steps + 1, max(1, lat.n_steps // 8)):
-        for j in range(i, lat.n_steps):
-            for y, z in box_yz:
-                yield lat.grid.t(i), lat.grid.t(j), lat.x[j], y, z
-
-
 def _driver_gap_stats(lo: InstanceSpec, hi: InstanceSpec, lat: Lattice,
                       box_yz) -> tuple:
-    """(min, max) of f_hi - f_lo over lattice nodes and probed (y, z);
-    (nan, nan) once a gap is not finite."""
+    """(min, max) of f_hi - f_lo over every (N // 8)-th anchor i, layers
+    i..N-1's nodes and each (y, z), one call per layer and (y, z) on a
+    column of anchor times as in the sweep; (nan, nan) once a gap is not
+    finite, and a CompareError naming the layer if one does not broadcast."""
+    every = max(1, lat.n_steps // 8)
+    anchor_t = lat.grid.times[::every, None]
     gmin, gmax = np.inf, -np.inf
-    for t, s, x, y, z in _probes(lat, box_yz):
-        g = np.asarray(hi.driver(t, s, x, y, z), dtype=float) \
-            - np.asarray(lo.driver(t, s, x, y, z), dtype=float)
-        if not np.isfinite(g).all():
-            return np.nan, np.nan
-        gmin = min(gmin, float(g.min()))
-        gmax = max(gmax, float(g.max()))
+    for j in range(lat.n_steps):
+        t, s, x = anchor_t[: j // every + 1], lat.grid.t(j), lat.x[j]
+        for y, z in box_yz:
+            try:
+                g = np.asarray(hi.driver(t, s, x, y, z), dtype=float) \
+                    - np.asarray(lo.driver(t, s, x, y, z), dtype=float)
+            except ValueError as exc:
+                raise CompareError(f"driver gap on layer {j}: {exc}") from None
+            if not np.isfinite(g).all():
+                return np.nan, np.nan
+            gmin = min(gmin, float(g.min()))
+            gmax = max(gmax, float(g.max()))
     return gmin, gmax
 
 
@@ -95,6 +98,9 @@ class OrderedPair:
     def build(cls, lo: InstanceSpec, hi: InstanceSpec, lat: Lattice) -> "OrderedPair":
         if (lo.x0, lo.horizon, lo.dynamics.name) != (hi.x0, hi.horizon, hi.dynamics.name):
             raise CompareError("ordered pairs must share dynamics, start and horizon")
+        for spec in (lo, hi):
+            if not spec.anchor_free:  # refused as the sweep would, before the gate
+                check_anchor_axis(lat, spec)
         N = lat.n_steps
         grid = lat.grid
         witnesses = set()

@@ -426,8 +426,7 @@ class MonotoneSchemeReport:
         return out
 
 
-def monotone_scheme(lat: Lattice, spec: InstanceSpec, n_max: int,
-                    cfg: PicardConfig | None = None) -> MonotoneSchemeReport:
+def monotone_scheme(lat: Lattice, spec: InstanceSpec, n_max: int) -> MonotoneSchemeReport:
     """Nonincreasing approximation from a driver-dominated start.
 
     Iterate n freezes iterate n-1 in the driver's y-slot and solves the
@@ -445,7 +444,7 @@ def monotone_scheme(lat: Lattice, spec: InstanceSpec, n_max: int,
     if spec.driver.lipschitz * lat.grid.sqrt_dt > 1.0:
         raise CompareError("grid too coarse for a monotone one-step map")
 
-    prev = solve(lat, shifted(spec, "driver", 1.0), cfg)
+    prev = solve(lat, shifted(spec, "driver", 1.0))
     diags = [prev.y_diag]
     theta = theta_threshold(spec.driver.lipschitz, spec.horizon)
     increments = []

@@ -137,8 +137,18 @@ def running_terms(spec: InstanceSpec, t, s: float, x, y, z, dt: float, shape: tu
 
 
 def _not_broadcast(reason: str, shape: tuple, j: int) -> VolterraError:
-    return VolterraError(f"driver at layer {j} does not broadcast to "
-                         f"(anchors, nodes) = {shape}: {reason}")
+    what = f"(anchors, nodes) = {shape}" if len(shape) == 2 else f"anchor {j}'s row {shape}"
+    return VolterraError(f"driver at layer {j} does not broadcast to {what}: {reason}")
+
+
+def check_anchor_axis(lat: Lattice, spec: InstanceSpec) -> None:
+    """Refuse, naming layer N - 1, a driver whose result for N + 1 anchor
+    times against that layer's N nodes does not broadcast to (N + 1, N):
+    the one layer where a fold of the anchor axis into the nodes shows."""
+    N = lat.n_steps
+    reason = anchor_axis_defect(spec, lat.grid.times[:, None], lat.x[N - 1])
+    if reason is not None:
+        raise _not_broadcast(reason, (N + 1, N), N - 1)
 
 
 def _non_finite(i: int, j: int) -> VolterraError:
@@ -388,25 +398,21 @@ def sweep(lat: Lattice, spec: InstanceSpec, max_iters: int):
 
     The layers of an anchor-free instance are shared-row layers (see
     Layer), which start from two terminal rows.  Before the first layer
-    of a full sweep the driver is probed with all N + 1 anchor times
-    against layer N - 1's N nodes, the one layer where the two axes
-    differ in length: a driver that folds the anchor axis into the node
-    axis passes every sweep layer's shape test and would be solved on
-    wrong values.  A shared-row sweep passes one anchor time on every
-    layer, which no fold can misplace, and skips the probe and its
-    (N + 1) x N arrays.  Each later layer is made from the
-    one before, which the consumer may keep or drop.  A driver declared
-    nonincreasing in y (DriverSpec.y_sign -1) is settled with the secant;
-    one that reads no y keeps the loop, which settles it in two calls.
+    of a full sweep the driver's anchor axis is probed (check_anchor_axis).
+    A shared-row sweep passes one anchor time on every layer, which no
+    fold can misplace, and skips the probe and its (N + 1) x N arrays.
+    Each later layer is made from the one before, which the consumer may
+    keep or drop.  A driver declared nonincreasing in y (DriverSpec.y_sign
+    -1) is settled with the secant; one that reads no y keeps the loop,
+    which settles it in two calls.
     """
     grid = lat.grid
     N = lat.n_steps
     shared = spec.anchor_free
     anchor_t, rows = terminal_rows(spec, grid, lat.x[N], shared)
     check_finite(rows, N)
-    reason = None if shared else anchor_axis_defect(spec, anchor_t, lat.x[N - 1])
-    if reason is not None:
-        raise _not_broadcast(reason, (N + 1, N), N - 1)
+    if not shared:
+        check_anchor_axis(lat, spec)
     layer = Layer(N, rows, rows[-1].copy())
     yield layer
     dt, sqrt_dt = grid.dt, grid.sqrt_dt

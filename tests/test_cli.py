@@ -1,7 +1,10 @@
+import argparse
+import configparser
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -64,7 +67,7 @@ def test_one_parser_serves_every_command_in_a_process(tmp_path, capsys):
     runs = [(("solve", "--config", hi), ["frontier.csv", "solution.json", "y_diag.csv"]),
             (("compare", "--config", lo, "--config", hi), ["report.json"]),
             (("no-such-command",), None),
-            (("solve", "--max-n"), None),
+            (("solve", "--engine"), None),
             (("compare", "--config", lo, "--config", hi), ["report.json"]),
             (("stop", "--config", hi), ["inconsistency.json"])]
     for k, (argv, artifacts) in enumerate(runs):
@@ -284,7 +287,7 @@ def test_mc_artifacts_render_the_in_memory_solution(tmp_path):
                          "[mc]\nn_paths = 1500\nseed = 5\n")
     assert _run("solve", "--config", cfg, "--engine", "mc",
                 "--out", str(tmp_path / "out")) == cli.EXIT_OK
-    rc = cli.load_config(cfg, None)
+    rc = cli.load_config(cfg)
     spec, grid = rc.spec, rc.grid
     sol = mc.solve_mc(mc.simulate(grid, spec, rc.n_paths, rc.seed), spec, rc.basis, rc.max_iters)
     f_rows = sol.frontier_rows
@@ -450,7 +453,6 @@ def test_verify_assumptions_flags_a_driver_that_folds_the_anchor_axis(tmp_path, 
     # the grid keys are named as documented, not as configparser stores them
     ("[instance]\nname = american_put\n\n[grid]\nN = 1.5\n",
      "grid.N must be an integer, got '1.5'"),
-    ("[instance]\nname = american_put\n\n[grid]\nT = x\n", "grid.T must be a number, got 'x'"),
     ("[instance]\nname = american_put\n\n[grid]\nradius = 3\n", "unknown key grid.radius"),
     ("[instance]\nname = american_put\n\n[picard]\nmode = sideways\n",
      "picard.mode must be global, got 'sideways'"),
@@ -462,8 +464,8 @@ def test_verify_assumptions_flags_a_driver_that_folds_the_anchor_axis(tmp_path, 
     ("[instance]\nname = american_put\n\n[picard]\ndelta = 0.25\n", "unknown key picard.delta"),
     ("[instance]\nname = american_put\n\n[picard]\ndelta = -1\n", "unknown key picard.delta"),
     ("[instance]\nname = american_put\n\n[picard]\ndelta = 0\n", "unknown key picard.delta"),
-    ("[instance]\nname = american_put\nhorizon = 2\n\n[grid]\nT = 1\n",
-     "either grid.T or instance.horizon"),
+    # the horizon is the instance's horizon parameter only
+    ("[instance]\nname = american_put\n\n[grid]\nT = 1\n", "unknown key grid.t"),
     ("[grid]\nN = 5\n", "config needs an [instance] section"),
     ("[instance]\nname = american_put\n\n[mc]\nseed = -1\n", "mc.seed must be >= 0"),
     ("[instance]\nname = american_put\n\n[mc]\nbasis_family = spline\n",
@@ -539,22 +541,6 @@ dir = {out}
     assert _run("oracle-check", "--config", cfg) == cli.EXIT_CONFIG
     assert not out.exists()
     assert "interior nodes" in capsys.readouterr().err
-
-
-def test_oracle_check_max_n_caps_grid(tmp_path):
-    out = tmp_path / "out"
-    cfg = _cfg(tmp_path, f"""[instance]
-name = american_put
-
-[grid]
-N = 30
-
-[output]
-dir = {out}
-""")
-    assert _run("oracle-check", "--config", cfg, "--max-n", "3") == cli.EXIT_OK
-    rep = json.loads((out / "report.json").read_text())
-    assert rep["n_steps"] == 3
 
 
 def test_compare_ordered_pair(tmp_path):
@@ -728,14 +714,6 @@ dir = {out}
     assert "verification failure" in capsys.readouterr().err
 
 
-def test_infeasible_request_exits_one_without_artifacts(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 8\n")
-    assert _run("solve", "--config", cfg, "--out", str(out), "--max-n", "0") == cli.EXIT_CONFIG
-    assert "config error: --max-n must be >= 1, got 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("below", ["", "x"])
 @pytest.mark.parametrize("command", ["solve", "oracle-check", "compare", "stop",
                                      "verify-assumptions"])
@@ -754,24 +732,21 @@ def test_out_that_cannot_be_a_directory_exits_one(tmp_path, command, below, caps
     assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("n_lo, n_hi, max_n, code", [
-    (50, 60, None, cli.EXIT_CONFIG), (50, 60, "5", cli.EXIT_CONFIG),
-    (50, 50, None, cli.EXIT_OK), (50, 50, "5", cli.EXIT_OK)])
-def test_compare_needs_both_configs_on_one_grid_n(tmp_path, capsys, n_lo, n_hi, max_n, code):
-    # each config's own grid.N is compared, whatever --max-n caps the grid to
+@pytest.mark.parametrize("n_lo, n_hi, code", [
+    (50, 60, cli.EXIT_CONFIG), (50, 50, cli.EXIT_OK)])
+def test_compare_needs_both_configs_on_one_grid_n(tmp_path, capsys, n_lo, n_hi, code):
     out = tmp_path / "out"
     lo, hi = (_cfg(tmp_path, f"[instance]\nname = american_put\nstrike = {strike}\n\n"
                              f"[grid]\nN = {n}\n", name=f"{side}.ini")
               for side, strike, n in (("lo", 0.9, n_lo), ("hi", 1.0, n_hi)))
-    flags = ("--max-n", max_n) if max_n else ()
-    assert _run("compare", "--config", lo, "--config", hi, "--out", str(out), *flags) == code
+    assert _run("compare", "--config", lo, "--config", hi, "--out", str(out)) == code
     if code == cli.EXIT_CONFIG:
         assert "config error: compare needs both configs on the same grid.N" in \
             capsys.readouterr().err
         assert not out.exists()
     else:
         rep = json.loads((out / "report.json").read_text())
-        assert rep["ordered"] and rep["n_steps"] == int(max_n or n_lo)
+        assert rep["ordered"] and rep["n_steps"] == n_lo
 
 
 def test_each_config_is_built_once_per_command(tmp_path, monkeypatch):
@@ -995,14 +970,19 @@ def test_streamed_commands_grow_like_n_squared(tmp_path, command):
     assert peaks[1] <= 5 * peaks[0], peaks
 
 
+def _patch_driver(monkeypatch, driver):
+    # every catalog instance the CLI builds gets driver
+    real = cli.catalog_instance
+    monkeypatch.setattr(cli, "catalog_instance",
+                        lambda name, params=None: replace(real(name, params), driver=driver))
+
+
 def _fold_driver(monkeypatch):
     # squeezing the (anchors, 1) column of anchor times lines anchors up with
     # nodes: every sweep layer has j + 1 of both
-    fold = DriverSpec(name="fold", lipschitz=0.5, holder_const=0.5,
-                      fn=lambda t, s, x, y, z: -0.5 / (1.0 + np.squeeze(s - t)) * y)
-    real = cli.catalog_instance
-    monkeypatch.setattr(cli, "catalog_instance",
-                        lambda name, params=None: replace(real(name, params), driver=fold))
+    _patch_driver(monkeypatch, DriverSpec(
+        name="fold", lipschitz=0.5, holder_const=0.5,
+        fn=lambda t, s, x, y, z: -0.5 / (1.0 + np.squeeze(s - t)) * y))
 
 
 @pytest.mark.parametrize("command", ["solve", "stop", "compare"])
@@ -1019,16 +999,74 @@ def test_driver_that_folds_the_anchor_axis_exits_one_without_artifacts(tmp_path,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("instance", ["hyperbolic_discount", "american_put"])
+def test_compare_refuses_a_driver_that_squeezes_the_anchor_axis(tmp_path, instance, capsys,
+                                                                 monkeypatch):
+    # the driver gate passes columns of anchor times, which a squeezed column
+    # cannot broadcast against a layer's nodes: an anchor-coupled member meets
+    # the sweep's own probe first, an anchor-free one (american_put, which no
+    # sweep probes) the gate
+    anchor_free = instance == "american_put"
+    _patch_driver(monkeypatch, DriverSpec(
+        name="squeeze", lipschitz=0.1, y_sign=0, depends_on_z=False,
+        depends_on_anchor=not anchor_free,
+        fn=lambda t, s, x, y, z: 0.1 * np.squeeze(s - t) + 0 * x))
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, f"[instance]\nname = {instance}\n\n[grid]\nN = 16\n")
+    assert _run("compare", "--config", cfg, "--config", cfg, "--out", str(out)) == cli.EXIT_CONFIG
+    with pytest.raises(ValueError) as exc:  # numpy's own words for the refused shapes
+        np.zeros(2 if anchor_free else 17) + np.zeros(3 if anchor_free else 16)
+    where = ("pair rejected: driver gap on layer 2" if anchor_free else
+             "driver at layer 15 does not broadcast to (anchors, nodes) = (17, 16)")
+    assert capsys.readouterr().err == f"config error: {where}: {exc.value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle-check", "compare", "stop",
+                                     "verify-assumptions"])
+def test_max_n_is_not_a_flag(tmp_path, command, capsys):
+    # N comes only from grid.N; a usage error is reported as a bad config
+    cfg = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 4\n")
+    out = tmp_path / "out"
+    solutions = 2 if command == "compare" else 1
+    assert _run(command, *("--config", cfg) * solutions, "--out", str(out),
+                "--max-n", "3") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(
+        "config error: unrecognized arguments: --max-n 3\n")
+    assert not out.exists()
+
+
+def _readme_blocks(heading: str) -> list:
+    """The fenced code blocks of the README section under heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```")[1::2]
+
+
+def test_readme_command_line_reference_matches_the_parser():
+    usage, ini = _readme_blocks("## Command line")[:2]
+    assert ini.startswith("ini\n")
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    cp.read_string(ini[len("ini\n"):])
+    assert set(cp.sections()) == set(cli._SECTIONS)
+    for section, keys in cli._SECTIONS.items():
+        if keys is not None:  # [instance] is free-form
+            assert set(cp.options(section)) == keys, section
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for sp in commands.choices.values() for a in sp._actions
+             for flag in a.option_strings if flag.startswith("--") and flag != "--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == flags
+
+
 @pytest.mark.parametrize("argv", [("solve",), ("solve", "--engine", "mc"), ("stop",)])
 def test_driver_of_fixed_node_count_exits_one_without_artifacts(tmp_path, argv, capsys,
                                                                  monkeypatch):
     # american_put is anchor-free, so no anchor-axis probe runs: the per-layer
     # shape check alone refuses 7 driver values on layer 11's nodes or paths
-    seven = DriverSpec(name="seven", fn=lambda t, s, x, y, z: np.full(7, -0.01),
-                       lipschitz=0.0, y_sign=0, depends_on_z=False, depends_on_anchor=False)
-    real = cli.catalog_instance
-    monkeypatch.setattr(cli, "catalog_instance",
-                        lambda name, params=None: replace(real(name, params), driver=seven))
+    _patch_driver(monkeypatch, DriverSpec(
+        name="seven", fn=lambda t, s, x, y, z: np.full(7, -0.01),
+        lipschitz=0.0, y_sign=0, depends_on_z=False, depends_on_anchor=False))
     out = tmp_path / "out"
     cfg = _cfg(tmp_path, "[instance]\nname = american_put\n\n[grid]\nN = 12\n\n"
                          "[mc]\nn_paths = 400\n")

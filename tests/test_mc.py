@@ -172,7 +172,7 @@ def test_driver_of_fixed_node_count_is_an_mc_error_naming_the_layer():
     spec = replace(catalog_instance("american_put"), driver=seven)
     bundle = mc.simulate(TimeGrid(spec.horizon, 12), spec, 400, seed=3)
     with pytest.raises(mc.MCError, match=r"mc driver at layer 11 does not broadcast to "
-                                         r"\(anchors, nodes\) = \(400,\)"):
+                                         r"anchor 11's row \(400,\)"):
         mc.solve_mc(bundle, spec, mc.RegressionBasis(), n_bootstrap=4)
 
 

@@ -387,7 +387,7 @@ def test_shared_row_sweep_refuses_a_driver_of_fixed_node_count():
     spec = replace(catalog_instance("american_put"), driver=seven)
     assert spec.anchor_free
     with pytest.raises(VolterraError, match=r"driver at layer 11 does not broadcast to "
-                                            r"\(anchors, nodes\) = \(12,\)"):
+                                            r"anchor 11's row \(12,\)"):
         list(sweep(spec.lattice(12), spec, 200))
 
 
